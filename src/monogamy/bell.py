@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Behavior, correlator, marginal
+from .model import Behavior, Scenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,45 +68,50 @@ def collins_gisin() -> BellFunctional:
     )
 
 
-def single_party_expectation(b: Behavior, party: int, setting: int) -> float:
-    """Expectation of the +-1-valued outcome of one party at one setting.
+def functional_row(scenario: Scenario, f: BellFunctional, pair: tuple[int, int]) -> np.ndarray:
+    """Flat-table coefficients of the functional on one pair of parties.
 
-    The other parties' settings are pinned to 0; for no-signalling behaviors
-    the choice is immaterial.
+    The functional's first party is ``pair[0]`` and its second ``pair[1]``;
+    every other party's setting is pinned to 0 (immaterial under the
+    no-signalling equalities).  A single-party term sits at the other pair
+    party's setting 0.
     """
-    s = b.scenario
-    if s.outcomes[party] != 2:
-        raise ValueError("single-party expectation requires a dichotomic party")
-    context = tuple(setting if p == party else 0 for p in range(s.parties))
-    m = marginal(b, (party,), context)
-    dist = m.table[(setting,)]
-    return float(dist[0] - dist[1])
+    p1, p2 = pair
+    if p1 == p2 or not (0 <= p1 < scenario.parties and 0 <= p2 < scenario.parties):
+        raise ValueError("pair must name two distinct parties of the scenario")
+    settings = (scenario.settings[p1], scenario.settings[p2])
+    if settings != f.settings:
+        raise ValueError(
+            f"parties {pair} have settings {settings}, functional needs {f.settings}"
+        )
+    if scenario.outcomes[p1] != 2 or scenario.outcomes[p2] != 2:
+        raise ValueError("Bell functionals require dichotomic outcomes")
+    n = scenario.parties
+
+    def sign(party: int) -> np.ndarray:
+        """+-1 by the party's outcome, over all outcome axes."""
+        shape = [1] * n
+        shape[party] = 2
+        return np.array([1.0, -1.0]).reshape(shape)
+
+    over_outcomes = (...,) + (None,) * n
+    block = np.zeros(f.settings + scenario.outcomes)  # axes (x, y, outcomes)
+    block += f.correlators[over_outcomes] * sign(p1) * sign(p2)
+    block[:, 0] += f.marginals_a[over_outcomes] * sign(p1)
+    block[0, :] += f.marginals_b[over_outcomes] * sign(p2)
+
+    coeffs = np.zeros(scenario.table_shape)
+    context = [0] * n
+    context[p1] = context[p2] = slice(None)
+    coeffs[tuple(context)] = block if p1 < p2 else block.swapaxes(0, 1)
+    return coeffs.reshape(-1)
 
 
 def bell_value(b: Behavior, f: BellFunctional) -> float:
     """Evaluate the functional on a two-party behavior."""
-    s = b.scenario
-    if s.parties != 2:
+    if b.scenario.parties != 2:
         raise ValueError("Bell functionals act on two-party behaviors")
-    if s.settings != f.settings:
-        raise ValueError(
-            f"behavior has settings {s.settings}, functional needs {f.settings}"
-        )
-    if not s.is_dichotomic():
-        raise ValueError("Bell functionals require dichotomic outcomes")
-    value = 0.0
-    for x in range(f.settings[0]):
-        for y in range(f.settings[1]):
-            c = f.correlators[x, y]
-            if c != 0.0:
-                value += c * correlator(b, (x, y))
-    for x in range(f.settings[0]):
-        if f.marginals_a[x] != 0.0:
-            value += f.marginals_a[x] * single_party_expectation(b, 0, x)
-    for y in range(f.settings[1]):
-        if f.marginals_b[y] != 0.0:
-            value += f.marginals_b[y] * single_party_expectation(b, 1, y)
-    return float(value)
+    return float(functional_row(b.scenario, f, (0, 1)) @ b.table.reshape(-1))
 
 
 def chsh_value(b: Behavior) -> float:

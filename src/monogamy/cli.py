@@ -42,14 +42,6 @@ def parse_behavior(path: str) -> model.Behavior:
         raise CliError(f"{path}: {exc}") from None
 
 
-def parse_state(path: str) -> quantum.DensityMatrix:
-    data = _load_json(path)
-    try:
-        return quantum.state_from_json_dict(data)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
 def _require_valid(b: model.Behavior, tol: float) -> None:
     report = model.validate_behavior(b, tol)
     if not report.passed:
@@ -79,11 +71,23 @@ def _angles(text: str, count: int) -> list[float]:
     return values
 
 
-def _resolve_state(args) -> quantum.DensityMatrix:
+def _resolve_state(
+    args, allow_behavior: bool = False
+) -> quantum.DensityMatrix | model.Behavior:
+    """The --in file or the named --state.  A file with 'dimension' and
+    'entries' fields is a state; any other file is read as a behavior when
+    ``allow_behavior`` is set, and as a state otherwise."""
     if args.infile and args.state:
         raise CliError("give either --in or --state, not both")
     if args.infile:
-        return parse_state(args.infile)
+        data = _load_json(args.infile)
+        is_state = isinstance(data, dict) and "dimension" in data and "entries" in data
+        try:
+            if is_state or not allow_behavior:
+                return quantum.state_from_json_dict(data)
+            return model.behavior_from_json_dict(data)
+        except ValueError as exc:
+            raise CliError(f"{args.infile}: {exc}") from None
     if args.state:
         try:
             return quantum.named_state(args.state, mu=args.mu)
@@ -173,8 +177,9 @@ def cmd_share(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    if args.infile and not args.state:
-        b = parse_behavior(args.infile)
+    source = _resolve_state(args, allow_behavior=True)
+    if isinstance(source, model.Behavior):
+        b = source
         _require_valid(b, args.tol)
         if b.scenario.parties == 3:
             # Three-party input: emit the pair values and the trade-off
@@ -190,7 +195,7 @@ def cmd_chsh(args) -> int:
             return 0 if all(r.passed for r in checks) else 1
         value = bell.chsh_value(b)
     else:
-        rho = _resolve_state(args)
+        rho = source
         if rho.qubits != 2:
             raise CliError("chsh needs a two-qubit state")
         if args.angles is None:
@@ -209,13 +214,13 @@ def cmd_chsh(args) -> int:
 
 def cmd_cg(args) -> int:
     functional = bell.collins_gisin()
-    if args.infile and not args.state:
-        b = parse_behavior(args.infile)
-        _require_valid(b, args.tol)
-        value = bell.bell_value(b, functional)
+    source = _resolve_state(args, allow_behavior=True)
+    if isinstance(source, model.Behavior):
+        _require_valid(source, args.tol)
+        value = bell.bell_value(source, functional)
         _emit({"cg": value, "local_bound": functional.local_bound}, args.out)
         return 0
-    rho = _resolve_state(args)
+    rho = source
     if rho.qubits != 3:
         raise CliError("cg needs a three-qubit state (or a behavior file)")
     if args.angles is None:

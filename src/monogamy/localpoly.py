@@ -76,7 +76,7 @@ def deterministic_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> lis
 
 
 def deterministic_behaviors(scenario: Scenario, cap: int = STRATEGY_CAP) -> list[Behavior]:
-    return [s.to_behavior(scenario) for s in deterministic_strategies(scenario)]
+    return [s.to_behavior(scenario) for s in deterministic_strategies(scenario, cap)]
 
 
 def strategy_matrix(scenario: Scenario, cap: int = STRATEGY_CAP) -> np.ndarray:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -445,10 +446,9 @@ def flat_index(scenario: Scenario, context: tuple[int, ...], outcomes: tuple[int
 
 def normalization_constraints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Equality rows requiring each context's outcomes to sum to 1."""
+    index = np.arange(scenario.table_size).reshape(scenario.n_contexts, -1)
     rows = np.zeros((scenario.n_contexts, scenario.table_size))
-    for i, ctx in enumerate(scenario.contexts()):
-        for outs in scenario.outcome_tuples():
-            rows[i, flat_index(scenario, ctx, outs)] = 1.0
+    rows[np.arange(scenario.n_contexts)[:, None], index] = 1.0
     return rows, np.ones(scenario.n_contexts)
 
 
@@ -456,29 +456,40 @@ def no_signalling_constraints(scenario: Scenario) -> tuple[np.ndarray, np.ndarra
     """Equality rows: for every party, pair of its settings, context of the
     other parties, and outcome tuple of the other parties, the summed-out
     marginals agree."""
-    rows = []
     n = scenario.parties
+    index = np.arange(scenario.table_size).reshape(scenario.table_shape)
+    plus, minus = [], []
     for k in range(n):
-        others = [p for p in range(n) if p != k]
-        other_settings = [range(scenario.settings[p]) for p in others]
-        other_outcomes = [range(scenario.outcomes[p]) for p in others]
-        for s1, s2 in itertools.combinations(range(scenario.settings[k]), 2):
-            for o_ctx in itertools.product(*other_settings):
-                for o_out in itertools.product(*other_outcomes):
-                    row = np.zeros(scenario.table_size)
-                    ctx1, ctx2, outs = [0] * n, [0] * n, [0] * n
-                    for idx, p in enumerate(others):
-                        ctx1[p] = ctx2[p] = o_ctx[idx]
-                        outs[p] = o_out[idx]
-                    ctx1[k], ctx2[k] = s1, s2
-                    for ak in range(scenario.outcomes[k]):
-                        outs[k] = ak
-                        row[flat_index(scenario, tuple(ctx1), tuple(outs))] += 1.0
-                        row[flat_index(scenario, tuple(ctx2), tuple(outs))] -= 1.0
-                    rows.append(row)
-    if not rows:
-        return np.zeros((0, scenario.table_size)), np.zeros(0)
-    return np.array(rows), np.zeros(len(rows))
+        # Axes: party k's setting, the others' settings and outcomes, then
+        # party k's outcome, which each row sums over.
+        by_k = np.moveaxis(index, (k, n + k), (0, -1))
+        pairs = itertools.combinations(range(scenario.settings[k]), 2)
+        pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
+        plus.append(by_k[pairs[:, 0]].reshape(-1, scenario.outcomes[k]))
+        minus.append(by_k[pairs[:, 1]].reshape(-1, scenario.outcomes[k]))
+    n_rows = sum(len(block) for block in plus)
+    rows = np.zeros((n_rows, scenario.table_size))
+    start = 0
+    for p_block, m_block in zip(plus, minus):
+        r = np.arange(start, start + len(p_block))[:, None]
+        rows[r, p_block] = 1.0
+        rows[r, m_block] = -1.0
+        start += len(p_block)
+    return rows, np.zeros(n_rows)
+
+
+@functools.lru_cache(maxsize=8)
+def ns_polytope(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows of the no-signalling polytope over the flat table:
+    normalization stacked over no-signalling.  Memoised per scenario and
+    returned read-only."""
+    norm = normalization_constraints(scenario)
+    ns = no_signalling_constraints(scenario)
+    lhs = np.vstack([norm[0], ns[0]])
+    rhs = np.concatenate([norm[1], ns[1]])
+    lhs.setflags(write=False)
+    rhs.setflags(write=False)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

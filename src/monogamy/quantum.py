@@ -161,7 +161,7 @@ def born_behavior(rho: DensityMatrix, observables: list[list[np.ndarray]]) -> Be
             f"{n_parties} single-qubit parties need dimension {2 ** n_parties}, "
             f"state has {rho.dimension}"
         )
-    projectors: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    projectors = []
     for p, obs_list in enumerate(observables):
         if not obs_list:
             raise ValueError(f"party {p} needs at least one observable")
@@ -172,16 +172,19 @@ def born_behavior(rho: DensityMatrix, observables: list[list[np.ndarray]]) -> Be
                 raise ValueError("observables must be 2x2 for qubit parties")
             if not is_dichotomic_observable(op):
                 raise ValueError("observable must square to the identity")
-            row.append(((IDENTITY_2 + op) / 2, (IDENTITY_2 - op) / 2))
-        projectors.append(row)
+            row.append([(IDENTITY_2 + op) / 2, (IDENTITY_2 - op) / 2])
+        projectors.append(np.array(row))  # (setting, outcome, row, column)
 
     settings = tuple(len(row) for row in projectors)
     scenario = Scenario(n_parties, settings, (2,) * n_parties)
-    table = np.zeros(scenario.table_shape)
-    for ctx in scenario.contexts():
-        for outs in scenario.outcome_tuples():
-            proj = tensor(*(projectors[p][ctx[p]][outs[p]] for p in range(n_parties)))
-            table[ctx + outs] = float(np.trace(proj @ rho.matrix).real)
+    # Tr[(P_1 (x) ... (x) P_n) rho] = sum P_1[i1, j1] ... P_n[in, jn] rho[j.., i..]
+    # over the density tensor with row axes j.. and column axes i...
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    x, o, i, j = ([next(letters) for _ in range(n_parties)] for _ in range(4))
+    spec = ",".join(x[p] + o[p] + i[p] + j[p] for p in range(n_parties))
+    spec += "," + "".join(j + i) + "->" + "".join(x + o)
+    rho_tensor = rho.matrix.reshape((2,) * (2 * n_parties))
+    table = np.einsum(spec, *projectors, rho_tensor, optimize=True).real
     return Behavior(scenario, table)
 
 

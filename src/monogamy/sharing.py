@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .model import (
+from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
     flat_index,
     is_no_signalling,
     no_signalling_constraints,
     normalization_constraints,
+    ns_polytope,
     validate_behavior,
 )
 
@@ -278,8 +279,7 @@ def ns_extension(
     spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "ns", tol)
 
     blocks = [
-        normalization_constraints(scen),
-        no_signalling_constraints(scen),
+        ns_polytope(scen),
         clone_symmetry_constraints(scen),
         _pair_marginal_rows(scen, b),
     ]
@@ -332,11 +332,7 @@ def random_shareable_behavior(
     """
     base = Scenario(2, (2, 2), (2, 2))
     scen = _extended_scenario(base, 2)
-    blocks = [
-        normalization_constraints(scen),
-        no_signalling_constraints(scen),
-        clone_symmetry_constraints(scen),
-    ]
+    blocks = [ns_polytope(scen), clone_symmetry_constraints(scen)]
     eq_lhs = np.vstack([blk[0] for blk in blocks if blk[0].size])
     eq_rhs = np.concatenate([blk[1] for blk in blocks if blk[0].size])
 

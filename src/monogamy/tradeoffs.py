@@ -9,57 +9,39 @@ caller's random generator.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import lp
-from .bell import BellFunctional, collins_gisin
+from .bell import BellFunctional, chsh, collins_gisin, functional_row
 from .bell import chsh_value as _behavior_chsh
 from .localpoly import deterministic_strategies
-from .model import (
+from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
     correlator,
-    flat_index,
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
+    ns_polytope,
 )
 from .quantum import (
+    IDENTITY_2,
+    SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     cg_state,
-    planar_observable,
-    tensor,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 DEFAULT_CHECK_TOL = 1e-9
 
-_CHSH_WEIGHTS = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def _thread_cap() -> int:
-    value = os.environ.get("MONOGAMY_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    """Apply fn over grid items, optionally on a thread pool; results keep
-    the grid order regardless of worker count."""
-    workers = _thread_cap()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+_CHSH = chsh()
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +216,35 @@ def triple_values(b: Behavior) -> TradeoffPoint:
     return TradeoffPoint(chsh_ab=p.chsh_ab, chsh_ac=p.chsh_ac, chsh_bc=bc)
 
 
-def chsh_operator(angles_1: tuple[float, float], angles_2: tuple[float, float]) -> np.ndarray:
-    """Two-qubit CHSH operator for planar observables at the given angles."""
-    ops_1 = [planar_observable(a) for a in angles_1]
-    ops_2 = [planar_observable(a) for a in angles_2]
-    out = np.zeros((4, 4), dtype=complex)
-    for x in range(2):
-        for y in range(2):
-            out += _CHSH_WEIGHTS[x, y] * tensor(ops_1[x], ops_2[y])
-    return out
+# A planar observable cos(alpha) sigma_x + sin(alpha) sigma_z is the row
+# (cos alpha, sin alpha, 0) against this stack; the identity is (0, 0, 1).
+_PLANAR_BASIS = np.stack([SIGMA_X, SIGMA_Z, IDENTITY_2])
+_MOMENT_SPECS = {
+    (0, 1): "abc,iax,jby,xyc->ij",
+    (0, 2): "abc,iax,jcz,xbz->ij",
+    (1, 2): "abc,iby,jcz,ayz->ij",
+}
+
+
+def _pair_moments(t: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """3x3 moments <P_i (x) P_j> of two qubits of a pure 3-qubit tensor,
+    P = (sigma_x, sigma_z, I); row and column 2 hold the Bloch components."""
+    return np.einsum(_MOMENT_SPECS[pair], t.conj(), _PLANAR_BASIS, _PLANAR_BASIS, t).real
+
+
+def _planar_rows(angles) -> np.ndarray:
+    angles = np.asarray(angles, dtype=float)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _planar_value(moments: np.ndarray, f: BellFunctional, angles_1, angles_2) -> float:
+    """Functional value at planar angles from a pair's moments: u^T M v
+    for every setting pair, plus the Bloch terms of the single-party
+    weights."""
+    u, v = _planar_rows(angles_1), _planar_rows(angles_2)
+    value = np.sum(f.correlators * (u @ moments[:2, :2] @ v.T))
+    value += f.marginals_a @ (u @ moments[:2, 2]) + f.marginals_b @ (v @ moments[2, :2])
+    return float(value)
 
 
 def _pure_vector(rho: DensityMatrix) -> np.ndarray:
@@ -250,16 +252,6 @@ def _pure_vector(rho: DensityMatrix) -> np.ndarray:
     if values[-1] < 1.0 - 1e-9:
         raise ValueError("state is not pure")
     return vectors[:, -1]
-
-
-def _pair_density(t: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """4x4 reduced matrix of two qubits of a pure 3-qubit tensor (no
-    validation; hot path for sweeps)."""
-    keep = sorted(pair)
-    drop = [q for q in range(3) if q not in keep][0]
-    spec = {2: "abc,xyc->abxy", 1: "abc,xbz->acxz", 0: "abc,ayz->bcyz"}[drop]
-    reduced = np.einsum(spec, t, t.conj())
-    return reduced.reshape(4, 4)
 
 
 def _single_density(t: np.ndarray, qubit: int) -> np.ndarray:
@@ -288,18 +280,16 @@ def state_pair_point(
         raise ValueError("state must be a pure 3-qubit state")
     t = vec.reshape(2, 2, 2)
 
-    rho_ab = _pair_density(t, (0, 1))
-    rho_ac = _pair_density(t, (0, 2))
-    rho_bc = _pair_density(t, (1, 2))
-    ab = float(np.trace(chsh_operator(a_angles, b_angles) @ rho_ab).real)
-    ac = float(np.trace(chsh_operator(a_angles, c_angles) @ rho_ac).real)
-    bc = float(np.trace(chsh_operator(b_angles, c_angles) @ rho_bc).real)
+    m_ac = _pair_moments(t, (0, 2))
+    ab = _planar_value(_pair_moments(t, (0, 1)), _CHSH, a_angles, b_angles)
+    ac = _planar_value(m_ac, _CHSH, a_angles, c_angles)
+    bc = _planar_value(_pair_moments(t, (1, 2)), _CHSH, b_angles, c_angles)
 
     sigma_y = tuple(
         float(np.trace(SIGMA_Y @ _single_density(t, q)).real) for q in range(3)
     )
-    corr_op = tensor(planar_observable(a_angles[0]), planar_observable(c_angles[0]))
-    corr_ac = float(np.trace(corr_op @ rho_ac).real)
+    u, v = _planar_rows(a_angles[:1]), _planar_rows(c_angles[:1])
+    corr_ac = float((u @ m_ac[:2, :2] @ v.T)[0, 0])
     return TradeoffPoint(
         chsh_ab=ab, chsh_ac=ac, chsh_bc=bc, sigma_y=sigma_y, corr_ac=corr_ac
     )
@@ -317,34 +307,14 @@ class SupportPoint:
     params: dict | None = None
 
 
-def chsh_pair_objective(scenario: Scenario, pair: tuple[int, int], fixed: int = 0) -> np.ndarray:
-    """Flattened-table coefficients of the CHSH value on one pair of parties,
-    with the remaining parties' settings pinned (immaterial under the
-    no-signalling equalities)."""
-    p1, p2 = pair
-    obj = np.zeros(scenario.table_size)
-    for x in range(2):
-        for y in range(2):
-            w = _CHSH_WEIGHTS[x, y]
-            ctx = [fixed] * scenario.parties
-            ctx[p1], ctx[p2] = x, y
-            for outs in scenario.outcome_tuples():
-                sign = -1.0 if (outs[p1] + outs[p2]) % 2 else 1.0
-                obj[flat_index(scenario, tuple(ctx), outs)] += w * sign
-    return obj
-
-
 def ns_maximum(
     scenario: Scenario, objective: np.ndarray, tol: float = lp.FEASIBILITY_TOL
 ) -> tuple[float, Behavior]:
     """Maximize a linear functional over the no-signalling polytope."""
-    norm = normalization_constraints(scenario)
-    ns = no_signalling_constraints(scenario)
-    eq_lhs = np.vstack([norm[0], ns[0]])
-    eq_rhs = np.concatenate([norm[1], ns[1]])
+    eq_lhs, eq_rhs = ns_polytope(scenario)
     outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs), tol)
     if outcome.status != lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"support LP failed: {outcome.status} {outcome.message}")
+        raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
     table = np.clip(outcome.x.reshape(scenario.table_shape), 0.0, None)
     return float(outcome.value), Behavior(scenario, table)
 
@@ -354,24 +324,15 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
     (chsh_ab, chsh_ac) plane: per direction, the LP maximum of
     cos(theta) chsh_ab + sin(theta) chsh_ac."""
     scenario = triple_scenario()
-    obj_ab = chsh_pair_objective(scenario, (0, 1))
-    obj_ac = chsh_pair_objective(scenario, (0, 2))
-    norm = normalization_constraints(scenario)
-    ns = no_signalling_constraints(scenario)
-    eq_lhs = np.vstack([norm[0], ns[0]])
-    eq_rhs = np.concatenate([norm[1], ns[1]])
-
-    def solve_theta(theta: float) -> SupportPoint:
+    obj_ab = functional_row(scenario, _CHSH, (0, 1))
+    obj_ac = functional_row(scenario, _CHSH, (0, 2))
+    points = []
+    for theta in thetas:
+        theta = float(theta)
         objective = math.cos(theta) * obj_ab + math.sin(theta) * obj_ac
-        outcome = lp.solve(
-            lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs), tol
-        )
-        if outcome.status != lp.LpStatus.OPTIMAL:
-            raise RuntimeError(f"support LP failed at theta={theta}")
-        table = np.clip(outcome.x.reshape(scenario.table_shape), 0.0, None)
-        return SupportPoint(float(theta), float(outcome.value), Behavior(scenario, table))
-
-    return _grid_map(solve_theta, [float(t) for t in thetas])
+        value, behavior = ns_maximum(scenario, objective, tol)
+        points.append(SupportPoint(theta, value, behavior))
+    return points
 
 
 def _local_vertex_values() -> tuple[list, np.ndarray, np.ndarray]:
@@ -420,12 +381,9 @@ def _quantum_direction_value(params: np.ndarray, cos_t: float, sin_t: float) -> 
     if norm < 1e-8:
         return -1e6
     t = (state / norm).reshape(2, 2, 2)
-    a_angles = (params[16], params[17])
-    b_angles = (params[18], params[19])
-    c_angles = (params[20], params[21])
-    ab = np.trace(chsh_operator(a_angles, b_angles) @ _pair_density(t, (0, 1))).real
-    ac = np.trace(chsh_operator(a_angles, c_angles) @ _pair_density(t, (0, 2))).real
-    return float(cos_t * ab + sin_t * ac)
+    ab = _planar_value(_pair_moments(t, (0, 1)), _CHSH, params[16:18], params[18:20])
+    ac = _planar_value(_pair_moments(t, (0, 2)), _CHSH, params[16:18], params[20:22])
+    return cos_t * ab + sin_t * ac
 
 
 def _quantum_seeds() -> list[np.ndarray]:
@@ -595,61 +553,6 @@ class CgSearchResult:
         return min(self.value_ab, self.value_ac)
 
 
-def cg_pair_value(
-    rho_pair: np.ndarray,
-    angles_1: tuple[float, float, float],
-    angles_2: tuple[float, float, float],
-    functional: BellFunctional,
-) -> float:
-    """Functional value on a two-qubit reduced state under planar angles."""
-    ops_1 = [planar_observable(a) for a in angles_1]
-    ops_2 = [planar_observable(a) for a in angles_2]
-    rho_1 = rho_pair.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    rho_2 = rho_pair.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    value = 0.0
-    for x in range(3):
-        for y in range(3):
-            w = functional.correlators[x, y]
-            if w:
-                value += w * np.trace(tensor(ops_1[x], ops_2[y]) @ rho_pair).real
-    for x in range(3):
-        if functional.marginals_a[x]:
-            value += functional.marginals_a[x] * np.trace(ops_1[x] @ rho_1).real
-    for y in range(3):
-        if functional.marginals_b[y]:
-            value += functional.marginals_b[y] * np.trace(ops_2[y] @ rho_2).real
-    return float(value)
-
-
-class _PlanarPairEvaluator:
-    """Fast planar-angle evaluation of a two-party functional on a fixed
-    two-qubit state: precomputes the x/z correlation matrix and local Bloch
-    components so each call is a handful of flops."""
-
-    def __init__(self, rho_pair: np.ndarray, functional: BellFunctional):
-        paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
-                  np.array([[1, 0], [0, -1]], dtype=complex))
-        rho = rho_pair.reshape(2, 2, 2, 2)
-        rho_1 = rho.trace(axis1=1, axis2=3)
-        rho_2 = rho.trace(axis1=0, axis2=2)
-        self.corr = np.array([
-            [np.trace(np.kron(p, q) @ rho_pair).real for q in paulis]
-            for p in paulis
-        ])
-        self.bloch_1 = np.array([np.trace(p @ rho_1).real for p in paulis])
-        self.bloch_2 = np.array([np.trace(p @ rho_2).real for p in paulis])
-        self.functional = functional
-
-    def value(self, angles_1: np.ndarray, angles_2: np.ndarray) -> float:
-        u = np.stack([np.cos(angles_1), np.sin(angles_1)])  # 2 x n1
-        v = np.stack([np.cos(angles_2), np.sin(angles_2)])  # 2 x n2
-        pair_terms = u.T @ self.corr @ v
-        value = float(np.sum(self.functional.correlators * pair_terms))
-        value += float(self.functional.marginals_a @ (u.T @ self.bloch_1))
-        value += float(self.functional.marginals_b @ (v.T @ self.bloch_2))
-        return value
-
-
 def cg_values_for_state(
     psi: DensityMatrix,
     a_angles: tuple[float, float, float],
@@ -659,10 +562,9 @@ def cg_values_for_state(
     """Three-setting functional values on the (a,b) and (a,c) reduced states
     of a pure 3-qubit state, with party a's angles shared."""
     functional = collins_gisin()
-    vec = _pure_vector(psi)
-    t = vec.reshape(2, 2, 2)
-    value_ab = cg_pair_value(_pair_density(t, (0, 1)), a_angles, b_angles, functional)
-    value_ac = cg_pair_value(_pair_density(t, (0, 2)), a_angles, c_angles, functional)
+    t = _pure_vector(psi).reshape(2, 2, 2)
+    value_ab = _planar_value(_pair_moments(t, (0, 1)), functional, a_angles, b_angles)
+    value_ac = _planar_value(_pair_moments(t, (0, 2)), functional, a_angles, c_angles)
     return value_ab, value_ac
 
 
@@ -701,12 +603,11 @@ def cg_double_violation_search(
     functional = collins_gisin()
     best: CgSearchResult | None = None
     for mu in mu_values:
-        vec = _pure_vector(cg_state(float(mu)))
-        t = vec.reshape(2, 2, 2)
-        evaluator = _PlanarPairEvaluator(_pair_density(t, (0, 1)), functional)
+        t = _pure_vector(cg_state(float(mu))).reshape(2, 2, 2)
+        moments = _pair_moments(t, (0, 1))
 
-        def objective(x, ev=evaluator):
-            return ev.value(x[:3], x[3:])
+        def objective(x, m=moments):
+            return _planar_value(m, functional, x[:3], x[3:])
 
         candidates = [
             _mirror_angles(0.53, 0.25),
@@ -769,74 +670,29 @@ def pb_scenario() -> Scenario:
     return Scenario(4, (3, 3, 3, 3), (2, 2, 2, 2))
 
 
-def cg_pair_objective(scenario: Scenario, pair: tuple[int, int], fixed: int = 0) -> np.ndarray:
-    """Flattened-table coefficients of the three-setting functional on one
-    pair of parties."""
-    functional = collins_gisin()
-    p1, p2 = pair
-    obj = np.zeros(scenario.table_size)
-    for x in range(3):
-        for y in range(3):
-            w = functional.correlators[x, y]
-            if not w:
-                continue
-            ctx = [fixed] * scenario.parties
-            ctx[p1], ctx[p2] = x, y
-            for outs in scenario.outcome_tuples():
-                sign = -1.0 if (outs[p1] + outs[p2]) % 2 else 1.0
-                obj[flat_index(scenario, tuple(ctx), outs)] += w * sign
-    for party, coeffs in ((p1, functional.marginals_a), (p2, functional.marginals_b)):
-        for x in range(3):
-            w = coeffs[x]
-            if not w:
-                continue
-            ctx = [fixed] * scenario.parties
-            ctx[party] = x
-            for outs in scenario.outcome_tuples():
-                sign = -1.0 if outs[party] % 2 else 1.0
-                obj[flat_index(scenario, tuple(ctx), outs)] += w * sign
-    return obj
-
-
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     """Eight sign-pattern LPs for the maximum of |C_ab| + |C_ac| + |C_ad|
     over the four-party no-signalling polytope, plus the max-min LP for the
     simultaneous double-violation question."""
     scenario = pb_scenario()
-    local_bound = 4.0
+    functional = collins_gisin()
+    local_bound = functional.local_bound
     objectives = {
-        pair: cg_pair_objective(scenario, pair)
+        pair: functional_row(scenario, functional, pair)
         for pair in ((0, 1), (0, 2), (0, 3))
     }
-    norm = normalization_constraints(scenario)
-    ns = no_signalling_constraints(scenario)
-    eq_lhs = np.vstack([norm[0], ns[0]])
-    eq_rhs = np.concatenate([norm[1], ns[1]])
 
     sign_values = []
     best_value, best_behavior = -np.inf, None
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                objective = (
-                    s1 * objectives[(0, 1)]
-                    + s2 * objectives[(0, 2)]
-                    + s3 * objectives[(0, 3)]
-                )
-                outcome = lp.solve(
-                    lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs), tol
-                )
-                if outcome.status != lp.LpStatus.OPTIMAL:
-                    raise RuntimeError(
-                        f"sign-pattern LP failed: {outcome.status} {outcome.message}"
-                    )
-                sign_values.append(((s1, s2, s3), float(outcome.value)))
-                if outcome.value > best_value:
-                    best_value = float(outcome.value)
-                    table = np.clip(outcome.x.reshape(scenario.table_shape), 0.0, None)
-                    best_behavior = Behavior(scenario, table)
+    for signs in itertools.product((1, -1), repeat=3):
+        objective = sum(s * obj for s, obj in zip(signs, objectives.values()))
+        value, behavior = ns_maximum(scenario, objective, tol)
+        sign_values.append((signs, value))
+        if value > best_value:
+            best_value, best_behavior = value, behavior
 
     # Max-min LP: variables (table, t), maximize t.
+    eq_lhs, eq_rhs = ns_polytope(scenario)
     n = scenario.table_size
     eq_lhs_t = np.hstack([eq_lhs, np.zeros((eq_lhs.shape[0], 1))])
     ub_rows = []

@@ -16,6 +16,7 @@ from monogamy import (
     InfeasibleExtension,
     Scenario,
     born_behavior,
+    chsh,
     chsh_value,
     ckw_check,
     concurrence,
@@ -29,6 +30,7 @@ from monogamy import (
     validate_behavior,
     w_state,
 )
+from monogamy.bell import functional_row
 from conftest import TSIRELSON_ANGLES, observables_from_angles, random_violating_behavior
 
 ROOT8 = 2 * math.sqrt(2)
@@ -54,14 +56,14 @@ def test_criterion_01_tsirelson_value():
 def test_criterion_02_ns_tradeoff_lp():
     start = time.monotonic()
     scenario3 = Scenario(3, (2, 2, 2), (2, 2, 2))
-    obj = tradeoffs.chsh_pair_objective(scenario3, (0, 1)) + tradeoffs.chsh_pair_objective(
-        scenario3, (0, 2)
+    obj = functional_row(scenario3, chsh(), (0, 1)) + functional_row(
+        scenario3, chsh(), (0, 2)
     )
     pair_max, _ = tradeoffs.ns_maximum(scenario3, obj)
 
     scenario2 = Scenario(2, (2, 2), (2, 2))
     single_max, argmax = tradeoffs.ns_maximum(
-        scenario2, tradeoffs.chsh_pair_objective(scenario2, (0, 1))
+        scenario2, functional_row(scenario2, chsh(), (0, 1))
     )
     pr_distance = float(np.max(np.abs(argmax.table - pr_box().table)))
     elapsed = time.monotonic() - start

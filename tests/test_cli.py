@@ -8,13 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from monogamy import behavior_to_json_dict, pr_box, uniform_box
+from monogamy import behavior_to_json_dict, pr_box, state_to_json_dict, uniform_box
 from monogamy.cli import main
 from conftest import chsh_scenario
 
 
 def write_behavior(path, behavior):
     path.write_text(json.dumps(behavior_to_json_dict(behavior)))
+    return str(path)
+
+
+def write_state(path, rho):
+    path.write_text(json.dumps(state_to_json_dict(rho)))
     return str(path)
 
 
@@ -136,12 +141,31 @@ class TestChsh:
     def test_missing_angles(self, capsys):
         assert main(["chsh", "--state", "phi_plus"]) == 2
 
+    def test_state_file_input(self, tmp_path, capsys):
+        from monogamy import phi_plus
+
+        path = write_state(tmp_path / "phi_plus.json", phi_plus())
+        angles = ",".join(str(a) for a in (0.0, math.pi / 2, math.pi / 4, -math.pi / 4))
+        code = main(["chsh", "--in", path, "--angles", angles])
+        assert code == 0
+        value = float(capsys.readouterr().out.strip())
+        assert value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
 
 class TestCg:
     def test_state_evaluation(self, capsys):
         angles = ",".join(str(a) for a in [0.5, 2.1, 0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0])
         code = main(["cg", "--state", "cg", "--mu", "0.9", "--angles", angles])
         assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cg_ab"] == pytest.approx(payload["cg_ac"], abs=1e-9)
+
+    def test_state_file_input(self, tmp_path, capsys):
+        from monogamy import cg_state
+
+        path = write_state(tmp_path / "cg.json", cg_state(0.9))
+        angles = ",".join(str(a) for a in [0.5, 2.1, 0.0, -1.0, 1.0, 0.0, -1.0, 1.0, 0.0])
+        assert main(["cg", "--in", path, "--angles", angles]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cg_ab"] == pytest.approx(payload["cg_ac"], abs=1e-9)
 

@@ -47,6 +47,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap"):
             deterministic_strategies(big)
 
+    def test_behaviors_respect_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            deterministic_behaviors(chsh_scenario(), cap=4)
+
 
 class TestDecomposition:
     def test_uniform_is_local(self):

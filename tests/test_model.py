@@ -22,6 +22,8 @@ from monogamy import (
     uniform_box,
     validate_behavior,
 )
+from monogamy.localpoly import deterministic_behaviors
+from monogamy.model import ns_polytope
 from conftest import chsh_scenario, random_behavior
 
 
@@ -119,6 +121,54 @@ class TestNoSignalling:
         f2 = random_behavior(rng, Scenario(1, (2,), (3,)))
         report = is_no_signalling(product_box([f1, f2]))
         assert report.is_no_signalling
+
+
+class TestNsPolytope:
+    SCENARIOS = (
+        Scenario(2, (2, 2), (2, 2)),
+        Scenario(3, (2, 2, 2), (2, 2, 2)),
+        Scenario(2, (3, 2), (3, 2)),
+    )
+
+    @staticmethod
+    def residual(b):
+        lhs, rhs = ns_polytope(b.scenario)
+        return float(np.max(np.abs(lhs @ b.table.reshape(-1) - rhs)))
+
+    @staticmethod
+    def ns_boxes(scenario):
+        """The non-local extremal box of the scenario, if any: the PR box,
+        alone or beside a deterministic third party."""
+        if scenario == chsh_scenario():
+            return [pr_box()]
+        if scenario.parties == 3:
+            third = deterministic_box(Scenario(1, (2,), (2,)), ((0, 1),))
+            return [product_box([pr_box(), third])]
+        return []
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_rows_vanish_on_ns_behaviors(self, scenario, rng):
+        vertices = deterministic_behaviors(scenario)
+        boxes = self.ns_boxes(scenario)
+        for b in vertices + boxes:
+            assert self.residual(b) == 0.0
+        for _ in range(5):
+            picks = rng.choice(len(vertices), size=4, replace=False)
+            parts = [vertices[i] for i in picks] + boxes
+            b = mixture(parts, list(rng.dirichlet(np.ones(len(parts)))))
+            assert self.residual(b) <= 1e-12
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_rows_detect_signalling(self, scenario, rng):
+        b = random_behavior(rng, scenario)
+        assert not is_no_signalling(b).is_no_signalling
+        assert self.residual(b) > 1e-3
+
+    def test_memoised_read_only(self):
+        lhs, rhs = ns_polytope(chsh_scenario())
+        assert ns_polytope(chsh_scenario())[0] is lhs
+        assert not lhs.flags.writeable and not rhs.flags.writeable
+        assert lhs.shape == (4 + 8, 16)
 
 
 class TestMarginal:

@@ -33,6 +33,7 @@ from monogamy import (
 )
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
+from monogamy.bell import functional_row
 
 ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
@@ -206,13 +207,6 @@ class TestNsSupport:
         flipped = [p.value for p in ns_support(thetas + math.pi)]
         assert np.allclose(base, flipped, atol=1e-6)
 
-    def test_thread_cap_leaves_results_unchanged(self, monkeypatch):
-        thetas = np.array([0.0, 0.7, 1.9])
-        sequential = [p.value for p in ns_support(thetas)]
-        monkeypatch.setenv("MONOGAMY_THREADS", "3")
-        threaded = [p.value for p in ns_support(thetas)]
-        assert sequential == threaded
-
 
 class TestQuantumSearch:
     def test_axis_directions_reach_tsirelson(self, rng):
@@ -252,7 +246,7 @@ class TestCgSearch:
 class TestObjectiveBuilders:
     def test_chsh_objective_matches_behavior_evaluation(self, rng):
         scenario = Scenario(3, (2, 2, 2), (2, 2, 2))
-        obj = tradeoffs.chsh_pair_objective(scenario, (0, 1))
+        obj = functional_row(scenario, chsh(), (0, 1))
         # On no-signalling behaviors the flattened objective reproduces the
         # pair CHSH; mixtures of deterministic boxes are no-signalling.
         from monogamy import deterministic_behaviors
@@ -266,7 +260,7 @@ class TestObjectiveBuilders:
 
     def test_cg_objective_matches_behavior_evaluation(self, rng):
         scenario = Scenario(2, (3, 3), (2, 2))
-        obj = tradeoffs.cg_pair_objective(scenario, (0, 1))
+        obj = functional_row(scenario, collins_gisin(), (0, 1))
         b = deterministic_box(scenario, ((0, 1, 0), (1, 0, 0)))
         assert obj @ b.table.reshape(-1) == pytest.approx(
             bell_value(b, collins_gisin()), abs=1e-12
