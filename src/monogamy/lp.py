@@ -1,10 +1,12 @@
-"""Dense linear programming used by the polytope and shareability tests.
+"""Linear programming used by the polytope and shareability tests.
 
-Solves are delegated to HiGHS via scipy; feasibility questions go through an
-explicit elastic phase-one program so that infeasible systems come back with
-the minimized total (L1) constraint violation as a certificate value rather
-than a bare status.  Every optimal solution is re-verified by independent
-constraint evaluation before it is returned.
+Constraint matrices may be dense arrays or ``scipy.sparse`` arrays; the
+polytope builders emit sparse rows.  Solves are delegated to HiGHS via scipy;
+feasibility questions go through an explicit elastic phase-one program, built
+in sparse form, so that infeasible systems come back with the minimized total
+(L1) constraint violation as a certificate value rather than a bare status.
+Every optimal solution is re-verified by independent constraint evaluation
+before it is returned.
 """
 
 from __future__ import annotations
@@ -13,9 +15,16 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 FEASIBILITY_TOL = 1e-7
+
+# Constraint systems with at most this many entries (rows x columns) reach
+# HiGHS as dense arrays: scipy's sparse input path costs a fixed few tenths
+# of a millisecond per call, which small LPs such as a support direction
+# cannot earn back.  Larger systems stay sparse.
+DENSE_ENTRY_LIMIT = 2**16
 
 
 class LpStatus(enum.Enum):
@@ -31,7 +40,9 @@ Bound = tuple[float | None, float | None]
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Maximize ``objective @ x`` subject to equalities, inequalities
-    (rows mean ``a @ x <= rhs``), and per-variable bounds (default x >= 0)."""
+    (rows mean ``a @ x <= rhs``), and per-variable bounds (default x >= 0).
+    Constraint matrices may be dense or ``scipy.sparse``; sparse ones are
+    kept as CSR."""
 
     objective: np.ndarray
     eq_lhs: np.ndarray | None = None
@@ -50,13 +61,14 @@ class LinearProgram:
             if (lhs is None) != (rhs is None):
                 raise ValueError(f"{name} constraints need both sides")
             if lhs is not None:
-                lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
+                lhs = _as_matrix(lhs)
                 rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
                 if lhs.shape != (rhs.size, n):
                     raise ValueError(
                         f"{name} constraint matrix must be (rows, {n})"
                     )
-                if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+                values = lhs.data if sp.issparse(lhs) else lhs
+                if not (np.all(np.isfinite(values)) and np.all(np.isfinite(rhs))):
                     raise ValueError(f"{name} constraints must be finite")
                 object.__setattr__(self, f"{name}_lhs", lhs)
                 object.__setattr__(self, f"{name}_rhs", rhs)
@@ -86,6 +98,14 @@ class LpOutcome:
     message: str = ""
 
 
+def _as_matrix(a) -> np.ndarray | sp.csr_array:
+    """A float constraint matrix: sparse input as CSR, anything else as a
+    dense 2-D array."""
+    if sp.issparse(a):
+        return sp.csr_array(a, dtype=float)
+    return np.atleast_2d(np.asarray(a, dtype=float))
+
+
 def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any constraint or bound at ``x``."""
     res = 0.0
@@ -93,25 +113,42 @@ def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
         res = max(res, float(np.max(np.abs(lp.eq_lhs @ x - lp.eq_rhs))))
     if lp.ub_lhs is not None:
         res = max(res, float(max(0.0, np.max(lp.ub_lhs @ x - lp.ub_rhs))))
-    for xi, (lo, hi) in zip(x, lp.effective_bounds()):
-        if lo is not None:
-            res = max(res, lo - xi)
-        if hi is not None:
-            res = max(res, xi - hi)
-    return float(res)
+    # A missing bound reads as NaN here and as an infinite bound below.
+    bounds = np.array(lp.effective_bounds(), dtype=float).reshape(-1, 2)
+    lo = np.nan_to_num(bounds[:, 0], nan=-np.inf)
+    hi = np.nan_to_num(bounds[:, 1], nan=np.inf)
+    return float(np.max(np.concatenate([lo - x, x - hi]), initial=res))
+
+
+def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    """The one call into HiGHS.  Sparse constraint matrices with few entries
+    are densified first (see ``DENSE_ENTRY_LIMIT``); the solver sees the
+    same nonzeros either way."""
+    blocks = [a for a in (a_ub, a_eq) if a is not None]
+    entries = sum(a.shape[0] for a in blocks) * len(cost)
+    if entries <= DENSE_ENTRY_LIMIT:
+        a_ub, a_eq = (a.toarray() if sp.issparse(a) else a for a in (a_ub, a_eq))
+    return linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+        method="highs",
+    )
 
 
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
     """Maximize the objective; statuses are Optimal / Infeasible / Unbounded,
     with numerical breakdowns reported as a distinct Failed status."""
-    result = linprog(
+    result = _highs(
         -lp.objective,
-        A_ub=lp.ub_lhs,
-        b_ub=lp.ub_rhs,
-        A_eq=lp.eq_lhs,
-        b_eq=lp.eq_rhs,
-        bounds=lp.effective_bounds(),
-        method="highs",
+        lp.ub_lhs,
+        lp.ub_rhs,
+        lp.eq_lhs,
+        lp.eq_rhs,
+        lp.effective_bounds(),
     )
     if result.status == 0:
         x = np.asarray(result.x, dtype=float)
@@ -169,9 +206,9 @@ def feasibility(
         n_variables = (eq[0].shape[1] if eq is not None else ub[0].shape[1])
     n = int(n_variables)
 
-    eq_lhs = np.asarray(eq[0], dtype=float) if eq is not None else np.zeros((0, n))
+    eq_lhs = sp.csr_array(_as_matrix(eq[0])) if eq is not None else sp.csr_array((0, n))
     eq_rhs = np.asarray(eq[1], dtype=float) if eq is not None else np.zeros(0)
-    ub_lhs = np.asarray(ub[0], dtype=float) if ub is not None else np.zeros((0, n))
+    ub_lhs = sp.csr_array(_as_matrix(ub[0])) if ub is not None else sp.csr_array((0, n))
     ub_rhs = np.asarray(ub[1], dtype=float) if ub is not None else np.zeros(0)
     m_eq, m_ub = eq_rhs.size, ub_rhs.size
 
@@ -179,23 +216,22 @@ def feasibility(
     cost = np.concatenate([
         np.zeros(n), np.ones(m_eq), np.ones(m_eq), np.ones(m_ub)
     ])
-    a_eq = np.hstack([
-        eq_lhs, np.eye(m_eq), -np.eye(m_eq), np.zeros((m_eq, m_ub))
-    ]) if m_eq else None
-    a_ub = np.hstack(
-        [ub_lhs, np.zeros((m_ub, 2 * m_eq)), -np.eye(m_ub)]
-    ) if m_ub else None
+    a_eq = sp.hstack([
+        eq_lhs, sp.eye_array(m_eq), -sp.eye_array(m_eq), sp.csr_array((m_eq, m_ub))
+    ], format="csr") if m_eq else None
+    a_ub = sp.hstack([
+        ub_lhs, sp.csr_array((m_ub, 2 * m_eq)), -sp.eye_array(m_ub)
+    ], format="csr") if m_ub else None
     var_bounds = (bounds if bounds is not None else [(0.0, None)] * n)
     var_bounds = list(var_bounds) + [(0.0, None)] * (2 * m_eq + m_ub)
 
-    result = linprog(
+    result = _highs(
         cost,
-        A_ub=a_ub,
-        b_ub=ub_rhs if m_ub else None,
-        A_eq=a_eq,
-        b_eq=eq_rhs if m_eq else None,
-        bounds=var_bounds,
-        method="highs",
+        a_ub,
+        ub_rhs if m_ub else None,
+        a_eq,
+        eq_rhs if m_eq else None,
+        var_bounds,
     )
     if result.status != 0:
         return LpOutcome(

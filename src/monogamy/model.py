@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-9
 
@@ -436,59 +437,66 @@ def partial_local_box(
 
 
 # ---------------------------------------------------------------------------
-# Polytope constraint rows (dense, over the flattened table)
+# Polytope constraint rows (sparse, over the flattened table)
 # ---------------------------------------------------------------------------
 
-def flat_index(scenario: Scenario, context: tuple[int, ...], outcomes: tuple[int, ...]) -> int:
-    """Position of a table entry in the row-major flattened table."""
-    return int(np.ravel_multi_index(context + outcomes, scenario.table_shape))
-
-
-def normalization_constraints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def normalization_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     """Equality rows requiring each context's outcomes to sum to 1."""
-    index = np.arange(scenario.table_size).reshape(scenario.n_contexts, -1)
-    rows = np.zeros((scenario.n_contexts, scenario.table_size))
-    rows[np.arange(scenario.n_contexts)[:, None], index] = 1.0
+    per_context = scenario.table_size // scenario.n_contexts
+    rows = sp.csr_array(
+        (
+            np.ones(scenario.table_size),
+            np.arange(scenario.table_size),
+            np.arange(scenario.n_contexts + 1) * per_context,
+        ),
+        shape=(scenario.n_contexts, scenario.table_size),
+    )
     return rows, np.ones(scenario.n_contexts)
 
 
-def no_signalling_constraints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def no_signalling_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     """Equality rows: for every party, pair of its settings, context of the
     other parties, and outcome tuple of the other parties, the summed-out
     marginals agree."""
     n = scenario.parties
     index = np.arange(scenario.table_size).reshape(scenario.table_shape)
-    plus, minus = [], []
+    row_ids, plus, minus = [], [], []
+    n_rows = 0
     for k in range(n):
         # Axes: party k's setting, the others' settings and outcomes, then
         # party k's outcome, which each row sums over.
         by_k = np.moveaxis(index, (k, n + k), (0, -1))
         pairs = itertools.combinations(range(scenario.settings[k]), 2)
         pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
-        plus.append(by_k[pairs[:, 0]].reshape(-1, scenario.outcomes[k]))
-        minus.append(by_k[pairs[:, 1]].reshape(-1, scenario.outcomes[k]))
-    n_rows = sum(len(block) for block in plus)
-    rows = np.zeros((n_rows, scenario.table_size))
-    start = 0
-    for p_block, m_block in zip(plus, minus):
-        r = np.arange(start, start + len(p_block))[:, None]
-        rows[r, p_block] = 1.0
-        rows[r, m_block] = -1.0
-        start += len(p_block)
+        p_block = by_k[pairs[:, 0]].reshape(-1, scenario.outcomes[k])
+        m_block = by_k[pairs[:, 1]].reshape(-1, scenario.outcomes[k])
+        # Blocks differ in width when outcome counts differ, so they are
+        # raveled before they are joined.
+        plus.append(p_block.ravel())
+        minus.append(m_block.ravel())
+        row_ids.append(np.repeat(np.arange(n_rows, n_rows + len(p_block)), scenario.outcomes[k]))
+        n_rows += len(p_block)
+    row_ids = np.concatenate(row_ids)
+    cols = np.concatenate(plus + minus)
+    values = np.concatenate([np.ones(row_ids.size), -np.ones(row_ids.size)])
+    rows = sp.csr_array(
+        (values, (np.concatenate([row_ids, row_ids]), cols)),
+        shape=(n_rows, scenario.table_size),
+    )
     return rows, np.zeros(n_rows)
 
 
 @functools.lru_cache(maxsize=8)
-def ns_polytope(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def ns_polytope(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     """Equality rows of the no-signalling polytope over the flat table:
-    normalization stacked over no-signalling.  Memoised per scenario and
-    returned read-only."""
+    normalization stacked over no-signalling, as a CSR matrix.  Memoised per
+    scenario and returned read-only."""
     norm = normalization_constraints(scenario)
     ns = no_signalling_constraints(scenario)
-    lhs = np.vstack([norm[0], ns[0]])
+    lhs = sp.vstack([norm[0], ns[0]], format="csr")
     rhs = np.concatenate([norm[1], ns[1]])
-    lhs.setflags(write=False)
-    rhs.setflags(write=False)
+    for part in (lhs.data, lhs.indices, lhs.indptr, rhs):
+        part.setflags(write=False)
     return lhs, rhs
 
 

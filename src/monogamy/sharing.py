@@ -17,12 +17,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
-    flat_index,
     is_no_signalling,
     no_signalling_constraints,
     normalization_constraints,
@@ -216,50 +216,54 @@ def _marginal_residual_ns(ext: Behavior, base: Behavior) -> float:
 # No-signalling extension LP
 # ---------------------------------------------------------------------------
 
-def clone_symmetry_constraints(scen: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def clone_symmetry_constraints(scen: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     """Equalities for adjacent clone transpositions (they generate the full
-    permutation group)."""
+    permutation group).
+
+    For each transposition, one row per unordered pair of distinct entries
+    that the swap exchanges, in flat order of the lower entry: +1 there and
+    -1 at its image.
+    """
     n_clones = scen.parties - 1
-    rows = []
+    index = np.arange(scen.table_size).reshape(scen.table_shape)
+    flat = index.reshape(-1)
+    pairs = [np.zeros((2, 0), dtype=int)]
     for i in range(n_clones - 1):
         p1, p2 = 1 + i, 2 + i
-        for ctx in scen.contexts():
-            for outs in scen.outcome_tuples():
-                s_ctx = list(ctx)
-                s_out = list(outs)
-                s_ctx[p1], s_ctx[p2] = s_ctx[p2], s_ctx[p1]
-                s_out[p1], s_out[p2] = s_out[p2], s_out[p1]
-                pair = (ctx, outs)
-                s_pair = (tuple(s_ctx), tuple(s_out))
-                if s_pair <= pair:
-                    continue  # one row per unordered pair
-                row = np.zeros(scen.table_size)
-                row[flat_index(scen, *pair)] += 1.0
-                row[flat_index(scen, *s_pair)] -= 1.0
-                rows.append(row)
-    if not rows:
-        return np.zeros((0, scen.table_size)), np.zeros(0)
-    return np.array(rows), np.zeros(len(rows))
+        image = np.swapaxes(np.swapaxes(index, p1, p2), scen.parties + p1, scen.parties + p2)
+        image = image.reshape(-1)
+        keep = image > flat
+        pairs.append(np.stack([flat[keep], image[keep]]))
+    plus, minus = np.concatenate(pairs, axis=1)
+    n_rows = plus.size
+    row_ids = np.arange(n_rows)
+    rows = sp.csr_array(
+        (
+            np.concatenate([np.ones(n_rows), -np.ones(n_rows)]),
+            (np.concatenate([row_ids, row_ids]), np.concatenate([plus, minus])),
+        ),
+        shape=(n_rows, scen.table_size),
+    )
+    return rows, np.zeros(n_rows)
 
 
-def _pair_marginal_rows(scen: Scenario, base: Behavior) -> tuple[np.ndarray, np.ndarray]:
+def _pair_marginal_rows(scen: Scenario, base: Behavior) -> tuple[sp.csr_array, np.ndarray]:
     """Equalities tying clone 1's pair marginal (others at setting 0) to the
-    base; symmetry rows propagate the property to the remaining clones."""
+    base; symmetry rows propagate the property to the remaining clones.
+
+    One row per base table entry (A, B_1, a, b_1), in flat base order, summing
+    the extension's entries over the other clones' outcomes."""
     n_clones = scen.parties - 1
-    rows, rhs = [], []
-    for sa in range(scen.settings[0]):
-        for sb in range(scen.settings[1]):
-            ctx = (sa, sb) + (0,) * (n_clones - 1)
-            for a in range(scen.outcomes[0]):
-                for bb in range(scen.outcomes[1]):
-                    row = np.zeros(scen.table_size)
-                    rest = [range(scen.outcomes[1 + i]) for i in range(1, n_clones)]
-                    for tail in itertools.product(*rest):
-                        outs = (a, bb) + tail
-                        row[flat_index(scen, ctx, outs)] = 1.0
-                    rows.append(row)
-                    rhs.append(float(base.table[sa, sb, a, bb]))
-    return np.array(rows), np.array(rhs)
+    index = np.arange(scen.table_size).reshape(scen.table_shape)
+    pinned = index[(slice(None), slice(None)) + (0,) * (n_clones - 1)]
+    # Axes of ``pinned``: A, B_1, a, b_1, then the other clones' outcomes.
+    cols = pinned.reshape(base.table.size, -1)
+    n_rows, per_row = cols.shape
+    rows = sp.csr_array(
+        (np.ones(cols.size), cols.reshape(-1), np.arange(n_rows + 1) * per_row),
+        shape=(n_rows, scen.table_size),
+    )
+    return rows, base.table.reshape(-1)
 
 
 def ns_extension(
@@ -283,8 +287,8 @@ def ns_extension(
         clone_symmetry_constraints(scen),
         _pair_marginal_rows(scen, b),
     ]
-    eq_lhs = np.vstack([blk[0] for blk in blocks if blk[0].size])
-    eq_rhs = np.concatenate([blk[1] for blk in blocks if blk[0].size])
+    eq_lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
+    eq_rhs = np.concatenate([blk[1] for blk in blocks])
 
     outcome = lp.feasibility(eq=(eq_lhs, eq_rhs), n_variables=scen.table_size, tol=tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
@@ -333,8 +337,8 @@ def random_shareable_behavior(
     base = Scenario(2, (2, 2), (2, 2))
     scen = _extended_scenario(base, 2)
     blocks = [ns_polytope(scen), clone_symmetry_constraints(scen)]
-    eq_lhs = np.vstack([blk[0] for blk in blocks if blk[0].size])
-    eq_rhs = np.concatenate([blk[1] for blk in blocks if blk[0].size])
+    eq_lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
+    eq_rhs = np.concatenate([blk[1] for blk in blocks])
 
     vertices = []
     for _ in range(n_vertices):

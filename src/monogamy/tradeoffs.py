@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from . import lp
@@ -694,7 +695,7 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     # Max-min LP: variables (table, t), maximize t.
     eq_lhs, eq_rhs = ns_polytope(scenario)
     n = scenario.table_size
-    eq_lhs_t = np.hstack([eq_lhs, np.zeros((eq_lhs.shape[0], 1))])
+    eq_lhs_t = sp.hstack([eq_lhs, sp.csr_array((eq_lhs.shape[0], 1))], format="csr")
     ub_rows = []
     for pair in ((0, 2), (0, 3)):
         row = np.concatenate([-(objectives[(0, 1)] + objectives[pair]), [1.0]])

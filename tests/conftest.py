@@ -28,6 +28,11 @@ def chsh_scenario() -> Scenario:
     return Scenario(2, (2, 2), (2, 2))
 
 
+def flat_index(scenario: Scenario, context: tuple, outcomes: tuple) -> int:
+    """Position of a table entry in the row-major flattened table."""
+    return int(np.ravel_multi_index(context + outcomes, scenario.table_shape))
+
+
 def random_behavior(rng: np.random.Generator, scenario: Scenario) -> Behavior:
     """Random strictly positive behavior (generally signalling)."""
     table = rng.random(scenario.table_shape) + 1e-3

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,11 @@ class TestShare:
         assert code == 0
         # Round trip: the certificate parses as a behavior file.
         assert main(["validate", "--in", str(cert)]) == 0
+
+    def test_uniform_feasible_at_five(self, uniform_path, capsys):
+        # 4096 variables; the elastic phase-one must stay sparse to fit.
+        assert main(["share", "--in", uniform_path, "--n", "5", "--mode", "ns"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "feasible"
 
     def test_unrestricted_always_succeeds(self, pr_path, capsys):
         assert main(["share", "--in", pr_path, "--n", "4",
@@ -249,9 +256,14 @@ class TestUsage:
         assert main(["validate", "--in", "/nonexistent/behavior.json"]) == 2
 
     def test_console_entry_point(self):
+        # The child imports the package from this checkout's src, installed
+        # or not.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         result = subprocess.run(
             [sys.executable, "-m", "monogamy.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "monogamy" in result.stdout

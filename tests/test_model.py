@@ -23,8 +23,8 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.localpoly import deterministic_behaviors
-from monogamy.model import ns_polytope
-from conftest import chsh_scenario, random_behavior
+from monogamy.model import no_signalling_constraints, normalization_constraints, ns_polytope
+from conftest import chsh_scenario, flat_index, random_behavior
 
 
 def brute_force_marginal(b, keep, context):
@@ -123,6 +123,34 @@ class TestNoSignalling:
         assert report.is_no_signalling
 
 
+def loop_normalization_rows(s):
+    """Dense reference: one row per context over its outcome tuples."""
+    rows = np.zeros((s.n_contexts, s.table_size))
+    for r, ctx in enumerate(s.contexts()):
+        for outs in s.outcome_tuples():
+            rows[r, flat_index(s, ctx, outs)] = 1.0
+    return rows
+
+
+def loop_no_signalling_rows(s):
+    """Dense reference: per party k, pair of its settings, context and
+    outcomes of the other parties (row-major), party k's marginal at the
+    first setting minus that at the second."""
+    rows = []
+    for k in range(s.parties):
+        others = [p for p in range(s.parties) if p != k]
+        for s1, s2 in itertools.combinations(range(s.settings[k]), 2):
+            for ctx in itertools.product(*(range(s.settings[p]) for p in others)):
+                for outs in itertools.product(*(range(s.outcomes[p]) for p in others)):
+                    row = np.zeros(s.table_size)
+                    for setting, sign in ((s1, 1.0), (s2, -1.0)):
+                        full_ctx = ctx[:k] + (setting,) + ctx[k:]
+                        for a in range(s.outcomes[k]):
+                            row[flat_index(s, full_ctx, outs[:k] + (a,) + outs[k:])] = sign
+                    rows.append(row)
+    return np.array(rows).reshape(-1, s.table_size)
+
+
 class TestNsPolytope:
     SCENARIOS = (
         Scenario(2, (2, 2), (2, 2)),
@@ -164,10 +192,25 @@ class TestNsPolytope:
         assert not is_no_signalling(b).is_no_signalling
         assert self.residual(b) > 1e-3
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_rows_match_loop(self, scenario):
+        norm = loop_normalization_rows(scenario)
+        ns = loop_no_signalling_rows(scenario)
+        lhs, rhs = normalization_constraints(scenario)
+        assert np.array_equal(lhs.toarray(), norm)
+        assert np.array_equal(rhs, np.ones(len(norm)))
+        lhs, rhs = no_signalling_constraints(scenario)
+        assert np.array_equal(lhs.toarray(), ns)
+        assert np.array_equal(rhs, np.zeros(len(ns)))
+        lhs, rhs = ns_polytope(scenario)
+        assert np.array_equal(lhs.toarray(), np.vstack([norm, ns]))
+        assert np.array_equal(rhs, np.concatenate([np.ones(len(norm)), np.zeros(len(ns))]))
+
     def test_memoised_read_only(self):
         lhs, rhs = ns_polytope(chsh_scenario())
         assert ns_polytope(chsh_scenario())[0] is lhs
-        assert not lhs.flags.writeable and not rhs.flags.writeable
+        assert lhs.format == "csr"
+        assert not lhs.data.flags.writeable and not rhs.flags.writeable
         assert lhs.shape == (4 + 8, 16)
 
 

@@ -1,12 +1,15 @@
 """Extensions of two-party behaviors: delta construction and symmetric
 no-signalling feasibility."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from monogamy import (
     ExtensionCertificate,
     InfeasibleExtension,
+    Scenario,
     chsh_value,
     deterministic_box,
     is_n_shareable,
@@ -20,12 +23,15 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.sharing import (
+    _extended_scenario,
     _joint_symmetry_residual,
     _marginal_residual_ns,
+    _pair_marginal_rows,
+    clone_symmetry_constraints,
     discard_last_clone,
 )
 from monogamy.localpoly import deterministic_behaviors
-from conftest import chsh_scenario, random_behavior, tsirelson_behavior
+from conftest import chsh_scenario, flat_index, random_behavior, tsirelson_behavior
 
 
 class TestUnrestricted:
@@ -106,6 +112,72 @@ class TestNsExtension:
         assert is_no_signalling(reduced, tol=1e-6).is_no_signalling
         assert _joint_symmetry_residual(reduced) <= 1e-6
         assert _marginal_residual_ns(reduced, base) <= 1e-6
+
+
+    def test_uniform_five_clones_feasible(self):
+        result = ns_extension(uniform_box(chsh_scenario()), 5)
+        assert isinstance(result, ExtensionCertificate)
+        assert result.symmetry_residual <= 1e-6
+        assert result.marginal_residual <= 1e-6
+
+
+def loop_symmetry_rows(scen):
+    """Dense reference: one row per unordered pair of entries exchanged by an
+    adjacent clone transposition, +1 at the lower entry, -1 at its image."""
+    rows = []
+    for i in range(scen.parties - 2):
+        p1, p2 = 1 + i, 2 + i
+        for ctx in scen.contexts():
+            for outs in scen.outcome_tuples():
+                s_ctx, s_out = list(ctx), list(outs)
+                s_ctx[p1], s_ctx[p2] = s_ctx[p2], s_ctx[p1]
+                s_out[p1], s_out[p2] = s_out[p2], s_out[p1]
+                pair, s_pair = (ctx, outs), (tuple(s_ctx), tuple(s_out))
+                if s_pair <= pair:
+                    continue
+                row = np.zeros(scen.table_size)
+                row[flat_index(scen, *pair)] += 1.0
+                row[flat_index(scen, *s_pair)] -= 1.0
+                rows.append(row)
+    return np.array(rows).reshape(-1, scen.table_size)
+
+
+def loop_pair_marginal_rows(scen, base):
+    """Dense reference: clone 1's pair marginal, other clones at setting 0."""
+    n_clones = scen.parties - 1
+    rows, rhs = [], []
+    for sa, sb, a, bb in itertools.product(*map(range, base.scenario.table_shape)):
+        ctx = (sa, sb) + (0,) * (n_clones - 1)
+        row = np.zeros(scen.table_size)
+        for tail in itertools.product(range(scen.outcomes[1]), repeat=n_clones - 1):
+            row[flat_index(scen, ctx, (a, bb) + tail)] = 1.0
+        rows.append(row)
+        rhs.append(base.table[sa, sb, a, bb])
+    return np.array(rows), np.array(rhs)
+
+
+class TestExtensionRows:
+    BASES = (Scenario(2, (2, 2), (2, 2)), Scenario(2, (3, 2), (3, 2)))
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("n_clones", (1, 2, 3, 4))
+    def test_symmetry_rows_match_loop(self, base, n_clones):
+        scen = _extended_scenario(base, n_clones)
+        lhs, rhs = clone_symmetry_constraints(scen)
+        assert lhs.format == "csr"
+        assert np.array_equal(lhs.toarray(), loop_symmetry_rows(scen))
+        assert np.array_equal(rhs, np.zeros(lhs.shape[0]))
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("n_clones", (1, 2, 3, 4))
+    def test_pair_marginal_rows_match_loop(self, base, n_clones, rng):
+        scen = _extended_scenario(base, n_clones)
+        b = random_behavior(rng, base)
+        lhs, rhs = _pair_marginal_rows(scen, b)
+        ref_lhs, ref_rhs = loop_pair_marginal_rows(scen, b)
+        assert lhs.format == "csr"
+        assert np.array_equal(lhs.toarray(), ref_lhs)
+        assert np.array_equal(rhs, ref_rhs)
 
 
 class TestWrapper:
