@@ -366,66 +366,74 @@ def local_support(thetas: np.ndarray) -> list[SupportPoint]:
     return points
 
 
-def _nelder_mead_max(objective, x0: np.ndarray, max_iter: int = 400) -> tuple[float, np.ndarray]:
+def _nelder_mead_max(
+    objective, x0: np.ndarray, max_iter: int = 400
+) -> tuple[float, np.ndarray, int]:
+    """Simplex maximum from ``x0``: value, argument and objective evaluations."""
     result = minimize(
         lambda x: -objective(x),
         x0,
         method="Nelder-Mead",
         options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-12},
     )
-    return float(-result.fun), np.asarray(result.x)
+    return float(-result.fun), np.asarray(result.x), int(result.nfev)
 
 
-def _quantum_direction_value(params: np.ndarray, cos_t: float, sin_t: float) -> float:
-    state = params[:8] + 1j * params[8:16]
-    norm = np.linalg.norm(state)
-    if norm < 1e-8:
-        return -1e6
-    t = (state / norm).reshape(2, 2, 2)
-    ab = _planar_value(_pair_moments(t, (0, 1)), _CHSH, params[16:18], params[18:20])
-    ac = _planar_value(_pair_moments(t, (0, 2)), _CHSH, params[16:18], params[20:22])
-    return cos_t * ab + sin_t * ac
+# sigma_i (x) sigma_j (x) I, then sigma_i (x) I (x) sigma_k, for i, j, k in
+# (x, z), flattened: the a-b and a-c pair operators are combinations of them.
+_PAIR_TENSORS = np.array(
+    [np.kron(np.kron(p, q), IDENTITY_2) for p in (SIGMA_X, SIGMA_Z) for q in (SIGMA_X, SIGMA_Z)]
+    + [np.kron(np.kron(p, IDENTITY_2), q) for p in (SIGMA_X, SIGMA_Z) for q in (SIGMA_X, SIGMA_Z)]
+).real.reshape(8, 64)
+
+
+def _direction_operator(angles: np.ndarray, cos_t: float, sin_t: float) -> np.ndarray:
+    """The real symmetric 8x8 operator cos(theta) CHSH_ab (x) I +
+    sin(theta) CHSH_ac at planar angles (a0, a1, b0, b1, c0, c1)."""
+    rows = _planar_rows(angles)
+    a, b, c = rows[:2].T, rows[2:4], rows[4:]
+    coefficients = np.concatenate([
+        cos_t * (a @ _CHSH.correlators @ b).ravel(),
+        sin_t * (a @ _CHSH.correlators @ c).ravel(),
+    ])
+    return (coefficients @ _PAIR_TENSORS).reshape(8, 8)
 
 
 def _quantum_seeds() -> list[np.ndarray]:
-    """Warm starts: the two maximally violating pair witnesses and every
-    deterministic strategy realized as a product state with +-sigma_z
-    angles."""
-    seeds = []
-
-    def pack(state8: np.ndarray, a, b, c) -> np.ndarray:
-        return np.concatenate([state8.real, state8.imag, a, b, c])
-
-    bell_ab = np.zeros(8)
-    bell_ab[0b000] = bell_ab[0b110] = 1 / math.sqrt(2)
-    seeds.append(pack(bell_ab, [0, math.pi / 2], [math.pi / 4, -math.pi / 4],
-                      [math.pi / 2, math.pi / 2]))
-    bell_ac = np.zeros(8)
-    bell_ac[0b000] = bell_ac[0b101] = 1 / math.sqrt(2)
-    seeds.append(pack(bell_ac, [0, math.pi / 2], [math.pi / 2, math.pi / 2],
-                      [math.pi / 4, -math.pi / 4]))
-
-    scenario = triple_scenario()
-    zero_state = np.zeros(8)
-    zero_state[0] = 1.0
-    for strat in deterministic_strategies(scenario):
-        angles = []
-        for p in range(3):
-            angles.append([
-                math.pi / 2 if strat.assignment[p][x] == 0 else -math.pi / 2
-                for x in range(2)
-            ])
-        seeds.append(pack(zero_state, *angles))
+    """Warm-start angles (a0, a1, b0, b1, c0, c1): the settings of the two
+    maximally violating pair witnesses, and every deterministic strategy as
+    +-sigma_z settings."""
+    seeds = [
+        np.array([0, math.pi / 2, math.pi / 4, -math.pi / 4, math.pi / 2, math.pi / 2]),
+        np.array([0, math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 4, -math.pi / 4]),
+    ]
+    for strat in deterministic_strategies(triple_scenario()):
+        seeds.append(np.array([
+            math.pi / 2 if strat.assignment[p][x] == 0 else -math.pi / 2
+            for p in range(3)
+            for x in range(2)
+        ]))
     return seeds
 
 
 def quantum_boundary_search(
     thetas: np.ndarray, restarts: int, rng: np.random.Generator
 ) -> list[SupportPoint]:
-    """Lower bound on the quantum support function by multi-start simplex
-    search over pure 3-qubit states and planar angles (a's settings shared).
+    """Quantum support function in the (chsh_ab, chsh_ac) plane.
 
-    Values are reported as found and never exceed 2*sqrt(2) within 1e-9.
+    For fixed planar angles the maximum of cos(theta) chsh_ab +
+    sin(theta) chsh_ac over 3-qubit states is the top eigenvalue of
+    cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac, so the state is solved
+    exactly and a multi-start simplex search runs over the six angles only
+    (a's settings shared): the three best warm starts plus ``restarts``
+    uniform random ones.  The Toner-Verstraete bound makes the support
+    2*sqrt(2) in every direction; a value above it by more than 1e-9
+    raises, as does an eigenvector whose planar re-evaluation disagrees
+    with its eigenvalue.
+
+    ``params`` holds ``x`` (the optimal state's real and imaginary parts,
+    then the six angles), ``starts``, ``evaluations`` (the summed simplex
+    objective evaluations) and ``ceiling_gap`` (2*sqrt(2) minus the value).
     """
     seeds = _quantum_seeds()
     points = []
@@ -433,31 +441,42 @@ def quantum_boundary_search(
         cos_t, sin_t = math.cos(theta), math.sin(theta)
 
         def objective(x, c=cos_t, s=sin_t):
-            return _quantum_direction_value(x, c, s)
+            return np.linalg.eigvalsh(_direction_operator(x, c, s))[-1]
 
-        seed_values = [(objective(s), s) for s in seeds]
-        seed_values.sort(key=lambda pair: -pair[0])
+        seed_values = sorted(((objective(s), s) for s in seeds), key=lambda pair: -pair[0])
         best_value, best_x = seed_values[0]
         starts = [s for _, s in seed_values[:3]]
-        for _ in range(restarts):
-            x0 = np.concatenate([
-                rng.standard_normal(16),
-                rng.uniform(-math.pi, math.pi, 6),
-            ])
-            starts.append(x0)
+        starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
+        evaluations = 0
         for x0 in starts:
-            value, x = _nelder_mead_max(objective, x0)
+            value, x, nfev = _nelder_mead_max(objective, x0)
+            evaluations += nfev
             if value > best_value:
                 best_value, best_x = value, x
         if best_value > TSIRELSON + 1e-9:
             raise RuntimeError(
                 f"quantum search exceeded the Tsirelson ceiling: {best_value}"
             )
+
+        state = np.linalg.eigh(_direction_operator(best_x, cos_t, sin_t))[1][:, -1]
+        t = state.reshape(2, 2, 2)
+        a, b, c = best_x[:2], best_x[2:4], best_x[4:]
+        check = cos_t * _planar_value(_pair_moments(t, (0, 1)), _CHSH, a, b)
+        check += sin_t * _planar_value(_pair_moments(t, (0, 2)), _CHSH, a, c)
+        if abs(check - best_value) > 1e-9:
+            raise RuntimeError(
+                f"quantum search eigenvector gives {check}, not its eigenvalue {best_value}"
+            )
         points.append(
             SupportPoint(
                 float(theta),
                 float(best_value),
-                params={"x": np.asarray(best_x)},
+                params={
+                    "x": np.concatenate([state, np.zeros(8), best_x]),
+                    "starts": len(starts),
+                    "evaluations": evaluations,
+                    "ceiling_gap": TSIRELSON - float(best_value),
+                },
             )
         )
     return points
@@ -483,7 +502,7 @@ def separable_orthogonal_max(restarts: int, rng: np.random.Generator) -> float:
 
         for _ in range(restarts):
             x0 = rng.uniform(-math.pi, math.pi, 2)
-            value, _ = _nelder_mead_max(objective, x0)
+            value, _, _ = _nelder_mead_max(objective, x0)
             best = max(best, value)
     return best
 
@@ -506,7 +525,7 @@ def separable_orthogonal_support(
         best = -np.inf
         for _ in range(restarts):
             x0 = rng.uniform(-math.pi, math.pi, 3)
-            value, _ = _nelder_mead_max(objective, x0)
+            value, _, _ = _nelder_mead_max(objective, x0)
             best = max(best, value)
         points.append(SupportPoint(float(theta), float(best)))
     return points
@@ -619,7 +638,7 @@ def cg_double_violation_search(
             candidates.append(rng.uniform(-math.pi, math.pi, 6))
         local_best, local_x = -np.inf, candidates[0]
         for x0 in candidates:
-            value, x = _nelder_mead_max(objective, x0, max_iter=800)
+            value, x, _ = _nelder_mead_max(objective, x0, max_iter=800)
             if value > local_best:
                 local_best, local_x = value, x
         a_angles = (float(local_x[0]), float(local_x[1]), float(local_x[2]))

@@ -39,6 +39,20 @@ ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
 
 
+def kron_direction_operator(angles, theta):
+    """cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac built term by term
+    with np.kron from the planar observables at (a0, a1, b0, b1, c0, c1)."""
+    a, b, c = ([planar_observable(x) for x in angles[k:k + 2]] for k in (0, 2, 4))
+    eye = np.eye(2)
+    weights = chsh().correlators
+    op = np.zeros((8, 8), dtype=complex)
+    for x in range(2):
+        for y in range(2):
+            op += math.cos(theta) * weights[x, y] * np.kron(np.kron(a[x], b[y]), eye)
+            op += math.sin(theta) * weights[x, y] * np.kron(np.kron(a[x], eye), c[y])
+    return op
+
+
 def three_party_uniform():
     return uniform_box(Scenario(3, (2, 2, 2), (2, 2, 2)))
 
@@ -220,6 +234,49 @@ class TestQuantumSearch:
     def test_diagonal_in_expected_window(self, rng):
         point = quantum_boundary_search(np.array([math.pi / 4]), restarts=2, rng=rng)[0]
         assert 2.0 < point.value <= ROOT8 + 1e-9
+
+    def test_every_direction_reaches_tsirelson(self):
+        thetas = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        for restarts in (0, 4):
+            points = quantum_boundary_search(
+                thetas, restarts=restarts, rng=np.random.default_rng(1601)
+            )
+            for theta, point in zip(thetas, points):
+                assert ROOT8 - 1e-9 <= point.value <= ROOT8 + 1e-9
+                x = point.params["x"]
+                pair = state_pair_point(
+                    x[:8] + 1j * x[8:16], tuple(x[16:18]), tuple(x[18:20]), tuple(x[20:22])
+                )
+                value = math.cos(theta) * pair.chsh_ab + math.sin(theta) * pair.chsh_ac
+                assert value == pytest.approx(point.value, abs=1e-9)
+                assert point.params["starts"] == 3 + restarts
+                assert point.params["evaluations"] > 0
+                assert point.params["ceiling_gap"] == ROOT8 - point.value
+
+    def test_operator_matches_kron_reference(self, rng):
+        for _ in range(20):
+            angles = rng.uniform(-math.pi, math.pi, 6)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            got = tradeoffs._direction_operator(angles, math.cos(theta), math.sin(theta))
+            want = kron_direction_operator(angles, theta)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_one_minimize_call_per_start(self, monkeypatch):
+        original = tradeoffs.minimize
+        evaluations = []
+
+        def counting_minimize(*args, **kwargs):
+            result = original(*args, **kwargs)
+            evaluations.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(tradeoffs, "minimize", counting_minimize)
+        restarts = 2
+        point = quantum_boundary_search(
+            np.array([math.pi / 8]), restarts=restarts, rng=np.random.default_rng(7)
+        )[0]
+        assert len(evaluations) == 3 + restarts
+        assert point.params["evaluations"] == sum(evaluations)
 
 
 class TestSeparableOrthogonal:
