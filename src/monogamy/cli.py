@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on pass/success, 1 on a failed check, 2 on usage or parse
-errors.  All sampling flows through a single seedable generator, so identical
-seeds and flags produce byte-identical output files.
+Exit codes: 0 on pass/success, 1 on a failed check, 2 on usage, parse or
+run-time errors (running out of memory included).  All sampling flows
+through a single seedable generator, so identical seeds and flags produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -408,6 +409,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (RuntimeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        # Exit 1 means a failed check, so running out of memory is an error.
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return 2
 
 

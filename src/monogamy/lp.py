@@ -6,17 +6,20 @@ feasibility questions go through an explicit elastic phase-one program, built
 in sparse form, so that infeasible systems come back with the minimized total
 (L1) constraint violation as a certificate value rather than a bare status.
 Every optimal solution is re-verified by independent constraint evaluation
-before it is returned.
+before it is returned.  scipy is imported inside the functions that build
+or solve a program, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FEASIBILITY_TOL = 1e-7
 
@@ -52,6 +55,8 @@ class LinearProgram:
     bounds: list[Bound] | None = None
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         obj = np.atleast_1d(np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "objective", obj)
         n = obj.size
@@ -101,6 +106,8 @@ class LpOutcome:
 def _as_matrix(a) -> np.ndarray | sp.csr_array:
     """A float constraint matrix: sparse input as CSR, anything else as a
     dense 2-D array."""
+    import scipy.sparse as sp
+
     if sp.issparse(a):
         return sp.csr_array(a, dtype=float)
     return np.atleast_2d(np.asarray(a, dtype=float))
@@ -120,10 +127,21 @@ def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(np.max(np.concatenate([lo - x, x - hi]), initial=res))
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call so that
+    importing the package does not load scipy.  Every solve goes through
+    this module attribute."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
     """The one call into HiGHS.  Sparse constraint matrices with few entries
     are densified first (see ``DENSE_ENTRY_LIMIT``); the solver sees the
     same nonzeros either way."""
+    import scipy.sparse as sp
+
     blocks = [a for a in (a_ub, a_eq) if a is not None]
     entries = sum(a.shape[0] for a in blocks) * len(cost)
     if entries <= DENSE_ENTRY_LIMIT:
@@ -200,6 +218,8 @@ def feasibility(
     optimum above ``tol`` means Infeasible, and that optimum is returned as
     the violation certificate.
     """
+    import scipy.sparse as sp
+
     if eq is None and ub is None and n_variables is None:
         raise ValueError("cannot infer the number of variables")
     if n_variables is None:

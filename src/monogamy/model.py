@@ -17,9 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_TOL = 1e-9
 
@@ -442,6 +445,8 @@ def partial_local_box(
 
 def normalization_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     """Equality rows requiring each context's outcomes to sum to 1."""
+    import scipy.sparse as sp
+
     per_context = scenario.table_size // scenario.n_contexts
     rows = sp.csr_array(
         (
@@ -458,6 +463,8 @@ def no_signalling_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndar
     """Equality rows: for every party, pair of its settings, context of the
     other parties, and outcome tuple of the other parties, the summed-out
     marginals agree."""
+    import scipy.sparse as sp
+
     n = scenario.parties
     index = np.arange(scenario.table_size).reshape(scenario.table_shape)
     row_ids, plus, minus = [], [], []
@@ -491,6 +498,8 @@ def ns_polytope(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     """Equality rows of the no-signalling polytope over the flat table:
     normalization stacked over no-signalling, as a CSR matrix.  Memoised per
     scenario and returned read-only."""
+    import scipy.sparse as sp
+
     norm = normalization_constraints(scenario)
     ns = no_signalling_constraints(scenario)
     lhs = sp.vstack([norm[0], ns[0]], format="csr")

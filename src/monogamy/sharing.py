@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
@@ -29,6 +29,9 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     ns_polytope,
     validate_behavior,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 EXTENSION_TABLE_CAP = 200_000
 
@@ -224,6 +227,8 @@ def clone_symmetry_constraints(scen: Scenario) -> tuple[sp.csr_array, np.ndarray
     that the swap exchanges, in flat order of the lower entry: +1 there and
     -1 at its image.
     """
+    import scipy.sparse as sp
+
     n_clones = scen.parties - 1
     index = np.arange(scen.table_size).reshape(scen.table_shape)
     flat = index.reshape(-1)
@@ -253,6 +258,8 @@ def _pair_marginal_rows(scen: Scenario, base: Behavior) -> tuple[sp.csr_array, n
 
     One row per base table entry (A, B_1, a, b_1), in flat base order, summing
     the extension's entries over the other clones' outcomes."""
+    import scipy.sparse as sp
+
     n_clones = scen.parties - 1
     index = np.arange(scen.table_size).reshape(scen.table_shape)
     pinned = index[(slice(None), slice(None)) + (0,) * (n_clones - 1)]
@@ -271,6 +278,8 @@ def ns_extension(
 ) -> ExtensionCertificate | InfeasibleExtension:
     """Symmetric no-signalling extension by LP feasibility over the raw
     (N+1)-party table entries."""
+    import scipy.sparse as sp
+
     _require_two_party(b)
     if n_clones < 1:
         raise ValueError("need at least one clone")
@@ -334,6 +343,8 @@ def random_shareable_behavior(
     marginalizes it down to the (a, b_1) pair.  Returns (pair, witness),
     the witness being the three-party behavior that certifies shareability.
     """
+    import scipy.sparse as sp
+
     base = Scenario(2, (2, 2), (2, 2))
     scen = _extended_scenario(base, 2)
     blocks = [ns_polytope(scen), clone_symmetry_constraints(scen)]

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import minimize
 
 from . import lp
 from .bell import BellFunctional, chsh, collins_gisin, functional_row
@@ -366,6 +364,15 @@ def local_support(thetas: np.ndarray) -> list[SupportPoint]:
     return points
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call so that
+    importing the package does not load scipy.  Every search goes through
+    this module attribute."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _nelder_mead_max(
     objective, x0: np.ndarray, max_iter: int = 400
 ) -> tuple[float, np.ndarray, int]:
@@ -694,6 +701,8 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     """Eight sign-pattern LPs for the maximum of |C_ab| + |C_ac| + |C_ad|
     over the four-party no-signalling polytope, plus the max-min LP for the
     simultaneous double-violation question."""
+    import scipy.sparse as sp
+
     scenario = pb_scenario()
     functional = collins_gisin()
     local_bound = functional.local_bound

@@ -10,9 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monogamy import behavior_to_json_dict, pr_box, state_to_json_dict, uniform_box
+from monogamy import behavior_to_json_dict, pr_box, sharing, state_to_json_dict, uniform_box
 from monogamy.cli import main
 from conftest import chsh_scenario
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the package from
+    this checkout's src, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def write_behavior(path, behavior):
@@ -105,6 +113,17 @@ class TestShare:
                      "--mode", "unrestricted"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["symmetry_residual"] == 0.0
+
+    def test_out_of_memory_is_an_error(self, uniform_path, monkeypatch, capsys):
+        # Exit 1 would read as "not shareable".
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(sharing, "is_n_shareable", exhausted)
+        assert main(["share", "--in", uniform_path, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 class TestChsh:
@@ -256,14 +275,51 @@ class TestUsage:
         assert main(["validate", "--in", "/nonexistent/behavior.json"]) == 2
 
     def test_console_entry_point(self):
-        # The child imports the package from this checkout's src, installed
-        # or not.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         result = subprocess.run(
             [sys.executable, "-m", "monogamy.cli", "--help"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 0
         assert "monogamy" in result.stdout
+
+
+# Runs CLI commands in order and prints, after the import and after each
+# command, its exit code and the scipy modules loaded so far.
+SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import monogamy
+from monogamy.cli import main
+
+report = [["import", None, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], main(argv), scipy_modules()])
+sys.stderr.write(json.dumps(report))
+"""
+
+
+class TestScipyLoading:
+    def test_only_lp_commands_load_scipy(self, pr_path):
+        # A fresh process: this one has loaded scipy already.
+        commands = [
+            ["validate", "--in", pr_path],
+            ["nstest", "--in", pr_path],
+            ["chsh", "--state", "phi_plus", "--angles", "0,1.5708,0.7854,-0.7854"],
+            ["cg", "--state", "cg", "--mu", "0.9", "--angles", "0,1,2,0,1,2,0,1,2"],
+            ["ckw", "--state", "w"],
+            ["localtest", "--in", pr_path],
+        ]
+        result = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stderr)
+        assert [step[0] for step in report] == ["import"] + [argv[0] for argv in commands]
+        assert [step[1] for step in report] == [None, 0, 0, 0, 0, 0, 1]
+        for name, _, loaded in report[:-1]:
+            assert loaded == [], f"{name} loaded {loaded}"
+        assert "scipy.optimize" in report[-1][2]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+import monogamy.lp as lp
 from monogamy.lp import (
     DENSE_ENTRY_LIMIT,
     LinearProgram,
@@ -191,3 +193,35 @@ def test_duality_spot_check(rng):
         )
         assert dual.status == LpStatus.OPTIMAL
         assert primal.value == pytest.approx(-dual.value, abs=1e-6)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call is counted; returns the
+    list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_every_solve_goes_through_module_linprog(monkeypatch):
+    # The module attribute is what a caller wraps to observe HiGHS calls.
+    calls = counting(monkeypatch, lp, "linprog")
+    program = LinearProgram(np.array([1.0, 1.0]), ub_lhs=[[1.0, 2.0]], ub_rhs=[2.0])
+    assert solve(program).status == LpStatus.OPTIMAL
+    assert len(calls) == 1
+    assert feasibility(eq=(np.array([[1.0, 1.0]]), np.array([1.0]))).status == LpStatus.OPTIMAL
+    assert len(calls) == 2
+    assert feasibility(eq=(np.array([[1.0, 1.0]]), np.array([-1.0]))).status == LpStatus.INFEASIBLE
+    assert len(calls) == 3
+
+
+def test_module_linprog_resolves_scipy_at_call_time(monkeypatch):
+    calls = counting(monkeypatch, scipy.optimize, "linprog")
+    assert solve(LinearProgram(np.array([1.0]), ub_lhs=[[1.0]], ub_rhs=[3.0])).value == pytest.approx(3.0)
+    assert calls == ["linprog"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from monogamy import (
     Scenario,
@@ -277,6 +278,28 @@ class TestQuantumSearch:
         )[0]
         assert len(evaluations) == 3 + restarts
         assert point.params["evaluations"] == sum(evaluations)
+
+
+    def test_search_goes_through_module_minimize(self, monkeypatch):
+        # tradeoffs.minimize is what a caller wraps to observe searches; it
+        # must reach scipy's Nelder-Mead on every call.
+        methods, reached = [], []
+        wrapped, scipy_minimize = tradeoffs.minimize, scipy.optimize.minimize
+
+        def routed(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return wrapped(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            reached.append(1)
+            return scipy_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(tradeoffs, "minimize", routed)
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        point = quantum_boundary_search(np.array([0.3]), restarts=0, rng=np.random.default_rng(1))[0]
+        assert methods == ["Nelder-Mead"] * 3
+        assert len(reached) == 3
+        assert point.value == pytest.approx(ROOT8, abs=1e-9)
 
 
 class TestSeparableOrthogonal:
