@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -53,13 +54,16 @@ def _require_valid(b: model.Behavior, tol: float) -> None:
         )
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _angles(text: str, count: int) -> list[float]:
@@ -69,6 +73,8 @@ def _angles(text: str, count: int) -> list[float]:
         raise CliError(f"--angles must be comma-separated radians: '{text}'") from None
     if len(values) != count:
         raise CliError(f"expected {count} angles, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"--angles must be finite: '{text}'")
     return values
 
 
@@ -169,10 +175,7 @@ def cmd_share(args) -> int:
         payload["symmetry_residual"] = result.certificate.symmetry_residual
         payload["marginal_residual"] = result.certificate.marginal_residual
         if args.cert_out:
-            cert_payload = model.behavior_to_json_dict(result.certificate.behavior)
-            with open(args.cert_out, "w", encoding="utf-8", newline="\n") as handle:
-                json.dump(cert_payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            _emit(model.behavior_to_json_dict(result.certificate.behavior), args.cert_out)
     _emit(payload, args.out)
     return 0 if result.shareable else 1
 
@@ -190,7 +193,7 @@ def cmd_chsh(args) -> int:
             payload = {
                 "chsh_ab": point.chsh_ab,
                 "chsh_ac": point.chsh_ac,
-                "checks": [tradeoffs.report_to_json_dict(r) for r in checks],
+                "checks": [asdict(r) for r in checks],
             }
             _emit(payload, args.out)
             return 0 if all(r.passed for r in checks) else 1
@@ -263,12 +266,7 @@ def cmd_sweep(args) -> int:
     lines = ["theta,max_value,class"]
     for point in points:
         lines.append(f"{point.theta!r},{point.value!r},{args.cls}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -399,8 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        sys.stderr.write("error: --tol must be positive\n")
+    if getattr(args, "tol", None) is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        sys.stderr.write("error: --tol must be positive and finite\n")
         return 2
     try:
         return args.func(args)

@@ -9,7 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .bell import BellFunctional, bell_value
+from .bell import (  # noqa: F401 - perfbench/spans.py wraps bell_value here
+    BellFunctional,
+    bell_value,
+    functional_row,
+)
 from .model import Behavior, Scenario, deterministic_box
 
 STRATEGY_CAP = 1_000_000
@@ -35,12 +39,8 @@ class LocalModel:
     reconstruction_error: float
 
     def behavior(self) -> Behavior:
-        strategies = deterministic_strategies(self.scenario)
-        table = np.zeros(self.scenario.table_shape)
-        for w, strat in zip(self.weights, strategies):
-            if w > 0.0:
-                table += w * strat.to_behavior(self.scenario).table
-        return Behavior(self.scenario, table)
+        table = strategy_matrix(self.scenario) @ self.weights
+        return Behavior(self.scenario, table.reshape(self.scenario.table_shape))
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,4 @@ def local_bound(f: BellFunctional, scenario: Scenario, cap: int = STRATEGY_CAP) 
         raise ValueError("Bell functionals here are two-party")
     if scenario.settings != f.settings:
         raise ValueError("functional settings do not match the scenario")
-    best = -np.inf
-    for strat in deterministic_strategies(scenario, cap):
-        value = bell_value(strat.to_behavior(scenario), f)
-        if value > best:
-            best = value
-    return float(best)
+    return float(np.max(functional_row(scenario, f, (0, 1)) @ strategy_matrix(scenario, cap)))

@@ -347,7 +347,7 @@ def product_box(factors: list[Behavior]) -> Behavior:
         n = f.scenario.parties
         blocks.append(tuple(range(start, start + n)))
         start += n
-    table = _block_product([f.table for f in factors], blocks, scenario)
+    table = _block_product([f.table for f in factors], blocks)
     return Behavior(scenario, table)
 
 
@@ -366,33 +366,16 @@ def mixture(behaviors: list[Behavior], weights: list[float]) -> Behavior:
     return Behavior(scenario, table)
 
 
-def _block_product(tables: list[np.ndarray], blocks: list[tuple[int, ...]],
-                   scenario: Scenario) -> np.ndarray:
+def _block_product(tables: list[np.ndarray], blocks: list[tuple[int, ...]]) -> np.ndarray:
     """Outer product of block tables, axes rearranged to global party order."""
     combined = np.ones(())
-    axis_parties_settings: list[int] = []
-    axis_parties_outcomes: list[int] = []
+    # combined axes: per block, its settings then its outcomes; each axis is
+    # keyed (0, party) for a setting and (1, party) for an outcome.
+    keys = []
     for tbl, block in zip(tables, blocks):
         combined = np.multiply.outer(combined, tbl)
-        axis_parties_settings.extend(block)
-        axis_parties_outcomes.extend(block)
-    # combined axes: per block, its settings then its outcomes; flatten order:
-    # [b0 settings, b0 outcomes, b1 settings, b1 outcomes, ...]
-    axes_order = []
-    pos = 0
-    setting_axis_of: dict[int, int] = {}
-    outcome_axis_of: dict[int, int] = {}
-    for tbl, block in zip(tables, blocks):
-        n = len(block)
-        for i, p in enumerate(block):
-            setting_axis_of[p] = pos + i
-            outcome_axis_of[p] = pos + n + i
-        pos += 2 * n
-    for p in range(scenario.parties):
-        axes_order.append(setting_axis_of[p])
-    for p in range(scenario.parties):
-        axes_order.append(outcome_axis_of[p])
-    return np.transpose(combined, axes_order)
+        keys += [(0, p) for p in block] + [(1, p) for p in block]
+    return np.transpose(combined, sorted(range(len(keys)), key=keys.__getitem__))
 
 
 def partial_local_box(
@@ -435,7 +418,7 @@ def partial_local_box(
             )
             if beh.scenario.table_shape != expected:
                 raise ValueError("term behavior does not match its block")
-        table += wi * _block_product([t1.table, t2.table], [block1, block2], scenario)
+        table += wi * _block_product([t1.table, t2.table], [block1, block2])
     return Behavior(scenario, table)
 
 

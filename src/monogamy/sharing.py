@@ -24,6 +24,8 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     Behavior,
     Scenario,
     is_no_signalling,
+    marginal,
+    marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
     ns_polytope,
@@ -153,25 +155,6 @@ def _joint_symmetry_residual(ext: Behavior) -> float:
     return residual
 
 
-def _pair_marginal(ext: Behavior, clone: int, clone_context: tuple[int, ...]) -> np.ndarray:
-    """Marginal table over (a, b_clone): shape (sA, sB, oA, oB).
-
-    ``clone_context`` fixes the other clones' settings; the kept clone's
-    setting varies.
-    """
-    n_clones = ext.scenario.parties - 1
-    others = [i for i in range(n_clones) if i != clone]
-    index: list = [slice(None)]  # A
-    for i in range(n_clones):
-        index.append(slice(None) if i == clone else clone_context[others.index(i)])
-    sub = ext.table[tuple(index)]  # axes: A, B_clone, a, b_0..b_{N-1}
-    # Sum the other clones' outcome axes.
-    sum_axes = tuple(3 + i for i in others)
-    reduced = sub.sum(axis=sum_axes) if sum_axes else sub
-    # Remaining outcome axes: a, then the kept clone at its original slot.
-    return reduced
-
-
 def _marginal_residual_unrestricted(ext: Behavior, base: Behavior) -> float:
     """Compare every clone's pair marginal against the base, at every
     context of the remaining clones, with the base driven by B_1's value.
@@ -180,37 +163,25 @@ def _marginal_residual_unrestricted(ext: Behavior, base: Behavior) -> float:
     clone's setting, so the pair marginal at full context (A, B_1..B_N)
     must equal base(A, B_1) regardless of which clone is kept.
     """
-    n_clones = ext.scenario.parties - 1
-    s_b = base.scenario.settings[1]
+    n = ext.scenario.parties
+    # base[A, B_1, a, b] broadcast over B_2..B_N.
+    expected = base.table[(slice(None),) * 2 + (None,) * (n - 2)]
     residual = 0.0
-    for clone in range(n_clones):
-        others = [i for i in range(n_clones) if i != clone]
-        for other_ctx in itertools.product(*(range(s_b) for _ in others)):
-            marg = _pair_marginal(ext, clone, other_ctx)
-            if clone == 0:
-                # marg[A, B1, a, b] must equal base[A, B1, a, b]
-                residual = max(residual, float(np.max(np.abs(marg - base.table))))
-            else:
-                # The base setting is B_1 = other_ctx[0] (first of the others);
-                # the kept clone's own setting does not drive the response.
-                b1 = other_ctx[0]
-                expected = base.table[:, b1]  # (sA, oA, oB)
-                for own in range(s_b):
-                    residual = max(
-                        residual,
-                        float(np.max(np.abs(marg[:, own] - expected))),
-                    )
+    for clone in range(1, n):
+        others = tuple(n + 1 + i for i in range(n - 1) if 1 + i != clone)
+        # Axes: A, B_1..B_N, a, b_clone.
+        marg = ext.table.sum(axis=others)
+        residual = max(residual, float(np.max(np.abs(marg - expected))))
     return residual
 
 
 def _marginal_residual_ns(ext: Behavior, base: Behavior) -> float:
     """Compare every clone's pair marginal (at its own setting) to the base,
     with the other clones pinned to setting 0."""
-    n_clones = ext.scenario.parties - 1
+    n = ext.scenario.parties
     residual = 0.0
-    for clone in range(n_clones):
-        zeros = tuple(0 for _ in range(n_clones - 1))
-        marg = _pair_marginal(ext, clone, zeros)
+    for clone in range(1, n):
+        marg = marginal(ext, (0, clone), (0,) * n).table
         residual = max(residual, float(np.max(np.abs(marg - base.table))))
     return residual
 
@@ -362,20 +333,14 @@ def random_shareable_behavior(
     table = sum(w * v for w, v in zip(weights, vertices)).reshape(scen.table_shape)
     witness = Behavior(scen, table)
 
-    pair_table = _pair_marginal(witness, 0, (0,))
-    pair = Behavior(base, pair_table)
-    return pair, witness
+    return marginal_behavior(witness, (0, 1), (0, 0, 0)), witness
 
 
 def discard_last_clone(cert: ExtensionCertificate) -> Behavior:
     """Marginalize the last clone out of a certificate behavior (its setting
     pinned to 0); for feasible no-signalling certificates the result is a
     certificate for one fewer clone."""
-    ext = cert.behavior
-    n = ext.scenario.parties
+    n = cert.behavior.scenario.parties
     if n < 3:
         raise ValueError("certificate has no clone to discard")
-    sub = ext.table[(slice(None),) * (n - 1) + (0,)]  # last clone setting = 0
-    reduced = sub.sum(axis=-1)  # last clone outcomes
-    scen = Scenario(n - 1, ext.scenario.settings[:-1], ext.scenario.outcomes[:-1])
-    return Behavior(scen, reduced)
+    return marginal_behavior(cert.behavior, tuple(range(n - 1)), (0,) * n)

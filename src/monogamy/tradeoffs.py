@@ -18,7 +18,7 @@ import numpy as np
 from . import lp
 from .bell import BellFunctional, chsh, collins_gisin, functional_row
 from .bell import chsh_value as _behavior_chsh
-from .localpoly import deterministic_strategies
+from .localpoly import deterministic_strategies, strategy_matrix
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
@@ -160,16 +160,6 @@ def check_key_corollary(
 ) -> CheckReport:
     """Key-rate corollary: chsh_ab^2 + 4 <AC>^2 <= 8."""
     return _report("KEY-31", chsh_ab ** 2 + 4.0 * corr_ac ** 2, 8.0, tol)
-
-
-def report_to_json_dict(report: CheckReport) -> dict:
-    return {
-        "inequality": report.inequality,
-        "lhs": report.lhs,
-        "bound": report.bound,
-        "slack": report.slack,
-        "passed": report.passed,
-    }
 
 
 def behavior_checks(b: Behavior, tol: float = DEFAULT_CHECK_TOL) -> list[CheckReport]:
@@ -334,22 +324,13 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
     return points
 
 
-def _local_vertex_values() -> tuple[list, np.ndarray, np.ndarray]:
-    scenario = triple_scenario()
-    strategies = deterministic_strategies(scenario)
-    ab, ac = [], []
-    for strat in strategies:
-        point = pair_values(strat.to_behavior(scenario))
-        ab.append(point.chsh_ab)
-        ac.append(point.chsh_ac)
-    return strategies, np.array(ab), np.array(ac)
-
-
 def local_support(thetas: np.ndarray) -> list[SupportPoint]:
     """Support function of the local region: exact maximum over the
     deterministic-strategy vertices."""
     scenario = triple_scenario()
-    strategies, ab, ac = _local_vertex_values()
+    vertices = strategy_matrix(scenario)
+    ab = functional_row(scenario, _CHSH, (0, 1)) @ vertices
+    ac = functional_row(scenario, _CHSH, (0, 2)) @ vertices
     points = []
     for theta in thetas:
         values = math.cos(theta) * ab + math.sin(theta) * ac
@@ -358,7 +339,7 @@ def local_support(thetas: np.ndarray) -> list[SupportPoint]:
             SupportPoint(
                 float(theta),
                 float(values[best]),
-                strategies[best].to_behavior(scenario),
+                Behavior(scenario, vertices[:, best].reshape(scenario.table_shape)),
             )
         )
     return points
@@ -373,17 +354,24 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _nelder_mead_max(
-    objective, x0: np.ndarray, max_iter: int = 400
-) -> tuple[float, np.ndarray, int]:
-    """Simplex maximum from ``x0``: value, argument and objective evaluations."""
-    result = minimize(
-        lambda x: -objective(x),
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    return float(-result.fun), np.asarray(result.x), int(result.nfev)
+def _best_of(
+    objective, starts: list[np.ndarray], max_iter: int = 400
+) -> tuple[float, np.ndarray | None, int]:
+    """Best simplex maximum over the starts: value, argument and summed
+    objective evaluations.  The first start wins a tie; with no starts the
+    value is -inf and the argument None."""
+    best_value, best_x, evaluations = -np.inf, None, 0
+    for x0 in starts:
+        result = minimize(
+            lambda x: -objective(x),
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-12},
+        )
+        evaluations += int(result.nfev)
+        if -result.fun > best_value:
+            best_value, best_x = float(-result.fun), np.asarray(result.x)
+    return best_value, best_x, evaluations
 
 
 # sigma_i (x) sigma_j (x) I, then sigma_i (x) I (x) sigma_k, for i, j, k in
@@ -454,12 +442,9 @@ def quantum_boundary_search(
         best_value, best_x = seed_values[0]
         starts = [s for _, s in seed_values[:3]]
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
-        evaluations = 0
-        for x0 in starts:
-            value, x, nfev = _nelder_mead_max(objective, x0)
-            evaluations += nfev
-            if value > best_value:
-                best_value, best_x = value, x
+        value, x, evaluations = _best_of(objective, starts)
+        if value > best_value:
+            best_value, best_x = value, x
         if best_value > TSIRELSON + 1e-9:
             raise RuntimeError(
                 f"quantum search exceeded the Tsirelson ceiling: {best_value}"
@@ -507,10 +492,8 @@ def separable_orthogonal_max(restarts: int, rng: np.random.Generator) -> float:
         def objective(x, s=sign):
             return s * _separable_orthogonal_pair(x[0], x[1])
 
-        for _ in range(restarts):
-            x0 = rng.uniform(-math.pi, math.pi, 2)
-            value, _, _ = _nelder_mead_max(objective, x0)
-            best = max(best, value)
+        starts = [rng.uniform(-math.pi, math.pi, 2) for _ in range(restarts)]
+        best = max(best, _best_of(objective, starts)[0])
     return best
 
 
@@ -529,12 +512,8 @@ def separable_orthogonal_support(
             ac = _separable_orthogonal_pair(x[0], x[2])
             return c * ab + s * ac
 
-        best = -np.inf
-        for _ in range(restarts):
-            x0 = rng.uniform(-math.pi, math.pi, 3)
-            value, _, _ = _nelder_mead_max(objective, x0)
-            best = max(best, value)
-        points.append(SupportPoint(float(theta), float(best)))
+        starts = [rng.uniform(-math.pi, math.pi, 3) for _ in range(restarts)]
+        points.append(SupportPoint(float(theta), _best_of(objective, starts)[0]))
     return points
 
 
@@ -595,17 +574,6 @@ def cg_values_for_state(
     return value_ab, value_ac
 
 
-def cg_state_values(
-    mu: float,
-    a_angles: tuple[float, float, float],
-    b_angles: tuple[float, float, float],
-    c_angles: tuple[float, float, float],
-) -> tuple[float, float]:
-    """Functional values on the (a,b) and (a,c) reduced states of the
-    three-qubit family mu|000> + sqrt((1-mu^2)/2)(|110> + |101>)."""
-    return cg_values_for_state(cg_state(mu), a_angles, b_angles, c_angles)
-
-
 def _mirror_angles(u: float, w: float) -> np.ndarray:
     """Six planar angles with the first two settings of each side mirrored
     about the -z axis and the third setting at sigma_x; the violating
@@ -625,8 +593,11 @@ def cg_double_violation_search(
 
     The b and c measurement angles are tied together, which makes the two
     values equal by the b-c exchange symmetry of the family; the search then
-    maximizes the common value over the remaining six angles per mu.
+    maximizes the common value over the remaining six angles per mu.  An
+    empty ``mu_values`` raises ValueError.
     """
+    if len(mu_values) == 0:
+        raise ValueError("the double-violation search needs at least one mu value")
     functional = collins_gisin()
     best: CgSearchResult | None = None
     for mu in mu_values:
@@ -636,21 +607,18 @@ def cg_double_violation_search(
         def objective(x, m=moments):
             return _planar_value(m, functional, x[:3], x[3:])
 
-        candidates = [
+        starts = [
             _mirror_angles(0.53, 0.25),
             _mirror_angles(0.9, 0.45),
             _mirror_angles(0.2, 0.1),
         ]
-        for _ in range(restarts):
-            candidates.append(rng.uniform(-math.pi, math.pi, 6))
-        local_best, local_x = -np.inf, candidates[0]
-        for x0 in candidates:
-            value, x, _ = _nelder_mead_max(objective, x0, max_iter=800)
-            if value > local_best:
-                local_best, local_x = value, x
-        a_angles = (float(local_x[0]), float(local_x[1]), float(local_x[2]))
-        b_angles = (float(local_x[3]), float(local_x[4]), float(local_x[5]))
-        value_ab, value_ac = cg_state_values(float(mu), a_angles, b_angles, b_angles)
+        starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
+        x = _best_of(objective, starts, max_iter=800)[1]
+        a_angles = (float(x[0]), float(x[1]), float(x[2]))
+        b_angles = (float(x[3]), float(x[4]), float(x[5]))
+        value_ab, value_ac = cg_values_for_state(
+            cg_state(float(mu)), a_angles, b_angles, b_angles
+        )
         result = CgSearchResult(
             mu=float(mu),
             a_angles=a_angles,
@@ -661,7 +629,6 @@ def cg_double_violation_search(
         )
         if best is None or result.min_value > best.min_value:
             best = result
-    assert best is not None
     return best
 
 

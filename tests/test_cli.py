@@ -71,6 +71,19 @@ class TestValidate:
         assert main(["validate", "--in", str(path)]) == 2
         assert "table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        # A NaN tolerance would pass every comparison and report a table with
+        # negative entries as valid.
+        data = behavior_to_json_dict(uniform_box(chsh_scenario()))
+        data["table"]["0,0"] = [-0.5, 0.5, 0.5, 0.5]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--in", str(path), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
 
 class TestNsAndLocal:
     def test_pr_is_ns(self, pr_path, capsys):
@@ -195,6 +208,14 @@ class TestCg:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cg_ab"] == pytest.approx(payload["cg_ac"], abs=1e-9)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_angles_rejected(self, capsys, bad):
+        angles = ",".join(["0", bad] + ["0"] * 7)
+        assert main(["cg", "--state", "w", "--angles", angles]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--angles" in captured.err
+
     def test_behavior_evaluation(self, tmp_path, capsys):
         from monogamy import Scenario, deterministic_box
 
@@ -262,6 +283,11 @@ class TestCgSearchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["double_violation"]
         assert payload["min_value"] > 4.0
+
+    def test_empty_grid_is_an_error(self, capsys):
+        # Exit 1 means a failed check; an empty mu grid is a usage error.
+        assert main(["cgsearch", "--grid", "0"]) == 2
+        assert "mu" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from monogamy import (
+    Behavior,
     ExtensionCertificate,
     InfeasibleExtension,
     Scenario,
@@ -26,6 +27,8 @@ from monogamy.sharing import (
     _extended_scenario,
     _joint_symmetry_residual,
     _marginal_residual_ns,
+    _marginal_residual_unrestricted,
+    _outcome_symmetry_residual,
     _pair_marginal_rows,
     clone_symmetry_constraints,
     discard_last_clone,
@@ -119,6 +122,40 @@ class TestNsExtension:
         assert isinstance(result, ExtensionCertificate)
         assert result.symmetry_residual <= 1e-6
         assert result.marginal_residual <= 1e-6
+
+
+class TestTamperedCertificates:
+    """The residual checks see a certificate that is off: mass moved between
+    two outcomes of one clone, at one setting context and for every outcome
+    of another clone."""
+
+    def test_unrestricted_clone_three(self):
+        cert = unrestricted_extension(pr_box(), 3)
+        table = cert.behavior.table.copy()
+        # Context (A, B_1, B_2, B_3) = (1, 1, 0, 1), a = 0, b_1 = 1: move 0.1
+        # from b_3 = 0 to b_3 = 1 at each b_2.
+        table[1, 1, 0, 1, 0, 1, :, 0] -= 0.1
+        table[1, 1, 0, 1, 0, 1, :, 1] += 0.1
+        tampered = Behavior(cert.behavior.scenario, table)
+        # Clone 3's marginal moves by 0.1 per b_2; swapping clones 2 and 3
+        # pairs a lowered entry with a raised one.
+        assert _marginal_residual_unrestricted(tampered, pr_box()) == pytest.approx(0.2)
+        assert _outcome_symmetry_residual(tampered) == pytest.approx(0.2)
+
+    def test_ns_clone_one(self):
+        base = uniform_box(chsh_scenario())
+        cert = ns_extension(base, 2)
+        assert isinstance(cert, ExtensionCertificate)
+        table = cert.behavior.table.copy()
+        # Context (A, B_1, B_2) = (0, 1, 0), a = 0: move 0.05 from b_1 = 0 to
+        # b_1 = 1 at each b_2.
+        table[0, 1, 0, 0, 0, :] -= 0.05
+        table[0, 1, 0, 0, 1, :] += 0.05
+        tampered = Behavior(cert.behavior.scenario, table)
+        # Clone 1's marginal (B_2 pinned to 0) moves by 0.05 per b_2; the
+        # clone swap maps the tampered context to the untouched (0, 0, 1).
+        assert _marginal_residual_ns(tampered, base) == pytest.approx(0.1)
+        assert _joint_symmetry_residual(tampered) == pytest.approx(0.05)
 
 
 def loop_symmetry_rows(scen):

@@ -322,6 +322,10 @@ class TestCgSearch:
         )
         assert result.min_value <= 4.0 + 1e-9
 
+    def test_empty_mu_grid_rejected(self, rng):
+        with pytest.raises(ValueError, match="mu"):
+            tradeoffs.cg_double_violation_search(np.array([]), restarts=1, rng=rng)
+
 
 class TestObjectiveBuilders:
     def test_chsh_objective_matches_behavior_evaluation(self, rng):
