@@ -390,10 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_angles(argv: list[str]) -> list[str]:
+    """``--angles V`` rewritten as ``--angles=V``: argparse reads a separate
+    value that starts with a minus sign, such as ``-0.78,0,0.78,1.57``, as a
+    new flag."""
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--angles":
+            argv[i:i + 2] = [f"--angles={argv[i + 1]}"]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_angles(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0

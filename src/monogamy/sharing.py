@@ -7,13 +7,21 @@ extended with N clones of the second party:
   equal; it always exists and is generally signalling, and its pair marginals
   (taken at the full setting context) reproduce the base with the first
   clone's setting driving the response;
-- no-signalling: LP feasibility for a symmetric no-signalling (N+1)-party
-  behavior whose (a, b_i) pair marginals all equal the base.
+- no-signalling: LP feasibility for a clone-symmetric no-signalling
+  (N+1)-party behavior whose (a, b_i) pair marginals all equal the base.  A
+  symmetric behavior depends on the clones only through the multiset of
+  their (setting, outcome) pairs, so the LP has one variable per Alice
+  (setting, outcome) and multiset, and no symmetry rows: 4*C(N+3, 3) variables
+  for a 2x2 base (140 at N = 4) against 4^(N+1) table entries (1 024).  A
+  solution is expanded to the full table, and the certificate's residuals
+  are computed there.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -55,9 +63,11 @@ class ExtensionCertificate:
     """(N+1)-party extension behavior with its verification residuals.
 
     ``symmetry_residual`` is the largest deviation from clone-exchange
-    symmetry: in ns mode clones are swapped jointly in outcomes and settings;
-    in unrestricted mode outcomes are swapped at fixed settings (the delta
-    construction's settings enter through the first clone only).
+    symmetry: in ns mode clones are swapped jointly in outcomes and settings,
+    and it is 0 by construction, since the table is expanded from
+    clone-symmetric variables; in unrestricted mode outcomes are swapped at
+    fixed settings (the delta construction's settings enter through the
+    first clone only).
     ``marginal_residual`` is the largest deviation of any clone's pair
     marginal from the base behavior.
     """
@@ -70,7 +80,10 @@ class ExtensionCertificate:
 
 @dataclass(frozen=True)
 class InfeasibleExtension:
-    """No extension exists; the score is the LP's minimized total violation."""
+    """No extension exists.  ``violation`` is the minimized total (L1)
+    violation of the clone-symmetric LP's rows, which exceeds the feasibility
+    tolerance exactly when no extension exists; its size is not comparable
+    with the violation of a full-table LP."""
 
     spec: ExtensionSpec
     violation: float
@@ -223,34 +236,109 @@ def clone_symmetry_constraints(scen: Scenario) -> tuple[sp.csr_array, np.ndarray
     return rows, np.zeros(n_rows)
 
 
-def _pair_marginal_rows(scen: Scenario, base: Behavior) -> tuple[sp.csr_array, np.ndarray]:
-    """Equalities tying clone 1's pair marginal (others at setting 0) to the
-    base; symmetry rows propagate the property to the remaining clones.
+def _clone_multisets(n_letters: int, n_clones: int) -> np.ndarray:
+    """The multisets of ``n_clones`` letters out of ``n_letters``, one row of
+    letters in non-decreasing order each, in lexicographic order: a row's
+    index is its multiset's rank."""
+    rows = list(itertools.combinations_with_replacement(range(n_letters), n_clones))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_clones)
 
-    One row per base table entry (A, B_1, a, b_1), in flat base order, summing
-    the extension's entries over the other clones' outcomes."""
+
+def _multiset_ranks(letters: np.ndarray, n_letters: int) -> np.ndarray:
+    """Rank of the multiset of each row of letters, in any order.  A sorted
+    row's row-major index in the clones' letter table (below the table size)
+    grows with rank, so ranks come from a binary search among the
+    multisets' indices."""
+    place = n_letters ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = _clone_multisets(n_letters, letters.shape[1]) @ place
+    return np.searchsorted(codes, np.sort(letters, axis=1) @ place)
+
+
+def _multinomials(multisets: np.ndarray, n_letters: int) -> np.ndarray:
+    """Number of letter sequences with each multiset: n!/prod(count!)."""
+    n = multisets.shape[1]
+    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    counts = (multisets[:, :, None] == np.arange(n_letters)).sum(axis=1)
+    return factorial[n] / factorial[counts].prod(axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def symmetric_extension_rows(base: Scenario, n_clones: int) -> tuple[sp.csr_array, np.ndarray]:
+    """Equality rows of the clone-symmetric NS extension LP, and the map that
+    expands its variables to the full (N+1)-party table.
+
+    A clone letter is a (setting, outcome) pair ``l = y * o_B + b``, and the
+    variable v[x, a, m] (flat, row-major) is the table entry shared by every
+    clone letter sequence with multiset m.  Row blocks, in order:
+
+    - normalization: one row at the all-zero context, multinomial weights;
+    - Alice NS: sum_a v[x, a, m] = sum_a v[0, a, m] for x > 0;
+    - last-clone NS: sum_b v[x, a, m' + (y, b)] = sum_b v[x, a, m' + (0, b)]
+      for y > 0 and every multiset m' of N-1 letters;
+    - pair marginals: one row per base entry (x, y, a, b), in flat base
+      order, summing v[x, a, m' + (y, b)] over the m' of setting-0 letters,
+      weighted by (N-1)!/prod(count!).
+
+    Symmetry carries the last-clone NS rows to every clone, and NS carries
+    normalization to every context.  The right-hand side is 1, then zeros,
+    then the flat base table.  The expansion map gives, for every entry of
+    the clones' axes (settings, then outcomes) of the full table, the rank
+    of its multiset.  Memoised per (scenario, N) and returned read-only.
+    """
     import scipy.sparse as sp
 
-    n_clones = scen.parties - 1
-    index = np.arange(scen.table_size).reshape(scen.table_shape)
-    pinned = index[(slice(None), slice(None)) + (0,) * (n_clones - 1)]
-    # Axes of ``pinned``: A, B_1, a, b_1, then the other clones' outcomes.
-    cols = pinned.reshape(base.table.size, -1)
-    n_rows, per_row = cols.shape
-    rows = sp.csr_array(
-        (np.ones(cols.size), cols.reshape(-1), np.arange(n_rows + 1) * per_row),
-        shape=(n_rows, scen.table_size),
-    )
-    return rows, base.table.reshape(-1)
+    (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
+    n_letters = s_b * o_b
+    multisets = _clone_multisets(n_letters, n_clones)
+    fewer = _clone_multisets(n_letters, n_clones - 1)
+    var = np.arange(s_a * o_a * len(multisets)).reshape(s_a, o_a, len(multisets))
+    # grown[m', y, b]: rank of m' + (y, b).
+    grown = np.column_stack([np.repeat(fewer, n_letters, axis=0),
+                             np.tile(np.arange(n_letters), len(fewer))])
+    grown = _multiset_ranks(grown, n_letters).reshape(len(fewer), s_b, o_b)
+    zero = np.all(multisets < o_b, axis=1)
+    fewer_zero = np.all(fewer < o_b, axis=1)
+
+    def block(cols, vals):
+        """One row per leading index of ``cols``, its terms along the last axis."""
+        cols = cols.reshape(-1, cols.shape[-1])
+        row_ids = np.repeat(np.arange(len(cols)), cols.shape[1])
+        values = np.broadcast_to(vals, cols.shape).ravel()
+        return sp.coo_array((values, (row_ids, cols.ravel())), shape=(len(cols), var.size))
+
+    def ns_block(cols):
+        """Per leading index and setting s > 0 of the second-last axis: the
+        sum along the last axis at s minus the same sum at setting 0."""
+        rest = cols[..., 1:, :]
+        first = np.broadcast_to(cols[..., :1, :], rest.shape)
+        return block(np.concatenate([rest, first], axis=-1), np.repeat([1.0, -1.0], cols.shape[-1]))
+
+    lhs = sp.vstack([
+        block(var[0][:, zero].reshape(1, -1),
+              np.tile(_multinomials(multisets[zero], n_letters), o_a)),
+        ns_block(np.moveaxis(var, 2, 0)),  # m, x, a
+        ns_block(var[:, :, grown]),  # x, a, m', y, b
+        block(np.transpose(var[:, :, grown[fewer_zero]], (0, 3, 1, 4, 2)),  # x, y, a, b, m'
+              _multinomials(fewer[fewer_zero], n_letters)),
+    ], format="csr")
+
+    grid = np.indices((s_b,) * n_clones + (o_b,) * n_clones).reshape(2 * n_clones, -1)
+    expand = _multiset_ranks((grid[:n_clones] * o_b + grid[n_clones:]).T, n_letters)
+    for part in (lhs.data, lhs.indices, lhs.indptr, expand):
+        part.setflags(write=False)
+    return lhs, expand
 
 
 def ns_extension(
     b: Behavior, n_clones: int, tol: float = lp.FEASIBILITY_TOL
 ) -> ExtensionCertificate | InfeasibleExtension:
-    """Symmetric no-signalling extension by LP feasibility over the raw
-    (N+1)-party table entries."""
-    import scipy.sparse as sp
+    """Symmetric no-signalling extension by LP feasibility over the
+    clone-symmetric variables of :func:`symmetric_extension_rows`.
 
+    A feasible solution is expanded to the full (N+1)-party table, where the
+    certificate's residuals are computed.  An infeasible system returns the
+    minimized L1 violation of the symmetric rows, positive iff no extension
+    exists."""
     _require_two_party(b)
     if n_clones < 1:
         raise ValueError("need at least one clone")
@@ -259,25 +347,23 @@ def ns_extension(
         raise ValueError(
             f"base behavior is signalling (violation {report.max_violation:.3e})"
         )
+    # The certificate's scenario refuses oversized tables before any row is built.
     scen = _extended_scenario(b.scenario, n_clones)
     spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "ns", tol)
 
-    blocks = [
-        ns_polytope(scen),
-        clone_symmetry_constraints(scen),
-        _pair_marginal_rows(scen, b),
-    ]
-    eq_lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
-    eq_rhs = np.concatenate([blk[1] for blk in blocks])
-
-    outcome = lp.feasibility(eq=(eq_lhs, eq_rhs), n_variables=scen.table_size, tol=tol)
+    lhs, expand = symmetric_extension_rows(b.scenario, n_clones)
+    rhs = np.concatenate([[1.0], np.zeros(lhs.shape[0] - 1 - b.table.size), b.table.ravel()])
+    outcome = lp.feasibility(eq=(lhs, rhs), n_variables=lhs.shape[1], tol=tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return InfeasibleExtension(spec, violation=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"extension LP failed: {outcome.message}")
 
-    table = np.clip(outcome.x.reshape(scen.table_shape), 0.0, None)
-    behavior = Behavior(scen, table)
+    s_a, o_a = b.scenario.settings[0], b.scenario.outcomes[0]
+    v = np.clip(outcome.x, 0.0, None).reshape(s_a, o_a, -1)
+    full = v[:, :, expand].reshape((s_a, o_a) + scen.table_shape[1:n_clones + 1]
+                                   + scen.table_shape[n_clones + 2:])
+    behavior = Behavior(scen, np.moveaxis(full, 1, n_clones + 1))
     return ExtensionCertificate(
         spec,
         behavior,
@@ -291,7 +377,8 @@ def is_n_shareable(
 ) -> ShareabilityResult:
     """Thin wrapper over the two extension constructions.
 
-    The score is 0 when an extension exists, otherwise the LP violation.
+    The score is 0 when an extension exists, otherwise the LP violation
+    (see :class:`InfeasibleExtension`).
     """
     if mode == "unrestricted":
         cert = unrestricted_extension(b, n_clones)

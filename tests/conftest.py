@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,15 @@ from monogamy import (
     Scenario,
     born_behavior,
     chsh_value,
+    deterministic_behaviors,
+    lp,
+    mixture,
     phi_plus,
     planar_observable,
+    pr_box,
 )
+from monogamy.model import ns_polytope
+from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
@@ -70,3 +77,47 @@ def random_violating_behavior(rng: np.random.Generator, threshold: float = 2.1) 
         )
         if abs(chsh_value(behavior)) > threshold:
             return behavior
+
+
+def random_ns_behavior(rng: np.random.Generator, scenario: Scenario, pr_weight: float) -> Behavior:
+    """A PR box embedded in a two-party scenario with two-outcome, two-setting
+    Bob, mixed with weight ``pr_weight`` into a random mixture of 2-5
+    deterministic vertices.  On Alice's settings beyond the first two she
+    answers 0 and Bob answers uniformly, so the embedding is no-signalling."""
+    table = np.zeros(scenario.table_shape)
+    table[:2, :, :2, :] = pr_box().table
+    table[2:, :, 0, :] = 0.5
+    vertices = deterministic_behaviors(scenario)
+    k = int(rng.integers(2, 6))
+    picks = rng.choice(len(vertices), size=k, replace=False)
+    local = mixture([vertices[i] for i in picks], list(rng.dirichlet(np.ones(k))))
+    return mixture([Behavior(scenario, table), local], [pr_weight, 1.0 - pr_weight])
+
+
+def loop_pair_marginal_rows(scen, base):
+    """Dense reference: clone 1's pair marginal, other clones at setting 0."""
+    n_clones = scen.parties - 1
+    rows, rhs = [], []
+    for sa, sb, a, bb in itertools.product(*map(range, base.scenario.table_shape)):
+        ctx = (sa, sb) + (0,) * (n_clones - 1)
+        row = np.zeros(scen.table_size)
+        for tail in itertools.product(range(scen.outcomes[1]), repeat=n_clones - 1):
+            row[flat_index(scen, ctx, (a, bb) + tail)] = 1.0
+        rows.append(row)
+        rhs.append(base.table[sa, sb, a, bb])
+    return np.array(rows), np.array(rhs)
+
+
+def full_table_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
+    """Reference NS extension LP over the raw (N+1)-party table: the NS
+    polytope, clone symmetry as transposition rows, and clone 1's pair
+    marginals."""
+    import scipy.sparse as sp
+
+    scen = _extended_scenario(base.scenario, n_clones)
+    marg_lhs, marg_rhs = loop_pair_marginal_rows(scen, base)
+    blocks = [ns_polytope(scen), clone_symmetry_constraints(scen),
+              (sp.csr_array(marg_lhs), marg_rhs)]
+    lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
+    rhs = np.concatenate([blk[1] for blk in blocks])
+    return lp.feasibility(eq=(lhs, rhs), n_variables=scen.table_size)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,25 @@ class TestShare:
         payload = json.loads(capsys.readouterr().out)
         assert payload["symmetry_residual"] == 0.0
 
+    def test_seven_clones_finish(self, uniform_path, pr_path, capsys):
+        # 480 symmetric variables for a 65 536-entry certificate.
+        for path, code in ((uniform_path, 0), (pr_path, 1)):
+            start = time.perf_counter()
+            assert main(["share", "--in", path, "--n", "7", "--mode", "ns"]) == code
+            assert time.perf_counter() - start < 10.0
+        capsys.readouterr()
+
+    def test_eight_clones_refused_before_rows(self, uniform_path, monkeypatch, capsys):
+        # 4^9 = 262 144 certificate entries exceed EXTENSION_TABLE_CAP.
+        built = []
+        monkeypatch.setattr(sharing, "symmetric_extension_rows",
+                            lambda *args: built.append(args))
+        assert main(["share", "--in", uniform_path, "--n", "8", "--mode", "ns"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds cap {sharing.EXTENSION_TABLE_CAP}" in captured.err
+        assert built == []
+
     def test_out_of_memory_is_an_error(self, uniform_path, monkeypatch, capsys):
         # Exit 1 would read as "not shareable".
         def exhausted(*args, **kwargs):
@@ -180,6 +200,13 @@ class TestChsh:
     def test_missing_angles(self, capsys):
         assert main(["chsh", "--state", "phi_plus"]) == 2
 
+    def test_negative_first_angle_as_separate_value(self, capsys):
+        angles = "-0.7854,0,0.7854,1.5708"
+        assert main(["chsh", "--state", "phi_plus", f"--angles={angles}"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["chsh", "--state", "phi_plus", "--angles", angles]) == 0
+        assert capsys.readouterr().out == joined
+
     def test_state_file_input(self, tmp_path, capsys):
         from monogamy import phi_plus
 
@@ -215,6 +242,14 @@ class TestCg:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--angles" in captured.err
+
+    def test_negative_first_angle_as_separate_value(self, capsys):
+        angles = "-0.5,2.1,0,-1,1,0,-1,1,0"
+        args = ["cg", "--state", "cg", "--mu", "0.9"]
+        assert main(args + [f"--angles={angles}"]) == 0
+        joined = capsys.readouterr().out
+        assert main(args + ["--angles", angles]) == 0
+        assert capsys.readouterr().out == joined
 
     def test_behavior_evaluation(self, tmp_path, capsys):
         from monogamy import Scenario, deterministic_box

@@ -2,6 +2,7 @@
 no-signalling feasibility."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from monogamy import (
     Behavior,
     ExtensionCertificate,
     InfeasibleExtension,
+    LpStatus,
     Scenario,
     chsh_value,
     deterministic_box,
@@ -29,12 +31,19 @@ from monogamy.sharing import (
     _marginal_residual_ns,
     _marginal_residual_unrestricted,
     _outcome_symmetry_residual,
-    _pair_marginal_rows,
     clone_symmetry_constraints,
     discard_last_clone,
+    symmetric_extension_rows,
 )
 from monogamy.localpoly import deterministic_behaviors
-from conftest import chsh_scenario, flat_index, random_behavior, tsirelson_behavior
+from conftest import (
+    chsh_scenario,
+    flat_index,
+    full_table_extension_lp,
+    random_behavior,
+    random_ns_behavior,
+    tsirelson_behavior,
+)
 
 
 class TestUnrestricted:
@@ -116,6 +125,11 @@ class TestNsExtension:
         assert _joint_symmetry_residual(reduced) <= 1e-6
         assert _marginal_residual_ns(reduced, base) <= 1e-6
 
+    def test_pr_box_five_clones_infeasible(self):
+        result = ns_extension(pr_box(), 5)
+        assert isinstance(result, InfeasibleExtension)
+        assert result.violation > 1e-3
+
 
     def test_uniform_five_clones_feasible(self):
         result = ns_extension(uniform_box(chsh_scenario()), 5)
@@ -179,20 +193,6 @@ def loop_symmetry_rows(scen):
     return np.array(rows).reshape(-1, scen.table_size)
 
 
-def loop_pair_marginal_rows(scen, base):
-    """Dense reference: clone 1's pair marginal, other clones at setting 0."""
-    n_clones = scen.parties - 1
-    rows, rhs = [], []
-    for sa, sb, a, bb in itertools.product(*map(range, base.scenario.table_shape)):
-        ctx = (sa, sb) + (0,) * (n_clones - 1)
-        row = np.zeros(scen.table_size)
-        for tail in itertools.product(range(scen.outcomes[1]), repeat=n_clones - 1):
-            row[flat_index(scen, ctx, (a, bb) + tail)] = 1.0
-        rows.append(row)
-        rhs.append(base.table[sa, sb, a, bb])
-    return np.array(rows), np.array(rhs)
-
-
 class TestExtensionRows:
     BASES = (Scenario(2, (2, 2), (2, 2)), Scenario(2, (3, 2), (3, 2)))
 
@@ -205,16 +205,41 @@ class TestExtensionRows:
         assert np.array_equal(lhs.toarray(), loop_symmetry_rows(scen))
         assert np.array_equal(rhs, np.zeros(lhs.shape[0]))
 
+    # The 2x2 base at 1-4 clones and the (3,2)/(3,2) base at 1-3 clones.
+    CROSS_CHECK = [
+        pytest.param(base, n_clones, id=f"{n_clones}-base{i}")
+        for i, (base, most) in enumerate(zip(BASES, (4, 3)))
+        for n_clones in range(1, most + 1)
+    ]
+
+    @pytest.mark.parametrize("base, n_clones", CROSS_CHECK)
+    def test_symmetric_lp_matches_full_table_lp(self, base, n_clones, rng):
+        # Local, mixed and PR-dominated bases: both verdicts occur for N >= 2.
+        for pr_weight in (0.0, 0.4, 0.9):
+            b = random_ns_behavior(rng, base, pr_weight)
+            reference = full_table_extension_lp(b, n_clones)
+            assert reference.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
+            result = ns_extension(b, n_clones)
+            assert isinstance(result, ExtensionCertificate) == (
+                reference.status == LpStatus.OPTIMAL
+            )
+            if isinstance(result, ExtensionCertificate):
+                assert _joint_symmetry_residual(result.behavior) == 0.0
+                assert result.symmetry_residual == 0.0
+                assert is_no_signalling(result.behavior, tol=1e-6).is_no_signalling
+                assert result.marginal_residual <= 1e-6
+            else:
+                assert result.violation > 0
+
     @pytest.mark.parametrize("base", BASES)
-    @pytest.mark.parametrize("n_clones", (1, 2, 3, 4))
-    def test_pair_marginal_rows_match_loop(self, base, n_clones, rng):
-        scen = _extended_scenario(base, n_clones)
-        b = random_behavior(rng, base)
-        lhs, rhs = _pair_marginal_rows(scen, b)
-        ref_lhs, ref_rhs = loop_pair_marginal_rows(scen, b)
-        assert lhs.format == "csr"
-        assert np.array_equal(lhs.toarray(), ref_lhs)
-        assert np.array_equal(rhs, ref_rhs)
+    def test_variable_count(self, base):
+        # One variable per Alice (setting, outcome) and multiset of four
+        # clone letters: s_A * o_A * C(4 + 3, 3) for a two-setting,
+        # two-outcome Bob.
+        lhs, expand = symmetric_extension_rows(base, 4)
+        assert lhs.shape[1] == base.settings[0] * base.outcomes[0] * math.comb(7, 3)
+        assert expand.size == 4**4
+        assert not lhs.data.flags.writeable
 
 
 class TestWrapper:
