@@ -118,7 +118,7 @@ class TestShare:
         assert main(["validate", "--in", str(cert)]) == 0
 
     def test_uniform_feasible_at_five(self, uniform_path, capsys):
-        # 4096 variables; the elastic phase-one must stay sparse to fit.
+        # 224 symmetric variables for a 4 096-entry certificate.
         assert main(["share", "--in", uniform_path, "--n", "5", "--mode", "ns"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "feasible"
 
