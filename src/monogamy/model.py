@@ -427,25 +427,25 @@ def partial_local_box(
 # ---------------------------------------------------------------------------
 
 def normalization_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
-    """Equality rows requiring each context's outcomes to sum to 1."""
+    """The one equality row requiring the all-zero context's outcomes to sum
+    to 1.  The no-signalling rows give every context the same total, so
+    together with them this row normalizes every context."""
     import scipy.sparse as sp
 
     per_context = scenario.table_size // scenario.n_contexts
     rows = sp.csr_array(
-        (
-            np.ones(scenario.table_size),
-            np.arange(scenario.table_size),
-            np.arange(scenario.n_contexts + 1) * per_context,
-        ),
-        shape=(scenario.n_contexts, scenario.table_size),
+        (np.ones(per_context), np.arange(per_context), np.array([0, per_context])),
+        shape=(1, scenario.table_size),
     )
-    return rows, np.ones(scenario.n_contexts)
+    return rows, np.ones(1)
 
 
 def no_signalling_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
-    """Equality rows: for every party, pair of its settings, context of the
-    other parties, and outcome tuple of the other parties, the summed-out
-    marginals agree."""
+    """Equality rows: for every party, setting j >= 1 of that party, context
+    of the other parties, and outcome tuple of the other parties, the
+    marginal with party k's outcome summed out agrees with the one at
+    setting 0.  Equality is transitive, so the pairs (i, j) with i >= 1
+    would add no constraint."""
     import scipy.sparse as sp
 
     n = scenario.parties
@@ -456,10 +456,9 @@ def no_signalling_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndar
         # Axes: party k's setting, the others' settings and outcomes, then
         # party k's outcome, which each row sums over.
         by_k = np.moveaxis(index, (k, n + k), (0, -1))
-        pairs = itertools.combinations(range(scenario.settings[k]), 2)
-        pairs = np.array(list(pairs), dtype=int).reshape(-1, 2)
-        p_block = by_k[pairs[:, 0]].reshape(-1, scenario.outcomes[k])
-        m_block = by_k[pairs[:, 1]].reshape(-1, scenario.outcomes[k])
+        later = by_k[1:]
+        p_block = np.broadcast_to(by_k[:1], later.shape).reshape(-1, scenario.outcomes[k])
+        m_block = later.reshape(-1, scenario.outcomes[k])
         # Blocks differ in width when outcome counts differ, so they are
         # raveled before they are joined.
         plus.append(p_block.ravel())
@@ -478,9 +477,11 @@ def no_signalling_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndar
 
 @functools.lru_cache(maxsize=8)
 def ns_polytope(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
-    """Equality rows of the no-signalling polytope over the flat table:
-    normalization stacked over no-signalling, as a CSR matrix.  Memoised per
-    scenario and returned read-only."""
+    """Equality rows of the no-signalling polytope over the flat table: the
+    one normalization row stacked over the no-signalling rows against each
+    party's setting 0, as a CSR matrix.  They span the same row space as
+    every context's normalization and every pair of settings, with fewer
+    rows.  Memoised per scenario and returned read-only."""
     import scipy.sparse as sp
 
     norm = normalization_constraints(scenario)

@@ -23,10 +23,12 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     Behavior,
     Scenario,
     correlator,
+    is_no_signalling,
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
     ns_polytope,
+    validate_behavior,
 )
 from .quantum import (
     IDENTITY_2,
@@ -304,8 +306,24 @@ def ns_maximum(
     outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs), tol)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
-    table = np.clip(outcome.x.reshape(scenario.table_shape), 0.0, None)
-    return float(outcome.value), Behavior(scenario, table)
+    return float(outcome.value), _ns_table(scenario, outcome.x, tol)
+
+
+def _ns_table(scenario: Scenario, x: np.ndarray, tol: float) -> Behavior:
+    """An LP solution clipped to a behavior and re-checked against the
+    model's own definitions, every pair of settings and every context's
+    normalization, at the LP's 10 * tol acceptance: the LP itself verified
+    only the rows of ``ns_polytope``."""
+    behavior = Behavior(scenario, np.clip(x.reshape(scenario.table_shape), 0.0, None))
+    signalling = is_no_signalling(behavior, 10 * tol)
+    validity = validate_behavior(behavior, 10 * tol)
+    if not (signalling.is_no_signalling and validity.passed):
+        raise RuntimeError(
+            "no-signalling LP optimum fails the definitions: signalling "
+            f"{signalling.max_violation:.3e}, normalization "
+            f"{validity.max_normalization_deviation:.3e}"
+        )
+    return behavior
 
 
 def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[SupportPoint]:
@@ -665,9 +683,16 @@ def pb_scenario() -> Scenario:
 
 
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
-    """Eight sign-pattern LPs for the maximum of |C_ab| + |C_ac| + |C_ad|
-    over the four-party no-signalling polytope, plus the max-min LP for the
-    simultaneous double-violation question."""
+    """The maximum of |C_ab| + |C_ac| + |C_ad| over the four-party
+    no-signalling polytope, through its eight sign patterns, plus the
+    max-min LP for the simultaneous double-violation question.
+
+    Parties b, c and d enter the objective and the polytope symmetrically,
+    so a sign pattern has the optimum of its sorted representative
+    (+ before -), reached at the representative's table with those parties
+    permuted.  Four LPs, one per representative, fill all eight patterns;
+    the max-min LP is the fifth.
+    """
     import scipy.sparse as sp
 
     scenario = pb_scenario()
@@ -678,12 +703,18 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         for pair in ((0, 1), (0, 2), (0, 3))
     }
 
+    optima = {}
     sign_values = []
     best_value, best_behavior = -np.inf, None
     for signs in itertools.product((1, -1), repeat=3):
-        objective = sum(s * obj for s, obj in zip(signs, objectives.values()))
-        value, behavior = ns_maximum(scenario, objective, tol)
+        representative = tuple(sorted(signs, reverse=True))
+        if representative not in optima:
+            objective = sum(s * obj for s, obj in zip(representative, objectives.values()))
+            optima[representative] = ns_maximum(scenario, objective, tol)
+        value, behavior = optima[representative]
         sign_values.append((signs, value))
+        # Each representative comes first in its orbit in product order, so
+        # the first maximum, which ties keep, is a representative's own table.
         if value > best_value:
             best_value, best_behavior = value, behavior
 
@@ -711,7 +742,6 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"max-min LP failed: {outcome.status} {outcome.message}")
     t_star = float(outcome.value)
-    t_table = np.clip(outcome.x[:n].reshape(scenario.table_shape), 0.0, None)
 
     return PbProbeReport(
         sign_values=tuple(sign_values),
@@ -722,5 +752,5 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         t_star=t_star,
         t_threshold=2.0 * local_bound,
         t_exceeds=t_star > 2.0 * local_bound + 1e-6,
-        t_behavior=Behavior(scenario, t_table),
+        t_behavior=_ns_table(scenario, outcome.x[:n], tol),
     )

@@ -311,6 +311,15 @@ class TestSweep:
         assert values[0] == pytest.approx(2.0)
 
 
+class TestPbProbeCommand:
+    def test_findings(self, capsys):
+        assert main(["pbprobe"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["sign_values"]) == 8
+        assert payload["max_abs_sum"] == pytest.approx(24.0, abs=1e-6)
+        assert payload["t_star"] == pytest.approx(10.0, abs=1e-6)
+
+
 class TestCgSearchCommand:
     def test_finds_violation(self, capsys):
         code = main(["cgsearch", "--grid", "11", "--restarts", "2", "--seed", "5"])

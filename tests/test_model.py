@@ -24,6 +24,7 @@ from monogamy import (
 )
 from monogamy.localpoly import deterministic_behaviors
 from monogamy.model import no_signalling_constraints, normalization_constraints, ns_polytope
+from monogamy.tradeoffs import pb_scenario
 from conftest import chsh_scenario, flat_index, random_behavior
 
 
@@ -123,23 +124,30 @@ class TestNoSignalling:
         assert report.is_no_signalling
 
 
-def loop_normalization_rows(s):
-    """Dense reference: one row per context over its outcome tuples."""
-    rows = np.zeros((s.n_contexts, s.table_size))
-    for r, ctx in enumerate(s.contexts()):
+def loop_normalization_rows(s, all_contexts=False):
+    """Dense reference: one row over the outcome tuples of the all-zero
+    context, or of every context with ``all_contexts``."""
+    contexts = list(s.contexts()) if all_contexts else [(0,) * s.parties]
+    rows = np.zeros((len(contexts), s.table_size))
+    for r, ctx in enumerate(contexts):
         for outs in s.outcome_tuples():
             rows[r, flat_index(s, ctx, outs)] = 1.0
     return rows
 
 
-def loop_no_signalling_rows(s):
-    """Dense reference: per party k, pair of its settings, context and
-    outcomes of the other parties (row-major), party k's marginal at the
-    first setting minus that at the second."""
+def loop_no_signalling_rows(s, all_pairs=False):
+    """Dense reference: per party k, pair (0, j) of its settings (every pair
+    with ``all_pairs``), context and outcomes of the other parties
+    (row-major), party k's marginal at the first setting minus that at the
+    second."""
     rows = []
     for k in range(s.parties):
         others = [p for p in range(s.parties) if p != k]
-        for s1, s2 in itertools.combinations(range(s.settings[k]), 2):
+        if all_pairs:
+            pairs = itertools.combinations(range(s.settings[k]), 2)
+        else:
+            pairs = ((0, j) for j in range(1, s.settings[k]))
+        for s1, s2 in pairs:
             for ctx in itertools.product(*(range(s.settings[p]) for p in others)):
                 for outs in itertools.product(*(range(s.outcomes[p]) for p in others)):
                     row = np.zeros(s.table_size)
@@ -211,7 +219,19 @@ class TestNsPolytope:
         assert ns_polytope(chsh_scenario())[0] is lhs
         assert lhs.format == "csr"
         assert not lhs.data.flags.writeable and not rhs.flags.writeable
-        assert lhs.shape == (4 + 8, 16)
+        assert lhs.shape == (1 + 8, 16)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS + (pb_scenario(),))
+    def test_same_row_space_as_all_pairs(self, scenario):
+        """The rows span what every context's normalization and every pair
+        of settings span, so they cut out the same polytope."""
+        new = ns_polytope(scenario)[0].toarray()
+        old = np.vstack([
+            loop_normalization_rows(scenario, all_contexts=True),
+            loop_no_signalling_rows(scenario, all_pairs=True),
+        ])
+        rank = np.linalg.matrix_rank
+        assert rank(new) == rank(old) == rank(np.vstack([new, old]))
 
 
 class TestMarginal:

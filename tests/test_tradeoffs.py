@@ -1,5 +1,6 @@
 """Trade-off checkers, support sweeps, and violation searches."""
 
+import itertools
 import math
 
 import numpy as np
@@ -221,6 +222,106 @@ class TestNsSupport:
         assert np.allclose(base, mirrored, atol=1e-6)
         flipped = [p.value for p in ns_support(thetas + math.pi)]
         assert np.allclose(base, flipped, atol=1e-6)
+
+
+class TestNsMaximum:
+    @staticmethod
+    def marginal_objective():
+        """p(a = 0 | x = 0, y = 0) + p(a = 1 | x = 0, y = 1): 1 over the NS
+        polytope, 2 over normalized tables, where only signalling reaches it."""
+        scenario = Scenario(2, (2, 2), (2, 2))
+        objective = np.zeros(scenario.table_shape)
+        objective[0, 0, 0, :] = 1.0
+        objective[0, 1, 1, :] = 1.0
+        return scenario, objective.reshape(-1)
+
+    def test_ns_optimum(self):
+        scenario, objective = self.marginal_objective()
+        value, _ = tradeoffs.ns_maximum(scenario, objective)
+        assert value == pytest.approx(1.0, abs=1e-9)
+
+    def test_signalling_optimum_raises(self, monkeypatch):
+        """With normalization rows only, the LP accepts a signalling table;
+        the independent check must refuse it."""
+        import scipy.sparse as sp
+
+        scenario, objective = self.marginal_objective()
+        per_context = scenario.table_size // scenario.n_contexts
+        rows = sp.kron(
+            sp.eye_array(scenario.n_contexts), np.ones((1, per_context)), format="csr"
+        )
+        monkeypatch.setattr(
+            tradeoffs, "ns_polytope", lambda s: (rows, np.ones(s.n_contexts))
+        )
+        with pytest.raises(RuntimeError, match="fails the definitions"):
+            tradeoffs.ns_maximum(scenario, objective)
+
+
+class TestPbProbe:
+    @pytest.fixture(scope="class")
+    def probe(self):
+        """The report and the number of LPs it solved."""
+        calls = []
+        solve = tradeoffs.lp.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tradeoffs.lp, "solve", counting_solve)
+            report = tradeoffs.pb_probe()
+        return report, len(calls)
+
+    def test_values(self, probe):
+        report, _ = probe
+        values = [value for _, value in report.sign_values]
+        assert [signs for signs, _ in report.sign_values] == list(
+            itertools.product((1, -1), repeat=3)
+        )
+        assert values == pytest.approx([12, 16, 16, 20, 16, 20, 20, 24], abs=1e-6)
+        assert report.max_sum == pytest.approx(24.0, abs=1e-6)
+        assert report.t_star == pytest.approx(10.0, abs=1e-6)
+
+    def test_tables_reproduce_values(self, probe):
+        from monogamy import is_no_signalling, validate_behavior
+
+        report, _ = probe
+        scenario = tradeoffs.pb_scenario()
+        rows = [
+            functional_row(scenario, collins_gisin(), pair)
+            for pair in ((0, 1), (0, 2), (0, 3))
+        ]
+        for behavior in (report.argmax_behavior, report.t_behavior):
+            assert validate_behavior(behavior, tol=1e-7).passed
+            assert is_no_signalling(behavior, tol=1e-7).is_no_signalling
+        signs, value = max(report.sign_values, key=lambda item: item[1])
+        values = [row @ report.argmax_behavior.table.reshape(-1) for row in rows]
+        assert value == report.max_sum
+        assert sum(s * v for s, v in zip(signs, values)) == pytest.approx(value, abs=1e-6)
+        ab, ac, ad = (row @ report.t_behavior.table.reshape(-1) for row in rows)
+        assert min(ab + ac, ab + ad) == pytest.approx(report.t_star, abs=1e-6)
+
+    def test_peer_permutation_permutes_objectives(self, rng):
+        """Permuting parties b, c and d of any table permutes the three pair
+        values, which is why a sign pattern shares its orbit's optimum."""
+        scenario = tradeoffs.pb_scenario()
+        rows = [
+            functional_row(scenario, collins_gisin(), pair)
+            for pair in ((0, 1), (0, 2), (0, 3))
+        ]
+        table = rng.random(scenario.table_shape)
+        values = [row @ table.reshape(-1) for row in rows]
+        for peers in itertools.permutations((1, 2, 3)):
+            parties = (0, *peers)
+            moved = table.transpose(parties + tuple(4 + p for p in parties))
+            moved_values = [row @ moved.reshape(-1) for row in rows]
+            assert moved_values == pytest.approx([values[p - 1] for p in peers], abs=1e-12)
+
+    def test_one_lp_per_sign_orbit(self, probe):
+        # Four orbit representatives plus the max-min LP.
+        _, calls = probe
+        assert calls == 5
 
 
 class TestQuantumSearch:
