@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, infile=False, state=False, angles=False, grid=False, tol=1e-9):
+    def common(p, infile=False, state=False, angles=False, grid=None, tol=1e-9):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--tol", type=float, default=tol, help="numeric tolerance")
         if infile:
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         if angles:
             p.add_argument("--angles", default=None, help="comma-separated radians")
         if grid:
-            p.add_argument("--grid", type=int, default=41, help="grid size")
+            p.add_argument("--grid", type=int, default=41, help=f"number of {grid}")
+            p.set_defaults(grid_counts=grid)
             p.add_argument("--restarts", type=int, default=12, help="search restarts")
             p.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ckw)
 
     p = sub.add_parser("sweep", help="support-function trace as CSV")
-    common(p, grid=True)
+    common(p, grid="theta directions")
     p.add_argument(
         "--class",
         dest="cls",
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cgsearch", help="double-violation search over the cg family")
-    common(p, grid=True)
+    common(p, grid="mu values")
     p.set_defaults(func=cmd_cgsearch)
 
     p = sub.add_parser("pbprobe", help="four-party no-signalling probe")
@@ -410,6 +411,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     if getattr(args, "tol", None) is not None and not (math.isfinite(args.tol) and args.tol > 0):
         sys.stderr.write("error: --tol must be positive and finite\n")
+        return 2
+    if getattr(args, "grid", None) is not None and args.grid < 1:
+        sys.stderr.write(f"error: --grid must be at least 1 (the number of {args.grid_counts})\n")
+        return 2
+    if getattr(args, "restarts", None) is not None and args.restarts < 0:
+        sys.stderr.write("error: --restarts must be non-negative\n")
         return 2
     try:
         return args.func(args)

@@ -13,7 +13,7 @@ or solve a program, so importing this module does not load it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,6 +101,8 @@ class LpOutcome:
     # Minimized total L1 constraint violation; positive only when infeasible.
     violation: float = 0.0
     message: str = ""
+    # HiGHS iterations summed over the solves behind this outcome.
+    iterations: int = 0
 
 
 def _as_matrix(a) -> np.ndarray | sp.csr_array:
@@ -168,6 +170,7 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
         lp.eq_rhs,
         lp.effective_bounds(),
     )
+    iterations = int(result.nit)
     if result.status == 0:
         x = np.asarray(result.x, dtype=float)
         residual = constraint_residual(lp, x)
@@ -177,12 +180,14 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
                 x=x,
                 max_residual=residual,
                 message=f"solution residual {residual:.3e} exceeds 10*tol",
+                iterations=iterations,
             )
         return LpOutcome(
             LpStatus.OPTIMAL,
             x=x,
             value=float(lp.objective @ x),
             max_residual=residual,
+            iterations=iterations,
         )
     if result.status == 2:
         # Confirm with the elastic phase-one so callers get a violation score.
@@ -193,15 +198,17 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
             n_variables=lp.n_variables,
             tol=tol,
         )
+        iterations += phase1.iterations
         if phase1.status == LpStatus.OPTIMAL:
             return LpOutcome(
                 LpStatus.FAILED,
                 message="solver reported infeasible but phase-one found a point",
+                iterations=iterations,
             )
-        return phase1
+        return replace(phase1, iterations=iterations)
     if result.status == 3:
-        return LpOutcome(LpStatus.UNBOUNDED, message=result.message)
-    return LpOutcome(LpStatus.FAILED, message=result.message)
+        return LpOutcome(LpStatus.UNBOUNDED, message=result.message, iterations=iterations)
+    return LpOutcome(LpStatus.FAILED, message=result.message, iterations=iterations)
 
 
 def feasibility(
@@ -253,10 +260,12 @@ def feasibility(
         eq_rhs if m_eq else None,
         var_bounds,
     )
+    iterations = int(result.nit)
     if result.status != 0:
         return LpOutcome(
             LpStatus.FAILED,
             message=f"elastic phase-one did not solve: {result.message}",
+            iterations=iterations,
         )
     total_violation = float(result.fun)
     x = np.asarray(result.x[:n], dtype=float)
@@ -265,6 +274,7 @@ def feasibility(
             LpStatus.INFEASIBLE,
             violation=total_violation,
             message=f"minimum total violation {total_violation:.3e}",
+            iterations=iterations,
         )
     check = LinearProgram(
         np.zeros(n),
@@ -275,4 +285,6 @@ def feasibility(
         bounds=bounds,
     )
     residual = constraint_residual(check, x)
-    return LpOutcome(LpStatus.OPTIMAL, x=x, value=0.0, max_residual=residual)
+    return LpOutcome(
+        LpStatus.OPTIMAL, x=x, value=0.0, max_residual=residual, iterations=iterations
+    )

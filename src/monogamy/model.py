@@ -493,6 +493,56 @@ def ns_polytope(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
     return lhs, rhs
 
 
+def permute_parties(scenario: Scenario, flat: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """A flat table with its parties permuted: party i of the result is
+    party ``perm[i]`` of ``flat``, settings and outcomes alike."""
+    axes = tuple(perm) + tuple(scenario.parties + p for p in perm)
+    return np.asarray(flat).reshape(scenario.table_shape).transpose(axes).ravel()
+
+
+@functools.lru_cache(maxsize=8)
+def ns_orbit_polytope(
+    scenario: Scenario, generators: tuple[tuple[int, ...], ...]
+) -> tuple[sp.csr_array, np.ndarray, np.ndarray]:
+    """The rows of :func:`ns_polytope` over one variable per orbit of table
+    entries under the party permutations that ``generators`` span.
+
+    Returns the reduced rows ``lhs @ P``, where ``P`` is the 0/1 matrix of
+    entry j in orbit ``orbit[j]``, the unchanged right-hand side, and the
+    orbit map: a table with one value y[k] per orbit is ``y[orbit]``.
+    Orbits are ranked by their smallest entry.  Every party permutation
+    that keeps settings and outcome counts maps the NS polytope onto
+    itself, so a generator that does not is refused.  Memoised per
+    (scenario, generators) and returned read-only."""
+    import scipy.sparse as sp
+
+    size = scenario.table_size
+    kinds = list(zip(scenario.settings, scenario.outcomes))
+    for perm in generators:
+        if sorted(perm) != list(range(scenario.parties)) or [kinds[p] for p in perm] != kinds:
+            raise ValueError(f"{perm} is not a party symmetry of the scenario")
+    images = [permute_parties(scenario, np.arange(size), perm) for perm in generators]
+    # Entries j and images[g][j] share an orbit: push each entry's smallest
+    # known orbit member along the generators until nothing changes.
+    label = np.arange(size)
+    while True:
+        smallest = label
+        for image in images:
+            smallest = np.minimum(smallest, smallest[image])
+        if np.array_equal(smallest, label):
+            break
+        label = smallest
+    orbit = np.unique(label, return_inverse=True)[1]
+    members = sp.csr_array(
+        (np.ones(size), (np.arange(size), orbit)), shape=(size, int(orbit.max()) + 1)
+    )
+    full_lhs, rhs = ns_polytope(scenario)
+    lhs = (full_lhs @ members).tocsr()
+    for part in (lhs.data, lhs.indices, lhs.indptr, orbit):
+        part.setflags(write=False)
+    return lhs, rhs, orbit
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------

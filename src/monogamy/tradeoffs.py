@@ -27,7 +27,9 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
+    ns_orbit_polytope,
     ns_polytope,
+    permute_parties,
     validate_behavior,
 )
 from .quantum import (
@@ -502,9 +504,18 @@ def _separable_orthogonal_pair(beta_1: float, beta_2: float) -> float:
     )
 
 
+def _require_restarts(restarts: int) -> None:
+    """The separable searches start only from random points, so they need
+    at least one."""
+    if restarts < 1:
+        raise ValueError(f"the separable search needs at least one restart, got {restarts}")
+
+
 def separable_orthogonal_max(restarts: int, rng: np.random.Generator) -> float:
     """Numerical maximum of |CHSH| over product two-qubit states with fixed
-    orthogonal sigma_x / sigma_z settings on both sides."""
+    orthogonal sigma_x / sigma_z settings on both sides.  ``restarts``
+    below 1 raises ValueError."""
+    _require_restarts(restarts)
     best = 0.0
     for sign in (1.0, -1.0):
         def objective(x, s=sign):
@@ -520,7 +531,12 @@ def separable_orthogonal_support(
 ) -> list[SupportPoint]:
     """Support trace of the product-state region under orthogonal settings:
     per direction, maximize over planar Bloch angles of three product
-    qubits."""
+    qubits.  ``restarts`` below 1 raises ValueError.
+
+    ``params`` holds ``starts``, ``evaluations`` (the summed simplex
+    objective evaluations) and ``ceiling_gap``: the closed form
+    sqrt(2) (|cos theta| + |sin theta|) minus the value."""
+    _require_restarts(restarts)
     points = []
     for theta in thetas:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -531,7 +547,19 @@ def separable_orthogonal_support(
             return c * ab + s * ac
 
         starts = [rng.uniform(-math.pi, math.pi, 3) for _ in range(restarts)]
-        points.append(SupportPoint(float(theta), _best_of(objective, starts)[0]))
+        value, _, evaluations = _best_of(objective, starts)
+        ceiling = math.sqrt(2.0) * (abs(cos_t) + abs(sin_t))
+        points.append(
+            SupportPoint(
+                float(theta),
+                value,
+                params={
+                    "starts": len(starts),
+                    "evaluations": evaluations,
+                    "ceiling_gap": ceiling - value,
+                },
+            )
+        )
     return points
 
 
@@ -682,6 +710,81 @@ def pb_scenario() -> Scenario:
     return Scenario(4, (3, 3, 3, 3), (2, 2, 2, 2))
 
 
+# Party permutations of the probe's scenario that swap two of b, c and d:
+# party i of the permuted table is party perm[i] of the original.
+_SWAP_BC = (0, 2, 1, 3)
+_SWAP_CD = (0, 1, 3, 2)
+
+
+def _require_invariant(
+    scenario: Scenario, functionals: list[np.ndarray], generators: tuple[tuple[int, ...], ...]
+) -> None:
+    """ValueError unless every generator's party permutation maps each
+    functional onto one of ``functionals``, so that the LP over them is
+    invariant under the group the generators span."""
+    for perm in generators:
+        for f in functionals:
+            moved = permute_parties(scenario, f, perm)
+            if not any(np.allclose(moved, g, rtol=0.0, atol=1e-12) for g in functionals):
+                raise ValueError(f"objective is not invariant under the party permutation {perm}")
+
+
+def _ns_orbit_max_min(
+    scenario: Scenario,
+    functionals: list[np.ndarray],
+    generators: tuple[tuple[int, ...], ...],
+    tol: float,
+) -> tuple[float, Behavior]:
+    """The maximum over the no-signalling polytope of the smallest of the
+    ``functionals``' values, solved over one variable per orbit of
+    :func:`ns_orbit_polytope`.
+
+    The polytope is invariant under every party permutation, and the group
+    permutes the functionals among themselves (checked first), so averaging
+    an optimum over the group gives one that is constant on orbits.  One
+    functional is maximized directly; several take a variable t with one
+    row t <= f @ x each.  The orbit solution is expanded to the full table,
+    which ``_ns_table`` re-checks.  The value is recomputed there, and the
+    max-min rows are re-evaluated there at the LP's 10 * tol acceptance."""
+    import scipy.sparse as sp
+
+    eq_lhs, eq_rhs, orbit = ns_orbit_polytope(scenario, generators)
+    _require_invariant(scenario, functionals, generators)
+    n_orbits = eq_lhs.shape[1]
+    reduced = [np.bincount(orbit, weights=f) for f in functionals]
+    if len(functionals) == 1:
+        program = lp.LinearProgram(reduced[0], eq_lhs=eq_lhs, eq_rhs=eq_rhs)
+    else:
+        program = lp.LinearProgram(
+            np.concatenate([np.zeros(n_orbits), [1.0]]),
+            eq_lhs=sp.hstack([eq_lhs, sp.csr_array((eq_lhs.shape[0], 1))], format="csr"),
+            eq_rhs=eq_rhs,
+            ub_lhs=np.column_stack([-np.array(reduced), np.ones(len(reduced))]),
+            ub_rhs=np.zeros(len(reduced)),
+            bounds=[(0.0, None)] * n_orbits + [(None, None)],
+        )
+    outcome = lp.solve(program, tol)
+    if outcome.status != lp.LpStatus.OPTIMAL:
+        raise RuntimeError(f"no-signalling orbit LP failed: {outcome.status} {outcome.message}")
+    x = outcome.x[orbit]
+    table = _ns_table(scenario, x, tol)
+    values = [float(f @ x) for f in functionals]
+    if len(functionals) == 1:
+        return values[0], table
+    if min(values) < outcome.value - 10 * tol:
+        raise RuntimeError(
+            f"max-min optimum {outcome.value!r} exceeds its rows on the full table: {values}"
+        )
+    return outcome.value, table
+
+
+def _equal_sign_swaps(signs: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """The swaps of neighbouring peers with equal signs: they generate the
+    permutations of b, c and d that fix a sorted sign pattern."""
+    swaps = (_SWAP_BC, _SWAP_CD)
+    return tuple(swap for i, swap in enumerate(swaps) if signs[i] == signs[i + 1])
+
+
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     """The maximum of |C_ab| + |C_ac| + |C_ad| over the four-party
     no-signalling polytope, through its eight sign patterns, plus the
@@ -691,17 +794,16 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     so a sign pattern has the optimum of its sorted representative
     (+ before -), reached at the representative's table with those parties
     permuted.  Four LPs, one per representative, fill all eight patterns;
-    the max-min LP is the fifth.
+    the max-min LP is the fifth.  Each LP runs over the orbits of the peer
+    permutations that fix it: S3 of b, c, d for (+++) and (---), b <-> c
+    for (++-), and c <-> d for (+--) and the max-min LP.
     """
-    import scipy.sparse as sp
-
     scenario = pb_scenario()
     functional = collins_gisin()
     local_bound = functional.local_bound
-    objectives = {
-        pair: functional_row(scenario, functional, pair)
-        for pair in ((0, 1), (0, 2), (0, 3))
-    }
+    ab, ac, ad = (
+        functional_row(scenario, functional, pair) for pair in ((0, 1), (0, 2), (0, 3))
+    )
 
     optima = {}
     sign_values = []
@@ -709,8 +811,10 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     for signs in itertools.product((1, -1), repeat=3):
         representative = tuple(sorted(signs, reverse=True))
         if representative not in optima:
-            objective = sum(s * obj for s, obj in zip(representative, objectives.values()))
-            optima[representative] = ns_maximum(scenario, objective, tol)
+            objective = sum(s * obj for s, obj in zip(representative, (ab, ac, ad)))
+            optima[representative] = _ns_orbit_max_min(
+                scenario, [objective], _equal_sign_swaps(representative), tol
+            )
         value, behavior = optima[representative]
         sign_values.append((signs, value))
         # Each representative comes first in its orbit in product order, so
@@ -718,30 +822,7 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         if value > best_value:
             best_value, best_behavior = value, behavior
 
-    # Max-min LP: variables (table, t), maximize t.
-    eq_lhs, eq_rhs = ns_polytope(scenario)
-    n = scenario.table_size
-    eq_lhs_t = sp.hstack([eq_lhs, sp.csr_array((eq_lhs.shape[0], 1))], format="csr")
-    ub_rows = []
-    for pair in ((0, 2), (0, 3)):
-        row = np.concatenate([-(objectives[(0, 1)] + objectives[pair]), [1.0]])
-        ub_rows.append(row)
-    objective_t = np.concatenate([np.zeros(n), [1.0]])
-    bounds = [(0.0, None)] * n + [(None, None)]
-    outcome = lp.solve(
-        lp.LinearProgram(
-            objective_t,
-            eq_lhs=eq_lhs_t,
-            eq_rhs=eq_rhs,
-            ub_lhs=np.array(ub_rows),
-            ub_rhs=np.zeros(2),
-            bounds=bounds,
-        ),
-        tol,
-    )
-    if outcome.status != lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"max-min LP failed: {outcome.status} {outcome.message}")
-    t_star = float(outcome.value)
+    t_star, t_behavior = _ns_orbit_max_min(scenario, [ab + ac, ab + ad], (_SWAP_CD,), tol)
 
     return PbProbeReport(
         sign_values=tuple(sign_values),
@@ -752,5 +833,5 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         t_star=t_star,
         t_threshold=2.0 * local_bound,
         t_exceeds=t_star > 2.0 * local_bound + 1e-6,
-        t_behavior=_ns_table(scenario, outcome.x[:n], tol),
+        t_behavior=t_behavior,
     )

@@ -13,6 +13,7 @@ from monogamy import (
     Scenario,
     born_behavior,
     chsh_value,
+    collins_gisin,
     deterministic_behaviors,
     lp,
     mixture,
@@ -20,8 +21,10 @@ from monogamy import (
     planar_observable,
     pr_box,
 )
+from monogamy.bell import functional_row
 from monogamy.model import ns_polytope
 from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
+from monogamy.tradeoffs import pb_scenario
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
@@ -121,3 +124,36 @@ def full_table_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
     lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
     rhs = np.concatenate([blk[1] for blk in blocks])
     return lp.feasibility(eq=(lhs, rhs), n_variables=scen.table_size)
+
+
+def full_table_probe() -> tuple[list[float], float, int]:
+    """Reference four-party probe over the raw 1 296-entry table: the LPs of
+    the four sorted sign patterns and the max-min LP, each over the full
+    ``ns_polytope`` rows.  Returns the eight sign values in product order,
+    t* and the summed HiGHS iterations of the five LPs."""
+    import scipy.sparse as sp
+
+    scenario = pb_scenario()
+    rows = [functional_row(scenario, collins_gisin(), pair) for pair in ((0, 1), (0, 2), (0, 3))]
+    eq_lhs, eq_rhs = ns_polytope(scenario)
+    n = scenario.table_size
+    optima, iterations = {}, 0
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
+        objective = sum(s * row for s, row in zip(signs, rows))
+        outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+        assert outcome.status == lp.LpStatus.OPTIMAL
+        optima[signs], iterations = outcome.value, iterations + outcome.iterations
+    outcome = lp.solve(lp.LinearProgram(
+        np.concatenate([np.zeros(n), [1.0]]),
+        eq_lhs=sp.hstack([eq_lhs, sp.csr_array((eq_lhs.shape[0], 1))], format="csr"),
+        eq_rhs=eq_rhs,
+        ub_lhs=np.array([np.concatenate([-(rows[0] + row), [1.0]]) for row in rows[1:]]),
+        ub_rhs=np.zeros(2),
+        bounds=[(0.0, None)] * n + [(None, None)],
+    ))
+    assert outcome.status == lp.LpStatus.OPTIMAL
+    sign_values = [
+        optima[tuple(sorted(signs, reverse=True))]
+        for signs in itertools.product((1, -1), repeat=3)
+    ]
+    return sign_values, outcome.value, iterations + outcome.iterations

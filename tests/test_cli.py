@@ -304,6 +304,24 @@ class TestSweep:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_separable_without_restarts_is_an_error(self, capsys):
+        code = main(["sweep", "--class", "separable-orthogonal", "--grid", "4", "--restarts", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "at least one restart" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_is_an_error(self, grid, capsys):
+        assert main(["sweep", "--class", "ns", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --grid must be at least 1")
+        assert captured.out == ""
+
+    def test_negative_restarts_is_an_error(self, capsys):
+        assert main(["sweep", "--class", "quantum", "--grid", "2", "--restarts", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --restarts must be non-negative\n"
+
     def test_local_sweep(self, tmp_path):
         out = tmp_path / "local.csv"
         assert main(["sweep", "--class", "local", "--grid", "4", "--out", str(out)]) == 0
@@ -332,6 +350,12 @@ class TestCgSearchCommand:
         # Exit 1 means a failed check; an empty mu grid is a usage error.
         assert main(["cgsearch", "--grid", "0"]) == 2
         assert "mu" in capsys.readouterr().err
+
+    def test_negative_grid_and_restarts_are_errors(self, capsys):
+        assert main(["cgsearch", "--grid", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --grid must be at least 1")
+        assert main(["cgsearch", "--grid", "2", "--restarts", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --restarts must be non-negative\n"
 
 
 class TestUsage:

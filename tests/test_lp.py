@@ -225,3 +225,34 @@ def test_module_linprog_resolves_scipy_at_call_time(monkeypatch):
     calls = counting(monkeypatch, scipy.optimize, "linprog")
     assert solve(LinearProgram(np.array([1.0]), ub_lhs=[[1.0]], ub_rhs=[3.0])).value == pytest.approx(3.0)
     assert calls == ["linprog"]
+
+
+def test_outcomes_report_highs_iterations(monkeypatch):
+    # Every outcome carries the summed iterations of the HiGHS calls behind it.
+    linprog_nits = []
+    original = lp.linprog
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        linprog_nits.append(int(result.nit))
+        return result
+
+    monkeypatch.setattr(lp, "linprog", recording)
+    program = LinearProgram(
+        np.array([1.0, 2.0, 1.0]),
+        ub_lhs=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+        ub_rhs=[1.0, 1.0, 1.0],
+    )
+    outcome = solve(program)
+    assert outcome.status == LpStatus.OPTIMAL
+    assert outcome.iterations == linprog_nits[-1] > 0
+    outcome = feasibility(eq=(np.array([[1.0, 1.0]]), np.array([-1.0])))
+    assert outcome.status == LpStatus.INFEASIBLE
+    assert outcome.iterations == linprog_nits[-1]
+    # An infeasible solve adds its phase-one confirmation's iterations.
+    linprog_nits.clear()
+    infeasible = LinearProgram(np.array([1.0]), eq_lhs=[[1.0]], eq_rhs=[-1.0])
+    outcome = solve(infeasible)
+    assert outcome.status == LpStatus.INFEASIBLE
+    assert len(linprog_nits) == 2
+    assert outcome.iterations == sum(linprog_nits)

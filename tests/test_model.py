@@ -23,7 +23,12 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.localpoly import deterministic_behaviors
-from monogamy.model import no_signalling_constraints, normalization_constraints, ns_polytope
+from monogamy.model import (
+    no_signalling_constraints,
+    normalization_constraints,
+    ns_orbit_polytope,
+    ns_polytope,
+)
 from monogamy.tradeoffs import pb_scenario
 from conftest import chsh_scenario, flat_index, random_behavior
 
@@ -232,6 +237,64 @@ class TestNsPolytope:
         ])
         rank = np.linalg.matrix_rank
         assert rank(new) == rank(old) == rank(np.vstack([new, old]))
+
+
+class TestNsOrbitPolytope:
+    # Generators of S3 on parties b, c, d, and of the swap c <-> d.
+    S3 = ((0, 2, 1, 3), (0, 1, 3, 2))
+    SWAP_CD = ((0, 1, 3, 2),)
+
+    @pytest.mark.parametrize("generators, group, n_orbits", [
+        (S3, list(itertools.permutations((1, 2, 3))), 336),
+        (SWAP_CD, [(1, 2, 3), (1, 3, 2)], 756),
+    ])
+    def test_orbit_map(self, generators, group, n_orbits, rng):
+        scenario = pb_scenario()
+        orbit = ns_orbit_polytope(scenario, generators)[2]
+        # Every entry has exactly one orbit rank, and every rank is used.
+        assert orbit.shape == (scenario.table_size,)
+        assert np.array_equal(np.unique(orbit), np.arange(n_orbits))
+        # A table with one value per orbit is unchanged by the group's
+        # party permutations, settings and outcomes moving together.
+        table = rng.random(n_orbits)[orbit].reshape(scenario.table_shape)
+        for peers in group:
+            parties = (0, *peers)
+            moved = table.transpose(parties + tuple(4 + p for p in parties))
+            assert np.array_equal(moved, table)
+        # Entries of one orbit are images of each other: the orbit's size
+        # is the number of distinct images of its smallest entry.
+        index = np.arange(scenario.table_size).reshape(scenario.table_shape)
+        images = np.stack([
+            index.transpose((0, *peers) + tuple(4 + p for p in (0, *peers))).ravel()
+            for peers in group
+        ])
+        for entry in rng.choice(scenario.table_size, size=50, replace=False):
+            members = np.flatnonzero(orbit == orbit[entry])
+            assert np.array_equal(np.unique(images[:, entry]), members)
+
+    def test_rows_are_the_full_rows_on_expanded_tables(self, rng):
+        scenario = pb_scenario()
+        lhs, rhs, orbit = ns_orbit_polytope(scenario, self.S3)
+        full_lhs, full_rhs = ns_polytope(scenario)
+        y = rng.random(lhs.shape[1])
+        assert lhs.shape == (full_lhs.shape[0], 336)
+        assert np.allclose(lhs @ y, full_lhs @ y[orbit], rtol=0.0, atol=1e-12)
+        assert rhs is full_rhs
+
+    def test_memoised_read_only(self):
+        first = ns_orbit_polytope(pb_scenario(), self.SWAP_CD)
+        assert ns_orbit_polytope(pb_scenario(), self.SWAP_CD) is first
+        lhs, rhs, orbit = first
+        assert lhs.format == "csr"
+        for part in (lhs.data, lhs.indices, lhs.indptr, rhs, orbit):
+            assert not part.flags.writeable
+
+    def test_non_symmetry_rejected(self):
+        scenario = Scenario(2, (2, 3), (2, 2))
+        with pytest.raises(ValueError, match="party symmetry"):
+            ns_orbit_polytope(scenario, ((1, 0),))
+        with pytest.raises(ValueError, match="party symmetry"):
+            ns_orbit_polytope(pb_scenario(), ((0, 1, 1, 3),))
 
 
 class TestMarginal:

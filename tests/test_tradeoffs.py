@@ -36,6 +36,7 @@ from monogamy import (
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import functional_row
+from conftest import full_table_probe
 
 ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
@@ -260,18 +261,24 @@ class TestNsMaximum:
 class TestPbProbe:
     @pytest.fixture(scope="class")
     def probe(self):
-        """The report and the number of LPs it solved."""
+        """The report and, per LP it solved, the LP's column count and
+        HiGHS iterations."""
         calls = []
         solve = tradeoffs.lp.solve
 
-        def counting_solve(*args, **kwargs):
-            calls.append(None)
-            return solve(*args, **kwargs)
+        def counting_solve(program, *args, **kwargs):
+            outcome = solve(program, *args, **kwargs)
+            calls.append((program.n_variables, outcome.iterations))
+            return outcome
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tradeoffs.lp, "solve", counting_solve)
             report = tradeoffs.pb_probe()
-        return report, len(calls)
+        return report, calls
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return full_table_probe()
 
     def test_values(self, probe):
         report, _ = probe
@@ -319,9 +326,55 @@ class TestPbProbe:
             assert moved_values == pytest.approx([values[p - 1] for p in peers], abs=1e-12)
 
     def test_one_lp_per_sign_orbit(self, probe):
-        # Four orbit representatives plus the max-min LP.
+        # Four orbit representatives plus the max-min LP, each over the
+        # orbits of its peer group: S3, b <-> c, c <-> d, S3, c <-> d (+ t).
         _, calls = probe
-        assert calls == 5
+        assert len(calls) == 5
+        assert [columns for columns, _ in calls] == [336, 756, 756, 336, 757]
+
+    def test_matches_full_table_reference(self, probe, reference):
+        report, calls = probe
+        sign_values, t_star, iterations = reference
+        assert [value for _, value in report.sign_values] == pytest.approx(sign_values, abs=1e-7)
+        assert report.t_star == pytest.approx(t_star, abs=1e-7)
+        assert sum(nit for _, nit in calls) < iterations
+
+    def test_values_come_from_the_full_table(self, monkeypatch):
+        """An LP value that its expanded table does not reach is not
+        returned: a single functional's value is recomputed on the full
+        table, and a max-min t above its rows there raises."""
+        from dataclasses import replace
+
+        solve = tradeoffs.lp.solve
+
+        def inflated(*args, **kwargs):
+            outcome = solve(*args, **kwargs)
+            return replace(outcome, value=outcome.value + 1.0)
+
+        monkeypatch.setattr(tradeoffs.lp, "solve", inflated)
+        scenario = tradeoffs.pb_scenario()
+        ab, ac, ad = (
+            functional_row(scenario, collins_gisin(), pair) for pair in ((0, 1), (0, 2), (0, 3))
+        )
+        value, behavior = tradeoffs._ns_orbit_max_min(
+            scenario, [ab + ac + ad], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
+        )
+        assert value == pytest.approx(12.0, abs=1e-7)
+        assert value == pytest.approx((ab + ac + ad) @ behavior.table.reshape(-1), abs=1e-9)
+        with pytest.raises(RuntimeError, match="exceeds its rows"):
+            tradeoffs._ns_orbit_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
+
+    def test_invariance_guard(self):
+        scenario = tradeoffs.pb_scenario()
+        row = functional_row(scenario, collins_gisin(), (0, 1))
+        s3 = (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD)
+        with pytest.raises(ValueError, match="not invariant"):
+            tradeoffs._ns_orbit_max_min(scenario, [row], s3, 1e-7)
+        # The max-min rows are swapped by c <-> d, but not fixed by b <-> c.
+        rows = [row + functional_row(scenario, collins_gisin(), pair) for pair in ((0, 2), (0, 3))]
+        tradeoffs._require_invariant(scenario, rows, (tradeoffs._SWAP_CD,))
+        with pytest.raises(ValueError, match="not invariant"):
+            tradeoffs._require_invariant(scenario, rows, s3)
 
 
 class TestQuantumSearch:
@@ -407,6 +460,21 @@ class TestSeparableOrthogonal:
     def test_two_party_maximum(self, rng):
         value = separable_orthogonal_max(restarts=12, rng=rng)
         assert value == pytest.approx(math.sqrt(2), abs=1e-6)
+
+    def test_no_starts_rejected(self, rng):
+        with pytest.raises(ValueError, match="at least one restart"):
+            separable_orthogonal_max(restarts=0, rng=rng)
+        with pytest.raises(ValueError, match="at least one restart"):
+            tradeoffs.separable_orthogonal_support(np.array([0.0]), restarts=0, rng=rng)
+
+    def test_support_records_reach_the_closed_form(self):
+        points = tradeoffs.sweep("separable-orthogonal", 16, 4, np.random.default_rng(0))
+        for point in points:
+            ceiling = math.sqrt(2) * (abs(math.cos(point.theta)) + abs(math.sin(point.theta)))
+            assert point.params["starts"] == 4
+            assert point.params["evaluations"] > 0
+            assert point.params["ceiling_gap"] == ceiling - point.value
+            assert abs(point.params["ceiling_gap"]) <= 1e-9
 
 
 class TestCgSearch:
