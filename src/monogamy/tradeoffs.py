@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp
 from .bell import BellFunctional, chsh, collins_gisin, functional_row
 from .bell import chsh_value as _behavior_chsh
-from .localpoly import deterministic_strategies, strategy_matrix
+from .localpoly import deterministic_strategies, strategy_matrix  # noqa: F401 - perfbench traces it
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
@@ -375,19 +375,23 @@ def minimize(*args, **kwargs):
 
 
 def _best_of(
-    objective, starts: list[np.ndarray], max_iter: int = 400
+    objective, starts: list[np.ndarray], max_iter: int = 400, gradient: bool = False
 ) -> tuple[float, np.ndarray | None, int]:
-    """Best simplex maximum over the starts: value, argument and summed
+    """Best local maximum over the starts: value, argument and summed
     objective evaluations.  The first start wins a tie; with no starts the
-    value is -inf and the argument None."""
+    value is -inf and the argument None.
+
+    A plain objective returns the value and runs a Nelder-Mead simplex;
+    with ``gradient`` it returns the negated value and gradient and runs
+    L-BFGS-B."""
+    if gradient:
+        fun, method, options = objective, "L-BFGS-B", {"ftol": 1e-15, "gtol": 1e-10}
+    else:
+        fun, method = (lambda x: -objective(x)), "Nelder-Mead"
+        options = {"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-12}
     best_value, best_x, evaluations = -np.inf, None, 0
     for x0 in starts:
-        result = minimize(
-            lambda x: -objective(x),
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-12},
-        )
+        result = minimize(fun, x0, method=method, jac=gradient, options=options)
         evaluations += int(result.nfev)
         if -result.fun > best_value:
             best_value, best_x = float(-result.fun), np.asarray(result.x)
@@ -414,21 +418,32 @@ def _direction_operator(angles: np.ndarray, cos_t: float, sin_t: float) -> np.nd
     return (coefficients @ _PAIR_TENSORS).reshape(8, 8)
 
 
-def _quantum_seeds() -> list[np.ndarray]:
-    """Warm-start angles (a0, a1, b0, b1, c0, c1): the settings of the two
-    maximally violating pair witnesses, and every deterministic strategy as
-    +-sigma_z settings."""
-    seeds = [
-        np.array([0, math.pi / 2, math.pi / 4, -math.pi / 4, math.pi / 2, math.pi / 2]),
-        np.array([0, math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 4, -math.pi / 4]),
-    ]
-    for strat in deterministic_strategies(triple_scenario()):
-        seeds.append(np.array([
-            math.pi / 2 if strat.assignment[p][x] == 0 else -math.pi / 2
-            for p in range(3)
-            for x in range(2)
-        ]))
-    return seeds
+def _direction_value_grad(
+    angles: np.ndarray, cos_t: float, sin_t: float
+) -> tuple[float, np.ndarray]:
+    """Minus the top eigenvalue of :func:`_direction_operator` and minus its
+    gradient in the six angles.  By Hellmann-Feynman the derivative of the
+    eigenvalue is v^T (dH) v at the top eigenvector v; H is linear in the
+    pair coefficients, so only G_k = v^T T_k v over ``_PAIR_TENSORS`` and
+    the derivatives (-sin, cos) of the planar rows enter."""
+    values, vectors = np.linalg.eigh(_direction_operator(angles, cos_t, sin_t))
+    v = vectors[:, -1]
+    g = _PAIR_TENSORS @ np.outer(v, v).ravel()
+    g_ab, g_ac = cos_t * g[:4].reshape(2, 2), sin_t * g[4:].reshape(2, 2)
+    rows = _planar_rows(angles)
+    a, b, c = rows[:2], rows[2:4], rows[4:]
+    w = _CHSH.correlators
+    d_rows = np.concatenate([w @ b @ g_ab.T + w @ c @ g_ac.T, w.T @ a @ g_ab, w.T @ a @ g_ac])
+    d_angles = np.sum(d_rows * np.stack([-rows[:, 1], rows[:, 0]], axis=1), axis=1)
+    return -float(values[-1]), -d_angles
+
+
+# Angles (a0, a1, b0, b1, c0, c1) of the two maximally violating pair
+# witnesses: CHSH_ab at Tsirelson with c on sigma_z, and CHSH_ac with b there.
+_WITNESS_SEEDS = (
+    np.array([0, math.pi / 2, math.pi / 4, -math.pi / 4, math.pi / 2, math.pi / 2]),
+    np.array([0, math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 4, -math.pi / 4]),
+)
 
 
 def quantum_boundary_search(
@@ -439,32 +454,26 @@ def quantum_boundary_search(
     For fixed planar angles the maximum of cos(theta) chsh_ab +
     sin(theta) chsh_ac over 3-qubit states is the top eigenvalue of
     cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac, so the state is solved
-    exactly and a multi-start simplex search runs over the six angles only
-    (a's settings shared): the three best warm starts plus ``restarts``
-    uniform random ones.  The Toner-Verstraete bound makes the support
-    2*sqrt(2) in every direction; a value above it by more than 1e-9
-    raises, as does an eigenvector whose planar re-evaluation disagrees
-    with its eigenvalue.
+    exactly and a multi-start L-BFGS-B search runs over the six angles only
+    (a's settings shared), on the eigenvalue's exact gradient: the two
+    witness seeds plus ``restarts`` uniform random starts.  The
+    Toner-Verstraete bound makes the support 2*sqrt(2) in every direction;
+    a value above it by more than 1e-9 raises, as does an eigenvector whose
+    planar re-evaluation disagrees with its eigenvalue.
 
     ``params`` holds ``x`` (the optimal state's real and imaginary parts,
-    then the six angles), ``starts``, ``evaluations`` (the summed simplex
-    objective evaluations) and ``ceiling_gap`` (2*sqrt(2) minus the value).
+    then the six angles), ``starts``, ``evaluations`` (the summed
+    eigenvalue-and-gradient evaluations) and ``ceiling_gap`` (2*sqrt(2)
+    minus the value).
     """
-    seeds = _quantum_seeds()
     points = []
     for theta in thetas:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-
-        def objective(x, c=cos_t, s=sin_t):
-            return np.linalg.eigvalsh(_direction_operator(x, c, s))[-1]
-
-        seed_values = sorted(((objective(s), s) for s in seeds), key=lambda pair: -pair[0])
-        best_value, best_x = seed_values[0]
-        starts = [s for _, s in seed_values[:3]]
+        starts = list(_WITNESS_SEEDS)
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
-        value, x, evaluations = _best_of(objective, starts)
-        if value > best_value:
-            best_value, best_x = value, x
+        best_value, best_x, evaluations = _best_of(
+            lambda x, c=cos_t, s=sin_t: _direction_value_grad(x, c, s), starts, gradient=True
+        )
         if best_value > TSIRELSON + 1e-9:
             raise RuntimeError(
                 f"quantum search exceeded the Tsirelson ceiling: {best_value}"
@@ -593,12 +602,16 @@ def sweep(
 
 @dataclass(frozen=True)
 class CgSearchResult:
+    """The best family member; ``starts`` and ``evaluations`` are summed over every mu."""
+
     mu: float
     a_angles: tuple[float, float, float]
     b_angles: tuple[float, float, float]
     c_angles: tuple[float, float, float]
     value_ab: float
     value_ac: float
+    starts: int
+    evaluations: int
 
     @property
     def min_value(self) -> float:
@@ -646,6 +659,7 @@ def cg_double_violation_search(
         raise ValueError("the double-violation search needs at least one mu value")
     functional = collins_gisin()
     best: CgSearchResult | None = None
+    total_starts = total_evaluations = 0
     for mu in mu_values:
         t = _pure_vector(cg_state(float(mu))).reshape(2, 2, 2)
         moments = _pair_moments(t, (0, 1))
@@ -659,7 +673,9 @@ def cg_double_violation_search(
             _mirror_angles(0.2, 0.1),
         ]
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
-        x = _best_of(objective, starts, max_iter=800)[1]
+        _, x, evaluations = _best_of(objective, starts, max_iter=800)
+        total_starts += len(starts)
+        total_evaluations += evaluations
         a_angles = (float(x[0]), float(x[1]), float(x[2]))
         b_angles = (float(x[3]), float(x[4]), float(x[5]))
         value_ab, value_ac = cg_values_for_state(
@@ -672,10 +688,12 @@ def cg_double_violation_search(
             c_angles=b_angles,
             value_ab=value_ab,
             value_ac=value_ac,
+            starts=len(starts),
+            evaluations=evaluations,
         )
         if best is None or result.min_value > best.min_value:
             best = result
-    return best
+    return replace(best, starts=total_starts, evaluations=total_evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -404,9 +404,46 @@ class TestQuantumSearch:
                 )
                 value = math.cos(theta) * pair.chsh_ab + math.sin(theta) * pair.chsh_ac
                 assert value == pytest.approx(point.value, abs=1e-9)
-                assert point.params["starts"] == 3 + restarts
+                assert point.params["starts"] == 2 + restarts
                 assert point.params["evaluations"] > 0
                 assert point.params["ceiling_gap"] == ROOT8 - point.value
+
+    def test_fine_grid_reaches_tsirelson_without_restarts(self):
+        # A simplex search stalls in narrow bands of directions near
+        # theta = pi/4 + k pi/2 that the 16-point grid above misses.
+        thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        points = quantum_boundary_search(thetas, restarts=0, rng=np.random.default_rng(2560))
+        for point in points:
+            assert ROOT8 - 1e-9 <= point.value <= ROOT8 + 1e-9
+
+    def test_random_starts_draw_six_uniforms_each(self):
+        # A sweep that shares the generator sees the same stream after it.
+        rng, twin = np.random.default_rng(1201), np.random.default_rng(1201)
+        tradeoffs.sweep("quantum", 16, restarts=4, rng=rng)
+        twin.uniform(-math.pi, math.pi, (16 * 4, 6))
+        assert rng.uniform() == twin.uniform()
+
+    def test_value_and_gradient(self, rng):
+        step = 1e-6
+        for k in range(20):
+            angles = rng.uniform(-math.pi, math.pi, 6)
+            theta = (0.0, math.pi / 2)[k] if k < 2 else rng.uniform(0.0, 2.0 * math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+            value, grad = tradeoffs._direction_value_grad(angles, c, s)
+            top = np.linalg.eigvalsh(tradeoffs._direction_operator(angles, c, s))[-1]
+            assert value == pytest.approx(-top, abs=1e-12)
+            differences = [
+                (tradeoffs._direction_value_grad(angles + step * e, c, s)[0]
+                 - tradeoffs._direction_value_grad(angles - step * e, c, s)[0]) / (2 * step)
+                for e in np.eye(6)
+            ]
+            assert np.allclose(grad, differences, rtol=0.0, atol=1e-6)
+            if k < 2:
+                # On an axis the top eigenvalue is that of one pair's CHSH
+                # operator, doubly degenerate on the third qubit.
+                want = np.linalg.eigvalsh(kron_direction_operator(angles, theta))
+                assert want[-1] == pytest.approx(want[-2], abs=1e-12)
+                assert value == pytest.approx(-want[-1], abs=1e-12)
 
     def test_operator_matches_kron_reference(self, rng):
         for _ in range(20):
@@ -430,13 +467,12 @@ class TestQuantumSearch:
         point = quantum_boundary_search(
             np.array([math.pi / 8]), restarts=restarts, rng=np.random.default_rng(7)
         )[0]
-        assert len(evaluations) == 3 + restarts
+        assert len(evaluations) == 2 + restarts
         assert point.params["evaluations"] == sum(evaluations)
-
 
     def test_search_goes_through_module_minimize(self, monkeypatch):
         # tradeoffs.minimize is what a caller wraps to observe searches; it
-        # must reach scipy's Nelder-Mead on every call.
+        # must reach scipy's L-BFGS-B on every call.
         methods, reached = [], []
         wrapped, scipy_minimize = tradeoffs.minimize, scipy.optimize.minimize
 
@@ -451,8 +487,8 @@ class TestQuantumSearch:
         monkeypatch.setattr(tradeoffs, "minimize", routed)
         monkeypatch.setattr(scipy.optimize, "minimize", counted)
         point = quantum_boundary_search(np.array([0.3]), restarts=0, rng=np.random.default_rng(1))[0]
-        assert methods == ["Nelder-Mead"] * 3
-        assert len(reached) == 3
+        assert methods == ["L-BFGS-B"] * 2
+        assert len(reached) == 2
         assert point.value == pytest.approx(ROOT8, abs=1e-9)
 
 
@@ -490,6 +526,21 @@ class TestCgSearch:
             np.array([1.0]), restarts=3, rng=rng
         )
         assert result.min_value <= 4.0 + 1e-9
+
+    def test_records_sum_over_mu(self, monkeypatch):
+        original, evaluations = tradeoffs.minimize, []
+
+        def counting_minimize(*args, **kwargs):
+            result = original(*args, **kwargs)
+            evaluations.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(tradeoffs, "minimize", counting_minimize)
+        result = tradeoffs.cg_double_violation_search(
+            np.array([0.87, 0.9]), restarts=1, rng=np.random.default_rng(3)
+        )
+        assert result.starts == len(evaluations) == 2 * (3 + 1)
+        assert result.evaluations == sum(evaluations)
 
     def test_empty_mu_grid_rejected(self, rng):
         with pytest.raises(ValueError, match="mu"):
