@@ -35,8 +35,10 @@ def _load_json(path: str) -> dict:
         ) from None
 
 
-def parse_behavior(path: str) -> model.Behavior:
+def parse_behavior(path: str | None) -> model.Behavior:
     """Load and structurally check a behavior JSON file."""
+    if path is None:
+        raise CliError("a behavior file is required (--in)")
     data = _load_json(path)
     try:
         return model.behavior_from_json_dict(data)

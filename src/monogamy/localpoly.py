@@ -58,11 +58,16 @@ def strategy_count(scenario: Scenario) -> int:
     return count
 
 
-def deterministic_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> list[DeterministicStrategy]:
-    """Enumerate all per-party deterministic response functions."""
+def _checked_count(scenario: Scenario, cap: int) -> int:
     total = strategy_count(scenario)
     if total > cap:
         raise ValueError(f"strategy count {total} exceeds cap {cap}")
+    return total
+
+
+def deterministic_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> list[DeterministicStrategy]:
+    """Enumerate all per-party deterministic response functions."""
+    _checked_count(scenario, cap)
     per_party = []
     for p in range(scenario.parties):
         responses = list(
@@ -80,10 +85,22 @@ def deterministic_behaviors(scenario: Scenario, cap: int = STRATEGY_CAP) -> list
 
 
 def strategy_matrix(scenario: Scenario, cap: int = STRATEGY_CAP) -> np.ndarray:
-    """Dense matrix with one flattened deterministic table per column."""
-    strategies = deterministic_strategies(scenario, cap)
-    cols = [s.to_behavior(scenario).table.reshape(-1) for s in strategies]
-    return np.stack(cols, axis=1)
+    """Dense matrix with one flattened deterministic table per column, the
+    columns in the order of :func:`deterministic_strategies`.
+
+    Party p's response function r answers setting x with digit x of r in
+    base o_p, most significant first.  Its one-hot table ``[x, a, r]`` is 1
+    where r answers a at x; the matrix is the broadcast product of the
+    parties' tables over axes (settings, outcomes, responses)."""
+    total = _checked_count(scenario, cap)
+    k = scenario.parties
+    matrix = np.ones(())
+    for p, (s, o) in enumerate(zip(scenario.settings, scenario.outcomes)):
+        answers = np.arange(o ** s) // o ** np.arange(s - 1, -1, -1)[:, None] % o
+        shape = [1] * (3 * k)
+        shape[p], shape[k + p], shape[2 * k + p] = s, o, o ** s
+        matrix = matrix * (answers[:, None, :] == np.arange(o)[:, None]).reshape(shape)
+    return matrix.reshape(scenario.table_size, total)
 
 
 def local_decomposition(

@@ -2,17 +2,22 @@
 
 Constraint matrices may be dense arrays or ``scipy.sparse`` arrays; the
 polytope builders emit sparse rows.  Solves are delegated to HiGHS via scipy;
-feasibility questions go through an explicit elastic phase-one program, built
-in sparse form, so that infeasible systems come back with the minimized total
-(L1) constraint violation as a certificate value rather than a bare status.
-Every optimal solution is re-verified by independent constraint evaluation
-before it is returned.  scipy is imported inside the functions that build
-or solve a program, so importing this module does not load it.
+feasibility questions go through an explicit elastic phase-one program, so
+that infeasible systems come back with the minimized total (L1) constraint
+violation as a certificate value rather than a bare status.  The elastic
+system is assembled as one CSR array, its slack entries appended to each row
+by index arithmetic; only ``_highs`` densifies a system, and only up to
+``DENSE_ENTRY_LIMIT``.  Every optimal solution is re-verified by independent
+constraint evaluation before it is returned, and every outcome carries an
+``LpStats`` record of the system HiGHS received.  scipy is imported inside
+the functions that build or solve a program, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -86,10 +91,20 @@ class LinearProgram:
     def n_variables(self) -> int:
         return self.objective.size
 
-    def effective_bounds(self) -> list[Bound]:
-        if self.bounds is None:
-            return [(0.0, None)] * self.n_variables
-        return list(self.bounds)
+
+@dataclass(frozen=True)
+class LpStats:
+    """The system HiGHS received (the elastic system, for a phase-one) and
+    the seconds spent building it, solving it and re-checking the answer."""
+
+    rows: int
+    cols: int
+    nnz: int
+    # Whether the constraint matrices reached HiGHS as dense arrays.
+    dense: bool
+    build_s: float
+    solve_s: float
+    verify_s: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +118,9 @@ class LpOutcome:
     message: str = ""
     # HiGHS iterations summed over the solves behind this outcome.
     iterations: int = 0
+    # The HiGHS call that decided the outcome; for an infeasible ``solve``,
+    # that is its phase-one confirmation.
+    stats: LpStats | None = None
 
 
 def _as_matrix(a) -> np.ndarray | sp.csr_array:
@@ -115,18 +133,27 @@ def _as_matrix(a) -> np.ndarray | sp.csr_array:
     return np.atleast_2d(np.asarray(a, dtype=float))
 
 
-def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest violation of any constraint or bound at ``x``."""
+def _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, bounds, x) -> float:
+    """Largest violation at ``x`` of the given rows (either may be None) and
+    of ``bounds`` (None: every variable >= 0)."""
     res = 0.0
-    if lp.eq_lhs is not None:
-        res = max(res, float(np.max(np.abs(lp.eq_lhs @ x - lp.eq_rhs))))
-    if lp.ub_lhs is not None:
-        res = max(res, float(max(0.0, np.max(lp.ub_lhs @ x - lp.ub_rhs))))
+    if eq_lhs is not None:
+        res = max(res, float(np.max(np.abs(eq_lhs @ x - eq_rhs))))
+    if ub_lhs is not None:
+        res = max(res, float(max(0.0, np.max(ub_lhs @ x - ub_rhs))))
+    if bounds is None:
+        # 0 - x rather than -x, which would report a zero residual as -0.0.
+        return float(np.max(0.0 - x, initial=res))
     # A missing bound reads as NaN here and as an infinite bound below.
-    bounds = np.array(lp.effective_bounds(), dtype=float).reshape(-1, 2)
+    bounds = np.array(bounds, dtype=float).reshape(-1, 2)
     lo = np.nan_to_num(bounds[:, 0], nan=-np.inf)
     hi = np.nan_to_num(bounds[:, 1], nan=np.inf)
     return float(np.max(np.concatenate([lo - x, x - hi]), initial=res))
+
+
+def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """Largest violation of any constraint or bound at ``x``."""
+    return _residual(lp.eq_lhs, lp.eq_rhs, lp.ub_lhs, lp.ub_rhs, lp.bounds, x)
 
 
 def linprog(*args, **kwargs):
@@ -138,17 +165,22 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
-    """The one call into HiGHS.  Sparse constraint matrices with few entries
-    are densified first (see ``DENSE_ENTRY_LIMIT``); the solver sees the
-    same nonzeros either way."""
+def _highs(started, cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    """The one call into HiGHS, for a system whose build began at
+    ``started`` (a ``time.perf_counter`` reading).  Sparse constraint
+    matrices with few entries are densified first (see
+    ``DENSE_ENTRY_LIMIT``); the solver sees the same nonzeros either way.
+    Returns scipy's result and the call's stats."""
     import scipy.sparse as sp
 
     blocks = [a for a in (a_ub, a_eq) if a is not None]
-    entries = sum(a.shape[0] for a in blocks) * len(cost)
-    if entries <= DENSE_ENTRY_LIMIT:
+    rows = sum(a.shape[0] for a in blocks)
+    nnz = sum(a.nnz if sp.issparse(a) else int(np.count_nonzero(a)) for a in blocks)
+    if rows * len(cost) <= DENSE_ENTRY_LIMIT:
         a_ub, a_eq = (a.toarray() if sp.issparse(a) else a for a in (a_ub, a_eq))
-    return linprog(
+    dense = not any(sp.issparse(a) for a in (a_ub, a_eq))
+    begun = time.perf_counter()
+    result = linprog(
         cost,
         A_ub=a_ub,
         b_ub=b_ub,
@@ -157,23 +189,28 @@ def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
         bounds=bounds,
         method="highs",
     )
+    solved = time.perf_counter()
+    return result, LpStats(rows, len(cost), nnz, dense, begun - started, solved - begun)
 
 
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
     """Maximize the objective; statuses are Optimal / Infeasible / Unbounded,
     with numerical breakdowns reported as a distinct Failed status."""
-    result = _highs(
+    result, stats = _highs(
+        time.perf_counter(),
         -lp.objective,
         lp.ub_lhs,
         lp.ub_rhs,
         lp.eq_lhs,
         lp.eq_rhs,
-        lp.effective_bounds(),
+        (0.0, None) if lp.bounds is None else lp.bounds,
     )
     iterations = int(result.nit)
     if result.status == 0:
         x = np.asarray(result.x, dtype=float)
+        checked = time.perf_counter()
         residual = constraint_residual(lp, x)
+        stats = replace(stats, verify_s=time.perf_counter() - checked)
         if residual > 10 * tol:
             return LpOutcome(
                 LpStatus.FAILED,
@@ -181,6 +218,7 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
                 max_residual=residual,
                 message=f"solution residual {residual:.3e} exceeds 10*tol",
                 iterations=iterations,
+                stats=stats,
             )
         return LpOutcome(
             LpStatus.OPTIMAL,
@@ -188,6 +226,7 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
             value=float(lp.objective @ x),
             max_residual=residual,
             iterations=iterations,
+            stats=stats,
         )
     if result.status == 2:
         # Confirm with the elastic phase-one so callers get a violation score.
@@ -204,11 +243,45 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
                 LpStatus.FAILED,
                 message="solver reported infeasible but phase-one found a point",
                 iterations=iterations,
+                stats=phase1.stats,
             )
         return replace(phase1, iterations=iterations)
-    if result.status == 3:
-        return LpOutcome(LpStatus.UNBOUNDED, message=result.message, iterations=iterations)
-    return LpOutcome(LpStatus.FAILED, message=result.message, iterations=iterations)
+    status = LpStatus.UNBOUNDED if result.status == 3 else LpStatus.FAILED
+    return LpOutcome(status, message=result.message, iterations=iterations, stats=stats)
+
+
+def _csr_rows(block, n: int):
+    """A constraint block ``(lhs, rhs)`` as CSR rows and a float right-hand
+    side; None rows when the block is absent or empty."""
+    import scipy.sparse as sp
+
+    if block is None:
+        return None, np.zeros(0)
+    lhs = _as_matrix(block[0])
+    lhs = lhs if sp.issparse(lhs) else sp.csr_array(lhs)
+    if lhs.shape[1] != n:
+        raise ValueError(f"constraint matrix must have {n} columns")
+    rhs = np.asarray(block[1], dtype=float)
+    return (lhs if rhs.size else None), rhs
+
+
+def _with_slacks(rows, starts, signs, width: int):
+    """``rows`` widened to ``width`` columns, each row i with one entry
+    ``signs[k]`` appended at column ``starts[k] + i`` for every k.  Built
+    on ``indptr`` / ``indices`` / ``data`` directly: no identity block."""
+    import scipy.sparse as sp
+
+    m, k = rows.shape[0], len(starts)
+    indptr = rows.indptr + k * np.arange(m + 1, dtype=rows.indptr.dtype)
+    slots = indptr[1:, None] - k + np.arange(k)
+    kept = np.ones(indptr[-1], dtype=bool)
+    kept[slots] = False
+    indices = np.empty(indptr[-1], dtype=rows.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[kept], data[kept] = rows.indices, rows.data
+    indices[slots] = np.arange(m)[:, None] + np.asarray(starts)
+    data[slots] = signs
+    return sp.csr_array((data, indices, indptr), shape=(m, width))
 
 
 def feasibility(
@@ -225,34 +298,26 @@ def feasibility(
     optimum above ``tol`` means Infeasible, and that optimum is returned as
     the violation certificate.
     """
-    import scipy.sparse as sp
-
+    started = time.perf_counter()
     if eq is None and ub is None and n_variables is None:
         raise ValueError("cannot infer the number of variables")
     if n_variables is None:
         n_variables = (eq[0].shape[1] if eq is not None else ub[0].shape[1])
     n = int(n_variables)
-
-    eq_lhs = sp.csr_array(_as_matrix(eq[0])) if eq is not None else sp.csr_array((0, n))
-    eq_rhs = np.asarray(eq[1], dtype=float) if eq is not None else np.zeros(0)
-    ub_lhs = sp.csr_array(_as_matrix(ub[0])) if ub is not None else sp.csr_array((0, n))
-    ub_rhs = np.asarray(ub[1], dtype=float) if ub is not None else np.zeros(0)
+    eq_lhs, eq_rhs = _csr_rows(eq, n)
+    ub_lhs, ub_rhs = _csr_rows(ub, n)
     m_eq, m_ub = eq_rhs.size, ub_rhs.size
+    width = n + 2 * m_eq + m_ub
 
-    # Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.
-    cost = np.concatenate([
-        np.zeros(n), np.ones(m_eq), np.ones(m_eq), np.ones(m_ub)
-    ])
-    a_eq = sp.hstack([
-        eq_lhs, sp.eye_array(m_eq), -sp.eye_array(m_eq), sp.csr_array((m_eq, m_ub))
-    ], format="csr") if m_eq else None
-    a_ub = sp.hstack([
-        ub_lhs, sp.csr_array((m_ub, 2 * m_eq)), -sp.eye_array(m_ub)
-    ], format="csr") if m_ub else None
-    var_bounds = (bounds if bounds is not None else [(0.0, None)] * n)
-    var_bounds = list(var_bounds) + [(0.0, None)] * (2 * m_eq + m_ub)
+    # Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
+    # row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j].
+    cost = np.concatenate([np.zeros(n), np.ones(width - n)])
+    a_eq = _with_slacks(eq_lhs, (n, n + m_eq), (1.0, -1.0), width) if m_eq else None
+    a_ub = _with_slacks(ub_lhs, (n + 2 * m_eq,), (-1.0,), width) if m_ub else None
+    var_bounds = (0.0, None) if bounds is None else list(bounds) + [(0.0, None)] * (width - n)
 
-    result = _highs(
+    result, stats = _highs(
+        started,
         cost,
         a_ub,
         ub_rhs if m_ub else None,
@@ -266,6 +331,7 @@ def feasibility(
             LpStatus.FAILED,
             message=f"elastic phase-one did not solve: {result.message}",
             iterations=iterations,
+            stats=stats,
         )
     total_violation = float(result.fun)
     x = np.asarray(result.x[:n], dtype=float)
@@ -275,16 +341,15 @@ def feasibility(
             violation=total_violation,
             message=f"minimum total violation {total_violation:.3e}",
             iterations=iterations,
+            stats=stats,
         )
-    check = LinearProgram(
-        np.zeros(n),
-        eq_lhs=eq_lhs if m_eq else None,
-        eq_rhs=eq_rhs if m_eq else None,
-        ub_lhs=ub_lhs if m_ub else None,
-        ub_rhs=ub_rhs if m_ub else None,
-        bounds=bounds,
-    )
-    residual = constraint_residual(check, x)
+    checked = time.perf_counter()
+    residual = _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, bounds, x)
     return LpOutcome(
-        LpStatus.OPTIMAL, x=x, value=0.0, max_residual=residual, iterations=iterations
+        LpStatus.OPTIMAL,
+        x=x,
+        value=0.0,
+        max_residual=residual,
+        iterations=iterations,
+        stats=replace(stats, verify_s=time.perf_counter() - checked),
     )

@@ -368,6 +368,15 @@ class TestUsage:
     def test_missing_file(self, capsys):
         assert main(["validate", "--in", "/nonexistent/behavior.json"]) == 2
 
+    @pytest.mark.parametrize("argv", [["validate"], ["nstest"], ["localtest"], ["share", "--n", "2"]],
+                             ids=["validate", "nstest", "localtest", "share"])
+    def test_missing_in_refused(self, argv, capsys):
+        # Refused as chsh refuses a missing state, not with a TypeError.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a behavior file is required (--in)\n"
+
     def test_console_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "monogamy.cli", "--help"],

@@ -1,5 +1,7 @@
 """Deterministic strategies, local membership LP, and Bell bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from monogamy import (
     chsh_value,
     collins_gisin,
     deterministic_behaviors,
+    deterministic_box,
     deterministic_strategies,
     is_no_signalling,
     local_bound,
@@ -21,6 +24,7 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.bell import BellFunctional
+from monogamy.localpoly import strategy_matrix
 from conftest import chsh_scenario, random_violating_behavior, tsirelson_behavior
 
 
@@ -50,6 +54,40 @@ class TestEnumeration:
     def test_behaviors_respect_cap(self):
         with pytest.raises(ValueError, match="cap"):
             deterministic_behaviors(chsh_scenario(), cap=4)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(2, (2, 2), (2, 2)),
+            Scenario(3, (2, 2, 2), (2, 2, 2)),
+            Scenario(2, (3, 3), (2, 2)),
+            Scenario(2, (2, 2), (3, 2)),
+        ],
+        ids=["chsh", "three-party", "three-settings", "three-outcomes"],
+    )
+    def test_strategy_matrix_columns(self, scenario):
+        # Column k is the table of the k-th enumerated strategy.
+        expected = np.stack([
+            deterministic_box(scenario, s.assignment).table.reshape(-1)
+            for s in deterministic_strategies(scenario)
+        ], axis=1)
+        matrix = strategy_matrix(scenario)
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, expected)
+
+    def test_strategy_matrix_refuses_before_allocating(self):
+        # 4^20 columns: any allocation of the matrix would exhaust memory.
+        big = Scenario(4, (5, 5, 5, 5), (4, 4, 4, 4), table_cap=10 ** 9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds cap"):
+                strategy_matrix(big)
+            with pytest.raises(ValueError, match="exceeds cap"):
+                strategy_matrix(chsh_scenario(), cap=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestDecomposition:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import monogamy.lp as lp
+from monogamy import Scenario, local_decomposition, ns_extension, pr_box, uniform_box
 from monogamy.lp import (
     DENSE_ENTRY_LIMIT,
     LinearProgram,
@@ -56,8 +57,9 @@ def test_feasibility_empty_constraints():
     assert np.all(out.x >= -1e-12)
 
 
-def dense_elastic_violation(a_eq, b_eq, a_ub, b_ub):
-    """Reference: the elastic phase-one over dense blocks, x >= 0."""
+def dense_elastic_violation(a_eq, b_eq, a_ub, b_ub, bounds=None):
+    """Reference: the elastic phase-one over dense blocks, x >= 0 unless
+    ``bounds`` are given."""
     (m_eq, n), m_ub = a_eq.shape, a_ub.shape[0]
     cost = np.concatenate([np.zeros(n), np.ones(2 * m_eq + m_ub)])
     result = linprog(
@@ -66,7 +68,7 @@ def dense_elastic_violation(a_eq, b_eq, a_ub, b_ub):
         b_eq=b_eq,
         A_ub=np.hstack([a_ub, np.zeros((m_ub, 2 * m_eq)), -np.eye(m_ub)]),
         b_ub=b_ub,
-        bounds=(0, None),
+        bounds=(0, None) if bounds is None else list(bounds) + [(0, None)] * (2 * m_eq + m_ub),
         method="highs",
     )
     assert result.status == 0
@@ -91,6 +93,154 @@ def test_feasibility_matches_dense_elastic(n, m_eq, m_ub, densified, rng):
             assert out.violation == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array])
+def test_feasible_systems_solve_within_tolerance(form, rng):
+    # Right-hand sides taken at a nonnegative point: every system is feasible.
+    for n, m_eq, m_ub in [(12, 6, 4), (150, 120, 60), (9, 0, 5), (9, 5, 0)]:
+        x0 = rng.random(n)
+        a_eq = rng.standard_normal((m_eq, n)) * (rng.random((m_eq, n)) < 0.3)
+        a_ub = rng.standard_normal((m_ub, n)) * (rng.random((m_ub, n)) < 0.3)
+        eq = (form(a_eq), a_eq @ x0) if m_eq else None
+        ub = (form(a_ub), a_ub @ x0 + rng.random(m_ub)) if m_ub else None
+        out = feasibility(eq=eq, ub=ub, n_variables=n)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.max_residual <= 10 * lp.FEASIBILITY_TOL
+        # The check reads the same CSR rows as an independent program would.
+        reference = LinearProgram(
+            np.zeros(n),
+            eq_lhs=sp.csr_array(a_eq) if m_eq else None, eq_rhs=eq[1] if m_eq else None,
+            ub_lhs=sp.csr_array(a_ub) if m_ub else None, ub_rhs=ub[1] if m_ub else None,
+        )
+        assert out.max_residual == constraint_residual(reference, out.x)
+
+
+def test_explicit_bounds_match_dense_elastic(rng):
+    # Free and boxed variables: the elastic system keeps them as given.
+    n, m_eq, m_ub = 10, 5, 4
+    choices = [(None, None), (-1.0, 1.0), (0.0, None), (None, 0.5), (0.2, 0.3)]
+    for _ in range(5):
+        bounds = [choices[i] for i in rng.integers(len(choices), size=n)]
+        a_eq = rng.standard_normal((m_eq, n)) * (rng.random((m_eq, n)) < 0.4)
+        a_ub = rng.standard_normal((m_ub, n)) * (rng.random((m_ub, n)) < 0.4)
+        b_eq = 5.0 * rng.standard_normal(m_eq)
+        b_ub = 5.0 * rng.standard_normal(m_ub)
+        expected = dense_elastic_violation(a_eq, b_eq, a_ub, b_ub, bounds)
+        for form in (np.asarray, sp.csr_array):
+            out = feasibility(eq=(form(a_eq), b_eq), ub=(form(a_ub), b_ub), bounds=bounds)
+            assert out.violation == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            if out.status == LpStatus.OPTIMAL:
+                program = LinearProgram(np.zeros(n), eq_lhs=a_eq, eq_rhs=b_eq,
+                                        ub_lhs=a_ub, ub_rhs=b_ub, bounds=bounds)
+                assert out.max_residual == pytest.approx(constraint_residual(program, out.x), abs=1e-15)
+            else:
+                assert out.status == LpStatus.INFEASIBLE and expected > 1e-7
+
+
+def test_single_block_systems():
+    # x1 + x2 = -1 or x1 + x2 <= -1: only the row's own slack can absorb it.
+    row = np.array([[1.0, 1.0]])
+    for eq, ub in [((row, [-1.0]), None), (None, (row, [-1.0]))]:
+        out = feasibility(eq=eq, ub=ub)
+        assert out.status == LpStatus.INFEASIBLE
+        assert out.violation == pytest.approx(1.0, abs=1e-9)
+        assert out.stats.cols == 2 + (2 if eq else 1)
+    for eq, ub in [((row, [1.0]), None), (None, (row, [1.0]))]:
+        out = feasibility(eq=eq, ub=ub)
+        assert out.status == LpStatus.OPTIMAL and out.max_residual <= 1e-9
+    # Within a loose tolerance the violated row passes as feasible, and the
+    # residual check still reports that row's violation.
+    for eq, ub in [((row, [-0.3]), None), (None, (row, [-0.3]))]:
+        out = feasibility(eq=eq, ub=ub, tol=0.5)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.max_residual == pytest.approx(0.3, abs=1e-9)
+
+
+def test_duplicate_sparse_entries_are_summed():
+    # CSR input with a repeated (row, column): the entries add, as in the
+    # dense matrix, and the caller's array is left as it was.
+    cols, values = np.array([1, 1, 0, 2]), np.array([0.5, 0.5, 1.0, 1.0])
+    dup = sp.csr_array((values, cols, np.array([0, 2, 4])), shape=(2, 3))
+    assert not dup.has_canonical_format
+    b = np.array([-2.0, 3.0])
+    out = feasibility(eq=(dup, b))
+    expected = dense_elastic_violation(dup.toarray(), b, np.zeros((0, 3)), np.zeros(0))
+    assert out.violation == pytest.approx(expected, rel=1e-9)
+    assert dup.nnz == 4
+    with pytest.raises(ValueError, match="2 columns"):
+        feasibility(eq=(dup, b), n_variables=2)
+
+
+def elastic_systems(monkeypatch):
+    """Spy on ``lp.linprog``: the list gets the equality matrix of each call."""
+    seen = []
+    original = lp.linprog
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["A_eq"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    return seen
+
+
+def test_extension_systems_reach_highs_dense_or_sparse(monkeypatch):
+    seen = elastic_systems(monkeypatch)
+    base = uniform_box(Scenario(2, (2, 2), (2, 2)))
+    ns_extension(base, 4)
+    ns_extension(base, 5)
+    four, five = seen
+    # 140 symmetric variables and 132 rows, each row with two slacks.
+    assert isinstance(four, np.ndarray) and four.shape == (132, 404)
+    assert sp.issparse(five) and five.format == "csr" and five.shape == (213, 650)
+    assert 132 * 404 <= DENSE_ENTRY_LIMIT < 213 * 650
+    # Each slack column holds one +1 or -1, on its own row.
+    for a in (four, sp.csr_array(five).toarray()):
+        m, n = a.shape[0], a.shape[1] - 2 * a.shape[0]
+        assert np.array_equal(a[:, n:n + m], np.eye(m))
+        assert np.array_equal(a[:, n + m:], -np.eye(m))
+
+
+def outcomes_of(monkeypatch):
+    """Record every outcome ``lp.feasibility`` returns."""
+    outcomes = []
+    original = lp.feasibility
+
+    def recording(*args, **kwargs):
+        outcomes.append(original(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(lp, "feasibility", recording)
+    return outcomes
+
+
+def test_stats_record_the_system_highs_received(monkeypatch):
+    outcomes = outcomes_of(monkeypatch)
+    chsh = Scenario(2, (2, 2), (2, 2))
+    local_decomposition(uniform_box(chsh))
+    ns_extension(uniform_box(chsh), 4)
+    ns_extension(uniform_box(chsh), 5)
+    sizes = [(o.stats.rows, o.stats.cols, o.stats.nnz, o.stats.dense) for o in outcomes]
+    assert sizes == [(17, 50, 114, True), (132, 404, 798, True), (213, 650, 1302, False)]
+    for o in outcomes:
+        assert o.status == LpStatus.OPTIMAL
+        assert o.stats.build_s > 0 and o.stats.solve_s > 0 and o.stats.verify_s > 0
+    infeasible = local_decomposition(pr_box())
+    assert infeasible.score > 0 and outcomes[-1].stats.verify_s == 0.0
+
+
+def test_solve_stats():
+    program = LinearProgram(np.array([1.0, 1.0]), ub_lhs=[[1.0, 2.0], [0.0, 1.0]], ub_rhs=[2.0, 1.0])
+    stats = solve(program).stats
+    assert (stats.rows, stats.cols, stats.nnz, stats.dense) == (2, 2, 3, True)
+    assert stats.build_s >= 0 and stats.solve_s > 0 and stats.verify_s > 0
+    # An infeasible program reports its phase-one system: one slack per row.
+    out = solve(LinearProgram(np.array([1.0]), ub_lhs=[[1.0]], ub_rhs=[-1.0]))
+    assert out.status == LpStatus.INFEASIBLE
+    assert (out.stats.rows, out.stats.cols, out.stats.nnz) == (1, 2, 2)
+    big = solve(LinearProgram(np.ones(300), ub_lhs=sp.csr_array(np.eye(300)), ub_rhs=np.ones(300)))
+    assert (big.stats.rows, big.stats.cols, big.stats.nnz, big.stats.dense) == (300, 300, 300, False)
+
+
 def test_sparse_program_matches_dense(rng):
     a = rng.random((5, 8)) * (rng.random((5, 8)) < 0.5)
     c = rng.standard_normal(8)
@@ -110,7 +260,8 @@ def loop_residual(program, x):
         res = max(res, float(np.max(np.abs(program.eq_lhs @ x - program.eq_rhs))))
     if program.ub_lhs is not None:
         res = max(res, float(max(0.0, np.max(program.ub_lhs @ x - program.ub_rhs))))
-    for xi, (lo, hi) in zip(x, program.effective_bounds()):
+    bounds = program.bounds if program.bounds is not None else [(0.0, None)] * len(x)
+    for xi, (lo, hi) in zip(x, bounds):
         if lo is not None:
             res = max(res, lo - xi)
         if hi is not None:
@@ -137,6 +288,10 @@ def test_residual_matches_loop(rng):
             assert constraint_residual(p, x) == loop_residual(p, x)
     free = LinearProgram(np.ones(2), bounds=[(None, None)] * 2)
     assert constraint_residual(free, np.array([-5.0, 5.0])) == 0.0
+    # Default bounds (x >= 0); a zero residual is +0.0, not -0.0.
+    default = LinearProgram(np.ones(3), eq_lhs=[[1.0, 1.0, 1.0]], eq_rhs=[1.0])
+    assert constraint_residual(default, np.array([-0.25, 0.5, 0.75])) == 0.25
+    assert str(constraint_residual(default, np.array([0.0, 1.0, 0.0]))) == "0.0"
 
 
 def test_malformed_rows_rejected():
