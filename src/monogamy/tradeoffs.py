@@ -240,6 +240,22 @@ def _planar_value(moments: np.ndarray, f: BellFunctional, angles_1, angles_2) ->
     return float(value)
 
 
+def _planar_value_grad(moments: np.ndarray, f: BellFunctional, angles) -> tuple[float, np.ndarray]:
+    """Minus :func:`_planar_value` and minus its gradient in both parties'
+    angles, concatenated.  The value is bilinear in the planar rows u and v:
+    its row derivatives are W v M^T and W^T u M plus the Bloch terms, each
+    dotted with the row's derivative (-sin, cos)."""
+    n = f.correlators.shape[0]
+    rows = _planar_rows(angles)
+    m = moments[:2, :2]
+    d_rows = np.concatenate([
+        f.correlators @ rows[n:] @ m.T + np.outer(f.marginals_a, moments[:2, 2]),
+        f.correlators.T @ rows[:n] @ m + np.outer(f.marginals_b, moments[2, :2]),
+    ])
+    d_angles = np.sum(d_rows * np.stack([-rows[:, 1], rows[:, 0]], axis=1), axis=1)
+    return -_planar_value(moments, f, angles[:n], angles[n:]), -d_angles
+
+
 def _pure_vector(rho: DensityMatrix) -> np.ndarray:
     values, vectors = np.linalg.eigh(rho.matrix)
     if values[-1] < 1.0 - 1e-9:
@@ -374,24 +390,15 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _best_of(
-    objective, starts: list[np.ndarray], max_iter: int = 400, gradient: bool = False
-) -> tuple[float, np.ndarray | None, int]:
-    """Best local maximum over the starts: value, argument and summed
-    objective evaluations.  The first start wins a tie; with no starts the
-    value is -inf and the argument None.
-
-    A plain objective returns the value and runs a Nelder-Mead simplex;
-    with ``gradient`` it returns the negated value and gradient and runs
-    L-BFGS-B."""
-    if gradient:
-        fun, method, options = objective, "L-BFGS-B", {"ftol": 1e-15, "gtol": 1e-10}
-    else:
-        fun, method = (lambda x: -objective(x)), "Nelder-Mead"
-        options = {"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-12}
+def _best_of(objective, starts: list[np.ndarray]) -> tuple[float, np.ndarray | None, int]:
+    """Best local maximum over the starts by L-BFGS-B: value, argument and
+    summed objective evaluations.  ``objective`` returns the negated value
+    and its gradient.  The first start wins a tie; with no starts the value
+    is -inf and the argument None."""
+    options = {"ftol": 1e-15, "gtol": 1e-10}
     best_value, best_x, evaluations = -np.inf, None, 0
     for x0 in starts:
-        result = minimize(fun, x0, method=method, jac=gradient, options=options)
+        result = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
         evaluations += int(result.nfev)
         if -result.fun > best_value:
             best_value, best_x = float(-result.fun), np.asarray(result.x)
@@ -472,7 +479,7 @@ def quantum_boundary_search(
         starts = list(_WITNESS_SEEDS)
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
         best_value, best_x, evaluations = _best_of(
-            lambda x, c=cos_t, s=sin_t: _direction_value_grad(x, c, s), starts, gradient=True
+            lambda x, c=cos_t, s=sin_t: _direction_value_grad(x, c, s), starts
         )
         if best_value > TSIRELSON + 1e-9:
             raise RuntimeError(
@@ -503,14 +510,17 @@ def quantum_boundary_search(
     return points
 
 
-def _separable_orthogonal_pair(beta_1: float, beta_2: float) -> float:
-    """CHSH of a planar product state with sigma_x / sigma_z settings on
-    both sides; <sigma_x> = sin(beta), <sigma_z> = cos(beta)."""
-    u1 = (math.sin(beta_1), math.cos(beta_1))
-    u2 = (math.sin(beta_2), math.cos(beta_2))
-    return (
-        u1[0] * u2[0] + u1[0] * u2[1] + u1[1] * u2[0] - u1[1] * u2[1]
-    )
+def _separable_value_grad(betas: np.ndarray, weights) -> tuple[float, np.ndarray]:
+    """Minus sum_k weights[k] CHSH(beta_0, beta_k+1) over planar product
+    qubits with sigma_x / sigma_z settings on both sides, and minus its
+    gradient.  With u = (<sigma_x>, <sigma_z>) = (sin beta, cos beta) a pair
+    value is u_0^T W u_k, W the CHSH correlator weights."""
+    u = np.stack([np.sin(betas), np.cos(betas)], axis=1)
+    du = np.stack([u[:, 1], -u[:, 0]], axis=1)
+    w, weights = _CHSH.correlators, np.asarray(weights)
+    pair = w.T @ u[0]
+    d_first = du[0] @ w @ (weights @ u[1:])
+    return -float(weights @ (u[1:] @ pair)), -np.concatenate([[d_first], weights * (du[1:] @ pair)])
 
 
 def _require_restarts(restarts: int) -> None:
@@ -527,11 +537,8 @@ def separable_orthogonal_max(restarts: int, rng: np.random.Generator) -> float:
     _require_restarts(restarts)
     best = 0.0
     for sign in (1.0, -1.0):
-        def objective(x, s=sign):
-            return s * _separable_orthogonal_pair(x[0], x[1])
-
         starts = [rng.uniform(-math.pi, math.pi, 2) for _ in range(restarts)]
-        best = max(best, _best_of(objective, starts)[0])
+        best = max(best, _best_of(lambda x, s=sign: _separable_value_grad(x, [s]), starts)[0])
     return best
 
 
@@ -542,21 +549,17 @@ def separable_orthogonal_support(
     per direction, maximize over planar Bloch angles of three product
     qubits.  ``restarts`` below 1 raises ValueError.
 
-    ``params`` holds ``starts``, ``evaluations`` (the summed simplex
-    objective evaluations) and ``ceiling_gap``: the closed form
+    ``params`` holds ``starts``, ``evaluations`` (the summed
+    value-and-gradient evaluations) and ``ceiling_gap``: the closed form
     sqrt(2) (|cos theta| + |sin theta|) minus the value."""
     _require_restarts(restarts)
     points = []
     for theta in thetas:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-
-        def objective(x, c=cos_t, s=sin_t):
-            ab = _separable_orthogonal_pair(x[0], x[1])
-            ac = _separable_orthogonal_pair(x[0], x[2])
-            return c * ab + s * ac
-
         starts = [rng.uniform(-math.pi, math.pi, 3) for _ in range(restarts)]
-        value, _, evaluations = _best_of(objective, starts)
+        value, _, evaluations = _best_of(
+            lambda x, c=cos_t, s=sin_t: _separable_value_grad(x, [c, s]), starts
+        )
         ceiling = math.sqrt(2.0) * (abs(cos_t) + abs(sin_t))
         points.append(
             SupportPoint(
@@ -652,8 +655,9 @@ def cg_double_violation_search(
 
     The b and c measurement angles are tied together, which makes the two
     values equal by the b-c exchange symmetry of the family; the search then
-    maximizes the common value over the remaining six angles per mu.  An
-    empty ``mu_values`` raises ValueError.
+    maximizes the common value over the remaining six angles per mu, by
+    L-BFGS-B on its exact gradient.  An empty ``mu_values`` raises
+    ValueError.
     """
     if len(mu_values) == 0:
         raise ValueError("the double-violation search needs at least one mu value")
@@ -664,16 +668,15 @@ def cg_double_violation_search(
         t = _pure_vector(cg_state(float(mu))).reshape(2, 2, 2)
         moments = _pair_moments(t, (0, 1))
 
-        def objective(x, m=moments):
-            return _planar_value(m, functional, x[:3], x[3:])
-
         starts = [
             _mirror_angles(0.53, 0.25),
             _mirror_angles(0.9, 0.45),
             _mirror_angles(0.2, 0.1),
         ]
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
-        _, x, evaluations = _best_of(objective, starts, max_iter=800)
+        _, x, evaluations = _best_of(
+            lambda x, m=moments: _planar_value_grad(m, functional, x), starts
+        )
         total_starts += len(starts)
         total_evaluations += evaluations
         a_angles = (float(x[0]), float(x[1]), float(x[2]))

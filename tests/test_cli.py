@@ -294,14 +294,15 @@ class TestSweep:
         assert by_theta[math.pi / 2] == pytest.approx(4.0, abs=1e-6)
         assert all(r[2] == "ns" for r in rows)
 
-    def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--class", "separable-orthogonal", "--grid", "4",
+         "--restarts", "3", "--seed", "11"],
+        ["cgsearch", "--grid", "11", "--restarts", "2", "--seed", "5"],
+    ], ids=["sweep", "cgsearch"])
+    def test_byte_identical_reruns(self, argv, tmp_path):
+        out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
         for out in (out1, out2):
-            code = main([
-                "sweep", "--class", "separable-orthogonal", "--grid", "4",
-                "--restarts", "3", "--seed", "11", "--out", str(out),
-            ])
-            assert code == 0
+            assert main(argv + ["--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_separable_without_restarts_is_an_error(self, capsys):

@@ -56,6 +56,10 @@ def kron_direction_operator(angles, theta):
     return op
 
 
+def central_differences(fun, x, step=1e-6):
+    return np.array([(fun(x + step * e) - fun(x - step * e)) / (2 * step) for e in np.eye(len(x))])
+
+
 def three_party_uniform():
     return uniform_box(Scenario(3, (2, 2, 2), (2, 2, 2)))
 
@@ -424,7 +428,6 @@ class TestQuantumSearch:
         assert rng.uniform() == twin.uniform()
 
     def test_value_and_gradient(self, rng):
-        step = 1e-6
         for k in range(20):
             angles = rng.uniform(-math.pi, math.pi, 6)
             theta = (0.0, math.pi / 2)[k] if k < 2 else rng.uniform(0.0, 2.0 * math.pi)
@@ -432,11 +435,9 @@ class TestQuantumSearch:
             value, grad = tradeoffs._direction_value_grad(angles, c, s)
             top = np.linalg.eigvalsh(tradeoffs._direction_operator(angles, c, s))[-1]
             assert value == pytest.approx(-top, abs=1e-12)
-            differences = [
-                (tradeoffs._direction_value_grad(angles + step * e, c, s)[0]
-                 - tradeoffs._direction_value_grad(angles - step * e, c, s)[0]) / (2 * step)
-                for e in np.eye(6)
-            ]
+            differences = central_differences(
+                lambda x: tradeoffs._direction_value_grad(x, c, s)[0], angles
+            )
             assert np.allclose(grad, differences, rtol=0.0, atol=1e-6)
             if k < 2:
                 # On an axis the top eigenvalue is that of one pair's CHSH
@@ -470,7 +471,16 @@ class TestQuantumSearch:
         assert len(evaluations) == 2 + restarts
         assert point.params["evaluations"] == sum(evaluations)
 
-    def test_search_goes_through_module_minimize(self, monkeypatch):
+    @pytest.mark.parametrize("search, calls, want", [
+        (lambda rng: quantum_boundary_search(np.array([0.3]), 0, rng)[0].value, 2, ROOT8),
+        (lambda rng: tradeoffs.cg_double_violation_search(np.array([0.9]), 0, rng).min_value,
+         3, 4.043839398106216),
+        (lambda rng: separable_orthogonal_max(1, rng), 2, math.sqrt(2)),
+        (lambda rng: tradeoffs.separable_orthogonal_support(np.array([0.3]), 1, rng)[0].value,
+         1, math.sqrt(2) * (math.cos(0.3) + math.sin(0.3))),
+    ], ids=["quantum_boundary_search", "cg_double_violation_search",
+            "separable_orthogonal_max", "separable_orthogonal_support"])
+    def test_search_goes_through_module_minimize(self, search, calls, want, monkeypatch):
         # tradeoffs.minimize is what a caller wraps to observe searches; it
         # must reach scipy's L-BFGS-B on every call.
         methods, reached = [], []
@@ -486,10 +496,10 @@ class TestQuantumSearch:
 
         monkeypatch.setattr(tradeoffs, "minimize", routed)
         monkeypatch.setattr(scipy.optimize, "minimize", counted)
-        point = quantum_boundary_search(np.array([0.3]), restarts=0, rng=np.random.default_rng(1))[0]
-        assert methods == ["L-BFGS-B"] * 2
-        assert len(reached) == 2
-        assert point.value == pytest.approx(ROOT8, abs=1e-9)
+        value = search(np.random.default_rng(1))
+        assert methods == ["L-BFGS-B"] * calls
+        assert len(reached) == calls
+        assert value == pytest.approx(want, abs=1e-9)
 
 
 class TestSeparableOrthogonal:
@@ -503,14 +513,28 @@ class TestSeparableOrthogonal:
         with pytest.raises(ValueError, match="at least one restart"):
             tradeoffs.separable_orthogonal_support(np.array([0.0]), restarts=0, rng=rng)
 
-    def test_support_records_reach_the_closed_form(self):
-        points = tradeoffs.sweep("separable-orthogonal", 16, 4, np.random.default_rng(0))
+    @pytest.mark.parametrize("grid, restarts", [(16, 4), (256, 1)], ids=["grid16", "grid256"])
+    def test_support_records_reach_the_closed_form(self, grid, restarts):
+        # Coarse grids can hide bands of directions where a search falls short.
+        points = tradeoffs.sweep("separable-orthogonal", grid, restarts, np.random.default_rng(0))
         for point in points:
             ceiling = math.sqrt(2) * (abs(math.cos(point.theta)) + abs(math.sin(point.theta)))
-            assert point.params["starts"] == 4
+            assert point.params["starts"] == restarts
             assert point.params["evaluations"] > 0
             assert point.params["ceiling_gap"] == ceiling - point.value
             assert abs(point.params["ceiling_gap"]) <= 1e-9
+
+    def test_value_and_gradient(self, rng):
+        for weights in ([1.0], [-1.0], rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)):
+            betas = rng.uniform(-math.pi, math.pi, len(weights) + 1)
+            value, grad = tradeoffs._separable_value_grad(betas, weights)
+            (x0, z0), *rest = [(math.sin(b), math.cos(b)) for b in betas]
+            pairs = [x0 * x + x0 * z + z0 * x - z0 * z for x, z in rest]
+            assert value == pytest.approx(-np.dot(weights, pairs), abs=1e-14)
+            differences = central_differences(
+                lambda x: tradeoffs._separable_value_grad(x, weights)[0], betas
+            )
+            assert np.allclose(grad, differences, rtol=0.0, atol=1e-8)
 
 
 class TestCgSearch:
@@ -548,6 +572,24 @@ class TestCgSearch:
 
 
 class TestObjectiveBuilders:
+    @pytest.mark.parametrize("functional", [chsh(), collins_gisin()], ids=["chsh", "collins-gisin"])
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    def test_planar_value_and_gradient(self, functional, pair, rng):
+        # Only the three-setting functional has single-party weights, so
+        # only it exercises the Bloch terms of the gradient.
+        n = functional.correlators.shape[0]
+        for _ in range(5):
+            t = tradeoffs._pure_vector(random_pure_state(3, rng)).reshape(2, 2, 2)
+            moments = tradeoffs._pair_moments(t, pair)
+            angles = rng.uniform(-math.pi, math.pi, 2 * n)
+            value, grad = tradeoffs._planar_value_grad(moments, functional, angles)
+            want = tradeoffs._planar_value(moments, functional, angles[:n], angles[n:])
+            assert value == -want
+            differences = central_differences(
+                lambda x: tradeoffs._planar_value_grad(moments, functional, x)[0], angles
+            )
+            assert np.allclose(grad, differences, rtol=0.0, atol=1e-8)
+
     def test_chsh_objective_matches_behavior_evaluation(self, rng):
         scenario = Scenario(3, (2, 2, 2), (2, 2, 2))
         obj = functional_row(scenario, chsh(), (0, 1))
