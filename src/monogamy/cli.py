@@ -420,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "restarts", None) is not None and args.restarts < 0:
         sys.stderr.write("error: --restarts must be non-negative\n")
         return 2
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        sys.stderr.write("error: --seed must be non-negative\n")
+        return 2
     try:
         return args.func(args)
     except CliError as exc:

@@ -308,6 +308,17 @@ def state_pair_point(
 # Support functions over the correlation classes
 # ---------------------------------------------------------------------------
 
+# Support directions per block-diagonal NS LP.  Most of a one-direction
+# solve is fixed per-call cost, which a block spreads over its directions,
+# while HiGHS's work and memory grow with the block.  On 2 vCPUs with one
+# BLAS thread, 256 random directions took 2.34 ms each at one direction per
+# LP, 0.84 ms at 8, 0.77-0.79 ms at 16-64, 0.82 ms at 128 and 0.89-1.28 ms
+# at 256-1024.  The peak RSS of a 1 024-direction sweep was 2.3 MB above
+# that of one LP per direction at 16 directions per LP, 4.5 MB above it at
+# 32 and 9.6 MB above it at 64.
+_NS_CHUNK = 16
+
+
 @dataclass(frozen=True, eq=False)
 class SupportPoint:
     theta: float
@@ -320,11 +331,45 @@ def ns_maximum(
     scenario: Scenario, objective: np.ndarray, tol: float = lp.FEASIBILITY_TOL
 ) -> tuple[float, Behavior]:
     """Maximize a linear functional over the no-signalling polytope."""
+    objectives = np.atleast_2d(np.asarray(objective, dtype=float))
+    values, tables, _ = _ns_maxima(scenario, objectives, tol)
+    return values[0], tables[0]
+
+
+def _ns_maxima(
+    scenario: Scenario, objectives: np.ndarray, tol: float
+) -> tuple[list[float], list[Behavior], lp.LpOutcome]:
+    """Maximize each row of ``objectives`` over the no-signalling polytope,
+    all in one LP: row i acts on its own copy of the table, under its own
+    copy of the ``ns_polytope`` rows (a block-diagonal system), so the
+    maximum of the summed objectives is the sum of the row maxima and each
+    block of the solution is an optimum of its row.  Each block is
+    re-checked by ``_ns_table`` and its value recomputed from its row.
+    Returns the values, the tables and the LP's outcome."""
+    k = objectives.shape[0]
     eq_lhs, eq_rhs = ns_polytope(scenario)
-    outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs), tol)
+    program = lp.LinearProgram(
+        objectives.reshape(-1), eq_lhs=_block_diagonal(eq_lhs, k), eq_rhs=np.tile(eq_rhs, k)
+    )
+    outcome = lp.solve(program, tol)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
-    return float(outcome.value), _ns_table(scenario, outcome.x, tol)
+    blocks = outcome.x.reshape(k, scenario.table_size)
+    values = [float(objective @ x) for objective, x in zip(objectives, blocks)]
+    return values, [_ns_table(scenario, x, tol) for x in blocks], outcome
+
+
+def _block_diagonal(rows, k: int):
+    """``k`` copies of the CSR ``rows`` along the diagonal, built on
+    ``indptr`` / ``indices`` / ``data`` directly (``sp.block_diag`` costs
+    about twenty times as much at 16 copies of the 49 x 64 NS rows)."""
+    import scipy.sparse as sp
+
+    m, n = rows.shape
+    copies = np.arange(k)[:, None]
+    indptr = np.append((rows.indptr[:-1] + rows.nnz * copies).ravel(), k * rows.nnz)
+    indices = (rows.indices + n * copies).ravel()
+    return sp.csr_array((np.tile(rows.data, k), indices, indptr), shape=(k * m, k * n))
 
 
 def _ns_table(scenario: Scenario, x: np.ndarray, tol: float) -> Behavior:
@@ -347,16 +392,33 @@ def _ns_table(scenario: Scenario, x: np.ndarray, tol: float) -> Behavior:
 def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[SupportPoint]:
     """Support function of the no-signalling region in the
     (chsh_ab, chsh_ac) plane: per direction, the LP maximum of
-    cos(theta) chsh_ab + sin(theta) chsh_ac."""
+    cos(theta) chsh_ab + sin(theta) chsh_ac.  Up to ``_NS_CHUNK``
+    directions share one block-diagonal LP; each point's ``params`` hold
+    that LP's record: its direction count, HiGHS iterations, and the rows,
+    columns and nonzeros HiGHS received."""
+    thetas = [float(theta) for theta in thetas]
+    if not all(math.isfinite(theta) for theta in thetas):
+        raise ValueError("support directions must be finite")
     scenario = triple_scenario()
     obj_ab = functional_row(scenario, _CHSH, (0, 1))
     obj_ac = functional_row(scenario, _CHSH, (0, 2))
     points = []
-    for theta in thetas:
-        theta = float(theta)
-        objective = math.cos(theta) * obj_ab + math.sin(theta) * obj_ac
-        value, behavior = ns_maximum(scenario, objective, tol)
-        points.append(SupportPoint(theta, value, behavior))
+    for start in range(0, len(thetas), _NS_CHUNK):
+        chunk = thetas[start:start + _NS_CHUNK]
+        cos_t = np.array([math.cos(theta) for theta in chunk])[:, None]
+        sin_t = np.array([math.sin(theta) for theta in chunk])[:, None]
+        values, tables, outcome = _ns_maxima(scenario, cos_t * obj_ab + sin_t * obj_ac, tol)
+        record = {
+            "directions": len(chunk),
+            "iterations": outcome.iterations,
+            "rows": outcome.stats.rows,
+            "cols": outcome.stats.cols,
+            "nnz": outcome.stats.nnz,
+        }
+        points.extend(
+            SupportPoint(theta, value, table, dict(record))
+            for theta, value, table in zip(chunk, values, tables)
+        )
     return points
 
 

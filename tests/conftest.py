@@ -12,6 +12,7 @@ from monogamy import (
     Behavior,
     Scenario,
     born_behavior,
+    chsh,
     chsh_value,
     collins_gisin,
     deterministic_behaviors,
@@ -24,7 +25,7 @@ from monogamy import (
 from monogamy.bell import functional_row
 from monogamy.model import ns_polytope
 from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
-from monogamy.tradeoffs import pb_scenario
+from monogamy.tradeoffs import pb_scenario, triple_scenario
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
@@ -157,3 +158,18 @@ def full_table_probe() -> tuple[list[float], float, int]:
         for signs in itertools.product((1, -1), repeat=3)
     ]
     return sign_values, outcome.value, iterations + outcome.iterations
+
+
+def per_direction_ns_support(thetas) -> list[float]:
+    """Reference NS support values: one ``lp.solve`` per direction over the
+    ``ns_polytope`` rows, maximizing cos(theta) CHSH_ab + sin(theta) CHSH_ac."""
+    scenario = triple_scenario()
+    ab, ac = (functional_row(scenario, chsh(), pair) for pair in ((0, 1), (0, 2)))
+    eq_lhs, eq_rhs = ns_polytope(scenario)
+    values = []
+    for theta in thetas:
+        objective = math.cos(theta) * ab + math.sin(theta) * ac
+        outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+        assert outcome.status == lp.LpStatus.OPTIMAL
+        values.append(outcome.value)
+    return values

@@ -323,6 +323,10 @@ class TestSweep:
         assert main(["sweep", "--class", "quantum", "--grid", "2", "--restarts", "-1"]) == 2
         assert capsys.readouterr().err == "error: --restarts must be non-negative\n"
 
+    def test_negative_seed_is_an_error(self, capsys):
+        assert main(["sweep", "--class", "quantum", "--grid", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+
     def test_local_sweep(self, tmp_path):
         out = tmp_path / "local.csv"
         assert main(["sweep", "--class", "local", "--grid", "4", "--out", str(out)]) == 0
@@ -357,6 +361,10 @@ class TestCgSearchCommand:
         assert capsys.readouterr().err.startswith("error: --grid must be at least 1")
         assert main(["cgsearch", "--grid", "2", "--restarts", "-1"]) == 2
         assert capsys.readouterr().err == "error: --restarts must be non-negative\n"
+
+    def test_negative_seed_is_an_error(self, capsys):
+        assert main(["cgsearch", "--grid", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
 
 class TestUsage:

@@ -36,7 +36,7 @@ from monogamy import (
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import functional_row
-from conftest import full_table_probe
+from conftest import full_table_probe, per_direction_ns_support
 
 ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
@@ -228,6 +228,85 @@ class TestNsSupport:
         flipped = [p.value for p in ns_support(thetas + math.pi)]
         assert np.allclose(base, flipped, atol=1e-6)
 
+    @staticmethod
+    def refuse_solves(monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("no LP should be solved")
+
+        monkeypatch.setattr(tradeoffs.lp, "solve", solve)
+
+    @pytest.mark.parametrize("count", [1, tradeoffs._NS_CHUNK, tradeoffs._NS_CHUNK + 1, 192])
+    def test_block_lp_matches_one_lp_per_direction(self, count, monkeypatch):
+        """One block-diagonal LP per chunk of directions: the values of the
+        per-direction LPs, tables that pass the model's own checks and
+        reproduce their values, and each chunk's LP record on its points."""
+        from monogamy import is_no_signalling, validate_behavior
+        from monogamy.model import ns_polytope
+
+        thetas = np.random.default_rng(count).uniform(-math.pi, math.pi, count)
+        reference = per_direction_ns_support(thetas)
+        solved, checked = [], []
+        solve, ns_table = tradeoffs.lp.solve, tradeoffs._ns_table
+
+        def counting_solve(program, *args, **kwargs):
+            solved.append(program.n_variables)
+            return solve(program, *args, **kwargs)
+
+        def counting_table(scenario, x, tol):
+            checked.append(x.size)
+            return ns_table(scenario, x, tol)
+
+        monkeypatch.setattr(tradeoffs.lp, "solve", counting_solve)
+        monkeypatch.setattr(tradeoffs, "_ns_table", counting_table)
+        points = ns_support(thetas)
+
+        chunk = tradeoffs._NS_CHUNK
+        sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
+        assert len(sizes) == math.ceil(count / chunk)
+        scenario = tradeoffs.triple_scenario()
+        assert solved == [k * scenario.table_size for k in sizes]
+        assert checked == [scenario.table_size] * count
+        assert [p.theta for p in points] == list(thetas)
+        assert np.allclose([p.value for p in points], reference, rtol=0.0, atol=1e-9)
+
+        rows = ns_polytope(scenario)[0]
+        ab, ac = (functional_row(scenario, chsh(), pair) for pair in ((0, 1), (0, 2)))
+        directions = [k for k in sizes for _ in range(k)]
+        for point, k in zip(points, directions):
+            assert is_no_signalling(point.behavior, 1e-7).is_no_signalling
+            assert validate_behavior(point.behavior, 1e-7).passed
+            objective = math.cos(point.theta) * ab + math.sin(point.theta) * ac
+            value = objective @ point.behavior.table.reshape(-1)
+            assert value == pytest.approx(point.value, abs=1e-9)
+            record = dict(point.params)
+            assert record.pop("iterations") > 0
+            assert record == {
+                "directions": k,
+                "rows": k * rows.shape[0],
+                "cols": k * rows.shape[1],
+                "nnz": k * rows.nnz,
+            }
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_block_diagonal_rows(self, k):
+        import scipy.sparse as sp
+        from monogamy.model import ns_polytope
+
+        rows = ns_polytope(tradeoffs.triple_scenario())[0]
+        blocks = tradeoffs._block_diagonal(rows, k)
+        assert blocks.shape == (k * rows.shape[0], k * rows.shape[1])
+        assert np.array_equal(blocks.toarray(), sp.block_diag([rows] * k).toarray())
+
+    def test_no_directions_solve_nothing(self, monkeypatch):
+        self.refuse_solves(monkeypatch)
+        assert ns_support(np.array([])) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_refused_before_any_solve(self, bad, monkeypatch):
+        self.refuse_solves(monkeypatch)
+        with pytest.raises(ValueError, match="finite"):
+            ns_support(np.array([0.0, bad]))
+
 
 class TestNsMaximum:
     @staticmethod
@@ -245,21 +324,33 @@ class TestNsMaximum:
         value, _ = tradeoffs.ns_maximum(scenario, objective)
         assert value == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def normalization_only(monkeypatch):
+        """Replace the NS rows by the normalization rows alone."""
+        import scipy.sparse as sp
+
+        def rows(s):
+            per_context = s.table_size // s.n_contexts
+            lhs = sp.kron(sp.eye_array(s.n_contexts), np.ones((1, per_context)), format="csr")
+            return lhs, np.ones(s.n_contexts)
+
+        monkeypatch.setattr(tradeoffs, "ns_polytope", rows)
+
     def test_signalling_optimum_raises(self, monkeypatch):
         """With normalization rows only, the LP accepts a signalling table;
         the independent check must refuse it."""
-        import scipy.sparse as sp
-
         scenario, objective = self.marginal_objective()
-        per_context = scenario.table_size // scenario.n_contexts
-        rows = sp.kron(
-            sp.eye_array(scenario.n_contexts), np.ones((1, per_context)), format="csr"
-        )
-        monkeypatch.setattr(
-            tradeoffs, "ns_polytope", lambda s: (rows, np.ones(s.n_contexts))
-        )
+        self.normalization_only(monkeypatch)
         with pytest.raises(RuntimeError, match="fails the definitions"):
             tradeoffs.ns_maximum(scenario, objective)
+
+    def test_signalling_support_block_raises(self, monkeypatch):
+        """The same refusal for a chunk of support directions solved as one
+        block-diagonal LP."""
+        self.normalization_only(monkeypatch)
+        thetas = np.linspace(0.0, 2.0 * math.pi, tradeoffs._NS_CHUNK, endpoint=False)
+        with pytest.raises(RuntimeError, match="fails the definitions"):
+            ns_support(thetas)
 
 
 class TestPbProbe:
