@@ -501,46 +501,97 @@ def permute_parties(scenario: Scenario, flat: np.ndarray, perm: tuple[int, ...])
 
 
 @functools.lru_cache(maxsize=8)
-def ns_orbit_polytope(
-    scenario: Scenario, generators: tuple[tuple[int, ...], ...]
-) -> tuple[sp.csr_array, np.ndarray, np.ndarray]:
-    """The rows of :func:`ns_polytope` over one variable per orbit of table
-    entries under the party permutations that ``generators`` span.
+def cg_map(scenario: Scenario) -> sp.csr_array:
+    """The Collins-Gisin (CG) parametrisation of no-signalling tables: a
+    table is ``M @ q`` for the CSR matrix M returned here, and the NS
+    polytope is {M q : q[0] = 1, M q >= 0}.
 
-    Returns the reduced rows ``lhs @ P``, where ``P`` is the 0/1 matrix of
-    entry j in orbit ``orbit[j]``, the unchanged right-hand side, and the
-    orbit map: a table with one value y[k] per orbit is ``y[orbit]``.
-    Orbits are ranked by their smallest entry.  Every party permutation
-    that keeps settings and outcome counts maps the NS polytope onto
-    itself, so a generator that does not is refused.  Memoised per
-    (scenario, generators) and returned read-only."""
+    Party p with s settings and o outcomes has 1 + s (o - 1) coordinates:
+    a constant, then q(a|x) for every setting x and outcome a < o - 1, with
+    q(o - 1|x) = 1 - sum_a q(a|x).  M is the Kronecker product of these
+    per-party maps, its rows reordered to the table's (settings...,
+    outcomes...) order, so column c is a grid of per-party digits and
+    column 0 is the constant.  Memoised per scenario and returned
+    read-only."""
     import scipy.sparse as sp
 
-    size = scenario.table_size
-    kinds = list(zip(scenario.settings, scenario.outcomes))
-    for perm in generators:
-        if sorted(perm) != list(range(scenario.parties)) or [kinds[p] for p in perm] != kinds:
-            raise ValueError(f"{perm} is not a party symmetry of the scenario")
-    images = [permute_parties(scenario, np.arange(size), perm) for perm in generators]
-    # Entries j and images[g][j] share an orbit: push each entry's smallest
-    # known orbit member along the generators until nothing changes.
-    label = np.arange(size)
+    m = sp.csr_array(np.ones((1, 1)))
+    for s, o in zip(scenario.settings, scenario.outcomes):
+        # Rows (x, a): q(a|x) for a < o - 1, and 1 minus their sum for o - 1.
+        local = np.zeros((s, o, 1 + s * (o - 1)))
+        local[:, -1, 0] = 1.0
+        for x in range(s):
+            coords = 1 + x * (o - 1) + np.arange(o - 1)
+            local[x, np.arange(o - 1), coords] = 1.0
+            local[x, -1, coords] = -1.0
+        m = sp.kron(m, sp.csr_array(local.reshape(s * o, -1)), format="csr")
+    n = scenario.parties
+    interleaved = [k for pair in zip(scenario.settings, scenario.outcomes) for k in pair]
+    order = np.arange(scenario.table_size).reshape(interleaved)
+    order = order.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))).ravel()
+    m = m[order].tocsr()
+    for part in (m.data, m.indices, m.indptr):
+        part.setflags(write=False)
+    return m
+
+
+def _orbit_minima(n: int, images: list[np.ndarray]) -> np.ndarray:
+    """The smallest member of each index's orbit among 0..n-1 under the
+    permutations ``images`` (index j and ``image[j]`` share an orbit)."""
+    # Push each index's smallest known orbit member along the permutations
+    # until nothing changes.
+    label = np.arange(n)
     while True:
         smallest = label
         for image in images:
             smallest = np.minimum(smallest, smallest[image])
         if np.array_equal(smallest, label):
-            break
+            return label
         label = smallest
-    orbit = np.unique(label, return_inverse=True)[1]
+
+
+@functools.lru_cache(maxsize=8)
+def ns_orbit_polytope(
+    scenario: Scenario, generators: tuple[tuple[int, ...], ...]
+) -> tuple[sp.csr_array, sp.csr_array]:
+    """The no-signalling polytope restricted to the tables fixed by the
+    party permutations that ``generators`` span, in :func:`cg_map`
+    coordinates with one variable y[k] per orbit of CG columns.
+
+    Returns ``(rows, expand)``: ``expand = M @ P``, where ``P`` is the 0/1
+    matrix of CG column c in orbit k, so ``expand @ y`` is the table; and
+    ``rows = expand[representatives]``, one positivity row per orbit of
+    table entries at its smallest entry.  The fixed tables are then
+    {expand @ y : y[0] = 1, rows @ y >= 0}: column 0 is the constant, and
+    an expanded table is constant on every orbit of table entries.  A party
+    permutation moves CG columns by transposing their per-party digit grid.
+    Every party permutation that keeps settings and outcome counts maps the
+    NS polytope onto itself, so a generator that does not is refused.
+    Memoised per (scenario, generators) and returned read-only."""
+    import scipy.sparse as sp
+
+    kinds = list(zip(scenario.settings, scenario.outcomes))
+    for perm in generators:
+        if sorted(perm) != list(range(scenario.parties)) or [kinds[p] for p in perm] != kinds:
+            raise ValueError(f"{perm} is not a party symmetry of the scenario")
+    m = cg_map(scenario)
+    n_cols = m.shape[1]
+    columns = np.arange(n_cols).reshape(tuple(1 + s * (o - 1) for s, o in kinds))
+    column_minima = _orbit_minima(n_cols, [columns.transpose(perm).ravel() for perm in generators])
+    column_orbit = np.unique(column_minima, return_inverse=True)[1]
     members = sp.csr_array(
-        (np.ones(size), (np.arange(size), orbit)), shape=(size, int(orbit.max()) + 1)
+        (np.ones(n_cols), (np.arange(n_cols), column_orbit)),
+        shape=(n_cols, int(column_orbit.max()) + 1),
     )
-    full_lhs, rhs = ns_polytope(scenario)
-    lhs = (full_lhs @ members).tocsr()
-    for part in (lhs.data, lhs.indices, lhs.indptr, orbit):
+    expand = (m @ members).tocsr()
+    entries = np.arange(scenario.table_size)
+    representatives = np.unique(_orbit_minima(
+        scenario.table_size, [permute_parties(scenario, entries, perm) for perm in generators]
+    ))
+    rows = expand[representatives].tocsr()
+    for part in (rows.data, rows.indices, rows.indptr, expand.data, expand.indices, expand.indptr):
         part.setflags(write=False)
-    return lhs, rhs, orbit
+    return rows, expand
 
 
 # ---------------------------------------------------------------------------

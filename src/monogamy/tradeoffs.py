@@ -775,7 +775,9 @@ class PbProbeReport:
     coefficients, so the comparison is reported rather than asserted.
     ``t_star`` is the optimum of max t subject to C_ab + C_ac >= t and
     C_ab + C_ad >= t; a value above 2 * local_bound would realize the
-    simultaneous double-violation conjecture.
+    simultaneous double-violation conjecture.  ``lps`` holds one record
+    per LP solved, in solve order: its ``generators``, HiGHS
+    ``iterations``, and the ``rows``, ``cols`` and ``nnz`` HiGHS received.
     """
 
     sign_values: tuple[tuple[tuple[int, int, int], float], ...]
@@ -787,6 +789,7 @@ class PbProbeReport:
     t_threshold: float
     t_exceeds: bool
     t_behavior: Behavior
+    lps: tuple[dict, ...]
 
 
 def pb_scenario() -> Scenario:
@@ -817,39 +820,57 @@ def _ns_orbit_max_min(
     functionals: list[np.ndarray],
     generators: tuple[tuple[int, ...], ...],
     tol: float,
+    lps: list[dict] | None = None,
 ) -> tuple[float, Behavior]:
     """The maximum over the no-signalling polytope of the smallest of the
-    ``functionals``' values, solved over one variable per orbit of
-    :func:`ns_orbit_polytope`.
+    ``functionals``' values, solved in the Collins-Gisin coordinates of
+    :func:`ns_orbit_polytope`: one free variable per orbit of CG columns,
+    the constant one fixed at 1, and one positivity row per orbit of table
+    entries, with no equality rows.
 
     The polytope is invariant under every party permutation, and the group
     permutes the functionals among themselves (checked first), so averaging
     an optimum over the group gives one that is constant on orbits.  One
     functional is maximized directly; several take a variable t with one
-    row t <= f @ x each.  The orbit solution is expanded to the full table,
-    which ``_ns_table`` re-checks.  The value is recomputed there, and the
-    max-min rows are re-evaluated there at the LP's 10 * tol acceptance."""
+    row t <= f @ x each.  The solution is expanded to the full table, which
+    ``_ns_table`` re-checks.  The value is recomputed there, and the
+    max-min rows are re-evaluated there at the LP's 10 * tol acceptance.
+    When ``lps`` is given, the LP's record is appended to it: the
+    generators, HiGHS iterations, and the rows, columns and nonzeros HiGHS
+    received."""
     import scipy.sparse as sp
 
-    eq_lhs, eq_rhs, orbit = ns_orbit_polytope(scenario, generators)
+    rows, expand = ns_orbit_polytope(scenario, generators)
     _require_invariant(scenario, functionals, generators)
-    n_orbits = eq_lhs.shape[1]
-    reduced = [np.bincount(orbit, weights=f) for f in functionals]
+    n_rows, n_cols = rows.shape
+    reduced = [f @ expand for f in functionals]
+    bounds = [(1.0, 1.0)] + [(None, None)] * (n_cols - 1)
     if len(functionals) == 1:
-        program = lp.LinearProgram(reduced[0], eq_lhs=eq_lhs, eq_rhs=eq_rhs)
+        program = lp.LinearProgram(
+            reduced[0], ub_lhs=-rows, ub_rhs=np.zeros(n_rows), bounds=bounds
+        )
     else:
         program = lp.LinearProgram(
-            np.concatenate([np.zeros(n_orbits), [1.0]]),
-            eq_lhs=sp.hstack([eq_lhs, sp.csr_array((eq_lhs.shape[0], 1))], format="csr"),
-            eq_rhs=eq_rhs,
-            ub_lhs=np.column_stack([-np.array(reduced), np.ones(len(reduced))]),
-            ub_rhs=np.zeros(len(reduced)),
-            bounds=[(0.0, None)] * n_orbits + [(None, None)],
+            np.concatenate([np.zeros(n_cols), [1.0]]),
+            ub_lhs=sp.vstack([
+                sp.hstack([-rows, sp.csr_array((n_rows, 1))]),
+                np.column_stack([-np.array(reduced), np.ones(len(reduced))]),
+            ], format="csr"),
+            ub_rhs=np.zeros(n_rows + len(reduced)),
+            bounds=bounds + [(None, None)],
         )
     outcome = lp.solve(program, tol)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"no-signalling orbit LP failed: {outcome.status} {outcome.message}")
-    x = outcome.x[orbit]
+    if lps is not None:
+        lps.append({
+            "generators": generators,
+            "iterations": outcome.iterations,
+            "rows": outcome.stats.rows,
+            "cols": outcome.stats.cols,
+            "nnz": outcome.stats.nnz,
+        })
+    x = expand @ outcome.x[:n_cols]
     table = _ns_table(scenario, x, tol)
     values = [float(f @ x) for f in functionals]
     if len(functionals) == 1:
@@ -890,13 +911,14 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
 
     optima = {}
     sign_values = []
+    lps: list[dict] = []
     best_value, best_behavior = -np.inf, None
     for signs in itertools.product((1, -1), repeat=3):
         representative = tuple(sorted(signs, reverse=True))
         if representative not in optima:
             objective = sum(s * obj for s, obj in zip(representative, (ab, ac, ad)))
             optima[representative] = _ns_orbit_max_min(
-                scenario, [objective], _equal_sign_swaps(representative), tol
+                scenario, [objective], _equal_sign_swaps(representative), tol, lps
             )
         value, behavior = optima[representative]
         sign_values.append((signs, value))
@@ -905,7 +927,9 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         if value > best_value:
             best_value, best_behavior = value, behavior
 
-    t_star, t_behavior = _ns_orbit_max_min(scenario, [ab + ac, ab + ad], (_SWAP_CD,), tol)
+    t_star, t_behavior = _ns_orbit_max_min(
+        scenario, [ab + ac, ab + ad], (_SWAP_CD,), tol, lps
+    )
 
     return PbProbeReport(
         sign_values=tuple(sign_values),
@@ -917,4 +941,5 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         t_threshold=2.0 * local_bound,
         t_exceeds=t_star > 2.0 * local_bound + 1e-6,
         t_behavior=t_behavior,
+        lps=tuple(lps),
     )

@@ -22,14 +22,15 @@ from monogamy import (
     uniform_box,
     validate_behavior,
 )
-from monogamy.localpoly import deterministic_behaviors
+from monogamy.localpoly import deterministic_behaviors, strategy_matrix
 from monogamy.model import (
+    cg_map,
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_polytope,
     ns_polytope,
 )
-from monogamy.tradeoffs import pb_scenario
+from monogamy.tradeoffs import pb_scenario, triple_scenario
 from conftest import chsh_scenario, flat_index, random_behavior
 
 
@@ -239,6 +240,83 @@ class TestNsPolytope:
         assert rank(new) == rank(old) == rank(np.vstack([new, old]))
 
 
+CG_SCENARIOS = [triple_scenario(), pb_scenario(), Scenario(2, (2, 3), (3, 2))]
+
+
+def cg_reading(scenario):
+    """The 0/1 matrix R with q = R @ t the Collins-Gisin coordinates of a
+    no-signalling table t: for each per-party digit, the constant sums the
+    party's outcomes at setting 0, and digit 1 + x (o - 1) + a reads
+    outcome a at setting x."""
+    index = np.arange(scenario.table_size).reshape(scenario.table_shape)
+    digits = [range(1 + s * (o - 1)) for s, o in zip(scenario.settings, scenario.outcomes)]
+    reading = []
+    for column in itertools.product(*digits):
+        context, outcomes = [], []
+        for d, o in zip(column, scenario.outcomes):
+            x, a = divmod(d - 1, o - 1) if d else (0, slice(None))
+            context.append(x)
+            outcomes.append(a)
+        row = np.zeros(scenario.table_size)
+        row[index[tuple(context)][tuple(outcomes)].ravel()] = 1.0
+        reading.append(row)
+    return np.array(reading)
+
+
+class TestCgMap:
+    @pytest.mark.parametrize("scenario", CG_SCENARIOS)
+    def test_ns_rows_vanish_off_the_constant(self, scenario):
+        """Every M q meets the ns_polytope rows at q[0] = 1: the rows see
+        only the constant column, through their right-hand side."""
+        lhs, rhs = ns_polytope(scenario)
+        applied = (lhs @ cg_map(scenario)).toarray()
+        assert np.allclose(applied[:, 0], rhs, rtol=0.0, atol=1e-12)
+        assert np.allclose(applied[:, 1:], 0.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scenario", CG_SCENARIOS)
+    def test_full_column_rank(self, scenario):
+        m = cg_map(scenario)
+        n_cols = 1
+        for s, o in zip(scenario.settings, scenario.outcomes):
+            n_cols *= 1 + s * (o - 1)
+        assert m.shape == (scenario.table_size, n_cols)
+        assert np.linalg.matrix_rank(m.toarray()) == n_cols
+
+    @pytest.mark.parametrize("scenario", CG_SCENARIOS)
+    def test_reproduces_deterministic_tables(self, scenario):
+        tables = strategy_matrix(scenario)
+        q = cg_reading(scenario) @ tables
+        assert np.array_equal(q[0], np.ones(tables.shape[1]))
+        assert np.array_equal(cg_map(scenario) @ q, tables)
+
+    @pytest.mark.parametrize("behavior", [
+        pr_box(),
+        product_box([pr_box(), deterministic_box(Scenario(1, (2,), (2,)), ((0, 1),))]),
+    ])
+    def test_reproduces_pr_box(self, behavior):
+        table = behavior.table.ravel()
+        q = cg_reading(behavior.scenario) @ table
+        assert q[0] == 1.0
+        assert np.array_equal(cg_map(behavior.scenario) @ q, table)
+
+    def test_memoised_read_only(self):
+        first = cg_map(pb_scenario())
+        assert cg_map(pb_scenario()) is first
+        assert first.format == "csr"
+        for part in (first.data, first.indices, first.indptr):
+            assert not part.flags.writeable
+
+
+def peer_images(scenario, group):
+    """Per permutation of parties b, c, d in ``group``, the flat table
+    index that each entry of the permuted table comes from."""
+    index = np.arange(scenario.table_size).reshape(scenario.table_shape)
+    return np.stack([
+        index.transpose((0, *peers) + tuple(4 + p for p in (0, *peers))).ravel()
+        for peers in group
+    ])
+
+
 class TestNsOrbitPolytope:
     # Generators of S3 on parties b, c, d, and of the swap c <-> d.
     S3 = ((0, 2, 1, 3), (0, 1, 3, 2))
@@ -249,45 +327,70 @@ class TestNsOrbitPolytope:
         (SWAP_CD, [(1, 2, 3), (1, 3, 2)], 756),
     ])
     def test_orbit_map(self, generators, group, n_orbits, rng):
+        """One positivity row per orbit of table entries, at its smallest
+        entry, and every expanded table constant on those orbits."""
         scenario = pb_scenario()
-        orbit = ns_orbit_polytope(scenario, generators)[2]
-        # Every entry has exactly one orbit rank, and every rank is used.
-        assert orbit.shape == (scenario.table_size,)
-        assert np.array_equal(np.unique(orbit), np.arange(n_orbits))
-        # A table with one value per orbit is unchanged by the group's
-        # party permutations, settings and outcomes moving together.
-        table = rng.random(n_orbits)[orbit].reshape(scenario.table_shape)
+        rows, expand = ns_orbit_polytope(scenario, generators)
+        images = peer_images(scenario, group)
+        smallest = images.min(axis=0)
+        assert np.unique(smallest).size == n_orbits == rows.shape[0]
+        assert np.array_equal(rows.toarray(), expand[np.unique(smallest)].toarray())
+        # An expanded table is unchanged by the group's party
+        # permutations, settings and outcomes moving together.
+        table = expand @ rng.standard_normal(expand.shape[1])
+        for image in images:
+            assert np.allclose(table[image], table, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("generators, group, n_cols", [
+        (S3, list(itertools.permutations((1, 2, 3))), 80),
+        (SWAP_CD, [(1, 2, 3), (1, 3, 2)], 160),
+    ])
+    def test_cg_column_orbits(self, generators, group, n_cols):
+        """``expand`` is M @ P for the 0/1 membership matrix P of the orbits
+        of CG columns, whose per-party digit grids the group transposes;
+        the constant column is an orbit of its own, the first."""
+        scenario = pb_scenario()
+        m = cg_map(scenario)
+        expand = ns_orbit_polytope(scenario, generators)[1]
+        assert expand.shape == (scenario.table_size, n_cols)
+        members = np.linalg.lstsq(m.toarray(), expand.toarray(), rcond=None)[0]
+        assert np.allclose(members, np.round(members), rtol=0.0, atol=1e-12)
+        members = np.round(members)
+        assert np.array_equal(members.sum(axis=1), np.ones(m.shape[1]))
+        assert members[0, 0] == 1.0 and members[:, 0].sum() == 1.0
+        columns = np.arange(m.shape[1]).reshape((4,) * 4)
+        orbit = members.argmax(axis=1)
         for peers in group:
-            parties = (0, *peers)
-            moved = table.transpose(parties + tuple(4 + p for p in parties))
-            assert np.array_equal(moved, table)
-        # Entries of one orbit are images of each other: the orbit's size
-        # is the number of distinct images of its smallest entry.
-        index = np.arange(scenario.table_size).reshape(scenario.table_shape)
-        images = np.stack([
-            index.transpose((0, *peers) + tuple(4 + p for p in (0, *peers))).ravel()
-            for peers in group
-        ])
-        for entry in rng.choice(scenario.table_size, size=50, replace=False):
-            members = np.flatnonzero(orbit == orbit[entry])
-            assert np.array_equal(np.unique(images[:, entry]), members)
+            moved = columns.transpose((0, *peers)).ravel()
+            assert np.array_equal(orbit[moved], orbit)
+            # Moving the columns like the parties moves the table entries.
+            moved_rows = m[peer_images(scenario, [peers])[0]]
+            assert np.array_equal(moved_rows[:, moved].toarray(), m.toarray())
 
     def test_rows_are_the_full_rows_on_expanded_tables(self, rng):
+        """The rows are the positivity of the full table at the orbit
+        representatives, and an expanded table with y[0] = 1 meets every
+        ns_polytope row."""
         scenario = pb_scenario()
-        lhs, rhs, orbit = ns_orbit_polytope(scenario, self.S3)
+        rows, expand = ns_orbit_polytope(scenario, self.S3)
         full_lhs, full_rhs = ns_polytope(scenario)
-        y = rng.random(lhs.shape[1])
-        assert lhs.shape == (full_lhs.shape[0], 336)
-        assert np.allclose(lhs @ y, full_lhs @ y[orbit], rtol=0.0, atol=1e-12)
-        assert rhs is full_rhs
+        y = rng.random(expand.shape[1])
+        y[0] = 1.0
+        table = expand @ y
+        representatives = np.unique(
+            peer_images(scenario, itertools.permutations((1, 2, 3))).min(axis=0)
+        )
+        assert rows.shape == (336, 80)
+        assert np.allclose(rows @ y, table[representatives], rtol=0.0, atol=1e-12)
+        assert np.allclose(full_lhs @ table, full_rhs, rtol=0.0, atol=1e-12)
 
     def test_memoised_read_only(self):
         first = ns_orbit_polytope(pb_scenario(), self.SWAP_CD)
         assert ns_orbit_polytope(pb_scenario(), self.SWAP_CD) is first
-        lhs, rhs, orbit = first
-        assert lhs.format == "csr"
-        for part in (lhs.data, lhs.indices, lhs.indptr, rhs, orbit):
-            assert not part.flags.writeable
+        for part in first:
+            assert part.format == "csr"
+            for array in (part.data, part.indices, part.indptr):
+                assert not array.flags.writeable
 
     def test_non_symmetry_rejected(self):
         scenario = Scenario(2, (2, 3), (2, 2))

@@ -423,9 +423,45 @@ class TestPbProbe:
     def test_one_lp_per_sign_orbit(self, probe):
         # Four orbit representatives plus the max-min LP, each over the
         # orbits of its peer group: S3, b <-> c, c <-> d, S3, c <-> d (+ t).
-        _, calls = probe
-        assert len(calls) == 5
-        assert [columns for columns, _ in calls] == [336, 756, 756, 336, 757]
+        report, calls = probe
+        assert len(calls) == len(report.lps) == 5
+        s3, swap_bc, swap_cd = (
+            (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), (tradeoffs._SWAP_BC,), (tradeoffs._SWAP_CD,)
+        )
+        assert [record["generators"] for record in report.lps] == [
+            s3, swap_bc, swap_cd, s3, swap_cd
+        ]
+        assert [record["cols"] for record in report.lps] == [80, 160, 160, 80, 161]
+        assert [columns for columns, _ in calls] == [80, 160, 160, 80, 161]
+        assert [record["iterations"] for record in report.lps] == [nit for _, nit in calls]
+        # One positivity row per orbit of table entries (plus the two
+        # max-min rows): no equality rows.
+        assert [record["rows"] for record in report.lps] == [336, 756, 756, 336, 758]
+        assert all(record["nnz"] > 0 for record in report.lps)
+
+    def test_expanded_tables_are_orbit_constant(self, monkeypatch):
+        """Each LP keeps one positivity row per orbit of table entries,
+        which holds the whole table only if the expanded solution is
+        constant on those orbits: checked before clipping, on all 1 296
+        entries, with no entry below -10 * tol."""
+        tol = 1e-7
+        expanded = []
+        ns_table = tradeoffs._ns_table
+
+        def recording(scenario, x, tol):
+            expanded.append(np.array(x))
+            return ns_table(scenario, x, tol)
+
+        monkeypatch.setattr(tradeoffs, "_ns_table", recording)
+        report = tradeoffs.pb_probe(tol)
+        scenario = tradeoffs.pb_scenario()
+        assert len(expanded) == len(report.lps) == 5
+        for x, record in zip(expanded, report.lps):
+            assert x.shape == (scenario.table_size,)
+            assert x.min() >= -10 * tol
+            for perm in record["generators"]:
+                moved = tradeoffs.permute_parties(scenario, x, perm)
+                assert np.allclose(moved, x, rtol=0.0, atol=1e-12)
 
     def test_matches_full_table_reference(self, probe, reference):
         report, calls = probe
