@@ -31,8 +31,9 @@ FEASIBILITY_TOL = 1e-7
 # Constraint systems with at most this many entries (rows x columns) reach
 # HiGHS as dense arrays: scipy's sparse input path costs a fixed few tenths
 # of a millisecond per call, which small LPs such as a single NS maximum
-# (49 x 64) cannot earn back.  Larger systems stay sparse, among them a
-# block-diagonal support LP of 5 or more directions (245 x 320 and up).
+# (64 x 27 Collins-Gisin rows) cannot earn back.  Larger systems stay
+# sparse, among them a block-diagonal support LP of 7 or more directions
+# (448 x 189 and up).
 DENSE_ENTRY_LIMIT = 2**16
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -45,18 +46,21 @@ class Scenario:
     def __post_init__(self):
         if self.parties < 1:
             raise ValueError("scenario needs at least one party")
-        object.__setattr__(self, "settings", tuple(int(s) for s in self.settings))
-        object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
+        object.__setattr__(self, "settings", tuple(map(int, self.settings)))
+        object.__setattr__(self, "outcomes", tuple(map(int, self.outcomes)))
         if len(self.settings) != self.parties or len(self.outcomes) != self.parties:
             raise ValueError("settings and outcomes must list one count per party")
-        if any(s < 1 for s in self.settings):
+        if min(self.settings) < 1:
             raise ValueError("every party needs at least one setting")
-        if any(o < 2 for o in self.outcomes):
+        if min(self.outcomes) < 2:
             raise ValueError("every party needs at least two outcomes")
-        if self.table_size > self.table_cap:
-            raise ValueError(
-                f"table size {self.table_size} exceeds cap {self.table_cap}"
-            )
+        # Stop multiplying once past the cap: the full size of a huge
+        # scenario is a number of thousands of digits.
+        size = 1
+        for n in self.table_shape:
+            size *= n
+            if size > self.table_cap:
+                raise ValueError(f"table size exceeds cap {self.table_cap}")
 
     @property
     def table_shape(self) -> tuple[int, ...]:
@@ -64,17 +68,11 @@ class Scenario:
 
     @property
     def table_size(self) -> int:
-        size = 1
-        for n in self.table_shape:
-            size *= n
-        return size
+        return math.prod(self.table_shape)
 
     @property
     def n_contexts(self) -> int:
-        size = 1
-        for s in self.settings:
-            size *= s
-        return size
+        return math.prod(self.settings)
 
     def contexts(self):
         """Iterate over all setting vectors in row-major order."""
@@ -473,24 +471,6 @@ def no_signalling_constraints(scenario: Scenario) -> tuple[sp.csr_array, np.ndar
         shape=(n_rows, scenario.table_size),
     )
     return rows, np.zeros(n_rows)
-
-
-@functools.lru_cache(maxsize=8)
-def ns_polytope(scenario: Scenario) -> tuple[sp.csr_array, np.ndarray]:
-    """Equality rows of the no-signalling polytope over the flat table: the
-    one normalization row stacked over the no-signalling rows against each
-    party's setting 0, as a CSR matrix.  They span the same row space as
-    every context's normalization and every pair of settings, with fewer
-    rows.  Memoised per scenario and returned read-only."""
-    import scipy.sparse as sp
-
-    norm = normalization_constraints(scenario)
-    ns = no_signalling_constraints(scenario)
-    lhs = sp.vstack([norm[0], ns[0]], format="csr")
-    rhs = np.concatenate([norm[1], ns[1]])
-    for part in (lhs.data, lhs.indices, lhs.indptr, rhs):
-        part.setflags(write=False)
-    return lhs, rhs
 
 
 def permute_parties(scenario: Scenario, flat: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:

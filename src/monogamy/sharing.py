@@ -36,9 +36,9 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
-    ns_polytope,
     validate_behavior,
 )
+from .tradeoffs import _ns_maxima
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -396,29 +396,17 @@ def random_shareable_behavior(
 ) -> tuple[Behavior, Behavior]:
     """Random two-party behavior that is 2-shareable by construction.
 
-    Samples a point of the symmetric no-signalling three-party polytope
-    (a random mixture of vertices found by maximizing random objectives) and
-    marginalizes it down to the (a, b_1) pair.  Returns (pair, witness),
-    the witness being the three-party behavior that certifies shareability.
+    Samples a point of the clone-symmetric no-signalling three-party
+    polytope (a random mixture of vertices found by maximizing random
+    objectives over the tables fixed by the clone swap) and marginalizes it
+    down to the (a, b_1) pair.  Returns (pair, witness), the witness being
+    the three-party behavior that certifies shareability.
     """
-    import scipy.sparse as sp
-
-    base = Scenario(2, (2, 2), (2, 2))
-    scen = _extended_scenario(base, 2)
-    blocks = [ns_polytope(scen), clone_symmetry_constraints(scen)]
-    eq_lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
-    eq_rhs = np.concatenate([blk[1] for blk in blocks])
-
-    vertices = []
-    for _ in range(n_vertices):
-        objective = rng.standard_normal(scen.table_size)
-        outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs))
-        if outcome.status != lp.LpStatus.OPTIMAL:
-            raise RuntimeError(f"vertex sampling LP failed: {outcome.message}")
-        vertices.append(np.clip(outcome.x, 0.0, None))
+    scen = _extended_scenario(Scenario(2, (2, 2), (2, 2)), 2)
+    objectives = rng.standard_normal((n_vertices, scen.table_size))
+    _, vertices, _ = _ns_maxima(scen, objectives, ((0, 2, 1),), lp.FEASIBILITY_TOL)
     weights = rng.dirichlet(np.ones(len(vertices)))
-    table = sum(w * v for w, v in zip(weights, vertices)).reshape(scen.table_shape)
-    witness = Behavior(scen, table)
+    witness = Behavior(scen, sum(w * v.table for w, v in zip(weights, vertices)))
 
     return marginal_behavior(witness, (0, 1), (0, 0, 0)), witness
 

@@ -28,7 +28,6 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_polytope,
-    ns_polytope,
     permute_parties,
     validate_behavior,
 )
@@ -311,11 +310,12 @@ def state_pair_point(
 # Support directions per block-diagonal NS LP.  Most of a one-direction
 # solve is fixed per-call cost, which a block spreads over its directions,
 # while HiGHS's work and memory grow with the block.  On 2 vCPUs with one
-# BLAS thread, 256 random directions took 2.34 ms each at one direction per
-# LP, 0.84 ms at 8, 0.77-0.79 ms at 16-64, 0.82 ms at 128 and 0.89-1.28 ms
-# at 256-1024.  The peak RSS of a 1 024-direction sweep was 2.3 MB above
-# that of one LP per direction at 16 directions per LP, 4.5 MB above it at
-# 32 and 9.6 MB above it at 64.
+# BLAS thread, on the 64 x 27 Collins-Gisin rows per direction, 256 random
+# directions took 3.0-4.0 ms each at one direction per LP, 1.1-1.3 ms at 8,
+# 1.0-1.25 ms at 16 and 1.1-1.2 ms at 32-128 (best of 9, two runs on a
+# shared host).  The peak RSS of a 1 024-direction sweep was 2.1 MB above
+# that of one LP per direction at 16 directions per LP, 4.3 MB above it at
+# 32 and 8.6-9.4 MB above it at 64.
 _NS_CHUNK = 16
 
 
@@ -332,37 +332,59 @@ def ns_maximum(
 ) -> tuple[float, Behavior]:
     """Maximize a linear functional over the no-signalling polytope."""
     objectives = np.atleast_2d(np.asarray(objective, dtype=float))
-    values, tables, _ = _ns_maxima(scenario, objectives, tol)
+    values, tables, _ = _ns_maxima(scenario, objectives, (), tol)
     return values[0], tables[0]
 
 
 def _ns_maxima(
-    scenario: Scenario, objectives: np.ndarray, tol: float
+    scenario: Scenario,
+    objectives: np.ndarray,
+    generators: tuple[tuple[int, ...], ...],
+    tol: float,
 ) -> tuple[list[float], list[Behavior], lp.LpOutcome]:
-    """Maximize each row of ``objectives`` over the no-signalling polytope,
-    all in one LP: row i acts on its own copy of the table, under its own
-    copy of the ``ns_polytope`` rows (a block-diagonal system), so the
-    maximum of the summed objectives is the sum of the row maxima and each
-    block of the solution is an optimum of its row.  Each block is
-    re-checked by ``_ns_table`` and its value recomputed from its row.
-    Returns the values, the tables and the LP's outcome."""
+    """Maximize each row of ``objectives`` over the no-signalling tables
+    fixed by the party permutations that ``generators`` span, all in one LP
+    in the Collins-Gisin coordinates of :func:`ns_orbit_polytope`: row i
+    acts on its own copy of the coordinates, under its own copy of the
+    positivity rows (a block-diagonal system), with each copy's constant
+    coordinate fixed at 1 and the others free.  The maximum of the summed
+    objectives is then the sum of the row maxima, and each block of the
+    solution is an optimum of its row.  Each block is expanded to the full
+    table, which ``_ns_table`` re-checks, and its value is recomputed
+    there.  Returns the values, the tables and the LP's outcome."""
+    rows, expand = ns_orbit_polytope(scenario, generators)
     k = objectives.shape[0]
-    eq_lhs, eq_rhs = ns_polytope(scenario)
+    n_rows, n_cols = rows.shape
     program = lp.LinearProgram(
-        objectives.reshape(-1), eq_lhs=_block_diagonal(eq_lhs, k), eq_rhs=np.tile(eq_rhs, k)
+        (objectives @ expand).reshape(-1),
+        ub_lhs=_block_diagonal(-rows, k),
+        ub_rhs=np.zeros(k * n_rows),
+        bounds=([(1.0, 1.0)] + [(None, None)] * (n_cols - 1)) * k,
     )
     outcome = lp.solve(program, tol)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
-    blocks = outcome.x.reshape(k, scenario.table_size)
+    blocks = [expand @ y for y in outcome.x.reshape(k, n_cols)]
     values = [float(objective @ x) for objective, x in zip(objectives, blocks)]
     return values, [_ns_table(scenario, x, tol) for x in blocks], outcome
+
+
+def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
+    """What an LP was for (``context``), its HiGHS iterations, and the
+    rows, columns and nonzeros HiGHS received."""
+    return {
+        **context,
+        "iterations": outcome.iterations,
+        "rows": outcome.stats.rows,
+        "cols": outcome.stats.cols,
+        "nnz": outcome.stats.nnz,
+    }
 
 
 def _block_diagonal(rows, k: int):
     """``k`` copies of the CSR ``rows`` along the diagonal, built on
     ``indptr`` / ``indices`` / ``data`` directly (``sp.block_diag`` costs
-    about twenty times as much at 16 copies of the 49 x 64 NS rows)."""
+    about twenty times as much at 16 copies of the 64 x 27 CG rows)."""
     import scipy.sparse as sp
 
     m, n = rows.shape
@@ -376,7 +398,7 @@ def _ns_table(scenario: Scenario, x: np.ndarray, tol: float) -> Behavior:
     """An LP solution clipped to a behavior and re-checked against the
     model's own definitions, every pair of settings and every context's
     normalization, at the LP's 10 * tol acceptance: the LP itself verified
-    only the rows of ``ns_polytope``."""
+    only the positivity of its coordinates' tables."""
     behavior = Behavior(scenario, np.clip(x.reshape(scenario.table_shape), 0.0, None))
     signalling = is_no_signalling(behavior, 10 * tol)
     validity = validate_behavior(behavior, 10 * tol)
@@ -407,14 +429,8 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
         chunk = thetas[start:start + _NS_CHUNK]
         cos_t = np.array([math.cos(theta) for theta in chunk])[:, None]
         sin_t = np.array([math.sin(theta) for theta in chunk])[:, None]
-        values, tables, outcome = _ns_maxima(scenario, cos_t * obj_ab + sin_t * obj_ac, tol)
-        record = {
-            "directions": len(chunk),
-            "iterations": outcome.iterations,
-            "rows": outcome.stats.rows,
-            "cols": outcome.stats.cols,
-            "nnz": outcome.stats.nnz,
-        }
+        values, tables, outcome = _ns_maxima(scenario, cos_t * obj_ab + sin_t * obj_ac, (), tol)
+        record = _lp_record(outcome, directions=len(chunk))
         points.extend(
             SupportPoint(theta, value, table, dict(record))
             for theta, value, table in zip(chunk, values, tables)
@@ -815,71 +831,46 @@ def _require_invariant(
                 raise ValueError(f"objective is not invariant under the party permutation {perm}")
 
 
-def _ns_orbit_max_min(
+def _ns_max_min(
     scenario: Scenario,
     functionals: list[np.ndarray],
     generators: tuple[tuple[int, ...], ...],
     tol: float,
-    lps: list[dict] | None = None,
-) -> tuple[float, Behavior]:
+) -> tuple[float, Behavior, lp.LpOutcome]:
     """The maximum over the no-signalling polytope of the smallest of the
-    ``functionals``' values, solved in the Collins-Gisin coordinates of
-    :func:`ns_orbit_polytope`: one free variable per orbit of CG columns,
-    the constant one fixed at 1, and one positivity row per orbit of table
-    entries, with no equality rows.
-
-    The polytope is invariant under every party permutation, and the group
-    permutes the functionals among themselves (checked first), so averaging
-    an optimum over the group gives one that is constant on orbits.  One
-    functional is maximized directly; several take a variable t with one
-    row t <= f @ x each.  The solution is expanded to the full table, which
-    ``_ns_table`` re-checks.  The value is recomputed there, and the
-    max-min rows are re-evaluated there at the LP's 10 * tol acceptance.
-    When ``lps`` is given, the LP's record is appended to it: the
-    generators, HiGHS iterations, and the rows, columns and nonzeros HiGHS
-    received."""
+    ``functionals``' values, on the rows of :func:`_ns_maxima` plus a
+    variable t with one row t <= f @ x each.  The group that
+    ``generators`` span must permute the functionals among themselves
+    (checked first), so averaging an optimum over the group gives one that
+    is constant on orbits.  The solution is expanded to the full table,
+    which ``_ns_table`` re-checks, and the max-min rows are re-evaluated
+    there at the LP's 10 * tol acceptance.  Returns the value, the table
+    and the LP's outcome."""
     import scipy.sparse as sp
 
-    rows, expand = ns_orbit_polytope(scenario, generators)
     _require_invariant(scenario, functionals, generators)
+    rows, expand = ns_orbit_polytope(scenario, generators)
     n_rows, n_cols = rows.shape
-    reduced = [f @ expand for f in functionals]
-    bounds = [(1.0, 1.0)] + [(None, None)] * (n_cols - 1)
-    if len(functionals) == 1:
-        program = lp.LinearProgram(
-            reduced[0], ub_lhs=-rows, ub_rhs=np.zeros(n_rows), bounds=bounds
-        )
-    else:
-        program = lp.LinearProgram(
-            np.concatenate([np.zeros(n_cols), [1.0]]),
-            ub_lhs=sp.vstack([
-                sp.hstack([-rows, sp.csr_array((n_rows, 1))]),
-                np.column_stack([-np.array(reduced), np.ones(len(reduced))]),
-            ], format="csr"),
-            ub_rhs=np.zeros(n_rows + len(reduced)),
-            bounds=bounds + [(None, None)],
-        )
+    program = lp.LinearProgram(
+        np.concatenate([np.zeros(n_cols), [1.0]]),
+        ub_lhs=sp.vstack([
+            sp.hstack([-rows, sp.csr_array((n_rows, 1))]),
+            np.column_stack([-(np.array(functionals) @ expand), np.ones(len(functionals))]),
+        ], format="csr"),
+        ub_rhs=np.zeros(n_rows + len(functionals)),
+        bounds=[(1.0, 1.0)] + [(None, None)] * n_cols,
+    )
     outcome = lp.solve(program, tol)
     if outcome.status != lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"no-signalling orbit LP failed: {outcome.status} {outcome.message}")
-    if lps is not None:
-        lps.append({
-            "generators": generators,
-            "iterations": outcome.iterations,
-            "rows": outcome.stats.rows,
-            "cols": outcome.stats.cols,
-            "nnz": outcome.stats.nnz,
-        })
+        raise RuntimeError(f"no-signalling max-min LP failed: {outcome.status} {outcome.message}")
     x = expand @ outcome.x[:n_cols]
     table = _ns_table(scenario, x, tol)
     values = [float(f @ x) for f in functionals]
-    if len(functionals) == 1:
-        return values[0], table
     if min(values) < outcome.value - 10 * tol:
         raise RuntimeError(
             f"max-min optimum {outcome.value!r} exceeds its rows on the full table: {values}"
         )
-    return outcome.value, table
+    return outcome.value, table, outcome
 
 
 def _equal_sign_swaps(signs: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
@@ -911,15 +902,19 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
 
     optima = {}
     sign_values = []
-    lps: list[dict] = []
+    lps = []
     best_value, best_behavior = -np.inf, None
     for signs in itertools.product((1, -1), repeat=3):
         representative = tuple(sorted(signs, reverse=True))
         if representative not in optima:
             objective = sum(s * obj for s, obj in zip(representative, (ab, ac, ad)))
-            optima[representative] = _ns_orbit_max_min(
-                scenario, [objective], _equal_sign_swaps(representative), tol, lps
-            )
+            generators = _equal_sign_swaps(representative)
+            # The optimum over the symmetric tables is the optimum over the
+            # whole polytope only for an invariant objective.
+            _require_invariant(scenario, [objective], generators)
+            values, tables, outcome = _ns_maxima(scenario, objective[None], generators, tol)
+            optima[representative] = values[0], tables[0]
+            lps.append(_lp_record(outcome, generators=generators))
         value, behavior = optima[representative]
         sign_values.append((signs, value))
         # Each representative comes first in its orbit in product order, so
@@ -927,9 +922,8 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         if value > best_value:
             best_value, best_behavior = value, behavior
 
-    t_star, t_behavior = _ns_orbit_max_min(
-        scenario, [ab + ac, ab + ad], (_SWAP_CD,), tol, lps
-    )
+    t_star, t_behavior, outcome = _ns_max_min(scenario, [ab + ac, ab + ad], (_SWAP_CD,), tol)
+    lps.append(_lp_record(outcome, generators=(_SWAP_CD,)))
 
     return PbProbeReport(
         sign_values=tuple(sign_values),

@@ -23,7 +23,7 @@ from monogamy import (
     pr_box,
 )
 from monogamy.bell import functional_row
-from monogamy.model import ns_polytope
+from monogamy.model import no_signalling_constraints, normalization_constraints
 from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
 from monogamy.tradeoffs import pb_scenario, triple_scenario
 
@@ -98,6 +98,19 @@ def random_ns_behavior(rng: np.random.Generator, scenario: Scenario, pr_weight: 
     return mixture([Behavior(scenario, table), local], [pr_weight, 1.0 - pr_weight])
 
 
+def ns_polytope(scenario: Scenario):
+    """Reference equality rows of the no-signalling polytope over the flat
+    table: the one normalization row stacked over the no-signalling rows
+    against each party's setting 0, as a CSR matrix, and their right-hand
+    side.  They span the same row space as every context's normalization
+    and every pair of settings, with fewer rows."""
+    import scipy.sparse as sp
+
+    norm = normalization_constraints(scenario)
+    ns = no_signalling_constraints(scenario)
+    return sp.vstack([norm[0], ns[0]], format="csr"), np.concatenate([norm[1], ns[1]])
+
+
 def loop_pair_marginal_rows(scen, base):
     """Dense reference: clone 1's pair marginal, other clones at setting 0."""
     n_clones = scen.parties - 1
@@ -125,6 +138,27 @@ def full_table_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
     lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
     rhs = np.concatenate([blk[1] for blk in blocks])
     return lp.feasibility(eq=(lhs, rhs), n_variables=scen.table_size)
+
+
+def reference_shareable_draw(rng: np.random.Generator, n_vertices: int = 3) -> np.ndarray:
+    """The witness table of ``random_shareable_behavior`` from the
+    equality-form LP over the raw three-party table: the ``ns_polytope``
+    rows plus the clone-swap rows, one ``lp.solve`` per vertex, with the
+    objectives and the mixture weights drawn in the same order."""
+    import scipy.sparse as sp
+
+    scen = _extended_scenario(chsh_scenario(), 2)
+    blocks = [ns_polytope(scen), clone_symmetry_constraints(scen)]
+    eq_lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
+    eq_rhs = np.concatenate([blk[1] for blk in blocks])
+    vertices = []
+    for _ in range(n_vertices):
+        objective = rng.standard_normal(scen.table_size)
+        outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+        assert outcome.status == lp.LpStatus.OPTIMAL
+        vertices.append(np.clip(outcome.x, 0.0, None))
+    weights = rng.dirichlet(np.ones(n_vertices))
+    return sum(w * v for w, v in zip(weights, vertices)).reshape(scen.table_shape)
 
 
 def full_table_probe() -> tuple[list[float], float, int]:

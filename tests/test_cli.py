@@ -147,6 +147,16 @@ class TestShare:
         assert f"exceeds cap {sharing.EXTENSION_TABLE_CAP}" in captured.err
         assert built == []
 
+    def test_huge_clone_count_refused_at_once(self, pr_path, capsys):
+        # The refusal stops multiplying at the cap, so a million clones
+        # cost no million-digit table size.
+        start = time.perf_counter()
+        assert main(["share", "--in", pr_path, "--n", "1000000", "--mode", "ns"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: table size exceeds cap {sharing.EXTENSION_TABLE_CAP}\n"
+
     def test_out_of_memory_is_an_error(self, uniform_path, monkeypatch, capsys):
         # Exit 1 would read as "not shareable".
         def exhausted(*args, **kwargs):

@@ -28,10 +28,9 @@ from monogamy.model import (
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_polytope,
-    ns_polytope,
 )
 from monogamy.tradeoffs import pb_scenario, triple_scenario
-from conftest import chsh_scenario, flat_index, random_behavior
+from conftest import chsh_scenario, flat_index, ns_polytope, random_behavior
 
 
 def brute_force_marginal(b, keep, context):
@@ -219,13 +218,6 @@ class TestNsPolytope:
         lhs, rhs = ns_polytope(scenario)
         assert np.array_equal(lhs.toarray(), np.vstack([norm, ns]))
         assert np.array_equal(rhs, np.concatenate([np.ones(len(norm)), np.zeros(len(ns))]))
-
-    def test_memoised_read_only(self):
-        lhs, rhs = ns_polytope(chsh_scenario())
-        assert ns_polytope(chsh_scenario())[0] is lhs
-        assert lhs.format == "csr"
-        assert not lhs.data.flags.writeable and not rhs.flags.writeable
-        assert lhs.shape == (1 + 8, 16)
 
     @pytest.mark.parametrize("scenario", SCENARIOS + (pb_scenario(),))
     def test_same_row_space_as_all_pairs(self, scenario):

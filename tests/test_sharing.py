@@ -42,6 +42,7 @@ from conftest import (
     full_table_extension_lp,
     random_behavior,
     random_ns_behavior,
+    reference_shareable_draw,
     tsirelson_behavior,
 )
 
@@ -267,6 +268,23 @@ class TestMasanesProperty:
             assert validate_behavior(pair, tol=1e-6).passed
             assert is_no_signalling(pair, tol=1e-6).is_no_signalling
             assert abs(chsh_value(pair)) <= 2 + 1e-6
+
+    def test_draws_match_the_equality_form_lp(self):
+        """The draws are those of the full-table LP under the NS and
+        clone-swap equality rows, and the witness is clone-symmetric,
+        no-signalling and valid."""
+        from monogamy.model import permute_parties
+
+        for seed in range(60):
+            pair, witness = random_shareable_behavior(np.random.default_rng(seed))
+            expected = reference_shareable_draw(np.random.default_rng(seed))
+            assert np.allclose(witness.table, expected, rtol=0.0, atol=1e-12)
+            flat = witness.table.reshape(-1)
+            swapped = permute_parties(witness.scenario, flat, (0, 2, 1))
+            assert np.allclose(swapped, flat, rtol=0.0, atol=1e-12)
+            assert is_no_signalling(witness, tol=1e-9).is_no_signalling
+            assert validate_behavior(witness, tol=1e-9).passed
+            assert np.array_equal(pair.table, witness.table[:, :, 0].sum(axis=-1))
 
     def test_sampled_pairs_are_two_shareable(self, rng):
         # The generating witness is symmetric and no-signalling, so the

@@ -36,6 +36,7 @@ from monogamy import (
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import functional_row
+from monogamy.model import ns_orbit_polytope
 from conftest import full_table_probe, per_direction_ns_support
 
 ROOT8 = 2 * math.sqrt(2)
@@ -241,7 +242,6 @@ class TestNsSupport:
         per-direction LPs, tables that pass the model's own checks and
         reproduce their values, and each chunk's LP record on its points."""
         from monogamy import is_no_signalling, validate_behavior
-        from monogamy.model import ns_polytope
 
         thetas = np.random.default_rng(count).uniform(-math.pi, math.pi, count)
         reference = per_direction_ns_support(thetas)
@@ -264,12 +264,14 @@ class TestNsSupport:
         sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
         assert len(sizes) == math.ceil(count / chunk)
         scenario = tradeoffs.triple_scenario()
-        assert solved == [k * scenario.table_size for k in sizes]
+        # The Collins-Gisin rows, 64 x 27 per direction: no orbits to merge.
+        rows = ns_orbit_polytope(scenario, ())[0]
+        assert rows.shape == (64, 27)
+        assert solved == [k * rows.shape[1] for k in sizes]
         assert checked == [scenario.table_size] * count
         assert [p.theta for p in points] == list(thetas)
         assert np.allclose([p.value for p in points], reference, rtol=0.0, atol=1e-9)
 
-        rows = ns_polytope(scenario)[0]
         ab, ac = (functional_row(scenario, chsh(), pair) for pair in ((0, 1), (0, 2)))
         directions = [k for k in sizes for _ in range(k)]
         for point, k in zip(points, directions):
@@ -290,9 +292,8 @@ class TestNsSupport:
     @pytest.mark.parametrize("k", [1, 2, 16])
     def test_block_diagonal_rows(self, k):
         import scipy.sparse as sp
-        from monogamy.model import ns_polytope
 
-        rows = ns_polytope(tradeoffs.triple_scenario())[0]
+        rows = ns_orbit_polytope(tradeoffs.triple_scenario(), ())[0]
         blocks = tradeoffs._block_diagonal(rows, k)
         assert blocks.shape == (k * rows.shape[0], k * rows.shape[1])
         assert np.array_equal(blocks.toarray(), sp.block_diag([rows] * k).toarray())
@@ -326,19 +327,28 @@ class TestNsMaximum:
 
     @staticmethod
     def normalization_only(monkeypatch):
-        """Replace the NS rows by the normalization rows alone."""
+        """Replace the Collins-Gisin coordinates, whose tables are
+        no-signalling by construction, by coordinates of every normalized
+        table: the constant column is the uniform table, and each other
+        column moves weight from a context's last outcome tuple to another
+        of its outcome tuples.  Positivity rows are the table entries."""
         import scipy.sparse as sp
 
-        def rows(s):
+        def polytope(s, generators):
+            assert generators == ()
             per_context = s.table_size // s.n_contexts
-            lhs = sp.kron(sp.eye_array(s.n_contexts), np.ones((1, per_context)), format="csr")
-            return lhs, np.ones(s.n_contexts)
+            moves = np.vstack([np.eye(per_context - 1), -np.ones((1, per_context - 1))])
+            expand = sp.hstack([
+                np.full((s.table_size, 1), 1.0 / per_context),
+                sp.kron(sp.eye_array(s.n_contexts), moves),
+            ], format="csr")
+            return expand, expand
 
-        monkeypatch.setattr(tradeoffs, "ns_polytope", rows)
+        monkeypatch.setattr(tradeoffs, "ns_orbit_polytope", polytope)
 
     def test_signalling_optimum_raises(self, monkeypatch):
-        """With normalization rows only, the LP accepts a signalling table;
-        the independent check must refuse it."""
+        """With every normalized table admitted, the LP accepts a
+        signalling table; the independent check must refuse it."""
         scenario, objective = self.marginal_objective()
         self.normalization_only(monkeypatch)
         with pytest.raises(RuntimeError, match="fails the definitions"):
@@ -487,25 +497,54 @@ class TestPbProbe:
         ab, ac, ad = (
             functional_row(scenario, collins_gisin(), pair) for pair in ((0, 1), (0, 2), (0, 3))
         )
-        value, behavior = tradeoffs._ns_orbit_max_min(
-            scenario, [ab + ac + ad], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
+        values, tables, _ = tradeoffs._ns_maxima(
+            scenario, (ab + ac + ad)[None], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
         )
-        assert value == pytest.approx(12.0, abs=1e-7)
-        assert value == pytest.approx((ab + ac + ad) @ behavior.table.reshape(-1), abs=1e-9)
+        assert values[0] == pytest.approx(12.0, abs=1e-7)
+        assert values[0] == pytest.approx((ab + ac + ad) @ tables[0].table.reshape(-1), abs=1e-9)
         with pytest.raises(RuntimeError, match="exceeds its rows"):
-            tradeoffs._ns_orbit_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
+            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
 
-    def test_invariance_guard(self):
+    def test_invariance_guard(self, monkeypatch):
         scenario = tradeoffs.pb_scenario()
         row = functional_row(scenario, collins_gisin(), (0, 1))
         s3 = (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD)
         with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._ns_orbit_max_min(scenario, [row], s3, 1e-7)
+            tradeoffs._require_invariant(scenario, [row], s3)
         # The max-min rows are swapped by c <-> d, but not fixed by b <-> c.
         rows = [row + functional_row(scenario, collins_gisin(), pair) for pair in ((0, 2), (0, 3))]
         tradeoffs._require_invariant(scenario, rows, (tradeoffs._SWAP_CD,))
         with pytest.raises(ValueError, match="not invariant"):
             tradeoffs._require_invariant(scenario, rows, s3)
+        with pytest.raises(ValueError, match="not invariant"):
+            tradeoffs._ns_max_min(scenario, rows, s3, 1e-7)
+        # The probe checks each sign LP's objective against its generators:
+        # given S3 for every pattern, it refuses (++-).
+        monkeypatch.setattr(tradeoffs, "_equal_sign_swaps", lambda signs: s3)
+        with pytest.raises(ValueError, match="not invariant"):
+            tradeoffs.pb_probe()
+
+
+def test_optimum_lps_have_no_equality_rows(monkeypatch, rng):
+    """Every NS optimum LP runs on the Collins-Gisin positivity rows: no
+    ``lp.solve`` reached from these entry points gets equality rows."""
+    from monogamy import random_shareable_behavior
+
+    programs = []
+    solve = tradeoffs.lp.solve
+
+    def recording(program, *args, **kwargs):
+        programs.append(program)
+        return solve(program, *args, **kwargs)
+
+    monkeypatch.setattr(tradeoffs.lp, "solve", recording)
+    scenario, objective = TestNsMaximum.marginal_objective()
+    tradeoffs.ns_maximum(scenario, objective)
+    ns_support(np.linspace(0.0, 2.0 * math.pi, tradeoffs._NS_CHUNK + 1))
+    tradeoffs.pb_probe()
+    random_shareable_behavior(rng)
+    assert len(programs) == 1 + 2 + 5 + 1
+    assert all(program.eq_lhs is None and program.ub_lhs is not None for program in programs)
 
 
 class TestQuantumSearch:
