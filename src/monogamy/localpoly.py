@@ -51,18 +51,16 @@ class NotLocal:
     score: float
 
 
-def strategy_count(scenario: Scenario) -> int:
+def _checked_count(scenario: Scenario, cap: int) -> int:
+    """The strategy count prod_p o_p^s_p, refused as soon as the running
+    product passes ``cap``: a huge count is never formed or printed."""
     count = 1
     for s, o in zip(scenario.settings, scenario.outcomes):
-        count *= o ** s
+        for _ in range(s):
+            count *= o
+            if count > cap:
+                raise ValueError(f"strategy count exceeds cap {cap}")
     return count
-
-
-def _checked_count(scenario: Scenario, cap: int) -> int:
-    total = strategy_count(scenario)
-    if total > cap:
-        raise ValueError(f"strategy count {total} exceeds cap {cap}")
-    return total
 
 
 def deterministic_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> list[DeterministicStrategy]:

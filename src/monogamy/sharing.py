@@ -8,13 +8,15 @@ extended with N clones of the second party:
   (taken at the full setting context) reproduce the base with the first
   clone's setting driving the response;
 - no-signalling: LP feasibility for a clone-symmetric no-signalling
-  (N+1)-party behavior whose (a, b_i) pair marginals all equal the base.  A
-  symmetric behavior depends on the clones only through the multiset of
-  their (setting, outcome) pairs, so the LP has one variable per Alice
-  (setting, outcome) and multiset, and no symmetry rows: 4*C(N+3, 3) variables
-  for a 2x2 base (140 at N = 4) against 4^(N+1) table entries (1 024).  A
-  solution is expanded to the full table, and the certificate's residuals
-  are computed there.
+  (N+1)-party behavior whose (a, b_i) pair marginals all equal the base.  The
+  LP runs in Collins-Gisin coordinates symmetrized over the clones: one
+  column per Alice coordinate and multiset of clone coordinates, with the
+  a, b_i and (a, b_i) marginals pinned to the base, and one positivity row
+  per Alice (setting, outcome) and multiset of clone (setting, outcome)
+  pairs.  There are no equality rows.  For a 2x2 base that is 4*C(N+3, 3)
+  rows by 3*C(N+2, 2) columns, 9 of them pinned (140 x 45 at N = 4),
+  against 4^(N+1) table entries (1 024).  A solution is expanded to the
+  full table, and the certificate's residuals are computed there.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from . import lp
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
+    cg_map,
     is_no_signalling,
     marginal,
     marginal_behavior,
@@ -80,10 +83,12 @@ class ExtensionCertificate:
 
 @dataclass(frozen=True)
 class InfeasibleExtension:
-    """No extension exists.  ``violation`` is the minimized total (L1)
-    violation of the clone-symmetric LP's rows, which exceeds the feasibility
-    tolerance exactly when no extension exists; its size is not comparable
-    with the violation of a full-table LP."""
+    """No extension exists.  ``violation`` is the minimized total deficit
+    (L1) of the clone-symmetric LP's positivity rows, one per orbit of table
+    entries under clone permutations, with the pair marginals held at the
+    base.  It exceeds the feasibility tolerance exactly when no extension
+    exists; its size is not comparable with the violation of a full-table
+    LP."""
 
     spec: ExtensionSpec
     violation: float
@@ -254,91 +259,76 @@ def _multiset_ranks(letters: np.ndarray, n_letters: int) -> np.ndarray:
     return np.searchsorted(codes, np.sort(letters, axis=1) @ place)
 
 
-def _multinomials(multisets: np.ndarray, n_letters: int) -> np.ndarray:
-    """Number of letter sequences with each multiset: n!/prod(count!)."""
-    n = multisets.shape[1]
-    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    counts = (multisets[:, :, None] == np.arange(n_letters)).sum(axis=1)
-    return factorial[n] / factorial[counts].prod(axis=1)
-
-
 @functools.lru_cache(maxsize=16)
 def symmetric_extension_rows(base: Scenario, n_clones: int) -> tuple[sp.csr_array, np.ndarray]:
-    """Equality rows of the clone-symmetric NS extension LP, and the map that
-    expands its variables to the full (N+1)-party table.
+    """Positivity rows of the clone-symmetric NS extension LP in
+    Collins-Gisin (CG) coordinates, and the map that expands the rows'
+    values to the full (N+1)-party table.
 
-    A clone letter is a (setting, outcome) pair ``l = y * o_B + b``, and the
-    variable v[x, a, m] (flat, row-major) is the table entry shared by every
-    clone letter sequence with multiset m.  Row blocks, in order:
-
-    - normalization: one row at the all-zero context, multinomial weights;
-    - Alice NS: sum_a v[x, a, m] = sum_a v[0, a, m] for x > 0;
-    - last-clone NS: sum_b v[x, a, m' + (y, b)] = sum_b v[x, a, m' + (0, b)]
-      for y > 0 and every multiset m' of N-1 letters;
-    - pair marginals: one row per base entry (x, y, a, b), in flat base
-      order, summing v[x, a, m' + (y, b)] over the m' of setting-0 letters,
-      weighted by (N-1)!/prod(count!).
-
-    Symmetry carries the last-clone NS rows to every clone, and NS carries
-    normalization to every context.  The right-hand side is 1, then zeros,
-    then the flat base table.  The expansion map gives, for every entry of
-    the clones' axes (settings, then outcomes) of the full table, the rank
-    of its multiset.  Memoised per (scenario, N) and returned read-only.
+    Column (alpha, C) is shared by Alice's CG coordinate alpha and every
+    sequence of clone CG coordinates with multiset C; the first
+    ``1 + s_B (o_B - 1)`` multisets C have at most one non-constant
+    coordinate.  Row (x, a, L), in flat order, is the table entry shared by
+    every sequence of clone letters ``l = y * o_B + b`` with multiset L.
+    With the one-party :func:`cg_map` matrices m_A and m_B, its entry at
+    (alpha, C) is m_A[(x, a), alpha] times the coefficient of the monomial
+    C in the product of the linear forms m_B[l] over L, a product grown one
+    letter at a time.  The expansion map gives, for every entry of the
+    clones' axes (settings, then outcomes) of the full table, the rank of
+    its multiset.  Memoised per (scenario, N) and returned read-only.
     """
     import scipy.sparse as sp
 
     (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
     n_letters = s_b * o_b
-    multisets = _clone_multisets(n_letters, n_clones)
-    fewer = _clone_multisets(n_letters, n_clones - 1)
-    var = np.arange(s_a * o_a * len(multisets)).reshape(s_a, o_a, len(multisets))
-    # grown[m', y, b]: rank of m' + (y, b).
-    grown = np.column_stack([np.repeat(fewer, n_letters, axis=0),
-                             np.tile(np.arange(n_letters), len(fewer))])
-    grown = _multiset_ranks(grown, n_letters).reshape(len(fewer), s_b, o_b)
-    zero = np.all(multisets < o_b, axis=1)
-    fewer_zero = np.all(fewer < o_b, axis=1)
+    m_b = cg_map(Scenario(1, (s_b,), (o_b,))).toarray()
+    n_coords = m_b.shape[1]
+    # Each letter's (at most o_B) nonzero coordinates, padded with zeros.
+    nonzero = np.argsort(m_b == 0, axis=1, kind="stable")[:, :o_b]
+    weight = np.take_along_axis(m_b, nonzero, axis=1)
+    power = sp.csr_array(np.ones((1, 1)))
+    expand = np.zeros(1, dtype=np.int64)
+    for k in range(1, n_clones + 1):
+        letters, fewer = _clone_multisets(n_letters, k), _clone_multisets(n_letters, k - 1)
+        # Rank of each sequence of k letters, from the rank of its first k - 1.
+        appended = np.column_stack([np.repeat(fewer, n_letters, axis=0),
+                                    np.tile(np.arange(n_letters), len(fewer))])
+        expand = _multiset_ranks(appended, n_letters).reshape(len(fewer), -1)[expand].ravel()
+        # Row L is the row of L without its last letter times that letter's form.
+        terms = power[_multiset_ranks(letters[:, :-1], n_letters)].tocoo()
+        last = letters[terms.row, -1]
+        grown = np.column_stack([
+            np.repeat(_clone_multisets(n_coords, k - 1)[terms.col], o_b, axis=0),
+            nonzero[last].ravel(),
+        ])
+        power = sp.csr_array(
+            ((terms.data[:, None] * weight[last]).ravel(),
+             (np.repeat(terms.row, o_b), _multiset_ranks(grown, n_coords))),
+            shape=(len(letters), math.comb(n_coords + k - 1, k)),
+        )
+        power.eliminate_zeros()
+    rows = sp.kron(cg_map(Scenario(1, (s_a,), (o_a,))), power, format="csr")
 
-    def block(cols, vals):
-        """One row per leading index of ``cols``, its terms along the last axis."""
-        cols = cols.reshape(-1, cols.shape[-1])
-        row_ids = np.repeat(np.arange(len(cols)), cols.shape[1])
-        values = np.broadcast_to(vals, cols.shape).ravel()
-        return sp.coo_array((values, (row_ids, cols.ravel())), shape=(len(cols), var.size))
-
-    def ns_block(cols):
-        """Per leading index and setting s > 0 of the second-last axis: the
-        sum along the last axis at s minus the same sum at setting 0."""
-        rest = cols[..., 1:, :]
-        first = np.broadcast_to(cols[..., :1, :], rest.shape)
-        return block(np.concatenate([rest, first], axis=-1), np.repeat([1.0, -1.0], cols.shape[-1]))
-
-    lhs = sp.vstack([
-        block(var[0][:, zero].reshape(1, -1),
-              np.tile(_multinomials(multisets[zero], n_letters), o_a)),
-        ns_block(np.moveaxis(var, 2, 0)),  # m, x, a
-        ns_block(var[:, :, grown]),  # x, a, m', y, b
-        block(np.transpose(var[:, :, grown[fewer_zero]], (0, 3, 1, 4, 2)),  # x, y, a, b, m'
-              _multinomials(fewer[fewer_zero], n_letters)),
-    ], format="csr")
-
-    grid = np.indices((s_b,) * n_clones + (o_b,) * n_clones).reshape(2 * n_clones, -1)
-    expand = _multiset_ranks((grid[:n_clones] * o_b + grid[n_clones:]).T, n_letters)
-    for part in (lhs.data, lhs.indices, lhs.indptr, expand):
+    order = [*range(0, 2 * n_clones, 2), *range(1, 2 * n_clones, 2)]
+    expand = expand.reshape((s_b, o_b) * n_clones).transpose(order).ravel()
+    for part in (rows.data, rows.indices, rows.indptr, expand):
         part.setflags(write=False)
-    return lhs, expand
+    return rows, expand
 
 
 def ns_extension(
     b: Behavior, n_clones: int, tol: float = lp.FEASIBILITY_TOL
 ) -> ExtensionCertificate | InfeasibleExtension:
     """Symmetric no-signalling extension by LP feasibility over the
-    clone-symmetric variables of :func:`symmetric_extension_rows`.
+    clone-symmetric CG coordinates of :func:`symmetric_extension_rows`.
 
-    A feasible solution is expanded to the full (N+1)-party table, where the
-    certificate's residuals are computed.  An infeasible system returns the
-    minimized L1 violation of the symmetric rows, positive iff no extension
-    exists."""
+    The coordinates with at most one non-constant clone coordinate are the
+    a, b_i and (a, b_i) marginals: they are pinned to the base's CG
+    coordinates, the others are free, and the only rows are positivity.
+    A feasible solution is expanded to the full (N+1)-party table, where
+    the certificate's residuals are computed.  An infeasible system returns
+    the minimized total deficit of the positivity rows, positive iff no
+    extension exists."""
     _require_two_party(b)
     if n_clones < 1:
         raise ValueError("need at least one clone")
@@ -351,16 +341,22 @@ def ns_extension(
     scen = _extended_scenario(b.scenario, n_clones)
     spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "ns", tol)
 
-    lhs, expand = symmetric_extension_rows(b.scenario, n_clones)
-    rhs = np.concatenate([[1.0], np.zeros(lhs.shape[0] - 1 - b.table.size), b.table.ravel()])
-    outcome = lp.feasibility(eq=(lhs, rhs), n_variables=lhs.shape[1], tol=tol)
+    rows, expand = symmetric_extension_rows(b.scenario, n_clones)
+    s_a, o_a = b.scenario.settings[0], b.scenario.outcomes[0]
+    # The base's CG coordinates q[alpha, beta] pin the columns (alpha, C)
+    # whose multiset C is beta and N - 1 constants.
+    base = np.linalg.lstsq(cg_map(b.scenario).toarray(), b.table.ravel(), rcond=None)[0]
+    base = base.reshape(1 + s_a * (o_a - 1), -1)
+    pinned = np.full((base.shape[0], rows.shape[1] // base.shape[0]), np.nan)
+    pinned[:, :base.shape[1]] = base
+    bounds = [(None, None) if np.isnan(q) else (q, q) for q in pinned.ravel()]
+    outcome = lp.feasibility(ub=(-rows, np.zeros(rows.shape[0])), bounds=bounds, tol=tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return InfeasibleExtension(spec, violation=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"extension LP failed: {outcome.message}")
 
-    s_a, o_a = b.scenario.settings[0], b.scenario.outcomes[0]
-    v = np.clip(outcome.x, 0.0, None).reshape(s_a, o_a, -1)
+    v = np.clip(rows @ outcome.x, 0.0, None).reshape(s_a, o_a, -1)
     full = v[:, :, expand].reshape((s_a, o_a) + scen.table_shape[1:n_clones + 1]
                                    + scen.table_shape[n_clones + 2:])
     behavior = Behavior(scen, np.moveaxis(full, 1, n_clones + 1))
@@ -377,8 +373,8 @@ def is_n_shareable(
 ) -> ShareabilityResult:
     """Thin wrapper over the two extension constructions.
 
-    The score is 0 when an extension exists, otherwise the LP violation
-    (see :class:`InfeasibleExtension`).
+    The score is 0 when an extension exists, otherwise the positivity
+    deficit of the no-signalling LP (see :class:`InfeasibleExtension`).
     """
     if mode == "unrestricted":
         cert = unrestricted_extension(b, n_clones)

@@ -24,7 +24,12 @@ from monogamy import (
 )
 from monogamy.bell import functional_row
 from monogamy.model import no_signalling_constraints, normalization_constraints
-from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
+from monogamy.sharing import (
+    _clone_multisets,
+    _extended_scenario,
+    _multiset_ranks,
+    clone_symmetry_constraints,
+)
 from monogamy.tradeoffs import pb_scenario, triple_scenario
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
@@ -125,10 +130,10 @@ def loop_pair_marginal_rows(scen, base):
     return np.array(rows), np.array(rhs)
 
 
-def full_table_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
-    """Reference NS extension LP over the raw (N+1)-party table: the NS
+def full_table_extension_rows(base: Behavior, n_clones: int):
+    """Reference NS extension rows over the raw (N+1)-party table: the NS
     polytope, clone symmetry as transposition rows, and clone 1's pair
-    marginals."""
+    marginals, as CSR equality rows and their right-hand side."""
     import scipy.sparse as sp
 
     scen = _extended_scenario(base.scenario, n_clones)
@@ -136,8 +141,89 @@ def full_table_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
     blocks = [ns_polytope(scen), clone_symmetry_constraints(scen),
               (sp.csr_array(marg_lhs), marg_rhs)]
     lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
-    rhs = np.concatenate([blk[1] for blk in blocks])
-    return lp.feasibility(eq=(lhs, rhs), n_variables=scen.table_size)
+    return lhs, np.concatenate([blk[1] for blk in blocks])
+
+
+def full_table_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
+    """The elastic phase-one of :func:`full_table_extension_rows`."""
+    return lp.feasibility(eq=full_table_extension_rows(base, n_clones))
+
+
+def full_table_extension_exists(base: Behavior, n_clones: int) -> bool:
+    """The verdict of :func:`full_table_extension_rows` from HiGHS's own
+    status (no elastic phase-one, which costs seconds on an infeasible
+    table of a few thousand entries)."""
+    lhs, rhs = full_table_extension_rows(base, n_clones)
+    status = lp.linprog(np.zeros(lhs.shape[1]), A_eq=lhs, b_eq=rhs, method="highs").status
+    assert status in (0, 2)
+    return status == 0
+
+
+def _multinomials(multisets: np.ndarray, n_letters: int) -> np.ndarray:
+    """Number of letter sequences with each multiset: n!/prod(count!)."""
+    n = multisets.shape[1]
+    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    counts = (multisets[:, :, None] == np.arange(n_letters)).sum(axis=1)
+    return factorial[n] / factorial[counts].prod(axis=1)
+
+
+def equality_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
+    """Reference NS extension LP in equality form over clone-symmetric
+    table variables: v[x, a, m] (flat, row-major) is the table entry shared
+    by every clone letter sequence ``l = y * o_B + b`` with multiset m.
+    Row blocks, in order:
+
+    - normalization: one row at the all-zero context, multinomial weights;
+    - Alice NS: sum_a v[x, a, m] = sum_a v[0, a, m] for x > 0;
+    - last-clone NS: sum_b v[x, a, m' + (y, b)] = sum_b v[x, a, m' + (0, b)]
+      for y > 0 and every multiset m' of N-1 letters;
+    - pair marginals: one row per base entry (x, y, a, b), in flat base
+      order, summing v[x, a, m' + (y, b)] over the m' of setting-0 letters,
+      weighted by (N-1)!/prod(count!).
+
+    Symmetry carries the last-clone NS rows to every clone, and NS carries
+    normalization to every context.  Its size grows like the positivity
+    form's, so it serves as the reference where the full table is too
+    large."""
+    import scipy.sparse as sp
+
+    (s_a, s_b), (o_a, o_b) = base.scenario.settings, base.scenario.outcomes
+    n_letters = s_b * o_b
+    multisets = _clone_multisets(n_letters, n_clones)
+    fewer = _clone_multisets(n_letters, n_clones - 1)
+    var = np.arange(s_a * o_a * len(multisets)).reshape(s_a, o_a, len(multisets))
+    # grown[m', y, b]: rank of m' + (y, b).
+    grown = np.column_stack([np.repeat(fewer, n_letters, axis=0),
+                             np.tile(np.arange(n_letters), len(fewer))])
+    grown = _multiset_ranks(grown, n_letters).reshape(len(fewer), s_b, o_b)
+    zero = np.all(multisets < o_b, axis=1)
+    fewer_zero = np.all(fewer < o_b, axis=1)
+
+    def block(cols, vals):
+        """One row per leading index of ``cols``, its terms along the last axis."""
+        cols = cols.reshape(-1, cols.shape[-1])
+        row_ids = np.repeat(np.arange(len(cols)), cols.shape[1])
+        values = np.broadcast_to(vals, cols.shape).ravel()
+        return sp.coo_array((values, (row_ids, cols.ravel())), shape=(len(cols), var.size))
+
+    def ns_block(cols):
+        """Per leading index and setting s > 0 of the second-last axis: the
+        sum along the last axis at s minus the same sum at setting 0."""
+        rest = cols[..., 1:, :]
+        first = np.broadcast_to(cols[..., :1, :], rest.shape)
+        return block(np.concatenate([rest, first], axis=-1), np.repeat([1.0, -1.0], cols.shape[-1]))
+
+    lhs = sp.vstack([
+        block(var[0][:, zero].reshape(1, -1),
+              np.tile(_multinomials(multisets[zero], n_letters), o_a)),
+        ns_block(np.moveaxis(var, 2, 0)),  # m, x, a
+        ns_block(var[:, :, grown]),  # x, a, m', y, b
+        block(np.transpose(var[:, :, grown[fewer_zero]], (0, 3, 1, 4, 2)),  # x, y, a, b, m'
+              _multinomials(fewer[fewer_zero], n_letters)),
+    ], format="csr")
+    rhs = np.concatenate([[1.0], np.zeros(lhs.shape[0] - 1 - base.table.size),
+                          base.table.ravel()])
+    return lp.feasibility(eq=(lhs, rhs), n_variables=lhs.shape[1])
 
 
 def reference_shareable_draw(rng: np.random.Generator, n_vertices: int = 3) -> np.ndarray:

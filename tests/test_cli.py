@@ -118,7 +118,7 @@ class TestShare:
         assert main(["validate", "--in", str(cert)]) == 0
 
     def test_uniform_feasible_at_five(self, uniform_path, capsys):
-        # 224 symmetric variables for a 4 096-entry certificate.
+        # 224 x 63 positivity rows x columns for a 4 096-entry certificate.
         assert main(["share", "--in", uniform_path, "--n", "5", "--mode", "ns"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "feasible"
 
@@ -129,7 +129,7 @@ class TestShare:
         assert payload["symmetry_residual"] == 0.0
 
     def test_seven_clones_finish(self, uniform_path, pr_path, capsys):
-        # 480 symmetric variables for a 65 536-entry certificate.
+        # 480 x 108 positivity rows x columns for a 65 536-entry certificate.
         for path, code in ((uniform_path, 0), (pr_path, 1)):
             start = time.perf_counter()
             assert main(["share", "--in", path, "--n", "7", "--mode", "ns"]) == code

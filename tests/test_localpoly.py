@@ -1,5 +1,6 @@
 """Deterministic strategies, local membership LP, and Bell bounds."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.bell import BellFunctional
-from monogamy.localpoly import strategy_matrix
+from monogamy.localpoly import STRATEGY_CAP, strategy_matrix
 from conftest import chsh_scenario, random_violating_behavior, tsirelson_behavior
 
 
@@ -50,6 +51,14 @@ class TestEnumeration:
         big = Scenario(4, (5, 5, 5, 5), (4, 4, 4, 4), table_cap=10 ** 9)
         with pytest.raises(ValueError, match="cap"):
             deterministic_strategies(big)
+
+    def test_huge_strategy_count_refused_at_once(self):
+        # 2^20000 strategies: the refusal stops multiplying at the cap and
+        # prints no 6 000-digit count.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^strategy count exceeds cap {STRATEGY_CAP}$"):
+            local_decomposition(uniform_box(Scenario(1, (20000,), (2,))))
+        assert time.perf_counter() - start < 1.0
 
     def test_behaviors_respect_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -171,12 +171,12 @@ def test_duplicate_sparse_entries_are_summed():
 
 
 def elastic_systems(monkeypatch):
-    """Spy on ``lp.linprog``: the list gets the equality matrix of each call."""
+    """Spy on ``lp.linprog``: the list gets the inequality matrix of each call."""
     seen = []
     original = lp.linprog
 
     def spy(*args, **kwargs):
-        seen.append(kwargs["A_eq"])
+        seen.append(kwargs["A_ub"])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lp, "linprog", spy)
@@ -187,17 +187,16 @@ def test_extension_systems_reach_highs_dense_or_sparse(monkeypatch):
     seen = elastic_systems(monkeypatch)
     base = uniform_box(Scenario(2, (2, 2), (2, 2)))
     ns_extension(base, 4)
-    ns_extension(base, 5)
-    four, five = seen
-    # 140 symmetric variables and 132 rows, each row with two slacks.
-    assert isinstance(four, np.ndarray) and four.shape == (132, 404)
-    assert sp.issparse(five) and five.format == "csr" and five.shape == (213, 650)
-    assert 132 * 404 <= DENSE_ENTRY_LIMIT < 213 * 650
-    # Each slack column holds one +1 or -1, on its own row.
-    for a in (four, sp.csr_array(five).toarray()):
-        m, n = a.shape[0], a.shape[1] - 2 * a.shape[0]
-        assert np.array_equal(a[:, n:n + m], np.eye(m))
-        assert np.array_equal(a[:, n + m:], -np.eye(m))
+    ns_extension(base, 6)
+    four, six = seen
+    # 140 positivity rows over 45 CG columns, each row with one slack.
+    assert isinstance(four, np.ndarray) and four.shape == (140, 185)
+    assert sp.issparse(six) and six.format == "csr" and six.shape == (336, 420)
+    assert 140 * 185 <= DENSE_ENTRY_LIMIT < 336 * 420
+    # Each slack column holds one -1, on its own row.
+    for a in (four, sp.csr_array(six).toarray()):
+        m = a.shape[0]
+        assert np.array_equal(a[:, -m:], -np.eye(m))
 
 
 def outcomes_of(monkeypatch):
@@ -218,9 +217,9 @@ def test_stats_record_the_system_highs_received(monkeypatch):
     chsh = Scenario(2, (2, 2), (2, 2))
     local_decomposition(uniform_box(chsh))
     ns_extension(uniform_box(chsh), 4)
-    ns_extension(uniform_box(chsh), 5)
+    ns_extension(uniform_box(chsh), 6)
     sizes = [(o.stats.rows, o.stats.cols, o.stats.nnz, o.stats.dense) for o in outcomes]
-    assert sizes == [(17, 50, 114, True), (132, 404, 798, True), (213, 650, 1302, False)]
+    assert sizes == [(17, 50, 114, True), (140, 185, 896, True), (336, 420, 3108, False)]
     for o in outcomes:
         assert o.status == LpStatus.OPTIMAL
         assert o.stats.build_s > 0 and o.stats.solve_s > 0 and o.stats.verify_s > 0

@@ -3,6 +3,8 @@ no-signalling feasibility."""
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from monogamy import (
     unrestricted_extension,
     validate_behavior,
 )
+from monogamy.model import ns_orbit_polytope
 from monogamy.sharing import (
+    _clone_multisets,
     _extended_scenario,
     _joint_symmetry_residual,
     _marginal_residual_ns,
@@ -38,7 +42,9 @@ from monogamy.sharing import (
 from monogamy.localpoly import deterministic_behaviors
 from conftest import (
     chsh_scenario,
+    equality_extension_lp,
     flat_index,
+    full_table_extension_exists,
     full_table_extension_lp,
     random_behavior,
     random_ns_behavior,
@@ -126,11 +132,17 @@ class TestNsExtension:
         assert _joint_symmetry_residual(reduced) <= 1e-6
         assert _marginal_residual_ns(reduced, base) <= 1e-6
 
+    def test_pr_box_violation(self):
+        # Total positivity deficit with the pair marginals held at the PR box.
+        for n_clones, deficit in ((2, 0.5), (3, 1.0), (4, 7 / 6)):
+            result = ns_extension(pr_box(), n_clones)
+            assert isinstance(result, InfeasibleExtension)
+            assert result.violation == pytest.approx(deficit, abs=1e-9)
+
     def test_pr_box_five_clones_infeasible(self):
         result = ns_extension(pr_box(), 5)
         assert isinstance(result, InfeasibleExtension)
         assert result.violation > 1e-3
-
 
     def test_uniform_five_clones_feasible(self):
         result = ns_extension(uniform_box(chsh_scenario()), 5)
@@ -233,14 +245,87 @@ class TestExtensionRows:
                 assert result.violation > 0
 
     @pytest.mark.parametrize("base", BASES)
-    def test_variable_count(self, base):
-        # One variable per Alice (setting, outcome) and multiset of four
-        # clone letters: s_A * o_A * C(4 + 3, 3) for a two-setting,
-        # two-outcome Bob.
-        lhs, expand = symmetric_extension_rows(base, 4)
-        assert lhs.shape[1] == base.settings[0] * base.outcomes[0] * math.comb(7, 3)
-        assert expand.size == 4**4
-        assert not lhs.data.flags.writeable
+    def test_positivity_block_size(self, base):
+        # One row per Alice (setting, outcome) and multiset of clone
+        # (setting, outcome) letters, one column per Alice CG coordinate and
+        # multiset of clone CG coordinates: 4 C(N+3, 3) x 3 C(N+2, 2) for a
+        # 2x2 base.  The pinned columns are those whose multiset has at most
+        # one non-constant coordinate: the first d_B of each Alice block.
+        d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
+        n_letters = base.settings[1] * base.outcomes[1]
+        for n_clones in range(2, 11):
+            rows, expand = symmetric_extension_rows(base, n_clones)
+            assert rows.shape == (
+                base.settings[0] * base.outcomes[0] * math.comb(n_letters + n_clones - 1, n_clones),
+                d_a * math.comb(d_b + n_clones - 1, n_clones),
+            )
+            multisets = _clone_multisets(d_b, n_clones)
+            assert np.flatnonzero(np.count_nonzero(multisets, axis=1) <= 1).tolist() == list(range(d_b))
+            assert expand.size == n_letters**n_clones
+            for part in (rows.data, rows.indices, rows.indptr, expand):
+                assert not part.flags.writeable
+        if base == chsh_scenario():
+            assert rows.shape == (1144, 198) and d_a * d_b == 9
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_ten_clones_build_without_the_table(self, base):
+        # The certificate table at N = 10 has s_A o_A (s_B o_B)^10 entries
+        # (4^11 for a 2x2 base); the builder allocates less than that table.
+        (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
+        table_bytes = 8 * s_a * o_a * (s_b * o_b) ** 10
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            symmetric_extension_rows.__wrapped__(base, 10)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < table_bytes
+
+    @pytest.mark.parametrize("base, n_clones", CROSS_CHECK)
+    def test_rows_are_the_cg_orbit_polytope(self, base, n_clones):
+        # Expanded to the full table, the rows are the CG orbit expansion of
+        # the extended scenario under the clone transpositions, with the
+        # same column order (orbits by their smallest CG column).
+        scen = _extended_scenario(base, n_clones)
+        swaps = tuple(
+            tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, scen.parties))
+            for i in range(1, scen.parties - 1)
+        )
+        _, orbit_expand = ns_orbit_polytope(scen, swaps)
+        rows, expand = symmetric_extension_rows(base, n_clones)
+        s_a, o_a = base.settings[0], base.outcomes[0]
+        full = rows.toarray().reshape(s_a, o_a, -1, rows.shape[1])[:, :, expand]
+        full = full.reshape((s_a, o_a) + scen.table_shape[1:n_clones + 1]
+                            + scen.table_shape[n_clones + 2:] + (-1,))
+        full = np.moveaxis(full, 1, n_clones + 1).reshape(scen.table_size, -1)
+        assert np.array_equal(full, orbit_expand.toarray())
+
+    @pytest.mark.parametrize("n_clones", range(2, 8))
+    def test_verdicts_match_references(self, n_clones):
+        # 20 seeded bases per clone count over both scenarios and PR weights
+        # 0 / 0.4 / 0.9, against the full-table system up to N = 4 and the
+        # equality-form symmetric LP beyond.
+        rng = np.random.default_rng(1600 + n_clones)
+        verdicts = set()
+        for case in range(20):
+            b = random_ns_behavior(rng, self.BASES[case % 2], (0.0, 0.4, 0.9)[case % 3])
+            if n_clones <= 4:
+                exists = full_table_extension_exists(b, n_clones)
+            else:
+                reference = equality_extension_lp(b, n_clones)
+                assert reference.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
+                exists = reference.status == LpStatus.OPTIMAL
+            result = ns_extension(b, n_clones)
+            feasible = isinstance(result, ExtensionCertificate)
+            assert feasible == exists
+            verdicts.add(feasible)
+            if feasible:
+                assert result.symmetry_residual == 0.0
+                assert result.marginal_residual <= 1e-6
+        assert verdicts == {True, False}
 
 
 class TestWrapper:

@@ -547,6 +547,42 @@ def test_optimum_lps_have_no_equality_rows(monkeypatch, rng):
     assert all(program.eq_lhs is None and program.ub_lhs is not None for program in programs)
 
 
+
+def test_extension_lp_has_no_equality_rows(monkeypatch):
+    """The NS extension LP runs on clone-symmetric Collins-Gisin positivity
+    rows: the ``lp.feasibility`` call reached from ``ns_extension`` gets no
+    equality rows and one inequality block, with the 9 pair-marginal
+    coordinates of a 2x2 base pinned and the rest free, and no ``cg_map``
+    of the extended scenario is built."""
+    import monogamy.sharing as sharing
+    from monogamy import ns_extension, pr_box, uniform_box
+
+    calls, mapped = [], []
+    feasibility, cg_map = sharing.lp.feasibility, sharing.cg_map
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return feasibility(*args, **kwargs)
+
+    def recording_map(scenario):
+        mapped.append(scenario.parties)
+        return cg_map(scenario)
+
+    monkeypatch.setattr(sharing.lp, "feasibility", recording)
+    monkeypatch.setattr(sharing, "cg_map", recording_map)
+    sharing.symmetric_extension_rows.cache_clear()
+    for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
+        ns_extension(box, n_clones)
+    assert len(calls) == 2
+    for args, kwargs in calls:
+        assert args == () and kwargs.get("eq") is None
+        lhs, rhs = kwargs["ub"]
+        assert lhs.shape[0] == rhs.size and not rhs.any()
+        pinned = [lo for lo, hi in kwargs["bounds"] if lo is not None]
+        free = [(lo, hi) for lo, hi in kwargs["bounds"] if lo is None]
+        assert len(pinned) == 9 and set(free) == {(None, None)}
+    assert mapped and max(mapped) <= 2
+
 class TestQuantumSearch:
     def test_axis_directions_reach_tsirelson(self, rng):
         points = quantum_boundary_search(
