@@ -3,8 +3,10 @@ and Bell bounds over local models."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -15,6 +17,9 @@ from .bell import (  # noqa: F401 - perfbench/spans.py wraps bell_value here
     functional_row,
 )
 from .model import Behavior, Scenario, deterministic_box
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STRATEGY_CAP = 1_000_000
 
@@ -101,6 +106,20 @@ def strategy_matrix(scenario: Scenario, cap: int = STRATEGY_CAP) -> np.ndarray:
     return matrix.reshape(scenario.table_size, total)
 
 
+@functools.lru_cache(maxsize=8)
+def _membership_rows(scenario: Scenario, cap: int) -> sp.csr_array:
+    """The strategy columns of :func:`strategy_matrix` over one row of ones
+    (the weights' normalization), as CSR.  Memoised per scenario and cap,
+    and returned read-only, as ``model.cg_map`` is."""
+    import scipy.sparse as sp
+
+    matrix = strategy_matrix(scenario, cap)
+    rows = sp.csr_array(np.vstack([matrix, np.ones((1, matrix.shape[1]))]))
+    for part in (rows.data, rows.indices, rows.indptr):
+        part.setflags(write=False)
+    return rows
+
+
 def local_decomposition(
     b: Behavior, tol: float = 1e-8, cap: int = STRATEGY_CAP
 ) -> LocalModel | NotLocal:
@@ -111,18 +130,16 @@ def local_decomposition(
     violation as a non-locality score.
     """
     scenario = b.scenario
-    matrix = strategy_matrix(scenario, cap)
-    n_strats = matrix.shape[1]
-    eq_lhs = np.vstack([matrix, np.ones((1, n_strats))])
+    rows = _membership_rows(scenario, cap)
     eq_rhs = np.concatenate([b.table.reshape(-1), [1.0]])
-    outcome = lp.feasibility(eq=(eq_lhs, eq_rhs), n_variables=n_strats, tol=lp.FEASIBILITY_TOL)
+    outcome = lp.feasibility(eq=(rows, eq_rhs), n_variables=rows.shape[1], tol=lp.FEASIBILITY_TOL)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return NotLocal(score=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"local membership LP failed: {outcome.message}")
     weights = np.clip(outcome.x, 0.0, None)
     weights = weights / weights.sum()
-    reconstruction = matrix @ weights
+    reconstruction = (rows @ weights)[:-1]
     err = float(np.max(np.abs(reconstruction - b.table.reshape(-1))))
     if err > tol:
         # Feasible per the LP but imprecise reconstruction: a numerical

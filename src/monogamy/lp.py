@@ -1,22 +1,29 @@
 """Linear programming used by the polytope and shareability tests.
 
-Constraint matrices may be dense arrays or ``scipy.sparse`` arrays; the
-polytope builders emit sparse rows.  Solves are delegated to HiGHS via scipy;
-feasibility questions go through an explicit elastic phase-one program, so
-that infeasible systems come back with the minimized total (L1) constraint
-violation as a certificate value rather than a bare status.  The elastic
-system is assembled as one CSR array, its slack entries appended to each row
-by index arithmetic; only ``_highs`` densifies a system, and only up to
-``DENSE_ENTRY_LIMIT``.  Every optimal solution is re-verified by independent
+Every program is solved by HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
+119 (2018)) through the Python binding that scipy ships,
+``scipy.optimize._highspy._core``.  ``linprog`` is the one call into it: it
+hands HiGHS canonical CSR rows with their row and column bounds, and reads
+back the status, solution, objective, iterations and row duals.  The binding
+is loaded on the first solve, by file path when scipy.optimize has not
+loaded it already, so neither importing this module nor solving runs
+``scipy.optimize``'s package import; only ``scipy.sparse`` is loaded, for
+the rows.
+
+Constraint matrices may be given dense or as ``scipy.sparse`` arrays;
+``LinearProgram`` stores them as CSR.  Feasibility questions go through an
+explicit elastic phase-one program, so that infeasible systems come back
+with the minimized total (L1) constraint violation as a certificate value
+rather than a bare status; its slack entries are appended to each CSR row
+by index arithmetic.  Every optimal solution is re-verified by independent
 constraint evaluation before it is returned, and every outcome carries an
-``LpStats`` record of the system HiGHS received.  scipy is imported inside
-the functions that build or solve a program, so importing this module does
-not load it.
+``LpStats`` record of the system HiGHS received.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -28,13 +35,16 @@ if TYPE_CHECKING:
 
 FEASIBILITY_TOL = 1e-7
 
-# Constraint systems with at most this many entries (rows x columns) reach
-# HiGHS as dense arrays: scipy's sparse input path costs a fixed few tenths
-# of a millisecond per call, which small LPs such as a single NS maximum
-# (64 x 27 Collins-Gisin rows) cannot earn back.  Larger systems stay
-# sparse, among them a block-diagonal support LP of 7 or more directions
-# (448 x 189 and up).
-DENSE_ENTRY_LIMIT = 2**16
+_BINDING = "scipy.optimize._highspy._core"
+
+# The options ``scipy.optimize.linprog(method="highs")`` sets: presolve on,
+# dual simplex, no output.
+_OPTIONS = (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1))
+
+# HiGHS model status -> linprog status, as scipy's
+# ``_highs_to_scipy_status_message`` maps them; any other status reads 4.
+_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2,
+           "kModelError": 2, "kUnbounded": 3}
 
 
 class LpStatus(enum.Enum):
@@ -51,8 +61,8 @@ Bound = tuple[float | None, float | None]
 class LinearProgram:
     """Maximize ``objective @ x`` subject to equalities, inequalities
     (rows mean ``a @ x <= rhs``), and per-variable bounds (default x >= 0).
-    Constraint matrices may be dense or ``scipy.sparse``; sparse ones are
-    kept as CSR."""
+    Constraint matrices may be dense or ``scipy.sparse``; both are stored
+    as CSR."""
 
     objective: np.ndarray
     eq_lhs: np.ndarray | None = None
@@ -62,8 +72,6 @@ class LinearProgram:
     bounds: list[Bound] | None = None
 
     def __post_init__(self):
-        import scipy.sparse as sp
-
         obj = np.atleast_1d(np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "objective", obj)
         n = obj.size
@@ -79,8 +87,7 @@ class LinearProgram:
                     raise ValueError(
                         f"{name} constraint matrix must be (rows, {n})"
                     )
-                values = lhs.data if sp.issparse(lhs) else lhs
-                if not (np.all(np.isfinite(values)) and np.all(np.isfinite(rhs))):
+                if not (np.all(np.isfinite(lhs.data)) and np.all(np.isfinite(rhs))):
                     raise ValueError(f"{name} constraints must be finite")
                 object.__setattr__(self, f"{name}_lhs", lhs)
                 object.__setattr__(self, f"{name}_rhs", rhs)
@@ -102,8 +109,6 @@ class LpStats:
     rows: int
     cols: int
     nnz: int
-    # Whether the constraint matrices reached HiGHS as dense arrays.
-    dense: bool
     build_s: float
     solve_s: float
     verify_s: float = 0.0
@@ -123,95 +128,187 @@ class LpOutcome:
     # The HiGHS call that decided the outcome; for an infeasible ``solve``,
     # that is its phase-one confirmation.
     stats: LpStats | None = None
+    # Row duals of that call when it reached an optimum, inequality rows
+    # first: the derivative of the optimum by each right-hand side.  For
+    # ``solve`` that is the maximized ``value`` (inequality duals >= 0; value
+    # = duals @ rhs + reduced costs ``objective - lhs.T @ duals`` times the
+    # bounds they rest on), for a phase-one the minimized total violation.
+    duals: np.ndarray | None = None
 
 
-def _as_matrix(a) -> np.ndarray | sp.csr_array:
-    """A float constraint matrix: sparse input as CSR, anything else as a
-    dense 2-D array."""
+@dataclass(frozen=True, eq=False)
+class HighsResult:
+    """What one HiGHS run returned.  ``status`` follows
+    ``scipy.optimize.linprog``: 0 optimal, 1 iteration or time limit,
+    2 infeasible, 3 unbounded, 4 anything else.  ``x``, ``fun`` and
+    ``duals`` (HiGHS's ``row_dual``: the derivative of the minimum with
+    respect to each row's bound) are set only at status 0."""
+
+    status: int
+    message: str
+    nit: int
+    x: np.ndarray | None = None
+    fun: float | None = None
+    duals: np.ndarray | None = None
+
+
+def _as_matrix(a) -> sp.csr_array:
+    """A float constraint matrix as CSR, from dense or sparse input."""
     import scipy.sparse as sp
 
-    if sp.issparse(a):
-        return sp.csr_array(a, dtype=float)
-    return np.atleast_2d(np.asarray(a, dtype=float))
+    if not sp.issparse(a):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+    return sp.csr_array(a, dtype=float)
 
 
-def _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, bounds, x) -> float:
+def _bound_arrays(bounds: list[Bound] | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-variable lower and upper bounds, infinite where a pair has None;
+    ``bounds`` None means every variable >= 0."""
+    if bounds is None:
+        return np.zeros(n), np.full(n, np.inf)
+    # A missing bound reads as NaN here and as an infinite bound below.
+    lower, upper = np.array(bounds, dtype=float).reshape(-1, 2).T
+    return np.where(np.isnan(lower), -np.inf, lower), np.where(np.isnan(upper), np.inf, upper)
+
+
+def _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, lower, upper, x) -> float:
     """Largest violation at ``x`` of the given rows (either may be None) and
-    of ``bounds`` (None: every variable >= 0)."""
+    of the bound arrays."""
     res = 0.0
     if eq_lhs is not None:
         res = max(res, float(np.max(np.abs(eq_lhs @ x - eq_rhs))))
     if ub_lhs is not None:
         res = max(res, float(max(0.0, np.max(ub_lhs @ x - ub_rhs))))
-    if bounds is None:
-        # 0 - x rather than -x, which would report a zero residual as -0.0.
-        return float(np.max(0.0 - x, initial=res))
-    # A missing bound reads as NaN here and as an infinite bound below.
-    bounds = np.array(bounds, dtype=float).reshape(-1, 2)
-    lo = np.nan_to_num(bounds[:, 0], nan=-np.inf)
-    hi = np.nan_to_num(bounds[:, 1], nan=np.inf)
-    return float(np.max(np.concatenate([lo - x, x - hi]), initial=res))
+    # lower - x rather than -x, which would report a zero residual as -0.0.
+    return float(np.max(np.concatenate([lower - x, x - upper]), initial=res))
 
 
 def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any constraint or bound at ``x``."""
-    return _residual(lp.eq_lhs, lp.eq_rhs, lp.ub_lhs, lp.ub_rhs, lp.bounds, x)
+    lower, upper = _bound_arrays(lp.bounds, lp.n_variables)
+    return _residual(lp.eq_lhs, lp.eq_rhs, lp.ub_lhs, lp.ub_rhs, lower, upper, x)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call so that
-    importing the package does not load scipy.  Every solve goes through
-    this module attribute."""
-    from scipy.optimize import linprog as scipy_linprog
+def _binding():
+    """scipy's HiGHS binding: the module that ``sys.modules`` holds, or else
+    its extension file loaded by path under its dotted name, which skips
+    ``scipy/optimize/__init__`` and registers the module for scipy's own
+    later imports."""
+    module = sys.modules.get(_BINDING)
+    if module is not None:
+        return module
+    import importlib.machinery
+    import importlib.util
+    from pathlib import Path
 
-    return scipy_linprog(*args, **kwargs)
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    try:
+        spec = importlib.util.spec_from_file_location(_BINDING, next(filter(Path.is_file, paths)))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_BINDING] = module
+        spec.loader.exec_module(module)
+    except (StopIteration, ImportError, OSError) as err:
+        sys.modules.pop(_BINDING, None)
+        raise ImportError(
+            f"cannot load the HiGHS binding of scipy {scipy.__version__} from {folder}"
+        ) from err
+    return module
 
 
-def _highs(started, cost, a_ub, b_ub, a_eq, b_eq, bounds):
-    """The one call into HiGHS, for a system whose build began at
-    ``started`` (a ``time.perf_counter`` reading).  Sparse constraint
-    matrices with few entries are densified first (see
-    ``DENSE_ENTRY_LIMIT``); the solver sees the same nonzeros either way.
-    Returns scipy's result and the call's stats."""
+def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper) -> HighsResult:
+    """The one call into HiGHS: minimize ``cost @ x`` subject to
+    ``row_lower <= rows @ x <= row_upper`` and ``col_lower <= x <=
+    col_upper`` (float arrays, infinite where a side is absent), with a new
+    solver and the options of ``scipy.optimize.linprog(method="highs")``.
+    ``rows`` is a CSR array, or None when there are none.  Rows with
+    duplicate or unsorted entries are made canonical on a copy first, since
+    HiGHS does not accept them.  Every solve goes through this module
+    attribute, so a caller can wrap it to observe HiGHS calls."""
+    core = _binding()
+    # HiGHS reads as many entries as the sizes it is given say.
+    arrays = (cost, row_lower, row_upper, col_lower, col_upper)
+    cost, row_lower, row_upper, col_lower, col_upper = (
+        np.ascontiguousarray(a, dtype=float) for a in arrays
+    )
+    n, m = len(cost), 0 if rows is None else rows.shape[0]
+    fits = (rows is None or rows.shape[1] == n) and {len(col_lower), len(col_upper)} == {n}
+    if not (fits and {len(row_lower), len(row_upper)} == {m}):
+        raise ValueError(f"need {n} column bounds and {m} row bounds for a {m} x {n} system")
+    if rows is None:
+        indptr, indices, data = np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0)
+    else:
+        if not rows.has_canonical_format:
+            rows = rows.copy()
+            rows.sum_duplicates()
+        indptr, indices = (a.astype(np.int32, copy=False) for a in (rows.indptr, rows.indices))
+        data = np.ascontiguousarray(rows.data, dtype=float)
+    highs = core._Highs()
+    for option, value in _OPTIONS:
+        highs.setOptionValue(option, value)
+    loaded = highs.passModel(
+        n, m, len(data), int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize), 0.0,
+        cost, col_lower, col_upper, row_lower, row_upper, indptr, indices, data,
+        np.zeros(n, np.int32),
+    )
+    if loaded == core.HighsStatus.kError:
+        return HighsResult(2, "HiGHS rejected the model", 0)
+    ran = highs.run()
+    model_status, info = highs.getModelStatus(), highs.getInfo()
+    status = _STATUS.get(model_status.name, 4)
+    message = f"HiGHS model status {int(model_status)}: {highs.modelStatusToString(model_status)}"
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status != 0 or ran == core.HighsStatus.kError:
+        # Without a solution to read, an "optimal" run error reads 4.
+        return HighsResult(status or 4, message, nit)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    if not np.all(np.isfinite(x)):
+        return HighsResult(4, f"solution is not finite {message}", nit)
+    duals = np.array(solution.row_dual)
+    return HighsResult(status, message, nit, x, info.objective_function_value, duals)
+
+
+def _highs(started, cost, ub, eq, col_lower, col_upper):
+    """Solve for a system whose build began at ``started`` (a
+    ``time.perf_counter`` reading): ``ub`` and ``eq`` are (CSR rows,
+    right-hand side) blocks or None, stacked inequality rows first.
+    Returns the ``linprog`` result and the call's stats."""
     import scipy.sparse as sp
 
-    blocks = [a for a in (a_ub, a_eq) if a is not None]
-    rows = sum(a.shape[0] for a in blocks)
-    nnz = sum(a.nnz if sp.issparse(a) else int(np.count_nonzero(a)) for a in blocks)
-    if rows * len(cost) <= DENSE_ENTRY_LIMIT:
-        a_ub, a_eq = (a.toarray() if sp.issparse(a) else a for a in (a_ub, a_eq))
-    dense = not any(sp.issparse(a) for a in (a_ub, a_eq))
-    begun = time.perf_counter()
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
+    # (rows, row lower bounds, row upper bounds) per block.
+    blocks = []
+    if ub is not None:
+        blocks.append((ub[0], np.full(len(ub[1]), -np.inf), ub[1]))
+    if eq is not None:
+        blocks.append((eq[0], eq[1], eq[1]))
+    rows = [block[0] for block in blocks]
+    rows = sp.vstack(rows, format="csr") if len(rows) == 2 else rows[0] if rows else None
+    row_lower, row_upper = (
+        np.concatenate([block[k] for block in blocks] or [np.zeros(0)]) for k in (1, 2)
     )
+    begun = time.perf_counter()
+    result = linprog(cost, rows, row_lower, row_upper, col_lower, col_upper)
     solved = time.perf_counter()
-    return result, LpStats(rows, len(cost), nnz, dense, begun - started, solved - begun)
+    m, nnz = (0, 0) if rows is None else (rows.shape[0], rows.nnz)
+    return result, LpStats(m, len(cost), nnz, begun - started, solved - begun)
 
 
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
     """Maximize the objective; statuses are Optimal / Infeasible / Unbounded,
     with numerical breakdowns reported as a distinct Failed status."""
-    result, stats = _highs(
-        time.perf_counter(),
-        -lp.objective,
-        lp.ub_lhs,
-        lp.ub_rhs,
-        lp.eq_lhs,
-        lp.eq_rhs,
-        (0.0, None) if lp.bounds is None else lp.bounds,
-    )
-    iterations = int(result.nit)
+    started = time.perf_counter()
+    eq = (lp.eq_lhs, lp.eq_rhs) if lp.eq_lhs is not None else None
+    ub = (lp.ub_lhs, lp.ub_rhs) if lp.ub_lhs is not None else None
+    lower, upper = _bound_arrays(lp.bounds, lp.n_variables)
+    result, stats = _highs(started, -lp.objective, ub, eq, lower, upper)
+    iterations = result.nit
     if result.status == 0:
-        x = np.asarray(result.x, dtype=float)
+        x = result.x
         checked = time.perf_counter()
-        residual = constraint_residual(lp, x)
+        residual = _residual(lp.eq_lhs, lp.eq_rhs, lp.ub_lhs, lp.ub_rhs, lower, upper, x)
         stats = replace(stats, verify_s=time.perf_counter() - checked)
         if residual > 10 * tol:
             return LpOutcome(
@@ -229,12 +326,14 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
             max_residual=residual,
             iterations=iterations,
             stats=stats,
+            # HiGHS minimized -objective.
+            duals=-result.duals,
         )
     if result.status == 2:
         # Confirm with the elastic phase-one so callers get a violation score.
         phase1 = feasibility(
-            eq=(lp.eq_lhs, lp.eq_rhs) if lp.eq_lhs is not None else None,
-            ub=(lp.ub_lhs, lp.ub_rhs) if lp.ub_lhs is not None else None,
+            eq=eq,
+            ub=ub,
             bounds=lp.bounds,
             n_variables=lp.n_variables,
             tol=tol,
@@ -255,12 +354,9 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
 def _csr_rows(block, n: int):
     """A constraint block ``(lhs, rhs)`` as CSR rows and a float right-hand
     side; None rows when the block is absent or empty."""
-    import scipy.sparse as sp
-
     if block is None:
         return None, np.zeros(0)
     lhs = _as_matrix(block[0])
-    lhs = lhs if sp.issparse(lhs) else sp.csr_array(lhs)
     if lhs.shape[1] != n:
         raise ValueError(f"constraint matrix must have {n} columns")
     rhs = np.asarray(block[1], dtype=float)
@@ -314,20 +410,20 @@ def feasibility(
     # Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
     # row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j].
     cost = np.concatenate([np.zeros(n), np.ones(width - n)])
-    a_eq = _with_slacks(eq_lhs, (n, n + m_eq), (1.0, -1.0), width) if m_eq else None
-    a_ub = _with_slacks(ub_lhs, (n + 2 * m_eq,), (-1.0,), width) if m_ub else None
-    var_bounds = (0.0, None) if bounds is None else list(bounds) + [(0.0, None)] * (width - n)
+    a_eq = (_with_slacks(eq_lhs, (n, n + m_eq), (1.0, -1.0), width), eq_rhs) if m_eq else None
+    a_ub = (_with_slacks(ub_lhs, (n + 2 * m_eq,), (-1.0,), width), ub_rhs) if m_ub else None
+    lower, upper = _bound_arrays(bounds, n)
+    slack_lower, slack_upper = _bound_arrays(None, width - n)
 
     result, stats = _highs(
         started,
         cost,
         a_ub,
-        ub_rhs if m_ub else None,
         a_eq,
-        eq_rhs if m_eq else None,
-        var_bounds,
+        np.concatenate([lower, slack_lower]),
+        np.concatenate([upper, slack_upper]),
     )
-    iterations = int(result.nit)
+    iterations = result.nit
     if result.status != 0:
         return LpOutcome(
             LpStatus.FAILED,
@@ -336,7 +432,7 @@ def feasibility(
             stats=stats,
         )
     total_violation = float(result.fun)
-    x = np.asarray(result.x[:n], dtype=float)
+    x = result.x[:n]
     if total_violation > tol:
         return LpOutcome(
             LpStatus.INFEASIBLE,
@@ -344,9 +440,10 @@ def feasibility(
             message=f"minimum total violation {total_violation:.3e}",
             iterations=iterations,
             stats=stats,
+            duals=result.duals,
         )
     checked = time.perf_counter()
-    residual = _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, bounds, x)
+    residual = _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, lower, upper, x)
     return LpOutcome(
         LpStatus.OPTIMAL,
         x=x,
@@ -354,4 +451,5 @@ def feasibility(
         max_residual=residual,
         iterations=iterations,
         stats=replace(stats, verify_s=time.perf_counter() - checked),
+        duals=result.duals,
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,14 @@ TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the package from
+    this checkout's src, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def chsh_scenario() -> Scenario:
@@ -116,6 +126,29 @@ def ns_polytope(scenario: Scenario):
     return sp.vstack([norm[0], ns[0]], format="csr"), np.concatenate([norm[1], ns[1]])
 
 
+def linprog_reference(cost, rows, row_lower, row_upper, col_lower, col_upper):
+    """Reference solve of the arguments of ``lp.linprog`` by
+    ``scipy.optimize.linprog(method="highs")``: rows with equal bounds as
+    equality rows, and every other finite row bound as an inequality row
+    (upper bounds first).  Returns scipy's result."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    rows = sp.csr_array((0, len(cost))) if rows is None else sp.csr_array(rows)
+    eq = row_lower == row_upper
+    upper, lower = ~eq & np.isfinite(row_upper), ~eq & np.isfinite(row_lower)
+    b_ub = np.concatenate([row_upper[upper], -row_lower[lower]])
+    return linprog(
+        cost,
+        A_ub=sp.vstack([rows[upper], -rows[lower]], format="csr") if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=rows[eq] if eq.any() else None,
+        b_eq=row_upper[eq] if eq.any() else None,
+        bounds=np.column_stack([col_lower, col_upper]),
+        method="highs",
+    )
+
+
 def loop_pair_marginal_rows(scen, base):
     """Dense reference: clone 1's pair marginal, other clones at setting 0."""
     n_clones = scen.parties - 1
@@ -154,7 +187,8 @@ def full_table_extension_exists(base: Behavior, n_clones: int) -> bool:
     status (no elastic phase-one, which costs seconds on an infeasible
     table of a few thousand entries)."""
     lhs, rhs = full_table_extension_rows(base, n_clones)
-    status = lp.linprog(np.zeros(lhs.shape[1]), A_eq=lhs, b_eq=rhs, method="highs").status
+    n = lhs.shape[1]
+    status = linprog_reference(np.zeros(n), lhs, rhs, rhs, np.zeros(n), np.full(n, np.inf)).status
     assert status in (0, 2)
     return status == 0
 

@@ -2,26 +2,16 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from monogamy import behavior_to_json_dict, pr_box, sharing, state_to_json_dict, uniform_box
 from monogamy.cli import main
-from conftest import chsh_scenario
-
-
-def child_env() -> dict:
-    """Environment for a child interpreter that imports the package from
-    this checkout's src, installed or not."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+from conftest import chsh_scenario, child_env
 
 
 def write_behavior(path, behavior):
@@ -444,4 +434,9 @@ class TestScipyLoading:
         assert [step[1] for step in report] == [None, 0, 0, 0, 0, 0, 1]
         for name, _, loaded in report[:-1]:
             assert loaded == [], f"{name} loaded {loaded}"
-        assert "scipy.optimize" in report[-1][2]
+        # localtest loads scipy.sparse and the HiGHS binding, not the
+        # package scipy.optimize.
+        loaded = report[-1][2]
+        assert "scipy.sparse" in loaded and "scipy.optimize._highspy._core" in loaded
+        assert "scipy.optimize" not in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize") and "_highspy._core" not in m]

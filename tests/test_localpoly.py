@@ -25,7 +25,7 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.bell import BellFunctional
-from monogamy.localpoly import STRATEGY_CAP, strategy_matrix
+from monogamy.localpoly import STRATEGY_CAP, _membership_rows, strategy_matrix
 from conftest import chsh_scenario, random_violating_behavior, tsirelson_behavior
 
 
@@ -141,6 +141,17 @@ class TestDecomposition:
         for _ in range(5):
             b = random_violating_behavior(rng, threshold=2.0 + 1e-6)
             assert isinstance(local_decomposition(b), NotLocal)
+
+    @pytest.mark.parametrize("scenario", [chsh_scenario(), Scenario(2, (3, 2), (2, 3))])
+    def test_membership_rows_memoised_read_only(self, scenario):
+        # The strategy columns over the normalization row, built once.
+        rows = _membership_rows(scenario, STRATEGY_CAP)
+        matrix = strategy_matrix(scenario)
+        assert rows.format == "csr"
+        assert np.array_equal(rows.toarray(), np.vstack([matrix, np.ones(matrix.shape[1])]))
+        assert _membership_rows(scenario, STRATEGY_CAP) is rows
+        for part in (rows.data, rows.indices, rows.indptr):
+            assert not part.flags.writeable
 
 
 class TestLocalBound:

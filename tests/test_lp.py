@@ -1,15 +1,19 @@
 """Linear-programming wrapper: statuses, certificates, duality."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-import scipy.optimize
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import monogamy.lp as lp
-from monogamy import Scenario, local_decomposition, ns_extension, pr_box, uniform_box
+from conftest import chsh_scenario, child_env, linprog_reference, ns_polytope
+from monogamy import Scenario, chsh, local_decomposition, ns_extension, pr_box, uniform_box
+from monogamy.bell import functional_row
 from monogamy.lp import (
-    DENSE_ENTRY_LIMIT,
     LinearProgram,
     LpStatus,
     constraint_residual,
@@ -75,10 +79,8 @@ def dense_elastic_violation(a_eq, b_eq, a_ub, b_ub, bounds=None):
     return result.fun
 
 
-@pytest.mark.parametrize("n, m_eq, m_ub, densified", [(12, 6, 4, True), (150, 120, 60, False)])
-def test_feasibility_matches_dense_elastic(n, m_eq, m_ub, densified, rng):
-    # One size reaches HiGHS densified, the other in sparse form.
-    assert ((m_eq + m_ub) * (n + 2 * m_eq + m_ub) <= DENSE_ENTRY_LIMIT) == densified
+@pytest.mark.parametrize("n, m_eq, m_ub", [(12, 6, 4), (150, 120, 60)])
+def test_feasibility_matches_dense_elastic(n, m_eq, m_ub, rng):
     for _ in range(3):
         # Nonnegative rows against some negative right-hand sides: no x >= 0
         # fits, so the elastic optimum is positive.
@@ -155,48 +157,97 @@ def test_single_block_systems():
         assert out.max_residual == pytest.approx(0.3, abs=1e-9)
 
 
+# Solves the systems of ``test_duplicate_sparse_entries_are_summed``: the
+# elastic phase-one of rows with a repeated entry, and ``lp.linprog`` on
+# rows with unsorted and repeated entries.  Prints the phase-one's status
+# and violation, the optimum, and whether the callers' arrays are intact.
+DUPLICATE_SOLVE = """
+import json
+import numpy as np
+import scipy.sparse as sp
+from monogamy import lp
+
+cols, values = np.array([1, 1, 0, 2]), np.array([0.5, 0.5, 1.0, 1.0])
+dup = sp.csr_array((values, cols, np.array([0, 2, 4])), shape=(2, 3))
+assert not dup.has_canonical_format
+out = lp.feasibility(eq=(dup, np.array([-2.0, 3.0])))
+# Row 0: x2 + 2 x0 <= 4 (unsorted), row 1: 0.5 x1 + 0.5 x1 <= 1.
+rows = sp.csr_array((np.array([1.0, 2.0, 0.5, 0.5]), np.array([2, 0, 1, 1]), np.array([0, 2, 4])),
+                    shape=(2, 3))
+kept = rows.indices.copy(), rows.data.copy()
+result = lp.linprog(-np.ones(3), rows, np.full(2, -np.inf), np.array([4.0, 1.0]),
+                    np.zeros(3), np.full(3, np.inf))
+intact = dup.nnz == 4 and all(np.array_equal(a, b) for a, b in zip((rows.indices, rows.data), kept))
+print(json.dumps([out.status.value, out.violation, result.status, result.fun, intact]))
+"""
+
+
 def test_duplicate_sparse_entries_are_summed():
     # CSR input with a repeated (row, column): the entries add, as in the
-    # dense matrix, and the caller's array is left as it was.
-    cols, values = np.array([1, 1, 0, 2]), np.array([0.5, 0.5, 1.0, 1.0])
-    dup = sp.csr_array((values, cols, np.array([0, 2, 4])), shape=(2, 3))
-    assert not dup.has_canonical_format
+    # dense matrix, and the caller's array is left as it was.  HiGHS given
+    # such rows can spin in C code that ignores SIGINT, so the solve runs in
+    # a child process that a timeout kills.
+    child = subprocess.run(
+        [sys.executable, "-c", DUPLICATE_SOLVE],
+        capture_output=True, text=True, env=child_env(), timeout=20,
+    )
+    assert child.returncode == 0, child.stderr
+    status, violation, linprog_status, optimum, intact = json.loads(child.stdout)
+    dense = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     b = np.array([-2.0, 3.0])
-    out = feasibility(eq=(dup, b))
-    expected = dense_elastic_violation(dup.toarray(), b, np.zeros((0, 3)), np.zeros(0))
-    assert out.violation == pytest.approx(expected, rel=1e-9)
-    assert dup.nnz == 4
+    expected = dense_elastic_violation(dense, b, np.zeros((0, 3)), np.zeros(0))
+    assert status == "infeasible"
+    assert violation == pytest.approx(expected, rel=1e-9)
+    # x1 <= 1 and x2 <= 4 at x0 = 0.
+    assert linprog_status == 0 and optimum == pytest.approx(-5.0, abs=1e-12)
+    assert intact
+    dup = sp.csr_array((np.ones(4), np.array([1, 1, 0, 2]), np.array([0, 2, 4])), shape=(2, 3))
     with pytest.raises(ValueError, match="2 columns"):
         feasibility(eq=(dup, b), n_variables=2)
 
 
-def elastic_systems(monkeypatch):
-    """Spy on ``lp.linprog``: the list gets the inequality matrix of each call."""
+def test_linprog_refuses_mismatched_sizes():
+    # HiGHS would read past a short array, so the sizes are checked first.
+    rows = sp.csr_array(np.ones((2, 3)))
+    inf, zeros = np.full(3, np.inf), np.zeros(3)
+    with pytest.raises(ValueError, match="3 column bounds and 2 row bounds"):
+        lp.linprog(np.ones(3), rows, np.zeros(1), np.ones(2), zeros, inf)
+    with pytest.raises(ValueError, match="3 column bounds"):
+        lp.linprog(np.ones(3), rows, np.zeros(2), np.ones(2), zeros[:2], inf)
+    with pytest.raises(ValueError, match="0 row bounds"):
+        lp.linprog(np.ones(3), None, np.zeros(1), np.ones(1), zeros, inf)
+    with pytest.raises(ValueError, match="2 x 4"):
+        lp.linprog(np.ones(4), rows, np.zeros(2), np.ones(2), np.zeros(4), np.full(4, np.inf))
+
+
+def highs_calls(monkeypatch):
+    """Spy on ``lp.linprog``: the list gets the arguments and the result of
+    each call."""
     seen = []
     original = lp.linprog
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["A_ub"])
-        return original(*args, **kwargs)
+    def spy(*args):
+        seen.append((args, original(*args)))
+        return seen[-1][1]
 
     monkeypatch.setattr(lp, "linprog", spy)
     return seen
 
 
 def test_extension_systems_reach_highs_dense_or_sparse(monkeypatch):
-    seen = elastic_systems(monkeypatch)
+    # Every system reaches HiGHS as CSR rows, whatever its size.
+    seen = highs_calls(monkeypatch)
     base = uniform_box(Scenario(2, (2, 2), (2, 2)))
     ns_extension(base, 4)
     ns_extension(base, 6)
-    four, six = seen
+    (four, _), (six, _) = seen
     # 140 positivity rows over 45 CG columns, each row with one slack.
-    assert isinstance(four, np.ndarray) and four.shape == (140, 185)
-    assert sp.issparse(six) and six.format == "csr" and six.shape == (336, 420)
-    assert 140 * 185 <= DENSE_ENTRY_LIMIT < 336 * 420
-    # Each slack column holds one -1, on its own row.
-    for a in (four, sp.csr_array(six).toarray()):
-        m = a.shape[0]
-        assert np.array_equal(a[:, -m:], -np.eye(m))
+    for (cost, rows, row_lower, row_upper, *_), shape in zip((four, six), [(140, 185), (336, 420)]):
+        assert sp.issparse(rows) and rows.format == "csr" and rows.shape == shape
+        assert len(cost) == shape[1] and np.all(row_lower == -np.inf) and np.all(row_upper == 0.0)
+        # Each slack column holds one -1, on its own row.
+        m = shape[0]
+        assert np.array_equal(rows.toarray()[:, -m:], -np.eye(m))
 
 
 def outcomes_of(monkeypatch):
@@ -218,8 +269,8 @@ def test_stats_record_the_system_highs_received(monkeypatch):
     local_decomposition(uniform_box(chsh))
     ns_extension(uniform_box(chsh), 4)
     ns_extension(uniform_box(chsh), 6)
-    sizes = [(o.stats.rows, o.stats.cols, o.stats.nnz, o.stats.dense) for o in outcomes]
-    assert sizes == [(17, 50, 114, True), (140, 185, 896, True), (336, 420, 3108, False)]
+    sizes = [(o.stats.rows, o.stats.cols, o.stats.nnz) for o in outcomes]
+    assert sizes == [(17, 50, 114), (140, 185, 896), (336, 420, 3108)]
     for o in outcomes:
         assert o.status == LpStatus.OPTIMAL
         assert o.stats.build_s > 0 and o.stats.solve_s > 0 and o.stats.verify_s > 0
@@ -230,14 +281,14 @@ def test_stats_record_the_system_highs_received(monkeypatch):
 def test_solve_stats():
     program = LinearProgram(np.array([1.0, 1.0]), ub_lhs=[[1.0, 2.0], [0.0, 1.0]], ub_rhs=[2.0, 1.0])
     stats = solve(program).stats
-    assert (stats.rows, stats.cols, stats.nnz, stats.dense) == (2, 2, 3, True)
+    assert (stats.rows, stats.cols, stats.nnz) == (2, 2, 3)
     assert stats.build_s >= 0 and stats.solve_s > 0 and stats.verify_s > 0
     # An infeasible program reports its phase-one system: one slack per row.
     out = solve(LinearProgram(np.array([1.0]), ub_lhs=[[1.0]], ub_rhs=[-1.0]))
     assert out.status == LpStatus.INFEASIBLE
     assert (out.stats.rows, out.stats.cols, out.stats.nnz) == (1, 2, 2)
     big = solve(LinearProgram(np.ones(300), ub_lhs=sp.csr_array(np.eye(300)), ub_rhs=np.ones(300)))
-    assert (big.stats.rows, big.stats.cols, big.stats.nnz, big.stats.dense) == (300, 300, 300, False)
+    assert (big.stats.rows, big.stats.cols, big.stats.nnz) == (300, 300, 300)
 
 
 def test_sparse_program_matches_dense(rng):
@@ -375,10 +426,46 @@ def test_every_solve_goes_through_module_linprog(monkeypatch):
     assert len(calls) == 3
 
 
-def test_module_linprog_resolves_scipy_at_call_time(monkeypatch):
-    calls = counting(monkeypatch, scipy.optimize, "linprog")
-    assert solve(LinearProgram(np.array([1.0]), ub_lhs=[[1.0]], ub_rhs=[3.0])).value == pytest.approx(3.0)
-    assert calls == ["linprog"]
+# Solves one LP in a fresh interpreter and prints the scipy modules loaded.
+FRESH_SOLVE = """
+import json, sys
+from monogamy.lp import LinearProgram, solve
+
+value = solve(LinearProgram([1.0], ub_lhs=[[1.0]], ub_rhs=[3.0])).value
+print(json.dumps([value, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def test_solve_leaves_scipy_optimize_unloaded():
+    # HiGHS comes from scipy's binding, loaded by path: the package
+    # scipy.optimize and its linprog are never imported.
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_SOLVE],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    value, loaded = json.loads(child.stdout)
+    assert value == pytest.approx(3.0)
+    assert "scipy.optimize._highspy._core" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize") and "_highspy._core" not in m]
+
+
+def test_binding_already_loaded_is_reused():
+    # In this process scipy.optimize is loaded, so its module is the one.
+    import scipy.optimize._highspy._core as core
+
+    assert lp._binding() is core
+
+
+def test_missing_binding_names_scipy_version(monkeypatch):
+    import importlib.machinery
+    from importlib.metadata import version
+
+    monkeypatch.delitem(sys.modules, lp._BINDING)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=f"scipy {version('scipy')}"):
+        lp._binding()
+    assert lp._BINDING not in sys.modules
 
 
 def test_outcomes_report_highs_iterations(monkeypatch):
@@ -388,7 +475,7 @@ def test_outcomes_report_highs_iterations(monkeypatch):
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        linprog_nits.append(int(result.nit))
+        linprog_nits.append(result.nit)
         return result
 
     monkeypatch.setattr(lp, "linprog", recording)
@@ -410,3 +497,118 @@ def test_outcomes_report_highs_iterations(monkeypatch):
     assert outcome.status == LpStatus.INFEASIBLE
     assert len(linprog_nits) == 2
     assert outcome.iterations == sum(linprog_nits)
+
+
+def test_duals_rebuild_the_chsh_ns_maximum():
+    # Equality form over the table, x >= 0: the dual bound is duals @ rhs.
+    scenario = chsh_scenario()
+    objective = functional_row(scenario, chsh(), (0, 1))
+    eq_lhs, eq_rhs = ns_polytope(scenario)
+    outcome = solve(LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs))
+    assert outcome.value == pytest.approx(4.0, abs=1e-9)
+    assert outcome.duals @ eq_rhs == pytest.approx(4.0, abs=1e-9)
+    # Dual feasibility of the maximise form: objective <= lhs.T @ duals.
+    assert np.all(objective <= eq_lhs.T @ outcome.duals + 1e-9)
+
+
+def test_duals_of_the_cg_ns_maximum(monkeypatch):
+    # The repo's own NS optimum: -rows @ q <= 0 with q[0] fixed at 1 and the
+    # other coordinates free.  Inequality duals are >= 0, free coordinates
+    # have zero reduced cost, and the fixed one carries the value.
+    from monogamy.tradeoffs import _ns_maxima
+
+    seen = []
+    original = lp.solve
+    monkeypatch.setattr(
+        lp, "solve", lambda program, tol: seen.append(program) or original(program, tol)
+    )
+    scenario = chsh_scenario()
+    objective = functional_row(scenario, chsh(), (0, 1))
+    values, _, outcome = _ns_maxima(scenario, objective[None], (), lp.FEASIBILITY_TOL)
+    (program,) = seen
+    assert values[0] == pytest.approx(4.0, abs=1e-9)
+    assert np.all(outcome.duals >= -1e-12)
+    assert outcome.duals @ program.ub_rhs == 0.0
+    reduced = program.objective - program.ub_lhs.T @ outcome.duals
+    assert np.abs(reduced[1:]).max() <= 1e-9
+    assert outcome.duals @ program.ub_rhs + reduced[0] * 1.0 == pytest.approx(4.0, abs=1e-9)
+
+
+def _row_residual(args, x) -> float:
+    """Largest violation at ``x`` of the rows and bounds ``lp.linprog`` got."""
+    cost, rows, row_lower, row_upper, col_lower, col_upper = args
+    activity = np.zeros(0) if rows is None else rows @ x
+    return float(np.max(np.concatenate([
+        row_lower - activity, activity - row_upper, col_lower - x, x - col_upper,
+    ]), initial=0.0))
+
+
+def _chsh_ns_maximum():
+    from monogamy.tradeoffs import ns_maximum
+
+    scenario = chsh_scenario()
+    ns_maximum(scenario, functional_row(scenario, chsh(), (0, 1)))
+    return 1
+
+
+def _ns_support_block():
+    from monogamy.tradeoffs import ns_support
+
+    ns_support(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    return 1
+
+
+def _pb_probe_lps():
+    from monogamy.tradeoffs import pb_probe
+
+    return [(record["rows"], record["cols"]) for record in pb_probe().lps]
+
+
+def _extensions():
+    for base in (pr_box(), uniform_box(chsh_scenario())):
+        for n_clones in range(2, 7):
+            ns_extension(base, n_clones)
+    return 10
+
+
+def _local_decompositions():
+    local_decomposition(pr_box())
+    local_decomposition(uniform_box(chsh_scenario()))
+    return 2
+
+
+def _unbounded():
+    # Without rows, and with a row that leaves a ray open.
+    assert solve(LinearProgram(np.array([1.0]))).status == LpStatus.UNBOUNDED
+    ray = LinearProgram(np.array([1.0, 1.0]), ub_lhs=[[1.0, -1.0]], ub_rhs=[1.0])
+    assert solve(ray).status == LpStatus.UNBOUNDED
+    return 2
+
+
+def _empty():
+    assert feasibility(n_variables=3).status == LpStatus.OPTIMAL
+    return 1
+
+
+@pytest.mark.parametrize("workload", [
+    _chsh_ns_maximum, _ns_support_block, _pb_probe_lps, _extensions,
+    _local_decompositions, _unbounded, _empty,
+], ids=lambda f: f.__name__.strip("_"))
+def test_direct_highs_matches_linprog_reference(workload, monkeypatch):
+    # Every LP the workload hands HiGHS, solved again by
+    # scipy.optimize.linprog(method="highs"): same status, same optimum,
+    # and both solutions within the acceptance residual.
+    seen = highs_calls(monkeypatch)
+    expected = workload()
+    if isinstance(expected, list):
+        # pb_probe: one call per recorded LP, of the recorded size.
+        assert [(args[1].shape[0], len(args[0])) for args, _ in seen] == expected
+    else:
+        assert len(seen) == expected
+    for args, result in seen:
+        reference = linprog_reference(*args)
+        assert result.status == reference.status
+        if result.status == 0:
+            assert result.fun == pytest.approx(reference.fun, abs=1e-9)
+            assert _row_residual(args, result.x) <= 10 * lp.FEASIBILITY_TOL
+            assert _row_residual(args, reference.x) <= 10 * lp.FEASIBILITY_TOL
