@@ -574,6 +574,24 @@ def ns_orbit_polytope(
     return rows, expand
 
 
+@functools.lru_cache(maxsize=8)
+def ns_orbit_dual_rows(
+    scenario: Scenario, generators: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, sp.csr_array]:
+    """The rows of :func:`ns_orbit_polytope` split by column for the dual
+    of an optimum over them: the constant column as a dense vector, one
+    entry per positivity row, and the free columns transposed to CSR, one
+    row per free coordinate.  Memoised per (scenario, generators) and
+    returned read-only."""
+    rows, _ = ns_orbit_polytope(scenario, generators)
+    constant = rows[:, [0]].toarray().ravel()
+    free_t = rows[:, 1:].T.tocsr()
+    free_t.sort_indices()
+    for part in (constant, free_t.data, free_t.indices, free_t.indptr):
+        part.setflags(write=False)
+    return constant, free_t
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------

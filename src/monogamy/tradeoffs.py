@@ -27,6 +27,7 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
+    ns_orbit_dual_rows,
     ns_orbit_polytope,
     permute_parties,
     validate_behavior,
@@ -345,28 +346,65 @@ def _ns_maxima(
     """Maximize each row of ``objectives`` over the no-signalling tables
     fixed by the party permutations that ``generators`` span, all in one LP
     in the Collins-Gisin coordinates of :func:`ns_orbit_polytope`: row i
-    acts on its own copy of the coordinates, under its own copy of the
-    positivity rows (a block-diagonal system), with each copy's constant
-    coordinate fixed at 1 and the others free.  The maximum of the summed
-    objectives is then the sum of the row maxima, and each block of the
-    solution is an optimum of its row.  Each block is expanded to the full
-    table, which ``_ns_table`` re-checks, and its value is recomputed
-    there.  Returns the values, the tables and the LP's outcome."""
-    rows, expand = ns_orbit_polytope(scenario, generators)
+    acts on its own copy of the free coordinates, under its own copy of the
+    positivity rows (a block-diagonal system), with the constant coordinate
+    fixed at 1.  The maximum of the summed objectives is then the sum of the
+    row maxima, and each block of the solution is an optimum of its row.
+    The LP is solved in its dual form by :func:`_ns_dual_optimum`.  Each
+    block is expanded to the full table, which ``_ns_table`` re-checks, and
+    its value is recomputed there.  Returns the values, the tables and the
+    LP's outcome."""
+    _, expand = ns_orbit_polytope(scenario, generators)
+    constant, free_t = ns_orbit_dual_rows(scenario, generators)
     k = objectives.shape[0]
-    n_rows, n_cols = rows.shape
-    program = lp.LinearProgram(
-        (objectives @ expand).reshape(-1),
-        ub_lhs=_block_diagonal(-rows, k),
-        ub_rhs=np.zeros(k * n_rows),
-        bounds=([(1.0, 1.0)] + [(None, None)] * (n_cols - 1)) * k,
+    n_free = free_t.shape[0]
+    in_cg = objectives @ expand
+    outcome = _ns_dual_optimum(
+        np.concatenate([[in_cg[:, 0].sum()], in_cg[:, 1:].ravel()]),
+        np.tile(constant, k),
+        _block_diagonal(free_t, k),
+        tol,
     )
-    outcome = lp.solve(program, tol)
-    if outcome.status != lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
-    blocks = [expand @ y for y in outcome.x.reshape(k, n_cols)]
+    free = outcome.x[1:].reshape(k, n_free)
+    blocks = [expand @ np.concatenate([[1.0], y]) for y in free]
     values = [float(objective @ x) for objective, x in zip(objectives, blocks)]
     return values, [_ns_table(scenario, x, tol) for x in blocks], outcome
+
+
+def _ns_dual_optimum(
+    objective: np.ndarray, constant: np.ndarray, free_t, tol: float
+) -> lp.LpOutcome:
+    """Maximize ``objective @ z`` over z with z[0] = 1, the other entries
+    free, and the rows ``constant * z[0] + free_t.T @ z[1:] >= 0``, through
+    the dual LP: minimize ``objective[0] + constant @ lam`` over lam >= 0
+    with ``free_t @ lam = -objective[1:]``, one equality row per free
+    coordinate and one column per row.  z[1:] is read from the dual's
+    equality duals, and is refused with a RuntimeError unless it meets the
+    rows within 10 * tol and its value the dual value within 10 * tol
+    (relative above 1).  Returns the outcome in primal terms: ``x`` is z,
+    ``value`` its value, ``duals`` the row multipliers lam >= 0 and
+    ``max_residual`` the larger of the two systems' residuals; the
+    iterations and stats are those of the dual LP that HiGHS solved."""
+    dual = lp.solve(
+        lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-objective[1:]), tol
+    )
+    if dual.status != lp.LpStatus.OPTIMAL:
+        raise RuntimeError(f"no-signalling LP failed: {dual.status} {dual.message}")
+    # lp.solve maximized -constant @ lam, which is objective[0] minus the
+    # primal optimum; its derivative by the right-hand side -objective[j]
+    # is the primal optimum's derivative by objective[j], which is z[j].
+    z = np.concatenate([[1.0], dual.duals])
+    residual = float(np.max(-(constant + free_t.T @ z[1:]), initial=0.0))
+    if residual > 10 * tol:
+        raise RuntimeError(f"no-signalling LP optimum has row residual {residual:.3e}")
+    value = float(objective @ z)
+    bound = float(objective[0]) - dual.value
+    if abs(value - bound) > 10 * tol * max(1.0, abs(value)):
+        raise RuntimeError(
+            f"no-signalling LP optimum {value!r} has duality gap {value - bound:.3e}"
+        )
+    return replace(dual, x=z, value=value, max_residual=max(dual.max_residual, residual),
+                   duals=dual.x)
 
 
 def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
@@ -384,7 +422,8 @@ def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
 def _block_diagonal(rows, k: int):
     """``k`` copies of the CSR ``rows`` along the diagonal, built on
     ``indptr`` / ``indices`` / ``data`` directly (``sp.block_diag`` costs
-    about twenty times as much at 16 copies of the 64 x 27 CG rows)."""
+    about twenty times as much at 16 copies of the 26 x 64 transposed
+    CG rows)."""
     import scipy.sparse as sp
 
     m, n = rows.shape
@@ -838,32 +877,32 @@ def _ns_max_min(
     tol: float,
 ) -> tuple[float, Behavior, lp.LpOutcome]:
     """The maximum over the no-signalling polytope of the smallest of the
-    ``functionals``' values, on the rows of :func:`_ns_maxima` plus a
-    variable t with one row t <= f @ x each.  The group that
-    ``generators`` span must permute the functionals among themselves
-    (checked first), so averaging an optimum over the group gives one that
-    is constant on orbits.  The solution is expanded to the full table,
-    which ``_ns_table`` re-checks, and the max-min rows are re-evaluated
-    there at the LP's 10 * tol acceptance.  Returns the value, the table
-    and the LP's outcome."""
+    ``functionals``' values, on the rows of :func:`_ns_maxima` plus a free
+    coordinate t, last, with one row f @ x - t >= 0 each, solved in its
+    dual form by :func:`_ns_dual_optimum`.  The group that ``generators``
+    span must permute the functionals among themselves (checked first), so
+    averaging an optimum over the group gives one that is constant on
+    orbits.  The solution is expanded to the full table, which
+    ``_ns_table`` re-checks, and the max-min rows are re-evaluated there at
+    the LP's 10 * tol acceptance.  Returns the value, the table and the
+    LP's outcome."""
     import scipy.sparse as sp
 
     _require_invariant(scenario, functionals, generators)
-    rows, expand = ns_orbit_polytope(scenario, generators)
-    n_rows, n_cols = rows.shape
-    program = lp.LinearProgram(
-        np.concatenate([np.zeros(n_cols), [1.0]]),
-        ub_lhs=sp.vstack([
-            sp.hstack([-rows, sp.csr_array((n_rows, 1))]),
-            np.column_stack([-(np.array(functionals) @ expand), np.ones(len(functionals))]),
+    _, expand = ns_orbit_polytope(scenario, generators)
+    constant, free_t = ns_orbit_dual_rows(scenario, generators)
+    n_free, n_rows = free_t.shape
+    in_cg = np.array(functionals) @ expand
+    outcome = _ns_dual_optimum(
+        np.concatenate([np.zeros(1 + n_free), [1.0]]),
+        np.concatenate([constant, in_cg[:, 0]]),
+        sp.vstack([
+            sp.hstack([free_t, in_cg[:, 1:].T]),
+            np.concatenate([np.zeros(n_rows), -np.ones(len(functionals))])[None],
         ], format="csr"),
-        ub_rhs=np.zeros(n_rows + len(functionals)),
-        bounds=[(1.0, 1.0)] + [(None, None)] * n_cols,
+        tol,
     )
-    outcome = lp.solve(program, tol)
-    if outcome.status != lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"no-signalling max-min LP failed: {outcome.status} {outcome.message}")
-    x = expand @ outcome.x[:n_cols]
+    x = expand @ outcome.x[:-1]
     table = _ns_table(scenario, x, tol)
     values = [float(f @ x) for f in functionals]
     if min(values) < outcome.value - 10 * tol:

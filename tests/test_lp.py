@@ -512,9 +512,12 @@ def test_duals_rebuild_the_chsh_ns_maximum():
 
 
 def test_duals_of_the_cg_ns_maximum(monkeypatch):
-    # The repo's own NS optimum: -rows @ q <= 0 with q[0] fixed at 1 and the
-    # other coordinates free.  Inequality duals are >= 0, free coordinates
-    # have zero reduced cost, and the fixed one carries the value.
+    # The repo's own NS optimum, max c @ q over rows @ q >= 0 with q[0]
+    # fixed at 1 and the other coordinates free, solved in its dual form:
+    # the LP's solution is the row multipliers lam >= 0, the free
+    # coordinates have zero reduced cost c + rows.T @ lam, and the fixed
+    # one carries the value.
+    from monogamy.model import ns_orbit_polytope
     from monogamy.tradeoffs import _ns_maxima
 
     seen = []
@@ -526,12 +529,15 @@ def test_duals_of_the_cg_ns_maximum(monkeypatch):
     objective = functional_row(scenario, chsh(), (0, 1))
     values, _, outcome = _ns_maxima(scenario, objective[None], (), lp.FEASIBILITY_TOL)
     (program,) = seen
+    rows, expand = ns_orbit_polytope(scenario, ())
+    assert program.ub_lhs is None and program.bounds is None
     assert values[0] == pytest.approx(4.0, abs=1e-9)
+    assert outcome.duals.shape == (rows.shape[0],)
     assert np.all(outcome.duals >= -1e-12)
-    assert outcome.duals @ program.ub_rhs == 0.0
-    reduced = program.objective - program.ub_lhs.T @ outcome.duals
+    reduced = objective @ expand + rows.T @ outcome.duals
     assert np.abs(reduced[1:]).max() <= 1e-9
-    assert outcome.duals @ program.ub_rhs + reduced[0] * 1.0 == pytest.approx(4.0, abs=1e-9)
+    assert reduced[0] == pytest.approx(4.0, abs=1e-9)
+    assert outcome.value == pytest.approx(4.0, abs=1e-9)
 
 
 def _row_residual(args, x) -> float:

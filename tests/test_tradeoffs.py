@@ -36,8 +36,8 @@ from monogamy import (
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import functional_row
-from monogamy.model import ns_orbit_polytope
-from conftest import full_table_probe, per_direction_ns_support
+from monogamy.model import ns_orbit_dual_rows, ns_orbit_polytope
+from conftest import full_table_probe, linprog_reference, ns_polytope, per_direction_ns_support
 
 ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
@@ -264,10 +264,12 @@ class TestNsSupport:
         sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
         assert len(sizes) == math.ceil(count / chunk)
         scenario = tradeoffs.triple_scenario()
-        # The Collins-Gisin rows, 64 x 27 per direction: no orbits to merge.
-        rows = ns_orbit_polytope(scenario, ())[0]
-        assert rows.shape == (64, 27)
-        assert solved == [k * rows.shape[1] for k in sizes]
+        # The Collins-Gisin rows, 64 x 27 per direction with no orbits to
+        # merge, in dual form: 26 free-coordinate rows over 64 multipliers.
+        free_t = ns_orbit_dual_rows(scenario, ())[1]
+        assert ns_orbit_polytope(scenario, ())[0].shape == (64, 27)
+        assert free_t.shape == (26, 64)
+        assert solved == [k * free_t.shape[1] for k in sizes]
         assert checked == [scenario.table_size] * count
         assert [p.theta for p in points] == list(thetas)
         assert np.allclose([p.value for p in points], reference, rtol=0.0, atol=1e-9)
@@ -284,10 +286,19 @@ class TestNsSupport:
             assert record.pop("iterations") > 0
             assert record == {
                 "directions": k,
-                "rows": k * rows.shape[0],
-                "cols": k * rows.shape[1],
-                "nnz": k * rows.nnz,
+                "rows": k * free_t.shape[0],
+                "cols": k * free_t.shape[1],
+                "nnz": k * free_t.nnz,
             }
+
+    def test_support_of_the_ns_diamond(self):
+        """1 024 seeded directions at tol 1e-9: the NS region in the
+        (chsh_ab, chsh_ac) plane is |chsh_ab| + |chsh_ac| <= 4, whose
+        support is 4 max(|cos theta|, |sin theta|)."""
+        thetas = np.random.default_rng(1024).uniform(-math.pi, math.pi, 1024)
+        points = ns_support(thetas, tol=1e-9)
+        expected = 4.0 * np.maximum(np.abs(np.cos(thetas)), np.abs(np.sin(thetas)))
+        assert np.abs([p.value for p in points] - expected).max() <= 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 16])
     def test_block_diagonal_rows(self, k):
@@ -344,7 +355,12 @@ class TestNsMaximum:
             ], format="csr")
             return expand, expand
 
+        def dual_rows(s, generators):
+            rows = polytope(s, generators)[0]
+            return rows[:, [0]].toarray().ravel(), rows[:, 1:].T.tocsr()
+
         monkeypatch.setattr(tradeoffs, "ns_orbit_polytope", polytope)
+        monkeypatch.setattr(tradeoffs, "ns_orbit_dual_rows", dual_rows)
 
     def test_signalling_optimum_raises(self, monkeypatch):
         """With every normalized table admitted, the LP accepts a
@@ -361,6 +377,24 @@ class TestNsMaximum:
         thetas = np.linspace(0.0, 2.0 * math.pi, tradeoffs._NS_CHUNK, endpoint=False)
         with pytest.raises(RuntimeError, match="fails the definitions"):
             ns_support(thetas)
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(2, (3, 2), (2, 3)), Scenario(3, (2, 2, 2), (2, 3, 2)),
+    ], ids=["settings-32-outcomes-23", "settings-222-outcomes-232"])
+    def test_matches_full_table_reference_beyond_binary(self, scenario):
+        """Seeded random objectives over scenarios with three outcomes or
+        three settings: the optimum of the full-table equality form."""
+        eq_lhs, eq_rhs = ns_polytope(scenario)
+        n = scenario.table_size
+        rng = np.random.default_rng(scenario.table_size)
+        for objective in rng.standard_normal((4, n)):
+            value, behavior = tradeoffs.ns_maximum(scenario, objective)
+            reference = linprog_reference(
+                -objective, eq_lhs, eq_rhs, eq_rhs, np.zeros(n), np.full(n, np.inf)
+            )
+            assert reference.status == 0
+            assert value == pytest.approx(-reference.fun, abs=1e-7)
+            assert value == pytest.approx(objective @ behavior.table.reshape(-1), abs=1e-9)
 
 
 class TestPbProbe:
@@ -432,7 +466,9 @@ class TestPbProbe:
 
     def test_one_lp_per_sign_orbit(self, probe):
         # Four orbit representatives plus the max-min LP, each over the
-        # orbits of its peer group: S3, b <-> c, c <-> d, S3, c <-> d (+ t).
+        # orbits of its peer group: S3, b <-> c, c <-> d, S3, c <-> d (+ t),
+        # in dual form: one equality row per free coordinate (and t), one
+        # multiplier column per positivity row (and max-min row).
         report, calls = probe
         assert len(calls) == len(report.lps) == 5
         s3, swap_bc, swap_cd = (
@@ -441,12 +477,10 @@ class TestPbProbe:
         assert [record["generators"] for record in report.lps] == [
             s3, swap_bc, swap_cd, s3, swap_cd
         ]
-        assert [record["cols"] for record in report.lps] == [80, 160, 160, 80, 161]
-        assert [columns for columns, _ in calls] == [80, 160, 160, 80, 161]
+        assert [record["cols"] for record in report.lps] == [336, 756, 756, 336, 758]
+        assert [columns for columns, _ in calls] == [336, 756, 756, 336, 758]
         assert [record["iterations"] for record in report.lps] == [nit for _, nit in calls]
-        # One positivity row per orbit of table entries (plus the two
-        # max-min rows): no equality rows.
-        assert [record["rows"] for record in report.lps] == [336, 756, 756, 336, 758]
+        assert [record["rows"] for record in report.lps] == [79, 159, 159, 79, 160]
         assert all(record["nnz"] > 0 for record in report.lps)
 
     def test_expanded_tables_are_orbit_constant(self, monkeypatch):
@@ -480,29 +514,71 @@ class TestPbProbe:
         assert report.t_star == pytest.approx(t_star, abs=1e-7)
         assert sum(nit for _, nit in calls) < iterations
 
-    def test_values_come_from_the_full_table(self, monkeypatch):
-        """An LP value that its expanded table does not reach is not
-        returned: a single functional's value is recomputed on the full
-        table, and a max-min t above its rows there raises."""
-        from dataclasses import replace
-
-        solve = tradeoffs.lp.solve
-
-        def inflated(*args, **kwargs):
-            outcome = solve(*args, **kwargs)
-            return replace(outcome, value=outcome.value + 1.0)
-
-        monkeypatch.setattr(tradeoffs.lp, "solve", inflated)
+    @staticmethod
+    def probe_rows():
         scenario = tradeoffs.pb_scenario()
         ab, ac, ad = (
             functional_row(scenario, collins_gisin(), pair) for pair in ((0, 1), (0, 2), (0, 3))
         )
+        return scenario, ab, ac, ad
+
+    @staticmethod
+    def inflate_value(outcome):
+        from dataclasses import replace
+
+        return replace(outcome, value=outcome.value + 1.0)
+
+    @staticmethod
+    def shift_duals(outcome):
+        """Moves the first free coordinate by 100: its column has entries
+        of both signs, so some row of the primal point falls below -99."""
+        from dataclasses import replace
+
+        duals = outcome.duals.copy()
+        duals[0] += 100.0
+        return replace(outcome, duals=duals)
+
+    def test_values_come_from_the_full_table(self, monkeypatch):
+        """An LP value that its expanded table does not reach is not
+        returned: a single functional's value is recomputed on the full
+        table, and a max-min t above its rows there raises.  The value is
+        inflated past the duality-gap check, in the outcome that
+        ``_ns_dual_optimum`` hands back."""
+        optimum = tradeoffs._ns_dual_optimum
+
+        def inflated(*args, **kwargs):
+            return self.inflate_value(optimum(*args, **kwargs))
+
+        monkeypatch.setattr(tradeoffs, "_ns_dual_optimum", inflated)
+        scenario, ab, ac, ad = self.probe_rows()
         values, tables, _ = tradeoffs._ns_maxima(
             scenario, (ab + ac + ad)[None], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
         )
         assert values[0] == pytest.approx(12.0, abs=1e-7)
         assert values[0] == pytest.approx((ab + ac + ad) @ tables[0].table.reshape(-1), abs=1e-9)
         with pytest.raises(RuntimeError, match="exceeds its rows"):
+            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("inflate_value", "duality gap"), ("shift_duals", "row residual"),
+    ], ids=["inflate_value", "shift_duals"])
+    def test_dual_solution_is_checked_on_the_primal_side(self, tamper, message, monkeypatch):
+        """A dual value above the primal point's value, or dual multipliers
+        whose primal point breaks a positivity row, is refused before any
+        table is built, for a single functional and for the max-min LP."""
+        solve, change = tradeoffs.lp.solve, getattr(self, tamper)
+
+        def tampered(*args, **kwargs):
+            return change(solve(*args, **kwargs))
+
+        monkeypatch.setattr(tradeoffs.lp, "solve", tampered)
+        monkeypatch.setattr(tradeoffs, "_ns_table", None)
+        scenario, ab, ac, ad = self.probe_rows()
+        with pytest.raises(RuntimeError, match=message):
+            tradeoffs._ns_maxima(
+                scenario, (ab + ac + ad)[None], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
+            )
+        with pytest.raises(RuntimeError, match=message):
             tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
 
     def test_invariance_guard(self, monkeypatch):
@@ -525,9 +601,11 @@ class TestPbProbe:
             tradeoffs.pb_probe()
 
 
-def test_optimum_lps_have_no_equality_rows(monkeypatch, rng):
-    """Every NS optimum LP runs on the Collins-Gisin positivity rows: no
-    ``lp.solve`` reached from these entry points gets equality rows."""
+def test_optimum_lps_have_only_equality_rows(monkeypatch, rng):
+    """Every NS optimum LP runs on the Collins-Gisin positivity rows in
+    dual form: each ``lp.solve`` reached from these entry points gets
+    equality rows, no inequality rows, and the default bounds, multipliers
+    >= 0."""
     from monogamy import random_shareable_behavior
 
     programs = []
@@ -544,7 +622,8 @@ def test_optimum_lps_have_no_equality_rows(monkeypatch, rng):
     tradeoffs.pb_probe()
     random_shareable_behavior(rng)
     assert len(programs) == 1 + 2 + 5 + 1
-    assert all(program.eq_lhs is None and program.ub_lhs is not None for program in programs)
+    assert all(program.ub_lhs is None and program.eq_lhs is not None for program in programs)
+    assert all(program.bounds is None for program in programs)
 
 
 
