@@ -11,13 +11,18 @@ loaded it already, so neither importing this module nor solving runs
 the rows.
 
 Constraint matrices may be given dense or as ``scipy.sparse`` arrays;
-``LinearProgram`` stores them as CSR.  Feasibility questions go through an
+``LinearProgram`` stores them as CSR.  It is the one parsed form of a
+system: ``solve`` takes one and ``feasibility`` builds one, so both refuse
+alike non-finite data, a matrix whose shape does not match its right-hand
+side and the variable count, and NaN or crossed bounds.  Feasibility
+questions, and the confirmation of an infeasible ``solve``, go through one
 explicit elastic phase-one program, so that infeasible systems come back
 with the minimized total (L1) constraint violation as a certificate value
 rather than a bare status; its slack entries are appended to each CSR row
-by index arithmetic.  Every optimal solution is re-verified by independent
-constraint evaluation before it is returned, and every outcome carries an
-``LpStats`` record of the system HiGHS received.
+by index arithmetic.  Every optimal solution of either entry point is
+re-verified by ``constraint_residual`` on the program's own rows and bounds
+and refused as Failed when that residual exceeds 10 * tol, and every
+outcome carries an ``LpStats`` record of the system HiGHS received.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import enum
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,9 +65,10 @@ Bound = tuple[float | None, float | None]
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Maximize ``objective @ x`` subject to equalities, inequalities
-    (rows mean ``a @ x <= rhs``), and per-variable bounds (default x >= 0).
-    Constraint matrices may be dense or ``scipy.sparse``; both are stored
-    as CSR."""
+    (rows mean ``a @ x <= rhs``), and per-variable bounds (default x >= 0;
+    None leaves a side unbounded).  Constraint matrices may be dense or
+    ``scipy.sparse``; both are stored as CSR, checked against their
+    right-hand sides, and the bounds parsed to ``lower`` / ``upper``."""
 
     objective: np.ndarray
     eq_lhs: np.ndarray | None = None
@@ -70,6 +76,8 @@ class LinearProgram:
     ub_lhs: np.ndarray | None = None
     ub_rhs: np.ndarray | None = None
     bounds: list[Bound] | None = None
+    lower: np.ndarray = field(init=False, repr=False)
+    upper: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obj = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -85,7 +93,8 @@ class LinearProgram:
                 rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
                 if lhs.shape != (rhs.size, n):
                     raise ValueError(
-                        f"{name} constraint matrix must be (rows, {n})"
+                        f"{name} constraint matrix must have {rhs.size} rows, one per"
+                        f" right-hand side entry, and {n} columns; it is {lhs.shape}"
                     )
                 if not (np.all(np.isfinite(lhs.data)) and np.all(np.isfinite(rhs))):
                     raise ValueError(f"{name} constraints must be finite")
@@ -93,8 +102,9 @@ class LinearProgram:
                 object.__setattr__(self, f"{name}_rhs", rhs)
         if not np.all(np.isfinite(obj)):
             raise ValueError("objective must be finite")
-        if self.bounds is not None and len(self.bounds) != n:
-            raise ValueError("need one bound pair per variable")
+        lower, upper = _bound_arrays(self.bounds, n)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def n_variables(self) -> int:
@@ -163,30 +173,31 @@ def _as_matrix(a) -> sp.csr_array:
 
 def _bound_arrays(bounds: list[Bound] | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable lower and upper bounds, infinite where a pair has None;
-    ``bounds`` None means every variable >= 0."""
+    ``bounds`` None means every variable >= 0.  Refuses a pair that is NaN,
+    crossed, or has lower +inf or upper -inf."""
     if bounds is None:
         return np.zeros(n), np.full(n, np.inf)
-    # A missing bound reads as NaN here and as an infinite bound below.
-    lower, upper = np.array(bounds, dtype=float).reshape(-1, 2).T
-    return np.where(np.isnan(lower), -np.inf, lower), np.where(np.isnan(upper), np.inf, upper)
-
-
-def _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, lower, upper, x) -> float:
-    """Largest violation at ``x`` of the given rows (either may be None) and
-    of the bound arrays."""
-    res = 0.0
-    if eq_lhs is not None:
-        res = max(res, float(np.max(np.abs(eq_lhs @ x - eq_rhs))))
-    if ub_lhs is not None:
-        res = max(res, float(max(0.0, np.max(ub_lhs @ x - ub_rhs))))
-    # lower - x rather than -x, which would report a zero residual as -0.0.
-    return float(np.max(np.concatenate([lower - x, x - upper]), initial=res))
+    if len(bounds) != n:
+        raise ValueError("need one bound pair per variable")
+    lower, upper = np.array(
+        [(-np.inf if lo is None else lo, np.inf if hi is None else hi) for lo, hi in bounds],
+        dtype=float,
+    ).reshape(-1, 2).T.copy()
+    # Every comparison with NaN is False.
+    if not np.all((lower <= upper) & (lower < np.inf) & (upper > -np.inf)):
+        raise ValueError("bound pairs need lower <= upper, no NaN, lower < inf and upper > -inf")
+    return lower, upper
 
 
 def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest violation of any constraint or bound at ``x``."""
-    lower, upper = _bound_arrays(lp.bounds, lp.n_variables)
-    return _residual(lp.eq_lhs, lp.eq_rhs, lp.ub_lhs, lp.ub_rhs, lower, upper, x)
+    res = 0.0
+    if lp.eq_lhs is not None:
+        res = max(res, float(np.max(np.abs(lp.eq_lhs @ x - lp.eq_rhs), initial=0.0)))
+    if lp.ub_lhs is not None:
+        res = max(res, float(np.max(lp.ub_lhs @ x - lp.ub_rhs, initial=0.0)))
+    # lower - x rather than -x, which would report a zero residual as -0.0.
+    return float(np.max(np.concatenate([lp.lower - x, x - lp.upper]), initial=res))
 
 
 def _binding():
@@ -296,49 +307,36 @@ def _highs(started, cost, ub, eq, col_lower, col_upper):
     return result, LpStats(m, len(cost), nnz, begun - started, solved - begun)
 
 
+def _checked(lp: LinearProgram, tol, x, iterations, stats, value, duals) -> LpOutcome:
+    """The optimum ``x`` of ``lp`` after its independent check, one
+    ``constraint_residual`` call timed as ``stats.verify_s``: Failed unless
+    the residual is at most 10 * tol."""
+    checked = time.perf_counter()
+    residual = constraint_residual(lp, x)
+    stats = replace(stats, verify_s=time.perf_counter() - checked)
+    if not residual <= 10 * tol:
+        return LpOutcome(LpStatus.FAILED, x=x, max_residual=residual, iterations=iterations,
+                         stats=stats, message=f"solution residual {residual:.3e} exceeds 10*tol")
+    return LpOutcome(LpStatus.OPTIMAL, x=x, value=value, max_residual=residual,
+                     iterations=iterations, stats=stats, duals=duals)
+
+
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
     """Maximize the objective; statuses are Optimal / Infeasible / Unbounded,
-    with numerical breakdowns reported as a distinct Failed status."""
+    with numerical breakdowns reported as a distinct Failed status.  An
+    infeasible answer is confirmed by the elastic phase-one, which supplies
+    the violation certificate."""
     started = time.perf_counter()
     eq = (lp.eq_lhs, lp.eq_rhs) if lp.eq_lhs is not None else None
     ub = (lp.ub_lhs, lp.ub_rhs) if lp.ub_lhs is not None else None
-    lower, upper = _bound_arrays(lp.bounds, lp.n_variables)
-    result, stats = _highs(started, -lp.objective, ub, eq, lower, upper)
-    iterations = result.nit
+    result, stats = _highs(started, -lp.objective, ub, eq, lp.lower, lp.upper)
     if result.status == 0:
-        x = result.x
-        checked = time.perf_counter()
-        residual = _residual(lp.eq_lhs, lp.eq_rhs, lp.ub_lhs, lp.ub_rhs, lower, upper, x)
-        stats = replace(stats, verify_s=time.perf_counter() - checked)
-        if residual > 10 * tol:
-            return LpOutcome(
-                LpStatus.FAILED,
-                x=x,
-                max_residual=residual,
-                message=f"solution residual {residual:.3e} exceeds 10*tol",
-                iterations=iterations,
-                stats=stats,
-            )
-        return LpOutcome(
-            LpStatus.OPTIMAL,
-            x=x,
-            value=float(lp.objective @ x),
-            max_residual=residual,
-            iterations=iterations,
-            stats=stats,
-            # HiGHS minimized -objective.
-            duals=-result.duals,
-        )
+        # HiGHS minimized -objective.
+        value = float(lp.objective @ result.x)
+        return _checked(lp, tol, result.x, result.nit, stats, value, -result.duals)
     if result.status == 2:
-        # Confirm with the elastic phase-one so callers get a violation score.
-        phase1 = feasibility(
-            eq=eq,
-            ub=ub,
-            bounds=lp.bounds,
-            n_variables=lp.n_variables,
-            tol=tol,
-        )
-        iterations += phase1.iterations
+        phase1 = _phase_one(lp, tol, time.perf_counter())
+        iterations = result.nit + phase1.iterations
         if phase1.status == LpStatus.OPTIMAL:
             return LpOutcome(
                 LpStatus.FAILED,
@@ -348,19 +346,7 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
             )
         return replace(phase1, iterations=iterations)
     status = LpStatus.UNBOUNDED if result.status == 3 else LpStatus.FAILED
-    return LpOutcome(status, message=result.message, iterations=iterations, stats=stats)
-
-
-def _csr_rows(block, n: int):
-    """A constraint block ``(lhs, rhs)`` as CSR rows and a float right-hand
-    side; None rows when the block is absent or empty."""
-    if block is None:
-        return None, np.zeros(0)
-    lhs = _as_matrix(block[0])
-    if lhs.shape[1] != n:
-        raise ValueError(f"constraint matrix must have {n} columns")
-    rhs = np.asarray(block[1], dtype=float)
-    return (lhs if rhs.size else None), rhs
+    return LpOutcome(status, message=result.message, iterations=result.nit, stats=stats)
 
 
 def _with_slacks(rows, starts, signs, width: int):
@@ -382,6 +368,44 @@ def _with_slacks(rows, starts, signs, width: int):
     return sp.csr_array((data, indices, indptr), shape=(m, width))
 
 
+def _phase_one(lp: LinearProgram, tol: float, started: float) -> LpOutcome:
+    """The elastic phase-one of ``lp``'s rows and bounds, its build begun at
+    ``started``: elastic slacks are added to every equality (two-sided) and
+    inequality (one-sided) row and their total is minimized; bounds stay
+    hard.  An optimum above ``tol`` means Infeasible, and that optimum is
+    returned as the violation certificate."""
+    n = lp.n_variables
+    m_eq, m_ub = (0 if rhs is None else rhs.size for rhs in (lp.eq_rhs, lp.ub_rhs))
+    width = n + 2 * m_eq + m_ub
+
+    # Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
+    # row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j].
+    cost = np.concatenate([np.zeros(n), np.ones(width - n)])
+    a_eq = (_with_slacks(lp.eq_lhs, (n, n + m_eq), (1.0, -1.0), width), lp.eq_rhs) if m_eq else None
+    a_ub = (_with_slacks(lp.ub_lhs, (n + 2 * m_eq,), (-1.0,), width), lp.ub_rhs) if m_ub else None
+    slack_lower, slack_upper = _bound_arrays(None, width - n)
+    result, stats = _highs(started, cost, a_ub, a_eq, np.concatenate([lp.lower, slack_lower]),
+                           np.concatenate([lp.upper, slack_upper]))
+    if result.status != 0:
+        return LpOutcome(
+            LpStatus.FAILED,
+            message=f"elastic phase-one did not solve: {result.message}",
+            iterations=result.nit,
+            stats=stats,
+        )
+    total_violation = float(result.fun)
+    if total_violation > tol:
+        return LpOutcome(
+            LpStatus.INFEASIBLE,
+            violation=total_violation,
+            message=f"minimum total violation {total_violation:.3e}",
+            iterations=result.nit,
+            stats=stats,
+            duals=result.duals,
+        )
+    return _checked(lp, tol, result.x[:n], result.nit, stats, 0.0, result.duals)
+
+
 def feasibility(
     eq: tuple[np.ndarray, np.ndarray] | None = None,
     ub: tuple[np.ndarray, np.ndarray] | None = None,
@@ -389,67 +413,16 @@ def feasibility(
     n_variables: int | None = None,
     tol: float = FEASIBILITY_TOL,
 ) -> LpOutcome:
-    """Phase-one only: find a point satisfying the constraints and bounds.
-
-    Elastic slacks are added to every equality (two-sided) and inequality
-    (one-sided) row and their total is minimized; bounds stay hard.  An
-    optimum above ``tol`` means Infeasible, and that optimum is returned as
-    the violation certificate.
-    """
+    """Phase-one only: find a point satisfying the constraints and bounds,
+    given and checked as ``LinearProgram``'s (``eq`` and ``ub`` are (lhs,
+    rhs) pairs; ``n_variables`` defaults to the first block's columns), by
+    the elastic phase-one that also confirms an infeasible ``solve``."""
     started = time.perf_counter()
-    if eq is None and ub is None and n_variables is None:
-        raise ValueError("cannot infer the number of variables")
     if n_variables is None:
-        n_variables = (eq[0].shape[1] if eq is not None else ub[0].shape[1])
-    n = int(n_variables)
-    eq_lhs, eq_rhs = _csr_rows(eq, n)
-    ub_lhs, ub_rhs = _csr_rows(ub, n)
-    m_eq, m_ub = eq_rhs.size, ub_rhs.size
-    width = n + 2 * m_eq + m_ub
-
-    # Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
-    # row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j].
-    cost = np.concatenate([np.zeros(n), np.ones(width - n)])
-    a_eq = (_with_slacks(eq_lhs, (n, n + m_eq), (1.0, -1.0), width), eq_rhs) if m_eq else None
-    a_ub = (_with_slacks(ub_lhs, (n + 2 * m_eq,), (-1.0,), width), ub_rhs) if m_ub else None
-    lower, upper = _bound_arrays(bounds, n)
-    slack_lower, slack_upper = _bound_arrays(None, width - n)
-
-    result, stats = _highs(
-        started,
-        cost,
-        a_ub,
-        a_eq,
-        np.concatenate([lower, slack_lower]),
-        np.concatenate([upper, slack_upper]),
+        if eq is None and ub is None:
+            raise ValueError("cannot infer the number of variables")
+        n_variables = np.shape((eq if eq is not None else ub)[0])[-1]
+    program = LinearProgram(
+        np.zeros(int(n_variables)), *(eq or (None, None)), *(ub or (None, None)), bounds
     )
-    iterations = result.nit
-    if result.status != 0:
-        return LpOutcome(
-            LpStatus.FAILED,
-            message=f"elastic phase-one did not solve: {result.message}",
-            iterations=iterations,
-            stats=stats,
-        )
-    total_violation = float(result.fun)
-    x = result.x[:n]
-    if total_violation > tol:
-        return LpOutcome(
-            LpStatus.INFEASIBLE,
-            violation=total_violation,
-            message=f"minimum total violation {total_violation:.3e}",
-            iterations=iterations,
-            stats=stats,
-            duals=result.duals,
-        )
-    checked = time.perf_counter()
-    residual = _residual(eq_lhs, eq_rhs, ub_lhs, ub_rhs, lower, upper, x)
-    return LpOutcome(
-        LpStatus.OPTIMAL,
-        x=x,
-        value=0.0,
-        max_residual=residual,
-        iterations=iterations,
-        stats=replace(stats, verify_s=time.perf_counter() - checked),
-        duals=result.duals,
-    )
+    return _phase_one(program, tol, started)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -353,6 +354,124 @@ def test_malformed_rows_rejected():
         LinearProgram(np.ones(2), eq_lhs=sp.csr_array([[1.0, np.nan]]), eq_rhs=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(np.ones(2), eq_lhs=sp.csr_array([[1.0, 1.0]]), eq_rhs=[1.0, 2.0])
+
+
+BAD_BOUNDS = {
+    "nan-lower": (np.nan, 1.0),
+    "nan-upper": (0.0, np.nan),
+    "crossed": (1.0, 0.0),
+    "lower-inf": (np.inf, None),
+    "upper-minus-inf": (None, -np.inf),
+}
+
+
+@pytest.mark.parametrize("pair", BAD_BOUNDS.values(), ids=BAD_BOUNDS)
+@pytest.mark.parametrize("entry", ["solve", "feasibility"])
+def test_bad_bound_pairs_refused(entry, pair):
+    with pytest.raises(ValueError, match="bound pairs need"):
+        if entry == "solve":
+            solve(LinearProgram([1.0], ub_lhs=[[1.0]], ub_rhs=[3.0], bounds=[pair]))
+        else:
+            feasibility(ub=([[1.0]], [3.0]), bounds=[pair])
+
+
+def test_none_and_infinite_bounds_read_as_unbounded():
+    # max x subject to x <= 3, then the feasibility of x <= -3.
+    cases = [((None, None), 3.0, True), ((-np.inf, np.inf), 3.0, True), ((None, 2.0), 2.0, True),
+             ((-np.inf, 2.0), 2.0, True), ((2.0, 2.0), 2.0, False)]
+    for pair, maximum, below in cases:
+        out = solve(LinearProgram([1.0], ub_lhs=[[1.0]], ub_rhs=[3.0], bounds=[pair]))
+        assert out.status == LpStatus.OPTIMAL and out.value == pytest.approx(maximum)
+        out = feasibility(ub=([[1.0]], [-3.0]), bounds=[pair])
+        assert out.status == (LpStatus.OPTIMAL if below else LpStatus.INFEASIBLE)
+
+
+# (row, right-hand side) of one block, each made wrong in one way.
+BAD_BLOCKS = {
+    "nan-row": ([[np.nan, 1.0]], [1.0]),
+    "inf-row": ([[1.0, -np.inf]], [1.0]),
+    "nan-rhs": ([[1.0, 1.0]], [np.nan]),
+    "inf-rhs": ([[1.0, 1.0]], [np.inf]),
+    "rhs-length": ([[1.0, 1.0]], [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_BLOCKS)
+@pytest.mark.parametrize("block", ["eq", "ub"])
+def test_feasibility_refuses_bad_blocks(block, bad):
+    # Refused by LinearProgram, as solve refuses them, with the block named.
+    with pytest.raises(ValueError, match=f"^{block} constraint"):
+        feasibility(**{block: BAD_BLOCKS[bad]})
+    with pytest.raises(ValueError, match=f"^{block} constraint"):
+        lhs, rhs = BAD_BLOCKS[bad]
+        LinearProgram(np.zeros(2), **{f"{block}_lhs": lhs, f"{block}_rhs": rhs})
+
+
+def test_empty_blocks_read_as_absent():
+    out = feasibility(eq=(np.zeros((0, 3)), np.zeros(0)), ub=(np.zeros((0, 3)), np.zeros(0)))
+    assert out.status == LpStatus.OPTIMAL and out.max_residual == 0.0
+    assert (out.stats.rows, out.stats.cols) == (0, 3)
+
+
+def test_phase_one_answer_off_its_rows_fails(monkeypatch):
+    # HiGHS's point moved by 1 in every coordinate, its optimum kept: the
+    # residual check refuses it, with the residual in the message.
+    original = lp.linprog
+
+    def shifted(*args):
+        result = original(*args)
+        return replace(result, x=result.x + 1.0) if result.status == 0 else result
+
+    monkeypatch.setattr(lp, "linprog", shifted)
+    out = feasibility(eq=(np.ones((1, 2)), np.array([1.0])))
+    assert out.status == LpStatus.FAILED and out.x is not None
+    assert out.max_residual == pytest.approx(2.0)
+    assert f"{out.max_residual:.3e}" in out.message
+    with pytest.raises(RuntimeError, match="extension LP failed"):
+        ns_extension(uniform_box(chsh_scenario()), 2)
+
+
+def test_one_residual_check_per_optimum(monkeypatch):
+    # Every optimal outcome, from either entry point and through every
+    # caller, is checked by one lp.constraint_residual call, and reports it.
+    from monogamy.tradeoffs import ns_maximum
+
+    residuals, outcomes = [], []
+    check = lp.constraint_residual
+
+    def spy(program, x):
+        residuals.append(check(program, x))
+        return residuals[-1]
+
+    def recording(entry):
+        def wrapper(*args, **kwargs):
+            outcomes.append(entry(*args, **kwargs))
+            return outcomes[-1]
+        return wrapper
+
+    monkeypatch.setattr(lp, "constraint_residual", spy)
+    for name in ("solve", "feasibility"):
+        monkeypatch.setattr(lp, name, recording(getattr(lp, name)))
+    scenario = chsh_scenario()
+    calls = [
+        lambda: lp.solve(LinearProgram([1.0, 1.0], ub_lhs=[[1.0, 2.0]], ub_rhs=[2.0])),
+        lambda: lp.feasibility(eq=(np.ones((1, 4)), np.array([1.0]))),
+        lambda: ns_maximum(scenario, functional_row(scenario, chsh(), (0, 1))),
+        lambda: ns_extension(uniform_box(scenario), 3),
+        lambda: local_decomposition(uniform_box(scenario)),
+    ]
+    for call in calls:
+        residuals.clear()
+        outcomes.clear()
+        call()
+        (outcome,) = outcomes
+        assert outcome.status == LpStatus.OPTIMAL
+        assert residuals == [outcome.max_residual]
+        assert outcome.stats.verify_s > 0
+    # An infeasible answer has no point to check.
+    residuals.clear()
+    assert lp.solve(LinearProgram([1.0], ub_lhs=[[1.0]], ub_rhs=[-1.0])).status == LpStatus.INFEASIBLE
+    assert residuals == []
 
 
 def test_optimal_solutions_reverified(rng):
