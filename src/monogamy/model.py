@@ -10,6 +10,10 @@ Conventions used throughout the package:
 - setting and outcome indices are 0-based;
 - for dichotomic parties, outcome 0 maps to the value +1 and outcome 1 to -1;
 - behaviors are immutable after construction and all operations are pure.
+
+The no-signalling polytope is built in one place: :func:`symmetric_cg_rows`
+gives its Collins-Gisin rows for the tables symmetric within blocks of
+identical parties, and every NS LP and :func:`cg_map` read them.
 """
 
 from __future__ import annotations
@@ -480,116 +484,148 @@ def permute_parties(scenario: Scenario, flat: np.ndarray, perm: tuple[int, ...])
     return np.asarray(flat).reshape(scenario.table_shape).transpose(axes).ravel()
 
 
-@functools.lru_cache(maxsize=8)
-def cg_map(scenario: Scenario) -> sp.csr_array:
-    """The Collins-Gisin (CG) parametrisation of no-signalling tables: a
-    table is ``M @ q`` for the CSR matrix M returned here, and the NS
-    polytope is {M q : q[0] = 1, M q >= 0}.
+def _clone_multisets(n_letters: int, n_clones: int) -> np.ndarray:
+    """The multisets of ``n_clones`` letters out of ``n_letters``, one row of
+    letters in non-decreasing order each, in lexicographic order: a row's
+    index is its multiset's rank."""
+    rows = list(itertools.combinations_with_replacement(range(n_letters), n_clones))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_clones)
 
-    Party p with s settings and o outcomes has 1 + s (o - 1) coordinates:
-    a constant, then q(a|x) for every setting x and outcome a < o - 1, with
-    q(o - 1|x) = 1 - sum_a q(a|x).  M is the Kronecker product of these
-    per-party maps, its rows reordered to the table's (settings...,
-    outcomes...) order, so column c is a grid of per-party digits and
-    column 0 is the constant.  Memoised per scenario and returned
+
+def _multiset_ranks(letters: np.ndarray, n_letters: int) -> np.ndarray:
+    """Rank of the multiset of each row of letters, in any order.  A sorted
+    row's row-major index in the clones' letter table (below the table size)
+    grows with rank, so ranks come from a binary search among the
+    multisets' indices."""
+    place = n_letters ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = _clone_multisets(n_letters, letters.shape[1]) @ place
+    return np.searchsorted(codes, np.sort(letters, axis=1) @ place)
+
+
+@functools.lru_cache(maxsize=32)
+def _block_rows(settings: int, outcomes: int, n_parties: int) -> sp.csr_array:
+    """The CG rows of ``n_parties`` identical parties, symmetrized.  A party
+    with s settings and o outcomes has 1 + s (o - 1) coordinates: a
+    constant, then q(a|x) for a < o - 1.  Row L is a multiset of letters
+    l = x * o + a, column C a multiset of coordinates, and the entry is the
+    coefficient of the monomial C in the product of the letters' linear
+    forms over L, grown one letter at a time.  Memoised and returned
     read-only."""
     import scipy.sparse as sp
 
-    m = sp.csr_array(np.ones((1, 1)))
-    for s, o in zip(scenario.settings, scenario.outcomes):
-        # Rows (x, a): q(a|x) for a < o - 1, and 1 minus their sum for o - 1.
-        local = np.zeros((s, o, 1 + s * (o - 1)))
-        local[:, -1, 0] = 1.0
-        for x in range(s):
-            coords = 1 + x * (o - 1) + np.arange(o - 1)
-            local[x, np.arange(o - 1), coords] = 1.0
-            local[x, -1, coords] = -1.0
-        m = sp.kron(m, sp.csr_array(local.reshape(s * o, -1)), format="csr")
-    n = scenario.parties
-    interleaved = [k for pair in zip(scenario.settings, scenario.outcomes) for k in pair]
-    order = np.arange(scenario.table_size).reshape(interleaved)
-    order = order.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))).ravel()
-    m = m[order].tocsr()
-    for part in (m.data, m.indices, m.indptr):
+    # Letter (x, a): q(a|x) for a < o - 1, and 1 minus their sum for o - 1.
+    eye = np.eye(1 + settings * (outcomes - 1))
+    q = eye[1:].reshape(settings, outcomes - 1, -1)
+    form = np.concatenate([q, eye[:1] - q.sum(axis=1, keepdims=True)], axis=1)
+    form = form.reshape(settings * outcomes, -1)
+    n_letters, n_coords = form.shape
+    # Each letter's (at most o) nonzero coordinates, padded with zeros.
+    nonzero = np.argsort(form == 0, axis=1, kind="stable")[:, :outcomes]
+    weight = np.take_along_axis(form, nonzero, axis=1)
+    power = sp.csr_array(np.ones((1, 1)))
+    for k in range(1, n_parties + 1):
+        # Row L is the row of L without its last letter times that letter's form.
+        letters = _clone_multisets(n_letters, k)
+        terms = power[_multiset_ranks(letters[:, :-1], n_letters)].tocoo()
+        last = letters[terms.row, -1]
+        grown = np.column_stack([
+            np.repeat(_clone_multisets(n_coords, k - 1)[terms.col], outcomes, axis=0),
+            nonzero[last].ravel(),
+        ])
+        power = sp.csr_array(
+            ((terms.data[:, None] * weight[last]).ravel(),
+             (np.repeat(terms.row, outcomes), _multiset_ranks(grown, n_coords))),
+            shape=(len(letters), math.comb(n_coords + k - 1, k)),
+        )
+        power.eliminate_zeros()
+    for part in (power.data, power.indices, power.indptr):
         part.setflags(write=False)
-    return m
+    return power
 
 
-def _orbit_minima(n: int, images: list[np.ndarray]) -> np.ndarray:
-    """The smallest member of each index's orbit among 0..n-1 under the
-    permutations ``images`` (index j and ``image[j]`` share an orbit)."""
-    # Push each index's smallest known orbit member along the permutations
-    # until nothing changes.
-    label = np.arange(n)
-    while True:
-        smallest = label
-        for image in images:
-            smallest = np.minimum(smallest, smallest[image])
-        if np.array_equal(smallest, label):
-            return label
-        label = smallest
+def _check_blocks(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> None:
+    """ValueError unless ``blocks`` partition the parties into groups of one kind."""
+    if not all(blocks) or sorted(itertools.chain(*blocks)) != list(range(scenario.parties)):
+        raise ValueError(f"blocks {blocks} do not partition the {scenario.parties} parties")
+    kinds = list(zip(scenario.settings, scenario.outcomes))
+    for block in blocks:
+        if len({kinds[p] for p in block}) > 1:
+            raise ValueError(f"block {block} mixes parties of different settings or outcomes")
 
 
-@functools.lru_cache(maxsize=8)
-def ns_orbit_polytope(
-    scenario: Scenario, generators: tuple[tuple[int, ...], ...]
-) -> tuple[sp.csr_array, sp.csr_array]:
-    """The no-signalling polytope restricted to the tables fixed by the
-    party permutations that ``generators`` span, in :func:`cg_map`
-    coordinates with one variable y[k] per orbit of CG columns.
-
-    Returns ``(rows, expand)``: ``expand = M @ P``, where ``P`` is the 0/1
-    matrix of CG column c in orbit k, so ``expand @ y`` is the table; and
-    ``rows = expand[representatives]``, one positivity row per orbit of
-    table entries at its smallest entry.  The fixed tables are then
-    {expand @ y : y[0] = 1, rows @ y >= 0}: column 0 is the constant, and
-    an expanded table is constant on every orbit of table entries.  A party
-    permutation moves CG columns by transposing their per-party digit grid.
-    Every party permutation that keeps settings and outcome counts maps the
-    NS polytope onto itself, so a generator that does not is refused.
-    Memoised per (scenario, generators) and returned read-only."""
+@functools.lru_cache(maxsize=32)
+def symmetric_cg_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> sp.csr_array:
+    """The positivity rows R of the no-signalling tables fixed by permuting
+    the parties within each of ``blocks``, in Collins-Gisin (CG)
+    coordinates: those tables are {(R @ q)[index] : q[0] = 1, R @ q >= 0}
+    for the :func:`symmetric_cg_index` of the same arguments.  The blocks
+    partition the parties, and one block's parties share settings and
+    outcome counts.  R is the Kronecker product of the blocks' rows (see
+    ``_block_rows``) in block order, column 0 is the constant, and no
+    table-sized array is built.  Memoised and returned read-only."""
     import scipy.sparse as sp
 
-    kinds = list(zip(scenario.settings, scenario.outcomes))
-    for perm in generators:
-        if sorted(perm) != list(range(scenario.parties)) or [kinds[p] for p in perm] != kinds:
-            raise ValueError(f"{perm} is not a party symmetry of the scenario")
-    m = cg_map(scenario)
-    n_cols = m.shape[1]
-    columns = np.arange(n_cols).reshape(tuple(1 + s * (o - 1) for s, o in kinds))
-    column_minima = _orbit_minima(n_cols, [columns.transpose(perm).ravel() for perm in generators])
-    column_orbit = np.unique(column_minima, return_inverse=True)[1]
-    members = sp.csr_array(
-        (np.ones(n_cols), (np.arange(n_cols), column_orbit)),
-        shape=(n_cols, int(column_orbit.max()) + 1),
+    _check_blocks(scenario, blocks)
+    rows = functools.reduce(
+        lambda a, b: sp.kron(a, b, format="csr"),
+        (_block_rows(scenario.settings[b[0]], scenario.outcomes[b[0]], len(b)) for b in blocks),
     )
-    expand = (m @ members).tocsr()
-    entries = np.arange(scenario.table_size)
-    representatives = np.unique(_orbit_minima(
-        scenario.table_size, [permute_parties(scenario, entries, perm) for perm in generators]
-    ))
-    rows = expand[representatives].tocsr()
-    for part in (rows.data, rows.indices, rows.indptr, expand.data, expand.indices, expand.indptr):
+    for part in (rows.data, rows.indices, rows.indptr):
         part.setflags(write=False)
-    return rows, expand
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def symmetric_cg_index(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """For every entry of the flat table, the row of
+    :func:`symmetric_cg_rows` that gives its value: per block, the rank of
+    the multiset of its parties' letters x * o + a, combined in Kronecker
+    order.  Memoised and returned read-only."""
+    _check_blocks(scenario, blocks)
+    n = scenario.parties
+    n_letters = [s * o for s, o in zip(scenario.settings, scenario.outcomes)]
+    index = np.zeros((1,) * n, dtype=np.int64)
+    for block in blocks:
+        letters, k = n_letters[block[0]], len(block)
+        sequences = np.indices((letters,) * k).reshape(k, -1).T
+        # A multiset's rank does not depend on the order of the block's
+        # parties, so the ranks broadcast onto their axes as they are.
+        shape = [letters if p in block else 1 for p in range(n)]
+        ranks = _multiset_ranks(sequences, letters).reshape(shape)
+        index = index * math.comb(letters + k - 1, k) + ranks
+    interleaved = [k for pair in zip(scenario.settings, scenario.outcomes) for k in pair]
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    index = index.reshape(interleaved).transpose(order).ravel()
+    index.setflags(write=False)
+    return index
 
 
 @functools.lru_cache(maxsize=8)
 def ns_orbit_dual_rows(
-    scenario: Scenario, generators: tuple[tuple[int, ...], ...]
-) -> tuple[np.ndarray, sp.csr_array]:
-    """The rows of :func:`ns_orbit_polytope` split by column for the dual
-    of an optimum over them: the constant column as a dense vector, one
-    entry per positivity row, and the free columns transposed to CSR, one
-    row per free coordinate.  Memoised per (scenario, generators) and
-    returned read-only."""
-    rows, _ = ns_orbit_polytope(scenario, generators)
+    scenario: Scenario, blocks: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, sp.csr_array, sp.csr_array]:
+    """The rows of :func:`symmetric_cg_rows` split by column for the dual
+    of an optimum over them, and the map to the table: ``(constant,
+    free_t, expand)``, the constant column as a dense vector, the free
+    columns transposed to CSR (one row per free coordinate), and the rows
+    gathered by :func:`symmetric_cg_index`, so that ``expand @ q`` is the
+    table.  Memoised and returned read-only."""
+    rows = symmetric_cg_rows(scenario, blocks)
+    expand = rows[symmetric_cg_index(scenario, blocks)]
     constant = rows[:, [0]].toarray().ravel()
     free_t = rows[:, 1:].T.tocsr()
-    free_t.sort_indices()
-    for part in (constant, free_t.data, free_t.indices, free_t.indptr):
+    for part in (constant, free_t.data, free_t.indices, free_t.indptr,
+                 expand.data, expand.indices, expand.indptr):
         part.setflags(write=False)
-    return constant, free_t
+    return constant, free_t, expand
+
+
+def cg_map(scenario: Scenario) -> sp.csr_array:
+    """The Collins-Gisin (CG) parametrisation of no-signalling tables: the
+    NS polytope is {M q : q[0] = 1, M q >= 0} for the CSR matrix M, the
+    ``expand`` of :func:`ns_orbit_dual_rows` with every party a block of its
+    own.  Memoised there and returned read-only."""
+    return ns_orbit_dual_rows(scenario, tuple((p,) for p in range(scenario.parties)))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        # Every check below compares False against NaN.
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         dim = m.shape[0]
@@ -96,6 +99,8 @@ class DensityMatrix:
 def density_from_vector(vec: np.ndarray) -> DensityMatrix:
     """Pure-state density matrix |psi><psi| from a state vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector has non-finite entries")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("state vector must be nonzero")

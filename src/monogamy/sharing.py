@@ -9,21 +9,21 @@ extended with N clones of the second party:
   clone's setting driving the response;
 - no-signalling: LP feasibility for a clone-symmetric no-signalling
   (N+1)-party behavior whose (a, b_i) pair marginals all equal the base.  The
-  LP runs in Collins-Gisin coordinates symmetrized over the clones: one
-  column per Alice coordinate and multiset of clone coordinates, with the
-  a, b_i and (a, b_i) marginals pinned to the base, and one positivity row
-  per Alice (setting, outcome) and multiset of clone (setting, outcome)
-  pairs.  There are no equality rows.  For a 2x2 base that is 4*C(N+3, 3)
-  rows by 3*C(N+2, 2) columns, 9 of them pinned (140 x 45 at N = 4),
-  against 4^(N+1) table entries (1 024).  A solution is expanded to the
-  full table, and the certificate's residuals are computed there.
+  LP runs on the rows of ``model.symmetric_cg_rows``, the one builder of
+  the NS polytope's symmetric Collins-Gisin rows, with Alice one block and
+  the clones another: one column per Alice coordinate and multiset of clone
+  coordinates, with the a, b_i and (a, b_i) marginals pinned to the base,
+  and one positivity row per Alice (setting, outcome) and multiset of clone
+  (setting, outcome) pairs.  There are no equality rows.  For a 2x2 base
+  that is 4*C(N+3, 3) rows by 3*C(N+2, 2) columns, 9 of them pinned
+  (140 x 45 at N = 4), against 4^(N+1) table entries (1 024).  A feasible
+  solution is expanded to the full table by ``model.symmetric_cg_index``,
+  and the certificate's residuals are computed there.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,6 +39,8 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
+    symmetric_cg_index,
+    symmetric_cg_rows,
     validate_behavior,
 )
 from .tradeoffs import _ns_maxima
@@ -241,92 +243,19 @@ def clone_symmetry_constraints(scen: Scenario) -> tuple[sp.csr_array, np.ndarray
     return rows, np.zeros(n_rows)
 
 
-def _clone_multisets(n_letters: int, n_clones: int) -> np.ndarray:
-    """The multisets of ``n_clones`` letters out of ``n_letters``, one row of
-    letters in non-decreasing order each, in lexicographic order: a row's
-    index is its multiset's rank."""
-    rows = list(itertools.combinations_with_replacement(range(n_letters), n_clones))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n_clones)
-
-
-def _multiset_ranks(letters: np.ndarray, n_letters: int) -> np.ndarray:
-    """Rank of the multiset of each row of letters, in any order.  A sorted
-    row's row-major index in the clones' letter table (below the table size)
-    grows with rank, so ranks come from a binary search among the
-    multisets' indices."""
-    place = n_letters ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes = _clone_multisets(n_letters, letters.shape[1]) @ place
-    return np.searchsorted(codes, np.sort(letters, axis=1) @ place)
-
-
-@functools.lru_cache(maxsize=16)
-def symmetric_extension_rows(base: Scenario, n_clones: int) -> tuple[sp.csr_array, np.ndarray]:
-    """Positivity rows of the clone-symmetric NS extension LP in
-    Collins-Gisin (CG) coordinates, and the map that expands the rows'
-    values to the full (N+1)-party table.
-
-    Column (alpha, C) is shared by Alice's CG coordinate alpha and every
-    sequence of clone CG coordinates with multiset C; the first
-    ``1 + s_B (o_B - 1)`` multisets C have at most one non-constant
-    coordinate.  Row (x, a, L), in flat order, is the table entry shared by
-    every sequence of clone letters ``l = y * o_B + b`` with multiset L.
-    With the one-party :func:`cg_map` matrices m_A and m_B, its entry at
-    (alpha, C) is m_A[(x, a), alpha] times the coefficient of the monomial
-    C in the product of the linear forms m_B[l] over L, a product grown one
-    letter at a time.  The expansion map gives, for every entry of the
-    clones' axes (settings, then outcomes) of the full table, the rank of
-    its multiset.  Memoised per (scenario, N) and returned read-only.
-    """
-    import scipy.sparse as sp
-
-    (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
-    n_letters = s_b * o_b
-    m_b = cg_map(Scenario(1, (s_b,), (o_b,))).toarray()
-    n_coords = m_b.shape[1]
-    # Each letter's (at most o_B) nonzero coordinates, padded with zeros.
-    nonzero = np.argsort(m_b == 0, axis=1, kind="stable")[:, :o_b]
-    weight = np.take_along_axis(m_b, nonzero, axis=1)
-    power = sp.csr_array(np.ones((1, 1)))
-    expand = np.zeros(1, dtype=np.int64)
-    for k in range(1, n_clones + 1):
-        letters, fewer = _clone_multisets(n_letters, k), _clone_multisets(n_letters, k - 1)
-        # Rank of each sequence of k letters, from the rank of its first k - 1.
-        appended = np.column_stack([np.repeat(fewer, n_letters, axis=0),
-                                    np.tile(np.arange(n_letters), len(fewer))])
-        expand = _multiset_ranks(appended, n_letters).reshape(len(fewer), -1)[expand].ravel()
-        # Row L is the row of L without its last letter times that letter's form.
-        terms = power[_multiset_ranks(letters[:, :-1], n_letters)].tocoo()
-        last = letters[terms.row, -1]
-        grown = np.column_stack([
-            np.repeat(_clone_multisets(n_coords, k - 1)[terms.col], o_b, axis=0),
-            nonzero[last].ravel(),
-        ])
-        power = sp.csr_array(
-            ((terms.data[:, None] * weight[last]).ravel(),
-             (np.repeat(terms.row, o_b), _multiset_ranks(grown, n_coords))),
-            shape=(len(letters), math.comb(n_coords + k - 1, k)),
-        )
-        power.eliminate_zeros()
-    rows = sp.kron(cg_map(Scenario(1, (s_a,), (o_a,))), power, format="csr")
-
-    order = [*range(0, 2 * n_clones, 2), *range(1, 2 * n_clones, 2)]
-    expand = expand.reshape((s_b, o_b) * n_clones).transpose(order).ravel()
-    for part in (rows.data, rows.indices, rows.indptr, expand):
-        part.setflags(write=False)
-    return rows, expand
-
-
 def ns_extension(
     b: Behavior, n_clones: int, tol: float = lp.FEASIBILITY_TOL
 ) -> ExtensionCertificate | InfeasibleExtension:
     """Symmetric no-signalling extension by LP feasibility over the
-    clone-symmetric CG coordinates of :func:`symmetric_extension_rows`.
+    clone-symmetric CG coordinates of ``model.symmetric_cg_rows``.
 
-    The coordinates with at most one non-constant clone coordinate are the
-    a, b_i and (a, b_i) marginals: they are pinned to the base's CG
-    coordinates, the others are free, and the only rows are positivity.
-    A feasible solution is expanded to the full (N+1)-party table, where
-    the certificate's residuals are computed.  An infeasible system returns
+    Column (alpha, C) is Alice's CG coordinate alpha and a multiset C of
+    clone CG coordinates; the first ``1 + s_B (o_B - 1)`` multisets C have
+    at most one non-constant coordinate.  Those columns are the a, b_i and
+    (a, b_i) marginals: they are pinned to the base's CG coordinates, the
+    others are free, and the only rows are positivity.  A feasible
+    solution is expanded to the full (N+1)-party table, where the
+    certificate's residuals are computed.  An infeasible system returns
     the minimized total deficit of the positivity rows, positive iff no
     extension exists."""
     _require_two_party(b)
@@ -341,7 +270,8 @@ def ns_extension(
     scen = _extended_scenario(b.scenario, n_clones)
     spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "ns", tol)
 
-    rows, expand = symmetric_extension_rows(b.scenario, n_clones)
+    blocks = ((0,), tuple(range(1, n_clones + 1)))
+    rows = symmetric_cg_rows(scen, blocks)
     s_a, o_a = b.scenario.settings[0], b.scenario.outcomes[0]
     # The base's CG coordinates q[alpha, beta] pin the columns (alpha, C)
     # whose multiset C is beta and N - 1 constants.
@@ -356,10 +286,8 @@ def ns_extension(
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"extension LP failed: {outcome.message}")
 
-    v = np.clip(rows @ outcome.x, 0.0, None).reshape(s_a, o_a, -1)
-    full = v[:, :, expand].reshape((s_a, o_a) + scen.table_shape[1:n_clones + 1]
-                                   + scen.table_shape[n_clones + 2:])
-    behavior = Behavior(scen, np.moveaxis(full, 1, n_clones + 1))
+    table = np.clip(rows @ outcome.x, 0.0, None)[symmetric_cg_index(scen, blocks)]
+    behavior = Behavior(scen, table.reshape(scen.table_shape))
     return ExtensionCertificate(
         spec,
         behavior,
@@ -398,9 +326,11 @@ def random_shareable_behavior(
     down to the (a, b_1) pair.  Returns (pair, witness), the witness being
     the three-party behavior that certifies shareability.
     """
+    if n_vertices < 1:
+        raise ValueError(f"n_vertices must be at least 1, got {n_vertices}")
     scen = _extended_scenario(Scenario(2, (2, 2), (2, 2)), 2)
     objectives = rng.standard_normal((n_vertices, scen.table_size))
-    _, vertices, _ = _ns_maxima(scen, objectives, ((0, 2, 1),), lp.FEASIBILITY_TOL)
+    _, vertices, _ = _ns_maxima(scen, objectives, ((0,), (1, 2)), lp.FEASIBILITY_TOL)
     weights = rng.dirichlet(np.ones(len(vertices)))
     witness = Behavior(scen, sum(w * v.table for w, v in zip(weights, vertices)))
 

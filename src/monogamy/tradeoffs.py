@@ -28,7 +28,6 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_dual_rows,
-    ns_orbit_polytope,
     permute_parties,
     validate_behavior,
 )
@@ -333,19 +332,20 @@ def ns_maximum(
 ) -> tuple[float, Behavior]:
     """Maximize a linear functional over the no-signalling polytope."""
     objectives = np.atleast_2d(np.asarray(objective, dtype=float))
-    values, tables, _ = _ns_maxima(scenario, objectives, (), tol)
+    singletons = tuple((p,) for p in range(scenario.parties))
+    values, tables, _ = _ns_maxima(scenario, objectives, singletons, tol)
     return values[0], tables[0]
 
 
 def _ns_maxima(
     scenario: Scenario,
     objectives: np.ndarray,
-    generators: tuple[tuple[int, ...], ...],
+    blocks: tuple[tuple[int, ...], ...],
     tol: float,
 ) -> tuple[list[float], list[Behavior], lp.LpOutcome]:
     """Maximize each row of ``objectives`` over the no-signalling tables
-    fixed by the party permutations that ``generators`` span, all in one LP
-    in the Collins-Gisin coordinates of :func:`ns_orbit_polytope`: row i
+    fixed by permuting the parties within each of ``blocks``, all in one LP
+    in the Collins-Gisin coordinates of ``model.symmetric_cg_rows``: row i
     acts on its own copy of the free coordinates, under its own copy of the
     positivity rows (a block-diagonal system), with the constant coordinate
     fixed at 1.  The maximum of the summed objectives is then the sum of the
@@ -354,8 +354,7 @@ def _ns_maxima(
     block is expanded to the full table, which ``_ns_table`` re-checks, and
     its value is recomputed there.  Returns the values, the tables and the
     LP's outcome."""
-    _, expand = ns_orbit_polytope(scenario, generators)
-    constant, free_t = ns_orbit_dual_rows(scenario, generators)
+    constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
     k = objectives.shape[0]
     n_free = free_t.shape[0]
     in_cg = objectives @ expand
@@ -468,7 +467,9 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
         chunk = thetas[start:start + _NS_CHUNK]
         cos_t = np.array([math.cos(theta) for theta in chunk])[:, None]
         sin_t = np.array([math.sin(theta) for theta in chunk])[:, None]
-        values, tables, outcome = _ns_maxima(scenario, cos_t * obj_ab + sin_t * obj_ac, (), tol)
+        values, tables, outcome = _ns_maxima(
+            scenario, cos_t * obj_ab + sin_t * obj_ac, ((0,), (1,), (2,)), tol
+        )
         record = _lp_record(outcome, directions=len(chunk))
         points.extend(
             SupportPoint(theta, value, table, dict(record))
@@ -831,7 +832,8 @@ class PbProbeReport:
     ``t_star`` is the optimum of max t subject to C_ab + C_ac >= t and
     C_ab + C_ad >= t; a value above 2 * local_bound would realize the
     simultaneous double-violation conjecture.  ``lps`` holds one record
-    per LP solved, in solve order: its ``generators``, HiGHS
+    per LP solved, in solve order: its ``blocks`` of parties permuted
+    among themselves, HiGHS
     ``iterations``, and the ``rows``, ``cols`` and ``nnz`` HiGHS received.
     """
 
@@ -851,46 +853,45 @@ def pb_scenario() -> Scenario:
     return Scenario(4, (3, 3, 3, 3), (2, 2, 2, 2))
 
 
-# Party permutations of the probe's scenario that swap two of b, c and d:
-# party i of the permuted table is party perm[i] of the original.
-_SWAP_BC = (0, 2, 1, 3)
-_SWAP_CD = (0, 1, 3, 2)
-
-
 def _require_invariant(
-    scenario: Scenario, functionals: list[np.ndarray], generators: tuple[tuple[int, ...], ...]
+    scenario: Scenario, functionals: list[np.ndarray], blocks: tuple[tuple[int, ...], ...]
 ) -> None:
-    """ValueError unless every generator's party permutation maps each
-    functional onto one of ``functionals``, so that the LP over them is
-    invariant under the group the generators span."""
-    for perm in generators:
-        for f in functionals:
-            moved = permute_parties(scenario, f, perm)
-            if not any(np.allclose(moved, g, rtol=0.0, atol=1e-12) for g in functionals):
-                raise ValueError(f"objective is not invariant under the party permutation {perm}")
+    """ValueError unless every swap of neighbouring parties within a block
+    maps each functional onto one of ``functionals``, so that the LP over
+    them is invariant under the permutations within ``blocks``, which
+    those swaps generate."""
+    for block in blocks:
+        for p, q in zip(block, block[1:]):
+            perm = list(range(scenario.parties))
+            perm[p], perm[q] = q, p
+            for f in functionals:
+                moved = permute_parties(scenario, f, perm)
+                if not any(np.allclose(moved, g, rtol=0.0, atol=1e-12) for g in functionals):
+                    raise ValueError(
+                        f"objective is not invariant under the party permutation {tuple(perm)}"
+                    )
 
 
 def _ns_max_min(
     scenario: Scenario,
     functionals: list[np.ndarray],
-    generators: tuple[tuple[int, ...], ...],
+    blocks: tuple[tuple[int, ...], ...],
     tol: float,
 ) -> tuple[float, Behavior, lp.LpOutcome]:
     """The maximum over the no-signalling polytope of the smallest of the
     ``functionals``' values, on the rows of :func:`_ns_maxima` plus a free
     coordinate t, last, with one row f @ x - t >= 0 each, solved in its
-    dual form by :func:`_ns_dual_optimum`.  The group that ``generators``
-    span must permute the functionals among themselves (checked first), so
-    averaging an optimum over the group gives one that is constant on
-    orbits.  The solution is expanded to the full table, which
+    dual form by :func:`_ns_dual_optimum`.  The permutations within
+    ``blocks`` must permute the functionals among themselves (checked
+    first), so averaging an optimum over them gives one that is constant
+    on orbits.  The solution is expanded to the full table, which
     ``_ns_table`` re-checks, and the max-min rows are re-evaluated there at
     the LP's 10 * tol acceptance.  Returns the value, the table and the
     LP's outcome."""
     import scipy.sparse as sp
 
-    _require_invariant(scenario, functionals, generators)
-    _, expand = ns_orbit_polytope(scenario, generators)
-    constant, free_t = ns_orbit_dual_rows(scenario, generators)
+    _require_invariant(scenario, functionals, blocks)
+    constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
     n_free, n_rows = free_t.shape
     in_cg = np.array(functionals) @ expand
     outcome = _ns_dual_optimum(
@@ -912,13 +913,6 @@ def _ns_max_min(
     return outcome.value, table, outcome
 
 
-def _equal_sign_swaps(signs: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
-    """The swaps of neighbouring peers with equal signs: they generate the
-    permutations of b, c and d that fix a sorted sign pattern."""
-    swaps = (_SWAP_BC, _SWAP_CD)
-    return tuple(swap for i, swap in enumerate(swaps) if signs[i] == signs[i + 1])
-
-
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     """The maximum of |C_ab| + |C_ac| + |C_ad| over the four-party
     no-signalling polytope, through its eight sign patterns, plus the
@@ -928,9 +922,10 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     so a sign pattern has the optimum of its sorted representative
     (+ before -), reached at the representative's table with those parties
     permuted.  Four LPs, one per representative, fill all eight patterns;
-    the max-min LP is the fifth.  Each LP runs over the orbits of the peer
-    permutations that fix it: S3 of b, c, d for (+++) and (---), b <-> c
-    for (++-), and c <-> d for (+--) and the max-min LP.
+    the max-min LP is the fifth.  Each LP runs over the tables fixed by
+    the peer permutations that fix it, those within its blocks of peers
+    with equal signs: b, c, d for (+++) and (---), b, c for (++-), and
+    c, d for (+--) and the max-min LP.
     """
     scenario = pb_scenario()
     functional = collins_gisin()
@@ -947,13 +942,14 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         representative = tuple(sorted(signs, reverse=True))
         if representative not in optima:
             objective = sum(s * obj for s, obj in zip(representative, (ab, ac, ad)))
-            generators = _equal_sign_swaps(representative)
+            peers = itertools.groupby((1, 2, 3), key=lambda p: representative[p - 1])
+            blocks = ((0,),) + tuple(tuple(block) for _, block in peers)
             # The optimum over the symmetric tables is the optimum over the
             # whole polytope only for an invariant objective.
-            _require_invariant(scenario, [objective], generators)
-            values, tables, outcome = _ns_maxima(scenario, objective[None], generators, tol)
+            _require_invariant(scenario, [objective], blocks)
+            values, tables, outcome = _ns_maxima(scenario, objective[None], blocks, tol)
             optima[representative] = values[0], tables[0]
-            lps.append(_lp_record(outcome, generators=generators))
+            lps.append(_lp_record(outcome, blocks=blocks))
         value, behavior = optima[representative]
         sign_values.append((signs, value))
         # Each representative comes first in its orbit in product order, so
@@ -961,8 +957,9 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         if value > best_value:
             best_value, best_behavior = value, behavior
 
-    t_star, t_behavior, outcome = _ns_max_min(scenario, [ab + ac, ab + ad], (_SWAP_CD,), tol)
-    lps.append(_lp_record(outcome, generators=(_SWAP_CD,)))
+    blocks = ((0,), (1,), (2, 3))
+    t_star, t_behavior, outcome = _ns_max_min(scenario, [ab + ac, ab + ad], blocks, tol)
+    lps.append(_lp_record(outcome, blocks=blocks))
 
     return PbProbeReport(
         sign_values=tuple(sign_values),

@@ -25,13 +25,17 @@ from monogamy import (
     pr_box,
 )
 from monogamy.bell import functional_row
-from monogamy.model import no_signalling_constraints, normalization_constraints
-from monogamy.sharing import (
+from monogamy.model import (
     _clone_multisets,
-    _extended_scenario,
     _multiset_ranks,
-    clone_symmetry_constraints,
+    cg_map,
+    no_signalling_constraints,
+    normalization_constraints,
+    ns_orbit_dual_rows,
+    permute_parties,
+    symmetric_cg_rows,
 )
+from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
 from monogamy.tradeoffs import pb_scenario, triple_scenario
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
@@ -124,6 +128,82 @@ def ns_polytope(scenario: Scenario):
     norm = normalization_constraints(scenario)
     ns = no_signalling_constraints(scenario)
     return sp.vstack([norm[0], ns[0]], format="csr"), np.concatenate([norm[1], ns[1]])
+
+
+def block_swaps(n_parties: int, blocks) -> tuple[tuple[int, ...], ...]:
+    """The party permutations that swap neighbouring parties of a block:
+    they generate the permutations within ``blocks``."""
+    swaps = []
+    for block in blocks:
+        for p, q in zip(block, block[1:]):
+            perm = list(range(n_parties))
+            perm[p], perm[q] = q, p
+            swaps.append(tuple(perm))
+    return tuple(swaps)
+
+
+def _orbit_minima(n: int, images: list[np.ndarray]) -> np.ndarray:
+    """The smallest member of each index's orbit among 0..n-1 under the
+    permutations ``images`` (index j and ``image[j]`` share an orbit)."""
+    label = np.arange(n)
+    while True:
+        smallest = label
+        for image in images:
+            smallest = np.minimum(smallest, smallest[image])
+        if np.array_equal(smallest, label):
+            return label
+        label = smallest
+
+
+def orbit_polytope(scenario: Scenario, blocks):
+    """Reference rows of the NS polytope restricted to the tables fixed by
+    the permutations within ``blocks``, from the full ``cg_map`` M: one
+    variable per orbit of CG columns under the neighbour swaps of
+    :func:`block_swaps` (a party permutation transposes the columns'
+    per-party digit grid), orbits in order of their smallest column.
+    Returns ``(rows, expand)``: ``expand = M @ P`` for the 0/1 matrix P of
+    column c in orbit k, and ``rows`` the rows of ``expand`` at each
+    orbit of table entries' smallest entry, in increasing order."""
+    import scipy.sparse as sp
+
+    generators = block_swaps(scenario.parties, blocks)
+    m = cg_map(scenario)
+    n_cols = m.shape[1]
+    columns = np.arange(n_cols).reshape(
+        tuple(1 + s * (o - 1) for s, o in zip(scenario.settings, scenario.outcomes))
+    )
+    column_minima = _orbit_minima(n_cols, [columns.transpose(perm).ravel() for perm in generators])
+    column_orbit = np.unique(column_minima, return_inverse=True)[1]
+    members = sp.csr_array(
+        (np.ones(n_cols), (np.arange(n_cols), column_orbit)),
+        shape=(n_cols, int(column_orbit.max()) + 1),
+    )
+    expand = (m @ members).tocsr()
+    entries = np.arange(scenario.table_size)
+    representatives = np.unique(_orbit_minima(
+        scenario.table_size, [permute_parties(scenario, entries, perm) for perm in generators]
+    ))
+    return expand[representatives].tocsr(), expand
+
+
+def row_set(rows) -> np.ndarray:
+    """The rows of a sparse matrix as a dense array in lexicographic order,
+    so that two matrices with the same rows in any order compare equal."""
+    dense = rows.toarray()
+    return dense[np.lexsort(dense.T[::-1])]
+
+
+def assert_matches_orbit_reference(scenario: Scenario, blocks) -> None:
+    """``symmetric_cg_rows`` against :func:`orbit_polytope`: the same set
+    of rows, in Kronecker order rather than by smallest table entry, the
+    same columns in the same order, and ``ns_orbit_dual_rows``' expand
+    equal to the reference's entry for entry."""
+    rows, expand = orbit_polytope(scenario, blocks)
+    built = symmetric_cg_rows(scenario, blocks)
+    built_expand = ns_orbit_dual_rows(scenario, blocks)[2]
+    assert built.shape == rows.shape and built_expand.shape == expand.shape
+    assert np.array_equal(row_set(built), row_set(rows))
+    assert np.array_equal(built_expand.toarray(), expand.toarray())
 
 
 def linprog_reference(cost, rows, row_lower, row_upper, col_lower, col_upper):

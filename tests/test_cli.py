@@ -129,8 +129,7 @@ class TestShare:
     def test_eight_clones_refused_before_rows(self, uniform_path, monkeypatch, capsys):
         # 4^9 = 262 144 certificate entries exceed EXTENSION_TABLE_CAP.
         built = []
-        monkeypatch.setattr(sharing, "symmetric_extension_rows",
-                            lambda *args: built.append(args))
+        monkeypatch.setattr(sharing, "symmetric_cg_rows", lambda *args: built.append(args))
         assert main(["share", "--in", uniform_path, "--n", "8", "--mode", "ns"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -278,6 +277,19 @@ class TestCkw:
 
     def test_two_qubit_rejected(self, capsys):
         assert main(["ckw", "--state", "phi_plus"]) == 2
+
+    @pytest.mark.parametrize("command", ["ckw", "cg"])
+    def test_non_finite_state_file_refused(self, command, tmp_path, capsys):
+        from monogamy import ghz
+
+        data = state_to_json_dict(ghz())
+        data["entries"][0] = [math.nan, 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: density matrix has non-finite entries\n"
 
 
 class TestSweep:

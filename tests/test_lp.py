@@ -636,7 +636,7 @@ def test_duals_of_the_cg_ns_maximum(monkeypatch):
     # the LP's solution is the row multipliers lam >= 0, the free
     # coordinates have zero reduced cost c + rows.T @ lam, and the fixed
     # one carries the value.
-    from monogamy.model import ns_orbit_polytope
+    from monogamy.model import ns_orbit_dual_rows, symmetric_cg_rows
     from monogamy.tradeoffs import _ns_maxima
 
     seen = []
@@ -646,9 +646,11 @@ def test_duals_of_the_cg_ns_maximum(monkeypatch):
     )
     scenario = chsh_scenario()
     objective = functional_row(scenario, chsh(), (0, 1))
-    values, _, outcome = _ns_maxima(scenario, objective[None], (), lp.FEASIBILITY_TOL)
+    singletons = ((0,), (1,))
+    values, _, outcome = _ns_maxima(scenario, objective[None], singletons, lp.FEASIBILITY_TOL)
     (program,) = seen
-    rows, expand = ns_orbit_polytope(scenario, ())
+    rows = symmetric_cg_rows(scenario, singletons)
+    expand = ns_orbit_dual_rows(scenario, singletons)[2]
     assert program.ub_lhs is None and program.bounds is None
     assert values[0] == pytest.approx(4.0, abs=1e-9)
     assert outcome.duals.shape == (rows.shape[0],)

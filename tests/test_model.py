@@ -27,10 +27,21 @@ from monogamy.model import (
     cg_map,
     no_signalling_constraints,
     normalization_constraints,
-    ns_orbit_polytope,
+    ns_orbit_dual_rows,
+    symmetric_cg_index,
+    symmetric_cg_rows,
 )
+from monogamy.sharing import _extended_scenario
 from monogamy.tradeoffs import pb_scenario, triple_scenario
-from conftest import chsh_scenario, flat_index, ns_polytope, random_behavior
+from conftest import (
+    assert_matches_orbit_reference,
+    chsh_scenario,
+    flat_index,
+    ns_polytope,
+    orbit_polytope,
+    random_behavior,
+    row_set,
+)
 
 
 def brute_force_marginal(b, keep, context):
@@ -309,41 +320,69 @@ def peer_images(scenario, group):
     ])
 
 
-class TestNsOrbitPolytope:
-    # Generators of S3 on parties b, c, d, and of the swap c <-> d.
-    S3 = ((0, 2, 1, 3), (0, 1, 3, 2))
-    SWAP_CD = ((0, 1, 3, 2),)
+# Cases of the builder against the orbit reference: the probe's three block
+# patterns, the triple scenario with singletons and with b, c as clones, the
+# extension of both two-party bases by 2-4 clones, and two kinds of party.
+ORBIT_CASES = [
+    pytest.param(pb_scenario(), ((0,), (1, 2, 3)), id="probe-bcd"),
+    pytest.param(pb_scenario(), ((0,), (1, 2), (3,)), id="probe-bc"),
+    pytest.param(pb_scenario(), ((0,), (1,), (2, 3)), id="probe-cd"),
+    pytest.param(triple_scenario(), ((0,), (1,), (2,)), id="triple-singletons"),
+    pytest.param(triple_scenario(), ((0,), (1, 2)), id="triple-bc"),
+    *(
+        pytest.param(_extended_scenario(base, n), ((0,), tuple(range(1, n + 1))),
+                     id=f"extension-{n}-base{i}")
+        for i, base in enumerate((Scenario(2, (2, 2), (2, 2)), Scenario(2, (3, 2), (3, 2))))
+        for n in (2, 3, 4)
+    ),
+    pytest.param(Scenario(3, (2, 3, 3), (2, 2, 2)), ((0,), (1, 2)), id="mixed-kinds"),
+]
 
-    @pytest.mark.parametrize("generators, group, n_orbits", [
+
+class TestNsOrbitPolytope:
+    # Blocks of the probe's parties: b, c and d permuted together, and c
+    # with d.
+    S3 = ((0,), (1, 2, 3))
+    SWAP_CD = ((0,), (1,), (2, 3))
+
+    @pytest.mark.parametrize("scenario, blocks", ORBIT_CASES)
+    def test_matches_the_orbit_reference(self, scenario, blocks):
+        assert_matches_orbit_reference(scenario, blocks)
+
+    @pytest.mark.parametrize("blocks, group, n_orbits", [
         (S3, list(itertools.permutations((1, 2, 3))), 336),
         (SWAP_CD, [(1, 2, 3), (1, 3, 2)], 756),
     ])
-    def test_orbit_map(self, generators, group, n_orbits, rng):
-        """One positivity row per orbit of table entries, at its smallest
-        entry, and every expanded table constant on those orbits."""
+    def test_orbit_map(self, blocks, group, n_orbits, rng):
+        """One positivity row per orbit of table entries, those of the
+        reference in another order; the index is constant on each orbit
+        and tells orbits apart, and every expanded table is constant on
+        those orbits."""
         scenario = pb_scenario()
-        rows, expand = ns_orbit_polytope(scenario, generators)
+        rows = symmetric_cg_rows(scenario, blocks)
+        index = symmetric_cg_index(scenario, blocks)
         images = peer_images(scenario, group)
-        smallest = images.min(axis=0)
-        assert np.unique(smallest).size == n_orbits == rows.shape[0]
-        assert np.array_equal(rows.toarray(), expand[np.unique(smallest)].toarray())
+        assert np.unique(images.min(axis=0)).size == n_orbits == rows.shape[0]
+        assert np.array_equal(row_set(rows), row_set(orbit_polytope(scenario, blocks)[0]))
+        assert np.unique(index).size == n_orbits
         # An expanded table is unchanged by the group's party
         # permutations, settings and outcomes moving together.
-        table = expand @ rng.standard_normal(expand.shape[1])
+        table = (rows @ rng.standard_normal(rows.shape[1]))[index]
         for image in images:
+            assert np.array_equal(index[image], index)
             assert np.allclose(table[image], table, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("generators, group, n_cols", [
+    @pytest.mark.parametrize("blocks, group, n_cols", [
         (S3, list(itertools.permutations((1, 2, 3))), 80),
         (SWAP_CD, [(1, 2, 3), (1, 3, 2)], 160),
     ])
-    def test_cg_column_orbits(self, generators, group, n_cols):
+    def test_cg_column_orbits(self, blocks, group, n_cols):
         """``expand`` is M @ P for the 0/1 membership matrix P of the orbits
         of CG columns, whose per-party digit grids the group transposes;
         the constant column is an orbit of its own, the first."""
         scenario = pb_scenario()
         m = cg_map(scenario)
-        expand = ns_orbit_polytope(scenario, generators)[1]
+        expand = ns_orbit_dual_rows(scenario, blocks)[2]
         assert expand.shape == (scenario.table_size, n_cols)
         members = np.linalg.lstsq(m.toarray(), expand.toarray(), rcond=None)[0]
         assert np.allclose(members, np.round(members), rtol=0.0, atol=1e-12)
@@ -361,10 +400,11 @@ class TestNsOrbitPolytope:
 
     def test_rows_are_the_full_rows_on_expanded_tables(self, rng):
         """The rows are the positivity of the full table at the orbit
-        representatives, and an expanded table with y[0] = 1 meets every
-        ns_polytope row."""
+        representatives, in some order, and an expanded table with
+        y[0] = 1 meets every ns_polytope row."""
         scenario = pb_scenario()
-        rows, expand = ns_orbit_polytope(scenario, self.S3)
+        rows = symmetric_cg_rows(scenario, self.S3)
+        expand = ns_orbit_dual_rows(scenario, self.S3)[2]
         full_lhs, full_rhs = ns_polytope(scenario)
         y = rng.random(expand.shape[1])
         y[0] = 1.0
@@ -373,23 +413,34 @@ class TestNsOrbitPolytope:
             peer_images(scenario, itertools.permutations((1, 2, 3))).min(axis=0)
         )
         assert rows.shape == (336, 80)
-        assert np.allclose(rows @ y, table[representatives], rtol=0.0, atol=1e-12)
+        assert np.allclose(np.sort(rows @ y), np.sort(table[representatives]), rtol=0.0, atol=1e-12)
         assert np.allclose(full_lhs @ table, full_rhs, rtol=0.0, atol=1e-12)
 
     def test_memoised_read_only(self):
-        first = ns_orbit_polytope(pb_scenario(), self.SWAP_CD)
-        assert ns_orbit_polytope(pb_scenario(), self.SWAP_CD) is first
-        for part in first:
+        scenario = pb_scenario()
+        rows = symmetric_cg_rows(scenario, self.SWAP_CD)
+        index = symmetric_cg_index(scenario, self.SWAP_CD)
+        dual = ns_orbit_dual_rows(scenario, self.SWAP_CD)
+        assert symmetric_cg_rows(scenario, self.SWAP_CD) is rows
+        assert symmetric_cg_index(scenario, self.SWAP_CD) is index
+        assert ns_orbit_dual_rows(scenario, self.SWAP_CD) is dual
+        constant, free_t, expand = dual
+        assert not index.flags.writeable and not constant.flags.writeable
+        for part in (rows, free_t, expand):
             assert part.format == "csr"
             for array in (part.data, part.indices, part.indptr):
                 assert not array.flags.writeable
 
     def test_non_symmetry_rejected(self):
         scenario = Scenario(2, (2, 3), (2, 2))
-        with pytest.raises(ValueError, match="party symmetry"):
-            ns_orbit_polytope(scenario, ((1, 0),))
-        with pytest.raises(ValueError, match="party symmetry"):
-            ns_orbit_polytope(pb_scenario(), ((0, 1, 1, 3),))
+        for build in (symmetric_cg_rows, symmetric_cg_index):
+            with pytest.raises(ValueError, match="mixes parties"):
+                build(scenario, ((0, 1),))
+            for blocks in (((0,),), ((0,), (1,), (1,)), ((0,), (), (1,)), ((0,), (2,))):
+                with pytest.raises(ValueError, match="do not partition"):
+                    build(scenario, blocks)
+            with pytest.raises(ValueError, match="do not partition"):
+                build(pb_scenario(), ((0,), (1, 1, 3)))
 
 
 class TestMarginal:

@@ -66,6 +66,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3) / 3)  # not a qubit dimension
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entries_refused(self, bad):
+        # NaN passes every comparison-based check as False.
+        with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="state vector has non-finite entries"):
+            density_from_vector(np.array([bad, 1.0]))
+
     def test_pure_state_normalization(self):
         rho = density_from_vector([2.0, 0.0])
         assert rho.matrix[0, 0] == pytest.approx(1.0)

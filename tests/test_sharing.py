@@ -27,9 +27,10 @@ from monogamy import (
     unrestricted_extension,
     validate_behavior,
 )
-from monogamy.model import ns_orbit_polytope
+from monogamy import sharing
+from monogamy.model import _block_rows, _clone_multisets, symmetric_cg_index, symmetric_cg_rows
 from monogamy.sharing import (
-    _clone_multisets,
+    EXTENSION_TABLE_CAP,
     _extended_scenario,
     _joint_symmetry_residual,
     _marginal_residual_ns,
@@ -37,10 +38,10 @@ from monogamy.sharing import (
     _outcome_symmetry_residual,
     clone_symmetry_constraints,
     discard_last_clone,
-    symmetric_extension_rows,
 )
 from monogamy.localpoly import deterministic_behaviors
 from conftest import (
+    assert_matches_orbit_reference,
     chsh_scenario,
     equality_extension_lp,
     flat_index,
@@ -206,6 +207,19 @@ def loop_symmetry_rows(scen):
     return np.array(rows).reshape(-1, scen.table_size)
 
 
+def clone_blocks(n_clones: int) -> tuple[tuple[int, ...], ...]:
+    """Alice alone, then the clones as one block."""
+    return ((0,), tuple(range(1, n_clones + 1)))
+
+
+def uncapped_scenario(base: Scenario, n_clones: int) -> Scenario:
+    """The extended scenario without the certificate's table cap, which
+    refuses 8 clones of a 2x2 base: the row builder never builds the
+    table."""
+    return Scenario(1 + n_clones, (base.settings[0],) + (base.settings[1],) * n_clones,
+                    (base.outcomes[0],) + (base.outcomes[1],) * n_clones, table_cap=10**12)
+
+
 class TestExtensionRows:
     BASES = (Scenario(2, (2, 2), (2, 2)), Scenario(2, (3, 2), (3, 2)))
 
@@ -254,16 +268,19 @@ class TestExtensionRows:
         d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
         n_letters = base.settings[1] * base.outcomes[1]
         for n_clones in range(2, 11):
-            rows, expand = symmetric_extension_rows(base, n_clones)
+            scen = uncapped_scenario(base, n_clones)
+            rows = symmetric_cg_rows(scen, clone_blocks(n_clones))
             assert rows.shape == (
                 base.settings[0] * base.outcomes[0] * math.comb(n_letters + n_clones - 1, n_clones),
                 d_a * math.comb(d_b + n_clones - 1, n_clones),
             )
             multisets = _clone_multisets(d_b, n_clones)
             assert np.flatnonzero(np.count_nonzero(multisets, axis=1) <= 1).tolist() == list(range(d_b))
-            assert expand.size == n_letters**n_clones
-            for part in (rows.data, rows.indices, rows.indptr, expand):
+            for part in (rows.data, rows.indices, rows.indptr):
                 assert not part.flags.writeable
+            if scen.table_size <= EXTENSION_TABLE_CAP:
+                index = symmetric_cg_index(scen, clone_blocks(n_clones))
+                assert index.size == scen.table_size and not index.flags.writeable
         if base == chsh_scenario():
             assert rows.shape == (1144, 198) and d_a * d_b == 9
 
@@ -273,10 +290,11 @@ class TestExtensionRows:
         # (4^11 for a 2x2 base); the builder allocates less than that table.
         (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
         table_bytes = 8 * s_a * o_a * (s_b * o_b) ** 10
+        _block_rows.cache_clear()
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            symmetric_extension_rows.__wrapped__(base, 10)
+            symmetric_cg_rows.__wrapped__(uncapped_scenario(base, 10), clone_blocks(10))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -289,19 +307,25 @@ class TestExtensionRows:
         # Expanded to the full table, the rows are the CG orbit expansion of
         # the extended scenario under the clone transpositions, with the
         # same column order (orbits by their smallest CG column).
-        scen = _extended_scenario(base, n_clones)
-        swaps = tuple(
-            tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, scen.parties))
-            for i in range(1, scen.parties - 1)
-        )
-        _, orbit_expand = ns_orbit_polytope(scen, swaps)
-        rows, expand = symmetric_extension_rows(base, n_clones)
-        s_a, o_a = base.settings[0], base.outcomes[0]
-        full = rows.toarray().reshape(s_a, o_a, -1, rows.shape[1])[:, :, expand]
-        full = full.reshape((s_a, o_a) + scen.table_shape[1:n_clones + 1]
-                            + scen.table_shape[n_clones + 2:] + (-1,))
-        full = np.moveaxis(full, 1, n_clones + 1).reshape(scen.table_size, -1)
-        assert np.array_equal(full, orbit_expand.toarray())
+        assert_matches_orbit_reference(_extended_scenario(base, n_clones), clone_blocks(n_clones))
+
+    def test_index_built_once_and_only_when_feasible(self, monkeypatch):
+        # An infeasible extension reads no certificate, so it never builds
+        # the index from table entries to rows; a feasible one builds it
+        # once, and a second certificate reads it from the cache.
+        built = []
+        index = sharing.symmetric_cg_index
+        monkeypatch.setattr(sharing, "symmetric_cg_index",
+                            lambda *args: built.append(args) or index(*args))
+        symmetric_cg_rows.cache_clear()
+        symmetric_cg_index.cache_clear()
+        assert isinstance(ns_extension(pr_box(), 4), InfeasibleExtension)
+        assert built == []
+        misses = symmetric_cg_index.cache_info().misses
+        for _ in range(2):
+            assert isinstance(ns_extension(uniform_box(chsh_scenario()), 4), ExtensionCertificate)
+        assert len(built) == 2
+        assert symmetric_cg_index.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("n_clones", range(2, 8))
     def test_verdicts_match_references(self, n_clones):
@@ -370,6 +394,15 @@ class TestMasanesProperty:
             assert is_no_signalling(witness, tol=1e-9).is_no_signalling
             assert validate_behavior(witness, tol=1e-9).passed
             assert np.array_equal(pair.table, witness.table[:, :, 0].sum(axis=-1))
+
+    @pytest.mark.parametrize("n_vertices", [0, -1])
+    def test_no_vertices_refused_before_any_lp(self, n_vertices, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no LP may run")
+
+        monkeypatch.setattr(sharing.lp, "solve", refuse)
+        with pytest.raises(ValueError, match="n_vertices"):
+            random_shareable_behavior(rng, n_vertices)
 
     def test_sampled_pairs_are_two_shareable(self, rng):
         # The generating witness is symmetric and no-signalling, so the

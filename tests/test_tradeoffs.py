@@ -36,8 +36,14 @@ from monogamy import (
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import functional_row
-from monogamy.model import ns_orbit_dual_rows, ns_orbit_polytope
-from conftest import full_table_probe, linprog_reference, ns_polytope, per_direction_ns_support
+from monogamy.model import ns_orbit_dual_rows, symmetric_cg_rows
+from conftest import (
+    block_swaps,
+    full_table_probe,
+    linprog_reference,
+    ns_polytope,
+    per_direction_ns_support,
+)
 
 ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
@@ -266,8 +272,9 @@ class TestNsSupport:
         scenario = tradeoffs.triple_scenario()
         # The Collins-Gisin rows, 64 x 27 per direction with no orbits to
         # merge, in dual form: 26 free-coordinate rows over 64 multipliers.
-        free_t = ns_orbit_dual_rows(scenario, ())[1]
-        assert ns_orbit_polytope(scenario, ())[0].shape == (64, 27)
+        singletons = ((0,), (1,), (2,))
+        free_t = ns_orbit_dual_rows(scenario, singletons)[1]
+        assert symmetric_cg_rows(scenario, singletons).shape == (64, 27)
         assert free_t.shape == (26, 64)
         assert solved == [k * free_t.shape[1] for k in sizes]
         assert checked == [scenario.table_size] * count
@@ -304,7 +311,7 @@ class TestNsSupport:
     def test_block_diagonal_rows(self, k):
         import scipy.sparse as sp
 
-        rows = ns_orbit_polytope(tradeoffs.triple_scenario(), ())[0]
+        rows = symmetric_cg_rows(tradeoffs.triple_scenario(), ((0,), (1,), (2,)))
         blocks = tradeoffs._block_diagonal(rows, k)
         assert blocks.shape == (k * rows.shape[0], k * rows.shape[1])
         assert np.array_equal(blocks.toarray(), sp.block_diag([rows] * k).toarray())
@@ -345,21 +352,16 @@ class TestNsMaximum:
         of its outcome tuples.  Positivity rows are the table entries."""
         import scipy.sparse as sp
 
-        def polytope(s, generators):
-            assert generators == ()
+        def dual_rows(s, blocks):
+            assert blocks == tuple((p,) for p in range(s.parties))
             per_context = s.table_size // s.n_contexts
             moves = np.vstack([np.eye(per_context - 1), -np.ones((1, per_context - 1))])
-            expand = sp.hstack([
+            rows = sp.hstack([
                 np.full((s.table_size, 1), 1.0 / per_context),
                 sp.kron(sp.eye_array(s.n_contexts), moves),
             ], format="csr")
-            return expand, expand
+            return rows[:, [0]].toarray().ravel(), rows[:, 1:].T.tocsr(), rows
 
-        def dual_rows(s, generators):
-            rows = polytope(s, generators)[0]
-            return rows[:, [0]].toarray().ravel(), rows[:, 1:].T.tocsr()
-
-        monkeypatch.setattr(tradeoffs, "ns_orbit_polytope", polytope)
         monkeypatch.setattr(tradeoffs, "ns_orbit_dual_rows", dual_rows)
 
     def test_signalling_optimum_raises(self, monkeypatch):
@@ -398,6 +400,11 @@ class TestNsMaximum:
 
 
 class TestPbProbe:
+    # Blocks of the probe's parties: b, c and d permuted together, and c
+    # with d.
+    S3 = ((0,), (1, 2, 3))
+    SWAP_CD = ((0,), (1,), (2, 3))
+
     @pytest.fixture(scope="class")
     def probe(self):
         """The report and, per LP it solved, the LP's column count and
@@ -466,15 +473,13 @@ class TestPbProbe:
 
     def test_one_lp_per_sign_orbit(self, probe):
         # Four orbit representatives plus the max-min LP, each over the
-        # orbits of its peer group: S3, b <-> c, c <-> d, S3, c <-> d (+ t),
-        # in dual form: one equality row per free coordinate (and t), one
-        # multiplier column per positivity row (and max-min row).
+        # orbits of its blocks of peers: b, c, d; b, c; c, d; b, c, d; c, d
+        # (+ t), in dual form: one equality row per free coordinate (and t),
+        # one multiplier column per positivity row (and max-min row).
         report, calls = probe
         assert len(calls) == len(report.lps) == 5
-        s3, swap_bc, swap_cd = (
-            (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), (tradeoffs._SWAP_BC,), (tradeoffs._SWAP_CD,)
-        )
-        assert [record["generators"] for record in report.lps] == [
+        s3, swap_bc, swap_cd = ((0,), (1, 2, 3)), ((0,), (1, 2), (3,)), ((0,), (1,), (2, 3))
+        assert [record["blocks"] for record in report.lps] == [
             s3, swap_bc, swap_cd, s3, swap_cd
         ]
         assert [record["cols"] for record in report.lps] == [336, 756, 756, 336, 758]
@@ -503,7 +508,7 @@ class TestPbProbe:
         for x, record in zip(expanded, report.lps):
             assert x.shape == (scenario.table_size,)
             assert x.min() >= -10 * tol
-            for perm in record["generators"]:
+            for perm in block_swaps(scenario.parties, record["blocks"]):
                 moved = tradeoffs.permute_parties(scenario, x, perm)
                 assert np.allclose(moved, x, rtol=0.0, atol=1e-12)
 
@@ -551,13 +556,11 @@ class TestPbProbe:
 
         monkeypatch.setattr(tradeoffs, "_ns_dual_optimum", inflated)
         scenario, ab, ac, ad = self.probe_rows()
-        values, tables, _ = tradeoffs._ns_maxima(
-            scenario, (ab + ac + ad)[None], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
-        )
+        values, tables, _ = tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
         assert values[0] == pytest.approx(12.0, abs=1e-7)
         assert values[0] == pytest.approx((ab + ac + ad) @ tables[0].table.reshape(-1), abs=1e-9)
         with pytest.raises(RuntimeError, match="exceeds its rows"):
-            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
+            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], self.SWAP_CD, 1e-7)
 
     @pytest.mark.parametrize("tamper, message", [
         ("inflate_value", "duality gap"), ("shift_duals", "row residual"),
@@ -575,29 +578,31 @@ class TestPbProbe:
         monkeypatch.setattr(tradeoffs, "_ns_table", None)
         scenario, ab, ac, ad = self.probe_rows()
         with pytest.raises(RuntimeError, match=message):
-            tradeoffs._ns_maxima(
-                scenario, (ab + ac + ad)[None], (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD), 1e-7
-            )
+            tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
         with pytest.raises(RuntimeError, match=message):
-            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], (tradeoffs._SWAP_CD,), 1e-7)
+            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], self.SWAP_CD, 1e-7)
 
     def test_invariance_guard(self, monkeypatch):
         scenario = tradeoffs.pb_scenario()
         row = functional_row(scenario, collins_gisin(), (0, 1))
-        s3 = (tradeoffs._SWAP_BC, tradeoffs._SWAP_CD)
         with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._require_invariant(scenario, [row], s3)
+            tradeoffs._require_invariant(scenario, [row], self.S3)
         # The max-min rows are swapped by c <-> d, but not fixed by b <-> c.
         rows = [row + functional_row(scenario, collins_gisin(), pair) for pair in ((0, 2), (0, 3))]
-        tradeoffs._require_invariant(scenario, rows, (tradeoffs._SWAP_CD,))
+        tradeoffs._require_invariant(scenario, rows, self.SWAP_CD)
         with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._require_invariant(scenario, rows, s3)
+            tradeoffs._require_invariant(scenario, rows, self.S3)
         with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._ns_max_min(scenario, rows, s3, 1e-7)
-        # The probe checks each sign LP's objective against its generators:
-        # given S3 for every pattern, it refuses (++-).
-        monkeypatch.setattr(tradeoffs, "_equal_sign_swaps", lambda signs: s3)
-        with pytest.raises(ValueError, match="not invariant"):
+            tradeoffs._ns_max_min(scenario, rows, self.S3, 1e-7)
+        # The probe checks each sign LP's objective against its blocks:
+        # with C_ad doubled, (+++) is not fixed by swapping c and d.
+        row_of = tradeoffs.functional_row
+
+        def doubled_ad(scenario, functional, pair):
+            return (2.0 if pair == (0, 3) else 1.0) * row_of(scenario, functional, pair)
+
+        monkeypatch.setattr(tradeoffs, "functional_row", doubled_ad)
+        with pytest.raises(ValueError, match=r"not invariant under the party permutation \(0, 1, 3, 2\)"):
             tradeoffs.pb_probe()
 
 
@@ -649,7 +654,7 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
 
     monkeypatch.setattr(sharing.lp, "feasibility", recording)
     monkeypatch.setattr(sharing, "cg_map", recording_map)
-    sharing.symmetric_extension_rows.cache_clear()
+    sharing.symmetric_cg_rows.cache_clear()
     for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
         ns_extension(box, n_clones)
     assert len(calls) == 2
