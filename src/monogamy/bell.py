@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ class BellFunctional:
     ``correlators[x, y]`` weights the full correlator at settings (x, y);
     ``marginals_a[x]`` and ``marginals_b[y]`` weight the single-party
     expectation values.  ``local_bound`` is the maximum over deterministic
-    strategies (see ``localpoly.local_bound``).
+    strategies (see ``localpoly.local_bound``).  The arrays are read-only
+    copies, so a functional's coefficient row can be memoised.
     """
 
     correlators: np.ndarray
@@ -26,14 +28,14 @@ class BellFunctional:
     name: str = ""
 
     def __post_init__(self):
-        corr = np.asarray(self.correlators, dtype=float)
-        ma = np.asarray(self.marginals_a, dtype=float)
-        mb = np.asarray(self.marginals_b, dtype=float)
+        corr = np.array(self.correlators, dtype=float)
+        ma = np.array(self.marginals_a, dtype=float)
+        mb = np.array(self.marginals_b, dtype=float)
         if corr.ndim != 2 or ma.shape != (corr.shape[0],) or mb.shape != (corr.shape[1],):
             raise ValueError("coefficient shapes are inconsistent")
-        object.__setattr__(self, "correlators", corr)
-        object.__setattr__(self, "marginals_a", ma)
-        object.__setattr__(self, "marginals_b", mb)
+        for name, value in (("correlators", corr), ("marginals_a", ma), ("marginals_b", mb)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def settings(self) -> tuple[int, int]:
@@ -107,12 +109,26 @@ def functional_row(scenario: Scenario, f: BellFunctional, pair: tuple[int, int])
     return coeffs.reshape(-1)
 
 
+@functools.lru_cache(maxsize=32)
+def _functional_row(scenario: Scenario, f: BellFunctional, pair: tuple[int, int]) -> np.ndarray:
+    """:func:`functional_row`, memoised by scenario, functional (by
+    identity) and pair, and returned read-only.  Only :func:`bell_value`
+    reads it, so it holds two-party rows; the LP builders call
+    :func:`functional_row` once per objective."""
+    row = functional_row(scenario, f, pair)
+    row.setflags(write=False)
+    return row
+
+
 def bell_value(b: Behavior, f: BellFunctional) -> float:
     """Evaluate the functional on a two-party behavior."""
     if b.scenario.parties != 2:
         raise ValueError("Bell functionals act on two-party behaviors")
-    return float(functional_row(b.scenario, f, (0, 1)) @ b.table.reshape(-1))
+    return float(_functional_row(b.scenario, f, (0, 1)) @ b.table.reshape(-1))
+
+
+_CHSH = chsh()
 
 
 def chsh_value(b: Behavior) -> float:
-    return bell_value(b, chsh())
+    return bell_value(b, _CHSH)

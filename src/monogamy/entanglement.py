@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import SIGMA_Y, DensityMatrix, partial_trace, tensor
+from .quantum import (
+    SIGMA_Y,
+    DensityMatrix,
+    _checked_densities,
+    _reduced_matrix,
+    partial_trace,
+    tensor,
+)
 
 PURITY_TOL = 1e-9
 _YY = tensor(SIGMA_Y, SIGMA_Y)
@@ -41,14 +48,18 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dimension != 4:
         raise ValueError("concurrence is defined for two-qubit states")
-    m = rho.matrix
+    return float(_concurrences(rho.matrix[None])[0])
+
+
+def _concurrences(stack: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of each member of a checked (k, 4, 4) stack."""
     # sqrt(l_i) equal the singular values of sqrt(rho) (sy x sy) sqrt(rho)^T,
     # which is numerically far better conditioned than eigenvalues of the
     # non-normal product rho (sy x sy) rho* (sy x sy).
-    values, vectors = np.linalg.eigh(m)
-    root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    values, vectors = np.linalg.eigh(stack)
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[:, None, :]) @ vectors.conj().swapaxes(1, 2)
     roots = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    return np.maximum(0.0, roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3])
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -80,9 +91,10 @@ def ckw_check(psi: DensityMatrix, pivot: int, tol: float = 1e-9) -> TangleReport
     if not 0 <= pivot < n:
         raise ValueError("pivot qubit out of range")
     partners = tuple(q for q in range(n) if q != pivot)
-    pairwise = tuple(
-        tangle(partial_trace(psi, (pivot, q))) for q in partners
-    )
+    # The pair-reduced states, checked and measured as one stack.
+    pairs = np.stack([_reduced_matrix(psi.matrix, (pivot, q)) for q in partners])
+    _checked_densities(pairs)
+    pairwise = tuple(float(c * c) for c in _concurrences(pairs))
     cut = cut_tangle(psi, pivot)
     residual = cut - sum(pairwise)
     return TangleReport(

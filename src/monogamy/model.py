@@ -493,13 +493,25 @@ def _clone_multisets(n_letters: int, n_clones: int) -> np.ndarray:
 
 
 def _multiset_ranks(letters: np.ndarray, n_letters: int) -> np.ndarray:
-    """Rank of the multiset of each row of letters, in any order.  A sorted
-    row's row-major index in the clones' letter table (below the table size)
-    grows with rank, so ranks come from a binary search among the
-    multisets' indices."""
-    place = n_letters ** np.arange(letters.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes = _clone_multisets(n_letters, letters.shape[1]) @ place
-    return np.searchsorted(codes, np.sort(letters, axis=1) @ place)
+    """Rank of the multiset of each row of letters, in any order: the index
+    of its sorted row in :func:`_clone_multisets`.  A sorted row c ranks
+    after every row that first differs from it at some position i with a
+    letter v in [c[i-1], c[i]), followed by any multiset of the remaining
+    k - 1 - i letters from v up.  ``below[i, c]`` counts those rows for
+    every v < c, so a rank is a sum of table differences, each at most the
+    number of multisets; ranks are refused once that reaches 2**63."""
+    k = letters.shape[1]
+    if math.comb(n_letters + k - 1, k) >= 2 ** 63:
+        raise ValueError(f"multisets of {k} out of {n_letters} letters overflow int64 ranks")
+    below = np.array([
+        [0, *itertools.accumulate(math.comb(n_letters - v + k - 2 - i, k - 1 - i)
+                                  for v in range(n_letters))]
+        for i in range(k)
+    ], dtype=np.int64).reshape(k, n_letters + 1)
+    rows = np.sort(letters, axis=1)
+    previous = np.concatenate([np.zeros_like(rows[:, :1]), rows[:, :-1]], axis=1)
+    position = np.arange(k)
+    return np.sum(below[position, rows] - below[position, previous], axis=1, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=32)

@@ -8,7 +8,8 @@ computation in this package, with sigma_y kept for context expectations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +42,14 @@ def is_dichotomic_observable(op: np.ndarray, tol: float = HERMITIAN_TOL) -> bool
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         return False
-    if np.max(np.abs(op - op.conj().T)) > tol:
+    return _all_dichotomic(op[None], tol)
+
+
+def _all_dichotomic(ops: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """:func:`is_dichotomic_observable` of every member of a (k, d, d) stack."""
+    if np.max(np.abs(ops - ops.conj().swapaxes(1, 2))) > tol:
         return False
-    return bool(np.max(np.abs(op @ op - np.eye(op.shape[0]))) <= tol)
+    return bool(np.max(np.abs(ops @ ops - np.eye(ops.shape[1]))) <= tol)
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
@@ -53,33 +59,52 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_densities(stack: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a (k, d, d) stack of density matrices.
+
+    Each check runs once over the whole stack: finite entries, square
+    members of a power-of-2 dimension, Hermitian, unit trace and positive
+    semidefinite (one ``eigvalsh`` call).  The first failed check raises
+    ``ValueError`` with the message of a single :class:`DensityMatrix`."""
+    m = np.asarray(stack, dtype=complex)
+    # Every check below compares False against NaN.
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix has non-finite entries")
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("density matrix must be square")
+    dim = m.shape[1]
+    if 2 ** (dim.bit_length() - 1) != dim:
+        raise ValueError(f"dimension {dim} is not a power of 2")
+    if np.max(np.abs(m - m.conj().swapaxes(1, 2))) > HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    trace = np.trace(m, axis1=1, axis2=2)
+    if np.max(np.abs(trace.real - 1.0)) > HERMITIAN_TOL or np.max(np.abs(trace.imag)) > HERMITIAN_TOL:
+        raise ValueError("density matrix must have unit trace")
+    spectra = np.linalg.eigvalsh(m)
+    smallest = float(np.min(spectra[:, 0]))
+    if smallest < -PSD_TOL:
+        raise ValueError(f"density matrix has eigenvalue {smallest:.3e} < 0")
+    return spectra
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Unit-trace positive semidefinite operator on n qubits."""
+    """Unit-trace positive semidefinite operator on n qubits.
+
+    The checks are those of :func:`_checked_densities` on a stack of one.
+    ``matrix`` is a read-only copy, and the spectrum that the positivity
+    check computed is kept, so :meth:`largest_eigenvalue` solves nothing."""
 
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        # Every check below compares False against NaN.
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix has non-finite entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        dim = m.shape[0]
-        qubits = dim.bit_length() - 1
-        if 2 ** qubits != dim:
-            raise ValueError(f"dimension {dim} is not a power of 2")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(m.trace().real - 1.0) > HERMITIAN_TOL or abs(m.trace().imag) > HERMITIAN_TOL:
-            raise ValueError("density matrix must have unit trace")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {smallest:.3e} < 0")
-        m = m.copy()
+        m = np.array(self.matrix, dtype=complex)
+        spectrum = _checked_densities(m[None])[0]
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dimension(self) -> int:
@@ -93,7 +118,7 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def largest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        return float(self._spectrum[-1])
 
 
 def density_from_vector(vec: np.ndarray) -> DensityMatrix:
@@ -117,13 +142,19 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError("keep set out of range")
-    drop = [q for q in range(n) if q not in keep]
-    t = rho.matrix.reshape((2,) * (2 * n))
+    return DensityMatrix(_reduced_matrix(rho.matrix, keep))
+
+
+def _reduced_matrix(matrix: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The unchecked matrix of :func:`partial_trace`, for in-range ``keep``."""
+    n = matrix.shape[0].bit_length() - 1
+    t = matrix.reshape((2,) * (2 * n))
     # Row axis of qubit q is q, column axis is n + q.
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
+    for q in reversed(range(n)):
+        if q not in keep:
+            t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
     dim = 2 ** len(keep)
-    return DensityMatrix(t.reshape(dim, dim))
+    return t.reshape(dim, dim)
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -153,6 +184,10 @@ def expectation(rho: DensityMatrix, op: np.ndarray) -> float:
     return float(val.real)
 
 
+# Outcome 0 is the +1 eigenspace of an observable, outcome 1 the -1 one.
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
 def born_behavior(rho: DensityMatrix, observables: list[list[np.ndarray]]) -> Behavior:
     """Behavior P(a..|A..) = Tr[tensor of (I +- O)/2 projectors times rho].
 
@@ -168,28 +203,27 @@ def born_behavior(rho: DensityMatrix, observables: list[list[np.ndarray]]) -> Be
         )
     projectors = []
     for p, obs_list in enumerate(observables):
-        if not obs_list:
+        if len(obs_list) == 0:
             raise ValueError(f"party {p} needs at least one observable")
-        row = []
-        for op in obs_list:
-            op = np.asarray(op, dtype=complex)
-            if op.shape != (2, 2):
-                raise ValueError("observables must be 2x2 for qubit parties")
-            if not is_dichotomic_observable(op):
-                raise ValueError("observable must square to the identity")
-            row.append([(IDENTITY_2 + op) / 2, (IDENTITY_2 - op) / 2])
-        projectors.append(np.array(row))  # (setting, outcome, row, column)
+        ops = [np.asarray(op, dtype=complex) for op in obs_list]
+        if any(op.shape != (2, 2) for op in ops):
+            raise ValueError("observables must be 2x2 for qubit parties")
+        ops = np.stack(ops)
+        if not _all_dichotomic(ops):
+            raise ValueError("observable must square to the identity")
+        # (setting, outcome, row, column)
+        projectors.append((IDENTITY_2 + _OUTCOME_SIGNS * ops[:, None]) / 2)
 
     settings = tuple(len(row) for row in projectors)
     scenario = Scenario(n_parties, settings, (2,) * n_parties)
     # Tr[(P_1 (x) ... (x) P_n) rho] = sum P_1[i1, j1] ... P_n[in, jn] rho[j.., i..]
-    # over the density tensor with row axes j.. and column axes i...
-    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-    x, o, i, j = ([next(letters) for _ in range(n_parties)] for _ in range(4))
-    spec = ",".join(x[p] + o[p] + i[p] + j[p] for p in range(n_parties))
-    spec += "," + "".join(j + i) + "->" + "".join(x + o)
-    rho_tensor = rho.matrix.reshape((2,) * (2 * n_parties))
-    table = np.einsum(spec, *projectors, rho_tensor, optimize=True).real
+    # over the density tensor with row axes j.. and column axes i..: each
+    # party in turn contracts its leading row and column axes and appends
+    # its (setting, outcome) axes.
+    t = rho.matrix.reshape((2,) * (2 * n_parties))
+    for p, proj in enumerate(projectors):
+        t = np.tensordot(t, proj, axes=([0, n_parties - p], [3, 2]))
+    table = t.transpose(tuple(range(0, 2 * n_parties, 2)) + tuple(range(1, 2 * n_parties, 2))).real
     return Behavior(scenario, table)
 
 
@@ -269,9 +303,18 @@ def state_to_json_dict(rho: DensityMatrix) -> dict:
 def state_from_json_dict(data: dict) -> DensityMatrix:
     if not isinstance(data, dict) or "dimension" not in data or "entries" not in data:
         raise ValueError("state JSON needs 'dimension' and 'entries' fields")
-    dim = int(data["dimension"])
+    try:
+        dim = int(data["dimension"])
+    except TypeError:
+        raise ValueError("state JSON 'dimension' must be an integer") from None
     entries = data["entries"]
+    if not isinstance(entries, list):
+        raise ValueError("state JSON 'entries' must be a list of (re, im) pairs")
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry)):
+            raise ValueError(f"entry {k} must be a pair of real numbers (re, im)")
     flat = np.array([complex(re, im) for re, im in entries])
     return DensityMatrix(flat.reshape(dim, dim))

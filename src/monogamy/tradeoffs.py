@@ -224,6 +224,20 @@ def _pair_moments(t: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     return np.einsum(_MOMENT_SPECS[pair], t.conj(), _PLANAR_BASIS, _PLANAR_BASIS, t).real
 
 
+# The moment basis (sigma_x, sigma_z, I, sigma_y), one operator P per row:
+# row i holds P_i[a, x] at column 2a + x.
+_MOMENT_ROWS = np.concatenate([_PLANAR_BASIS, SIGMA_Y[None]]).reshape(4, 4)
+
+
+def _moment_tensor(t: np.ndarray) -> np.ndarray:
+    """4x4x4 moments <P_i (x) P_j (x) P_k> of a pure 3-qubit tensor over
+    P = (sigma_x, sigma_z, I, sigma_y): the sum of P_i[a, x] P_j[b, y]
+    P_k[c, z] rho[xyz, abc], one qubit per product.  The blocks of
+    :func:`_pair_moments` are m[:3, :3, 2], m[:3, 2, :3] and m[2, :3, :3]."""
+    rho = np.multiply.outer(t, t.conj()).transpose(3, 0, 4, 1, 5, 2).reshape(4, 16)
+    return ((_MOMENT_ROWS @ (_MOMENT_ROWS @ rho).reshape(4, 4, 4)) @ _MOMENT_ROWS.T).real
+
+
 def _planar_rows(angles) -> np.ndarray:
     angles = np.asarray(angles, dtype=float)
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -262,11 +276,6 @@ def _pure_vector(rho: DensityMatrix) -> np.ndarray:
     return vectors[:, -1]
 
 
-def _single_density(t: np.ndarray, qubit: int) -> np.ndarray:
-    spec = {0: "abc,xbc->ax", 1: "abc,ayc->by", 2: "abc,abz->cz"}[qubit]
-    return np.einsum(spec, t, t.conj())
-
-
 def state_pair_point(
     psi: DensityMatrix | np.ndarray,
     a_angles: tuple[float, float],
@@ -286,16 +295,14 @@ def state_pair_point(
         vec = vec / np.linalg.norm(vec)
     if vec.size != 8:
         raise ValueError("state must be a pure 3-qubit state")
-    t = vec.reshape(2, 2, 2)
+    m = _moment_tensor(vec.reshape(2, 2, 2))
 
-    m_ac = _pair_moments(t, (0, 2))
-    ab = _planar_value(_pair_moments(t, (0, 1)), _CHSH, a_angles, b_angles)
+    m_ac = m[:3, 2, :3]
+    ab = _planar_value(m[:3, :3, 2], _CHSH, a_angles, b_angles)
     ac = _planar_value(m_ac, _CHSH, a_angles, c_angles)
-    bc = _planar_value(_pair_moments(t, (1, 2)), _CHSH, b_angles, c_angles)
+    bc = _planar_value(m[2, :3, :3], _CHSH, b_angles, c_angles)
 
-    sigma_y = tuple(
-        float(np.trace(SIGMA_Y @ _single_density(t, q)).real) for q in range(3)
-    )
+    sigma_y = (float(m[3, 2, 2]), float(m[2, 3, 2]), float(m[2, 2, 3]))
     u, v = _planar_rows(a_angles[:1]), _planar_rows(c_angles[:1])
     corr_ac = float((u @ m_ac[:2, :2] @ v.T)[0, 0])
     return TradeoffPoint(

@@ -292,6 +292,28 @@ class TestCkw:
         assert captured.err == f"error: {path}: density matrix has non-finite entries\n"
 
 
+    ANGLES = {
+        "chsh": ["--angles", "0,1.5708,0.7854,-0.7854"],
+        "cg": ["--angles", "0.5,2.1,0,-1,1,0,-1,1,0"],
+        "ckw": [],
+    }
+
+    @pytest.mark.parametrize("command", ["ckw", "chsh", "cg"])
+    @pytest.mark.parametrize("entry", [["a", 0.0], 1.0, [1.0, 0.0, 0.0]],
+                             ids=["string", "bare-number", "three-numbers"])
+    def test_malformed_entry_refused(self, command, entry, tmp_path, capsys):
+        from monogamy import ghz, phi_plus
+
+        data = state_to_json_dict(phi_plus() if command == "chsh" else ghz())
+        data["entries"][1] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--in", str(path), *self.ANGLES[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: entry 1 must be a pair of real numbers (re, im)\n"
+
+
 class TestSweep:
     def test_ns_csv_values(self, tmp_path):
         out = tmp_path / "ns.csv"

@@ -16,6 +16,7 @@ from monogamy import (
     tangle,
     w_state,
 )
+from monogamy.entanglement import _concurrences
 from monogamy.quantum import SIGMA_Y, tensor
 
 
@@ -69,6 +70,20 @@ class TestConcurrence:
                     random_pure_state(1, rng).matrix, random_pure_state(1, rng).matrix
                 )
             assert concurrence(DensityMatrix(rho)) <= 1e-7
+
+    def test_stack_agrees_with_single_states(self, rng):
+        # Pair reductions of seeded 3- and 4-qubit states, and mixed states.
+        for qubits in (3, 4):
+            states = [random_pure_state(qubits, rng) for _ in range(20)]
+            for pair in ((0, 1), (1, qubits - 1)):
+                reduced = [partial_trace(psi, pair) for psi in states]
+                stack = np.stack([rho.matrix for rho in reduced])
+                loop = [concurrence(rho) for rho in reduced]
+                assert np.max(np.abs(_concurrences(stack) - loop)) <= 1e-12
+        g = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
+        mixed = [DensityMatrix(m @ m.conj().T / np.trace(m @ m.conj().T)) for m in g]
+        loop = [concurrence(rho) for rho in mixed]
+        assert np.max(np.abs(_concurrences(np.stack([rho.matrix for rho in mixed])) - loop)) <= 1e-12
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -134,6 +149,16 @@ class TestCkwCheck:
             report = ckw_check(psi, 0)
             assert len(report.pairwise) == 3
             assert report.passed
+
+    def test_tangles_of_checked_pair_states(self, rng):
+        # The report's pairwise tangles are those of partial_trace's states.
+        for qubits in (3, 4):
+            psi = random_pure_state(qubits, rng)
+            for pivot in range(qubits):
+                report = ckw_check(psi, pivot)
+                want = [tangle(partial_trace(psi, (pivot, q))) for q in report.partners]
+                assert np.max(np.abs(np.subtract(report.pairwise, want))) <= 1e-12
+                assert report.cut == pytest.approx(cut_tangle(psi, pivot), abs=1e-12)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):

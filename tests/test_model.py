@@ -1,6 +1,7 @@
 """Behavior tables: validation, marginals, no-signalling, constructors."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from monogamy import (
 )
 from monogamy.localpoly import deterministic_behaviors, strategy_matrix
 from monogamy.model import (
+    _clone_multisets,
+    _multiset_ranks,
     cg_map,
     no_signalling_constraints,
     normalization_constraints,
@@ -337,6 +340,38 @@ ORBIT_CASES = [
     ),
     pytest.param(Scenario(3, (2, 3, 3), (2, 2, 2)), ((0,), (1, 2)), id="mixed-kinds"),
 ]
+
+
+class TestMultisetRanks:
+    @staticmethod
+    def reference_ranks(rows, n_letters):
+        """Index of each sorted row among combinations_with_replacement."""
+        wanted = {tuple(sorted(row)) for row in rows}
+        index = {combo: i for i, combo in enumerate(
+            itertools.combinations_with_replacement(range(n_letters), len(rows[0])))
+            if combo in wanted}
+        return [index[tuple(sorted(row))] for row in rows]
+
+    @pytest.mark.parametrize("n_letters, k", [(4, 32), (6, 25)])
+    def test_long_rows_past_int64_place_values(self, n_letters, k, rng):
+        # n^k >= 2^63 here, so base-n codes of the rows would wrap.
+        assert n_letters ** k >= 2 ** 63
+        rows = [[0] * k, [n_letters - 1] * k, [0] * (k - 1) + [1]]
+        rows += [list(rng.integers(0, n_letters, k)) for _ in range(3)]
+        ranks = _multiset_ranks(np.array(rows, dtype=np.int64), n_letters)
+        assert list(ranks) == self.reference_ranks(rows, n_letters)
+        assert ranks[1] == math.comb(n_letters + k - 1, k) - 1
+
+    def test_every_short_multiset_in_any_order(self, rng):
+        for n_letters in (1, 2, 4, 6):
+            for k in range(5):
+                rows = _clone_multisets(n_letters, k)
+                shuffled = rng.permuted(rows, axis=1)
+                assert np.array_equal(_multiset_ranks(shuffled, n_letters), np.arange(len(rows)))
+
+    def test_too_many_multisets_refused(self):
+        with pytest.raises(ValueError, match="overflow int64"):
+            _multiset_ranks(np.zeros((1, 40), dtype=np.int64), 40)
 
 
 class TestNsOrbitPolytope:

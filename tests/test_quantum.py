@@ -27,7 +27,14 @@ from monogamy import (
     state_to_json_dict,
     w_state,
 )
-from monogamy.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_observable, tensor
+from monogamy.quantum import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _checked_densities,
+    bloch_observable,
+    tensor,
+)
 from conftest import TSIRELSON_ANGLES, observables_from_angles
 
 
@@ -78,6 +85,66 @@ class TestDensityMatrix:
         rho = density_from_vector([2.0, 0.0])
         assert rho.matrix[0, 0] == pytest.approx(1.0)
 
+    def test_kept_spectrum_is_the_largest_eigenvalue(self, rng):
+        for qubits in (1, 2, 3):
+            g = rng.standard_normal((2 ** qubits,) * 2) + 1j * rng.standard_normal((2 ** qubits,) * 2)
+            rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T))
+            assert rho.largest_eigenvalue() == float(np.linalg.eigvalsh(rho.matrix)[-1])
+            assert not rho.matrix.flags.writeable
+
+
+def seeded_stacks(rng):
+    """Stacks of seeded pure 3- and 4-qubit states, of their pair and
+    single-qubit reductions, and of mixed two-qubit states."""
+    stacks = []
+    for qubits in (3, 4):
+        states = [random_pure_state(qubits, rng) for _ in range(6)]
+        stacks.append(np.stack([rho.matrix for rho in states]))
+        for keep in ((0, 1), (0, qubits - 1), (1,)):
+            stacks.append(np.stack([partial_trace(rho, keep).matrix for rho in states]))
+    g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    mixed = g @ g.conj().swapaxes(1, 2)
+    stacks.append(mixed / np.trace(mixed, axis1=1, axis2=2)[:, None, None])
+    return stacks
+
+
+def bad_member(kind):
+    return {
+        "non-finite": np.diag([math.nan, 0.5, 0.25, 0.25]).astype(complex),
+        "non-Hermitian": np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) * 0.1,
+        "non-unit-trace": np.eye(4) / 2,
+        "non-PSD": np.diag([0.75, 0.5, -0.25, 0.0]),
+    }[kind]
+
+
+class TestCheckedDensities:
+    def test_stack_agrees_with_single_matrices(self, rng):
+        for stack in seeded_stacks(rng):
+            spectra = _checked_densities(stack)
+            assert spectra.shape == stack.shape[:2]
+            for member, spectrum in zip(stack, spectra):
+                rho = DensityMatrix(member)
+                assert np.max(np.abs(spectrum - np.linalg.eigvalsh(member))) <= 1e-12
+                assert rho.largest_eigenvalue() == pytest.approx(spectrum[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "non-unit-trace", "non-PSD"])
+    def test_one_bad_member_refuses_the_stack(self, kind):
+        bad = bad_member(kind)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(bad)
+        stack = np.stack([np.eye(4) / 4, bad, np.diag([1.0, 0.0, 0.0, 0.0])])
+        with pytest.raises(ValueError) as stacked:
+            _checked_densities(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_shapes_refused_with_single_matrix_messages(self):
+        with pytest.raises(ValueError, match="density matrix must be square"):
+            _checked_densities(np.ones((2, 4, 2)) / 4)
+        with pytest.raises(ValueError, match="density matrix must be square"):
+            DensityMatrix(np.ones((1, 2, 2)) / 2)
+        with pytest.raises(ValueError, match="dimension 3 is not a power of 2"):
+            _checked_densities(np.stack([np.eye(3) / 3] * 2))
+
 
 class TestObservables:
     def test_planar_family_involutive(self):
@@ -120,6 +187,22 @@ class TestBornBehavior:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             born_behavior(phi_plus(), [[SIGMA_Z], [SIGMA_Z], [SIGMA_Z]])
+
+    def test_array_observables_match_lists(self, rng):
+        angles = rng.uniform(-math.pi, math.pi, 6)
+        listed = [[planar_observable(a) for a in angles[2 * p:2 * p + 2]] for p in range(3)]
+        stacked = np.array(listed)  # (party, setting, 2, 2)
+        rho = random_pure_state(3, rng)
+        assert np.array_equal(born_behavior(rho, stacked).table, born_behavior(rho, listed).table)
+
+    def test_observable_checks(self):
+        with pytest.raises(ValueError, match="party 1 needs at least one observable"):
+            born_behavior(phi_plus(), [[SIGMA_Z], np.zeros((0, 2, 2))])
+        with pytest.raises(ValueError, match="observables must be 2x2"):
+            born_behavior(phi_plus(), [[SIGMA_Z, np.eye(3)], [SIGMA_Z]])
+        for bad in (SIGMA_X + 1j * SIGMA_Z, 2 * SIGMA_Z, np.full((2, 2), math.nan)):
+            with pytest.raises(ValueError, match="observable must square to the identity"):
+                born_behavior(phi_plus(), [[SIGMA_Z], [SIGMA_X, bad]])
 
     def test_outputs_no_signalling(self, rng):
         worst = 0.0
@@ -288,3 +371,18 @@ class TestStateJson:
     def test_entry_count_checked(self):
         with pytest.raises(ValueError):
             state_from_json_dict({"dimension": 2, "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("entry", [["a", 0.0], 1.0, [1.0, 0.0, 0.0], [True, 0.0], None])
+    def test_malformed_entry_named(self, entry):
+        entries = [[0.5, 0.0], [0.0, 0.0], entry, [0.5, 0.0]]
+        with pytest.raises(ValueError, match=r"entry 2 must be a pair of real numbers \(re, im\)"):
+            state_from_json_dict({"dimension": 2, "entries": entries})
+
+    @pytest.mark.parametrize("data", [
+        {"dimension": None, "entries": []},
+        {"dimension": 1, "entries": 1.0},
+        {"dimension": 1, "entries": "ab"},
+    ])
+    def test_malformed_fields_refused(self, data):
+        with pytest.raises(ValueError, match="state JSON"):
+            state_from_json_dict(data)

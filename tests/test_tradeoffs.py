@@ -33,9 +33,10 @@ from monogamy import (
     triple_values,
     uniform_box,
 )
+import monogamy.bell as bell
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
-from monogamy.bell import functional_row
+from monogamy.bell import BellFunctional, functional_row
 from monogamy.model import ns_orbit_dual_rows, symmetric_cg_rows
 from conftest import (
     block_swaps,
@@ -87,6 +88,25 @@ class TestBellValue:
         with pytest.raises(ValueError):
             bell_value(pr_box(), collins_gisin())
 
+    def test_memoised_rows_are_read_only(self):
+        scenario, f = tradeoffs.triple_scenario(), chsh()
+        memo = bell._functional_row(scenario, f, (0, 2))
+        assert memo is bell._functional_row(scenario, f, (0, 2))
+        assert not memo.flags.writeable
+        row = functional_row(scenario, f, (0, 2))
+        assert row.flags.writeable and np.array_equal(row, memo)
+        row[:] = 0.0
+        assert np.array_equal(functional_row(scenario, f, (0, 2)), memo)
+
+    def test_functional_arrays_are_read_only_copies(self):
+        weights = np.array([[1.0, 1.0], [1.0, -1.0]])
+        f = BellFunctional(weights, np.zeros(2), np.zeros(2), local_bound=2.0)
+        assert weights.flags.writeable
+        for values in (f.correlators, f.marginals_a, f.marginals_b):
+            assert not values.flags.writeable
+        weights[1, 1] = 1.0
+        assert bell_value(pr_box(), f) == pytest.approx(4.0)
+
 
 class TestPairValues:
     def test_pr_times_uniform(self):
@@ -134,6 +154,29 @@ class TestStatePairPoint:
             assert fast.chsh_ab == pytest.approx(slow.chsh_ab, abs=1e-10)
             assert fast.chsh_ac == pytest.approx(slow.chsh_ac, abs=1e-10)
             assert fast.chsh_bc == pytest.approx(slow.chsh_bc, abs=1e-10)
+
+    def test_moment_tensor_agrees_with_pair_moments(self, rng):
+        # The pair blocks of _pair_moments and the single-qubit densities'
+        # sigma_y traces, against the one moment tensor.
+        sy = np.array([[0, -1j], [1j, 0]])
+        singles = ("abc,xbc->ax", "abc,ayc->by", "abc,abz->cz")
+        for _ in range(20):
+            psi = random_pure_state(3, rng)
+            angles = rng.uniform(-math.pi, math.pi, 6)
+            a, b, c = (angles[0], angles[1]), (angles[2], angles[3]), (angles[4], angles[5])
+            point = state_pair_point(psi, a, b, c)
+            t = tradeoffs._pure_vector(psi).reshape(2, 2, 2)
+            m_ab, m_ac, m_bc = (tradeoffs._pair_moments(t, pair) for pair in ((0, 1), (0, 2), (1, 2)))
+            chsh_f = chsh()
+            want = [
+                tradeoffs._planar_value(m_ab, chsh_f, a, b),
+                tradeoffs._planar_value(m_ac, chsh_f, a, c),
+                tradeoffs._planar_value(m_bc, chsh_f, b, c),
+                *(np.trace(sy @ np.einsum(spec, t, t.conj())).real for spec in singles),
+                (tradeoffs._planar_rows(a[:1]) @ m_ac[:2, :2] @ tradeoffs._planar_rows(c[:1]).T)[0, 0],
+            ]
+            got = [point.chsh_ab, point.chsh_ac, point.chsh_bc, *point.sigma_y, point.corr_ac]
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError):
