@@ -121,15 +121,20 @@ class DensityMatrix:
         return float(self._spectrum[-1])
 
 
-def density_from_vector(vec: np.ndarray) -> DensityMatrix:
-    """Pure-state density matrix |psi><psi| from a state vector."""
+def _unit_vector(vec: np.ndarray) -> np.ndarray:
+    """A state vector, flattened and normalized; refuses non-finite or zero ones."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite entries")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("state vector must be nonzero")
-    v = v / norm
+    return v / norm
+
+
+def density_from_vector(vec: np.ndarray) -> DensityMatrix:
+    """Pure-state density matrix |psi><psi| from a state vector."""
+    v = _unit_vector(vec)
     return DensityMatrix(np.outer(v, v.conj()))
 
 

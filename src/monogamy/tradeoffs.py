@@ -9,6 +9,7 @@ caller's random generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -37,6 +38,7 @@ from .quantum import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
+    _unit_vector,
     cg_state,
 )
 
@@ -208,32 +210,18 @@ def triple_values(b: Behavior) -> TradeoffPoint:
     return TradeoffPoint(chsh_ab=p.chsh_ab, chsh_ac=p.chsh_ac, chsh_bc=bc)
 
 
-# A planar observable cos(alpha) sigma_x + sin(alpha) sigma_z is the row
-# (cos alpha, sin alpha, 0) against this stack; the identity is (0, 0, 1).
-_PLANAR_BASIS = np.stack([SIGMA_X, SIGMA_Z, IDENTITY_2])
-_MOMENT_SPECS = {
-    (0, 1): "abc,iax,jby,xyc->ij",
-    (0, 2): "abc,iax,jcz,xbz->ij",
-    (1, 2): "abc,iby,jcz,ayz->ij",
-}
-
-
-def _pair_moments(t: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """3x3 moments <P_i (x) P_j> of two qubits of a pure 3-qubit tensor,
-    P = (sigma_x, sigma_z, I); row and column 2 hold the Bloch components."""
-    return np.einsum(_MOMENT_SPECS[pair], t.conj(), _PLANAR_BASIS, _PLANAR_BASIS, t).real
-
-
-# The moment basis (sigma_x, sigma_z, I, sigma_y), one operator P per row:
-# row i holds P_i[a, x] at column 2a + x.
-_MOMENT_ROWS = np.concatenate([_PLANAR_BASIS, SIGMA_Y[None]]).reshape(4, 4)
+# The moment basis (sigma_x, sigma_z, I, sigma_y), one operator P per row of
+# _MOMENT_ROWS (P[a, x] at column 2a + x).  A planar observable cos(alpha)
+# sigma_x + sin(alpha) sigma_z is the row (cos alpha, sin alpha) against its
+# first two members; I (index 2) stands for an unmeasured qubit.
+_MOMENT_BASIS = np.stack([SIGMA_X, SIGMA_Z, IDENTITY_2, SIGMA_Y])
+_MOMENT_ROWS = _MOMENT_BASIS.reshape(4, 4)
 
 
 def _moment_tensor(t: np.ndarray) -> np.ndarray:
     """4x4x4 moments <P_i (x) P_j (x) P_k> of a pure 3-qubit tensor over
     P = (sigma_x, sigma_z, I, sigma_y): the sum of P_i[a, x] P_j[b, y]
-    P_k[c, z] rho[xyz, abc], one qubit per product.  The blocks of
-    :func:`_pair_moments` are m[:3, :3, 2], m[:3, 2, :3] and m[2, :3, :3]."""
+    P_k[c, z] rho[xyz, abc], one qubit per product."""
     rho = np.multiply.outer(t, t.conj()).transpose(3, 0, 4, 1, 5, 2).reshape(4, 16)
     return ((_MOMENT_ROWS @ (_MOMENT_ROWS @ rho).reshape(4, 4, 4)) @ _MOMENT_ROWS.T).real
 
@@ -243,30 +231,109 @@ def _planar_rows(angles) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _planar_value(moments: np.ndarray, f: BellFunctional, angles_1, angles_2) -> float:
-    """Functional value at planar angles from a pair's moments: u^T M v
-    for every setting pair, plus the Bloch terms of the single-party
-    weights."""
-    u, v = _planar_rows(angles_1), _planar_rows(angles_2)
-    value = np.sum(f.correlators * (u @ moments[:2, :2] @ v.T))
-    value += f.marginals_a @ (u @ moments[:2, 2]) + f.marginals_b @ (v @ moments[2, :2])
-    return float(value)
+@functools.lru_cache(maxsize=32)
+def _entry_tensors(entries: tuple[int, ...]) -> np.ndarray:
+    """Rows P_i (x) P_j (x) P_k over ``_MOMENT_BASIS`` of the ``entries``
+    16 i + 4 j + k, flattened and read-only.  They must stay this strided view
+    of the krons' real part: a contiguous copy changes the last bits of
+    ``tensors @ vec(v v^T)``, to which the direction search's L-BFGS-B
+    paths are sensitive (at pi/8 + k pi/2 its 12/15/14/12 evaluations
+    became 14/12/15/51, the 51 an abnormal line-search exit)."""
+    b = _MOMENT_BASIS
+    tensors = np.array([np.kron(np.kron(b[e // 16], b[e // 4 % 4]), b[e % 4]) for e in entries])
+    tensors = tensors.real.reshape(len(entries), 64)
+    tensors.setflags(write=False)
+    return tensors
 
 
-def _planar_value_grad(moments: np.ndarray, f: BellFunctional, angles) -> tuple[float, np.ndarray]:
-    """Minus :func:`_planar_value` and minus its gradient in both parties'
-    angles, concatenated.  The value is bilinear in the planar rows u and v:
-    its row derivatives are W v M^T and W^T u M plus the Bloch terms, each
-    dotted with the row's derivative (-sin, cos)."""
-    n = f.correlators.shape[0]
-    rows = _planar_rows(angles)
-    m = moments[:2, :2]
-    d_rows = np.concatenate([
-        f.correlators @ rows[n:] @ m.T + np.outer(f.marginals_a, moments[:2, 2]),
-        f.correlators.T @ rows[:n] @ m + np.outer(f.marginals_b, moments[2, :2]),
-    ])
-    d_angles = np.sum(d_rows * np.stack([-rows[:, 1], rows[:, 0]], axis=1), axis=1)
-    return -_planar_value(moments, f, angles[:n], angles[n:]), -d_angles
+class _PairTerms:
+    """The sum of weight * f on pair over ``terms`` of (pair, BellFunctional,
+    weight) at planar settings of three qubits, as many angles per party as
+    its terms give it, in party order.  It is linear in entries
+    <P_i (x) P_j (x) P_k> of :func:`_moment_tensor`: each term's (sigma_x,
+    sigma_z) pair correlators, then the Bloch components its functional
+    weighs alone.  The top eigenvalue of :meth:`operator` is its maximum
+    over states."""
+
+    def __init__(self, terms):
+        settings, self._terms, entries = [0, 0, 0], [], []
+        for (p, q), f, weight in terms:
+            if p == q or not {p, q} <= {0, 1, 2}:
+                raise ValueError("pair must name two distinct parties of three qubits")
+            for party, n in zip((p, q), f.settings):
+                if settings[party] not in (0, n):
+                    raise ValueError(f"party {party} has {settings[party]} settings and {n}")
+                settings[party] = n
+            start, bloch = len(entries), []
+            # Flat moment-tensor indices: 42 is I on every qubit.
+            entries += [42 + (i - 2) * 4 ** (2 - p) + (j - 2) * 4 ** (2 - q)
+                        for i in (0, 1) for j in (0, 1)]
+            for r, marginals in ((p, f.marginals_a), (q, f.marginals_b)):
+                if marginals.any():
+                    bloch.append((r, marginals, len(entries)))
+                    entries += [42 + (i - 2) * 4 ** (2 - r) for i in (0, 1)]
+            self._terms.append((p, q, f, float(weight), start, bloch))
+        self.settings = tuple(settings)
+        ends = itertools.accumulate(settings)
+        self._slices = [slice(end - n, end) for n, end in zip(settings, ends)]
+        self._tensors = _entry_tensors(tuple(entries))
+        self._index = np.array(entries)
+
+    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """Term by term: weight * u_p^T W u_q, then weight * u_r^T marginals."""
+        parts = [rows[s] for s in self._slices]
+        pieces = []
+        for p, q, f, weight, _, bloch in self._terms:
+            pieces.append(weight * (parts[p].T @ f.correlators @ parts[q]).ravel())
+            pieces += [weight * (parts[r].T @ marginals) for r, marginals, _ in bloch]
+        return np.concatenate(pieces)
+
+    def _gradient(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The angle gradient of the coefficients dotted with entries ``g``: row
+        derivatives W u_q G^T, W^T u_p G and Bloch terms, dotted with (-sin, cos)."""
+        parts = [rows[s] for s in self._slices]
+        d_rows = [0.0 * part for part in parts]
+        for p, q, f, weight, start, bloch in self._terms:
+            g_pq = weight * g[start:start + 4].reshape(2, 2)
+            d_rows[p] = d_rows[p] + f.correlators @ parts[q] @ g_pq.T
+            d_rows[q] = d_rows[q] + f.correlators.T @ parts[p] @ g_pq
+            for r, marginals, k in bloch:
+                d_rows[r] = d_rows[r] + np.outer(marginals, weight * g[k:k + 2])
+        d_rows = np.concatenate(d_rows)
+        return d_rows[:, 1] * rows[:, 0] - d_rows[:, 0] * rows[:, 1]
+
+    def values(self, party_angles, m: np.ndarray) -> np.ndarray:
+        """Each term's weighted value on the moment tensor ``m`` at each party's angles."""
+        if tuple(len(angles) for angles in party_angles) != self.settings:
+            raise ValueError(f"the parties need {self.settings} angles")
+        rows = _planar_rows(np.concatenate(party_angles))
+        products = self._coefficients(rows) * m.reshape(-1)[self._index]
+        return np.add.reduceat(products, [term[4] for term in self._terms])
+
+    def operator(self, angles: np.ndarray) -> np.ndarray:
+        """The real symmetric 8x8 operator of the sum at the flat angles."""
+        return (self._coefficients(_planar_rows(angles)) @ self._tensors).reshape(8, 8)
+
+    def objective(self, angles: np.ndarray, m: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """Minus the sum and minus its gradient at the flat angles: on the
+        moment tensor ``m`` of a fixed state or, without one, as the top
+        eigenvalue of :meth:`operator`, whose gradient is that at its
+        eigenvector v's entries v^T T_k v (Hellmann-Feynman)."""
+        rows = _planar_rows(angles)
+        coefficients = self._coefficients(rows)
+        if m is None:
+            values, vectors = np.linalg.eigh((coefficients @ self._tensors).reshape(8, 8))
+            value, g = values[-1], self._tensors @ np.outer(vectors[:, -1], vectors[:, -1]).ravel()
+        else:
+            g = m.reshape(-1)[self._index]
+            value = coefficients @ g
+        return -float(value), -self._gradient(rows, g)
+
+
+_FIRST_CORRELATOR = BellFunctional([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [0.0, 0.0], 1.0)
+_POINT_TERMS = _PairTerms(
+    [(pair, _CHSH, 1.0) for pair in ((0, 1), (0, 2), (1, 2))] + [((0, 2), _FIRST_CORRELATOR, 1.0)]
+)
 
 
 def _pure_vector(rho: DensityMatrix) -> np.ndarray:
@@ -286,28 +353,16 @@ def state_pair_point(
 
     Party a's two angles are shared by every pair value.  Fills the three
     CHSH values, per-party sigma_y expectations, and the plain a-c
-    correlator at the first settings.
+    correlator at the first settings.  A state vector is normalized first,
+    and refused like :func:`quantum.density_from_vector` refuses it.
     """
-    if isinstance(psi, DensityMatrix):
-        vec = _pure_vector(psi)
-    else:
-        vec = np.asarray(psi, dtype=complex).reshape(-1)
-        vec = vec / np.linalg.norm(vec)
+    vec = _pure_vector(psi) if isinstance(psi, DensityMatrix) else _unit_vector(psi)
     if vec.size != 8:
         raise ValueError("state must be a pure 3-qubit state")
     m = _moment_tensor(vec.reshape(2, 2, 2))
-
-    m_ac = m[:3, 2, :3]
-    ab = _planar_value(m[:3, :3, 2], _CHSH, a_angles, b_angles)
-    ac = _planar_value(m_ac, _CHSH, a_angles, c_angles)
-    bc = _planar_value(m[2, :3, :3], _CHSH, b_angles, c_angles)
-
+    ab, ac, bc, corr_ac = _POINT_TERMS.values((a_angles, b_angles, c_angles), m).tolist()
     sigma_y = (float(m[3, 2, 2]), float(m[2, 3, 2]), float(m[2, 2, 3]))
-    u, v = _planar_rows(a_angles[:1]), _planar_rows(c_angles[:1])
-    corr_ac = float((u @ m_ac[:2, :2] @ v.T)[0, 0])
-    return TradeoffPoint(
-        chsh_ab=ab, chsh_ac=ac, chsh_bc=bc, sigma_y=sigma_y, corr_ac=corr_ac
-    )
+    return TradeoffPoint(chsh_ab=ab, chsh_ac=ac, chsh_bc=bc, sigma_y=sigma_y, corr_ac=corr_ac)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +511,14 @@ def _ns_table(scenario: Scenario, x: np.ndarray, tol: float) -> Behavior:
     return behavior
 
 
+def _directions(thetas) -> list[float]:
+    """Support directions as floats; ValueError unless all are finite."""
+    thetas = [float(theta) for theta in thetas]
+    if not all(math.isfinite(theta) for theta in thetas):
+        raise ValueError("support directions must be finite")
+    return thetas
+
+
 def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[SupportPoint]:
     """Support function of the no-signalling region in the
     (chsh_ab, chsh_ac) plane: per direction, the LP maximum of
@@ -463,9 +526,7 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
     directions share one block-diagonal LP; each point's ``params`` hold
     that LP's record: its direction count, HiGHS iterations, and the rows,
     columns and nonzeros HiGHS received."""
-    thetas = [float(theta) for theta in thetas]
-    if not all(math.isfinite(theta) for theta in thetas):
-        raise ValueError("support directions must be finite")
+    thetas = _directions(thetas)
     scenario = triple_scenario()
     obj_ab = functional_row(scenario, _CHSH, (0, 1))
     obj_ac = functional_row(scenario, _CHSH, (0, 2))
@@ -487,7 +548,9 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
 
 def local_support(thetas: np.ndarray) -> list[SupportPoint]:
     """Support function of the local region: exact maximum over the
-    deterministic-strategy vertices."""
+    deterministic-strategy vertices.  A non-finite direction raises
+    ValueError."""
+    thetas = _directions(thetas)
     scenario = triple_scenario()
     vertices = strategy_matrix(scenario)
     ab = functional_row(scenario, _CHSH, (0, 1)) @ vertices
@@ -530,46 +593,6 @@ def _best_of(objective, starts: list[np.ndarray]) -> tuple[float, np.ndarray | N
     return best_value, best_x, evaluations
 
 
-# sigma_i (x) sigma_j (x) I, then sigma_i (x) I (x) sigma_k, for i, j, k in
-# (x, z), flattened: the a-b and a-c pair operators are combinations of them.
-_PAIR_TENSORS = np.array(
-    [np.kron(np.kron(p, q), IDENTITY_2) for p in (SIGMA_X, SIGMA_Z) for q in (SIGMA_X, SIGMA_Z)]
-    + [np.kron(np.kron(p, IDENTITY_2), q) for p in (SIGMA_X, SIGMA_Z) for q in (SIGMA_X, SIGMA_Z)]
-).real.reshape(8, 64)
-
-
-def _direction_operator(angles: np.ndarray, cos_t: float, sin_t: float) -> np.ndarray:
-    """The real symmetric 8x8 operator cos(theta) CHSH_ab (x) I +
-    sin(theta) CHSH_ac at planar angles (a0, a1, b0, b1, c0, c1)."""
-    rows = _planar_rows(angles)
-    a, b, c = rows[:2].T, rows[2:4], rows[4:]
-    coefficients = np.concatenate([
-        cos_t * (a @ _CHSH.correlators @ b).ravel(),
-        sin_t * (a @ _CHSH.correlators @ c).ravel(),
-    ])
-    return (coefficients @ _PAIR_TENSORS).reshape(8, 8)
-
-
-def _direction_value_grad(
-    angles: np.ndarray, cos_t: float, sin_t: float
-) -> tuple[float, np.ndarray]:
-    """Minus the top eigenvalue of :func:`_direction_operator` and minus its
-    gradient in the six angles.  By Hellmann-Feynman the derivative of the
-    eigenvalue is v^T (dH) v at the top eigenvector v; H is linear in the
-    pair coefficients, so only G_k = v^T T_k v over ``_PAIR_TENSORS`` and
-    the derivatives (-sin, cos) of the planar rows enter."""
-    values, vectors = np.linalg.eigh(_direction_operator(angles, cos_t, sin_t))
-    v = vectors[:, -1]
-    g = _PAIR_TENSORS @ np.outer(v, v).ravel()
-    g_ab, g_ac = cos_t * g[:4].reshape(2, 2), sin_t * g[4:].reshape(2, 2)
-    rows = _planar_rows(angles)
-    a, b, c = rows[:2], rows[2:4], rows[4:]
-    w = _CHSH.correlators
-    d_rows = np.concatenate([w @ b @ g_ab.T + w @ c @ g_ac.T, w.T @ a @ g_ab, w.T @ a @ g_ac])
-    d_angles = np.sum(d_rows * np.stack([-rows[:, 1], rows[:, 0]], axis=1), axis=1)
-    return -float(values[-1]), -d_angles
-
-
 # Angles (a0, a1, b0, b1, c0, c1) of the two maximally violating pair
 # witnesses: CHSH_ab at Tsirelson with c on sigma_z, and CHSH_ac with b there.
 _WITNESS_SEEDS = (
@@ -585,13 +608,14 @@ def quantum_boundary_search(
 
     For fixed planar angles the maximum of cos(theta) chsh_ab +
     sin(theta) chsh_ac over 3-qubit states is the top eigenvalue of
-    cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac, so the state is solved
-    exactly and a multi-start L-BFGS-B search runs over the six angles only
-    (a's settings shared), on the eigenvalue's exact gradient: the two
-    witness seeds plus ``restarts`` uniform random starts.  The
-    Toner-Verstraete bound makes the support 2*sqrt(2) in every direction;
-    a value above it by more than 1e-9 raises, as does an eigenvector whose
-    planar re-evaluation disagrees with its eigenvalue.
+    cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac (two :class:`_PairTerms`),
+    so the state is solved exactly and a multi-start L-BFGS-B search runs
+    over the six angles only (a's settings shared), on the eigenvalue's
+    exact gradient: the two witness seeds plus ``restarts`` uniform random
+    starts.  The Toner-Verstraete bound makes the support 2*sqrt(2) in
+    every direction; a value above it by more than 1e-9 raises, as does an
+    eigenvector whose moment tensor gives another value.  A non-finite
+    direction raises ValueError.
 
     ``params`` holds ``x`` (the optimal state's real and imaginary parts,
     then the six angles), ``starts``, ``evaluations`` (the summed
@@ -599,39 +623,23 @@ def quantum_boundary_search(
     minus the value).
     """
     points = []
-    for theta in thetas:
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
+    for theta in _directions(thetas):
+        terms = _PairTerms([((0, 1), _CHSH, math.cos(theta)), ((0, 2), _CHSH, math.sin(theta))])
         starts = list(_WITNESS_SEEDS)
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
-        best_value, best_x, evaluations = _best_of(
-            lambda x, c=cos_t, s=sin_t: _direction_value_grad(x, c, s), starts
-        )
+        best_value, best_x, evaluations = _best_of(terms.objective, starts)
         if best_value > TSIRELSON + 1e-9:
-            raise RuntimeError(
-                f"quantum search exceeded the Tsirelson ceiling: {best_value}"
-            )
-
-        state = np.linalg.eigh(_direction_operator(best_x, cos_t, sin_t))[1][:, -1]
-        t = state.reshape(2, 2, 2)
-        a, b, c = best_x[:2], best_x[2:4], best_x[4:]
-        check = cos_t * _planar_value(_pair_moments(t, (0, 1)), _CHSH, a, b)
-        check += sin_t * _planar_value(_pair_moments(t, (0, 2)), _CHSH, a, c)
+            raise RuntimeError(f"quantum search exceeded the Tsirelson ceiling: {best_value}")
+        state = np.linalg.eigh(terms.operator(best_x))[1][:, -1]
+        m = _moment_tensor(state.reshape(2, 2, 2))
+        check = float(np.sum(terms.values((best_x[:2], best_x[2:4], best_x[4:]), m)))
         if abs(check - best_value) > 1e-9:
             raise RuntimeError(
                 f"quantum search eigenvector gives {check}, not its eigenvalue {best_value}"
             )
-        points.append(
-            SupportPoint(
-                float(theta),
-                float(best_value),
-                params={
-                    "x": np.concatenate([state, np.zeros(8), best_x]),
-                    "starts": len(starts),
-                    "evaluations": evaluations,
-                    "ceiling_gap": TSIRELSON - float(best_value),
-                },
-            )
-        )
+        params = {"x": np.concatenate([state, np.zeros(8), best_x]), "starts": len(starts),
+                  "evaluations": evaluations, "ceiling_gap": TSIRELSON - best_value}
+        points.append(SupportPoint(theta, best_value, params=params))
     return points
 
 
@@ -672,14 +680,15 @@ def separable_orthogonal_support(
 ) -> list[SupportPoint]:
     """Support trace of the product-state region under orthogonal settings:
     per direction, maximize over planar Bloch angles of three product
-    qubits.  ``restarts`` below 1 raises ValueError.
+    qubits.  ``restarts`` below 1 or a non-finite direction raises
+    ValueError.
 
     ``params`` holds ``starts``, ``evaluations`` (the summed
     value-and-gradient evaluations) and ``ceiling_gap``: the closed form
     sqrt(2) (|cos theta| + |sin theta|) minus the value."""
     _require_restarts(restarts)
     points = []
-    for theta in thetas:
+    for theta in _directions(thetas):
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         starts = [rng.uniform(-math.pi, math.pi, 3) for _ in range(restarts)]
         value, _, evaluations = _best_of(
@@ -746,6 +755,10 @@ class CgSearchResult:
         return min(self.value_ab, self.value_ac)
 
 
+_CG = collins_gisin()
+_CG_TERMS = _PairTerms([((0, 1), _CG, 1.0), ((0, 2), _CG, 1.0)])
+
+
 def cg_values_for_state(
     psi: DensityMatrix,
     a_angles: tuple[float, float, float],
@@ -754,11 +767,8 @@ def cg_values_for_state(
 ) -> tuple[float, float]:
     """Three-setting functional values on the (a,b) and (a,c) reduced states
     of a pure 3-qubit state, with party a's angles shared."""
-    functional = collins_gisin()
-    t = _pure_vector(psi).reshape(2, 2, 2)
-    value_ab = _planar_value(_pair_moments(t, (0, 1)), functional, a_angles, b_angles)
-    value_ac = _planar_value(_pair_moments(t, (0, 2)), functional, a_angles, c_angles)
-    return value_ab, value_ac
+    m = _moment_tensor(_pure_vector(psi).reshape(2, 2, 2))
+    return tuple(_CG_TERMS.values((a_angles, b_angles, c_angles), m).tolist())
 
 
 def _mirror_angles(u: float, w: float) -> np.ndarray:
@@ -786,38 +796,21 @@ def cg_double_violation_search(
     """
     if len(mu_values) == 0:
         raise ValueError("the double-violation search needs at least one mu value")
-    functional = collins_gisin()
+    terms = _PairTerms([((0, 1), _CG, 1.0)])
     best: CgSearchResult | None = None
     total_starts = total_evaluations = 0
     for mu in mu_values:
-        t = _pure_vector(cg_state(float(mu))).reshape(2, 2, 2)
-        moments = _pair_moments(t, (0, 1))
-
-        starts = [
-            _mirror_angles(0.53, 0.25),
-            _mirror_angles(0.9, 0.45),
-            _mirror_angles(0.2, 0.1),
-        ]
+        m = _moment_tensor(_pure_vector(cg_state(float(mu))).reshape(2, 2, 2))
+        starts = [_mirror_angles(0.53, 0.25), _mirror_angles(0.9, 0.45), _mirror_angles(0.2, 0.1)]
         starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
-        _, x, evaluations = _best_of(
-            lambda x, m=moments: _planar_value_grad(m, functional, x), starts
-        )
+        _, x, evaluations = _best_of(lambda x, m=m: terms.objective(x, m), starts)
         total_starts += len(starts)
         total_evaluations += evaluations
-        a_angles = (float(x[0]), float(x[1]), float(x[2]))
-        b_angles = (float(x[3]), float(x[4]), float(x[5]))
-        value_ab, value_ac = cg_values_for_state(
-            cg_state(float(mu)), a_angles, b_angles, b_angles
-        )
+        a_angles, b_angles = tuple(x[:3].tolist()), tuple(x[3:].tolist())
+        value_ab, value_ac = _CG_TERMS.values((a_angles, b_angles, b_angles), m).tolist()
         result = CgSearchResult(
-            mu=float(mu),
-            a_angles=a_angles,
-            b_angles=b_angles,
-            c_angles=b_angles,
-            value_ab=value_ab,
-            value_ac=value_ac,
-            starts=len(starts),
-            evaluations=evaluations,
+            mu=float(mu), a_angles=a_angles, b_angles=b_angles, c_angles=b_angles,
+            value_ab=value_ab, value_ac=value_ac, starts=len(starts), evaluations=evaluations,
         )
         if best is None or result.min_value > best.min_value:
             best = result

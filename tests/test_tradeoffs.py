@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monogamy import (
     Scenario,
@@ -37,7 +39,7 @@ import monogamy.bell as bell
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import BellFunctional, functional_row
-from monogamy.model import ns_orbit_dual_rows, symmetric_cg_rows
+from monogamy.model import marginal_behavior, ns_orbit_dual_rows, symmetric_cg_rows
 from conftest import (
     block_swaps,
     full_table_probe,
@@ -50,18 +52,68 @@ ROOT8 = 2 * math.sqrt(2)
 SZ_ANGLE = math.pi / 2
 
 
-def kron_direction_operator(angles, theta):
-    """cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac built term by term
-    with np.kron from the planar observables at (a0, a1, b0, b1, c0, c1)."""
-    a, b, c = ([planar_observable(x) for x in angles[k:k + 2]] for k in (0, 2, 4))
-    eye = np.eye(2)
-    weights = chsh().correlators
+def kron_terms_operator(terms, party_angles):
+    """The sum of weight * f on each term's pair, built observable by
+    observable with np.kron; ``party_angles[p]`` holds party p's planar
+    angles."""
+    def embed(ops):
+        factors = [ops.get(party, np.eye(2)) for party in range(3)]
+        return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
     op = np.zeros((8, 8), dtype=complex)
-    for x in range(2):
-        for y in range(2):
-            op += math.cos(theta) * weights[x, y] * np.kron(np.kron(a[x], b[y]), eye)
-            op += math.sin(theta) * weights[x, y] * np.kron(np.kron(a[x], eye), c[y])
+    for (p, q), f, weight in terms:
+        first = [planar_observable(x) for x in party_angles[p]]
+        second = [planar_observable(x) for x in party_angles[q]]
+        for x, a in enumerate(first):
+            op += weight * f.marginals_a[x] * embed({p: a})
+            for y, b in enumerate(second):
+                op += weight * f.correlators[x, y] * embed({p: a, q: b})
+        for y, b in enumerate(second):
+            op += weight * f.marginals_b[y] * embed({q: b})
     return op
+
+
+def direction_terms(theta):
+    return [((0, 1), chsh(), math.cos(theta)), ((0, 2), chsh(), math.sin(theta))]
+
+
+def kron_direction_operator(angles, theta):
+    """cos(theta) CHSH_ab (x) I + sin(theta) CHSH_ac at the planar angles
+    (a0, a1, b0, b1, c0, c1)."""
+    return kron_terms_operator(direction_terms(theta), (angles[:2], angles[2:4], angles[4:]))
+
+
+def split_angles(terms, flat):
+    """Per-party angles from a flat vector in the terms' party order."""
+    offsets = np.cumsum((0,) + terms.settings)
+    return [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+# <P_i (x) P_j> of two qubits of a pure 3-qubit tensor, P = (sigma_x,
+# sigma_z, I): row and column 2 hold the Bloch components.
+PAIR_MOMENT_SPECS = {
+    (0, 1): "abc,iax,jby,xyc->ij",
+    (0, 2): "abc,iax,jcz,xbz->ij",
+    (1, 2): "abc,iby,jcz,ayz->ij",
+}
+
+
+def einsum_pair_moments(t, pair):
+    basis = np.stack([np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)])
+    return np.einsum(PAIR_MOMENT_SPECS[pair], t.conj(), basis, basis, t).real
+
+
+def reference_pair_value(moments, f, angles_1, angles_2):
+    """u^T M v per setting pair plus the single-party Bloch terms, from a
+    pair's 3x3 moments."""
+    u, v = ([(math.cos(x), math.sin(x)) for x in angles] for angles in (angles_1, angles_2))
+    u, v = np.array(u), np.array(v)
+    value = np.sum(f.correlators * (u @ moments[:2, :2] @ v.T))
+    return value + f.marginals_a @ (u @ moments[:2, 2]) + f.marginals_b @ (v @ moments[2, :2])
+
+
+def random_tensor(rng):
+    return tradeoffs._pure_vector(random_pure_state(3, rng)).reshape(2, 2, 2)
 
 
 def central_differences(fun, x, step=1e-6):
@@ -156,8 +208,9 @@ class TestStatePairPoint:
             assert fast.chsh_bc == pytest.approx(slow.chsh_bc, abs=1e-10)
 
     def test_moment_tensor_agrees_with_pair_moments(self, rng):
-        # The pair blocks of _pair_moments and the single-qubit densities'
-        # sigma_y traces, against the one moment tensor.
+        # The moment tensor's pair blocks against the einsum pair moments,
+        # and every field of the point against values computed from them
+        # and from the single-qubit densities' sigma_y traces.
         sy = np.array([[0, -1j], [1j, 0]])
         singles = ("abc,xbc->ax", "abc,ayc->by", "abc,abz->cz")
         for _ in range(20):
@@ -166,17 +219,38 @@ class TestStatePairPoint:
             a, b, c = (angles[0], angles[1]), (angles[2], angles[3]), (angles[4], angles[5])
             point = state_pair_point(psi, a, b, c)
             t = tradeoffs._pure_vector(psi).reshape(2, 2, 2)
-            m_ab, m_ac, m_bc = (tradeoffs._pair_moments(t, pair) for pair in ((0, 1), (0, 2), (1, 2)))
+            m = tradeoffs._moment_tensor(t)
+            m_ab, m_ac, m_bc = (einsum_pair_moments(t, pair) for pair in ((0, 1), (0, 2), (1, 2)))
+            for block, want in ((m[:3, :3, 2], m_ab), (m[:3, 2, :3], m_ac), (m[2, :3, :3], m_bc)):
+                assert np.max(np.abs(block - want)) <= 1e-14
             chsh_f = chsh()
             want = [
-                tradeoffs._planar_value(m_ab, chsh_f, a, b),
-                tradeoffs._planar_value(m_ac, chsh_f, a, c),
-                tradeoffs._planar_value(m_bc, chsh_f, b, c),
+                reference_pair_value(m_ab, chsh_f, a, b),
+                reference_pair_value(m_ac, chsh_f, a, c),
+                reference_pair_value(m_bc, chsh_f, b, c),
                 *(np.trace(sy @ np.einsum(spec, t, t.conj())).real for spec in singles),
-                (tradeoffs._planar_rows(a[:1]) @ m_ac[:2, :2] @ tradeoffs._planar_rows(c[:1]).T)[0, 0],
+                np.array([math.cos(a[0]), math.sin(a[0])]) @ m_ac[:2, :2]
+                @ np.array([math.cos(c[0]), math.sin(c[0])]),
             ]
             got = [point.chsh_ab, point.chsh_ac, point.chsh_bc, *point.sigma_y, point.corr_ac]
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    @pytest.mark.parametrize("vector, message", [
+        (np.zeros(8), "nonzero"),
+        (np.array([1.0, math.nan, 0, 0, 0, 0, 0, 0]), "non-finite"),
+        (np.array([math.inf, 0, 0, 0, 0, 0, 0, 0]), "non-finite"),
+    ], ids=["zero", "nan", "inf"])
+    def test_bad_state_vector_refused(self, vector, message):
+        angles = (0.0, math.pi / 2)
+        with pytest.raises(ValueError, match=message) as raised:
+            state_pair_point(vector, angles, angles, angles)
+        with pytest.raises(ValueError) as direct:
+            density_from_vector(vector)
+        assert str(raised.value) == str(direct.value)
+
+    def test_angle_counts_checked_per_party(self):
+        with pytest.raises(ValueError, match=r"the parties need \(2, 2, 2\) angles"):
+            state_pair_point(np.eye(8)[0], (0.0, 0.0), (0.0, 0.0, 0.0), (0.0,))
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError):
@@ -760,13 +834,11 @@ class TestQuantumSearch:
         for k in range(20):
             angles = rng.uniform(-math.pi, math.pi, 6)
             theta = (0.0, math.pi / 2)[k] if k < 2 else rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            value, grad = tradeoffs._direction_value_grad(angles, c, s)
-            top = np.linalg.eigvalsh(tradeoffs._direction_operator(angles, c, s))[-1]
+            terms = tradeoffs._PairTerms(direction_terms(theta))
+            value, grad = terms.objective(angles)
+            top = np.linalg.eigvalsh(terms.operator(angles))[-1]
             assert value == pytest.approx(-top, abs=1e-12)
-            differences = central_differences(
-                lambda x: tradeoffs._direction_value_grad(x, c, s)[0], angles
-            )
+            differences = central_differences(lambda x: terms.objective(x)[0], angles)
             assert np.allclose(grad, differences, rtol=0.0, atol=1e-6)
             if k < 2:
                 # On an axis the top eigenvalue is that of one pair's CHSH
@@ -775,13 +847,55 @@ class TestQuantumSearch:
                 assert want[-1] == pytest.approx(want[-2], abs=1e-12)
                 assert value == pytest.approx(-want[-1], abs=1e-12)
 
+    def test_top_objective_gradient_with_bloch_terms(self, rng):
+        # Terms with single-party weights, a reversed pair and all three
+        # pairs: the eigenvalue's gradient against central differences.
+        cg = collins_gisin()
+        for _ in range(10):
+            w = rng.uniform(-1.0, 1.0, 3)
+            terms = tradeoffs._PairTerms([((0, 1), cg, w[0]), ((2, 0), cg, w[1]), ((1, 2), cg, w[2])])
+            angles = rng.uniform(-math.pi, math.pi, 9)
+            value, grad = terms.objective(angles)
+            top = np.linalg.eigvalsh(terms.operator(angles))[-1]
+            assert value == pytest.approx(-top, abs=1e-12)
+            differences = central_differences(lambda x: terms.objective(x)[0], angles)
+            assert np.allclose(grad, differences, rtol=0.0, atol=1e-6)
+
     def test_operator_matches_kron_reference(self, rng):
-        for _ in range(20):
-            angles = rng.uniform(-math.pi, math.pi, 6)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            got = tradeoffs._direction_operator(angles, math.cos(theta), math.sin(theta))
-            want = kron_direction_operator(angles, theta)
+        # CHSH and the three-setting functional (with its Bloch terms) on
+        # every pair in both orders, one term at a time, then the direction
+        # operator's two CHSH terms and a three-term sum.
+        cg = collins_gisin()
+        pairs = list(itertools.permutations(range(3), 2))
+        term_lists = [[(pair, f, rng.uniform(-2.0, 2.0))] for f in (chsh(), cg) for pair in pairs]
+        term_lists += [direction_terms(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
+        term_lists.append([((0, 1), cg, 0.3), ((0, 2), cg, -1.1), ((2, 1), cg, 0.7)])
+        for term_list in term_lists:
+            terms = tradeoffs._PairTerms(term_list)
+            angles = rng.uniform(-math.pi, math.pi, sum(terms.settings))
+            got = terms.operator(angles)
+            want = kron_terms_operator(term_list, split_angles(terms, angles))
+            assert got.dtype == float and np.array_equal(got, got.T)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_terms_refuse_bad_pairs_and_setting_counts(self):
+        with pytest.raises(ValueError, match="two distinct parties"):
+            tradeoffs._PairTerms([((1, 1), chsh(), 1.0)])
+        with pytest.raises(ValueError, match="two distinct parties"):
+            tradeoffs._PairTerms([((0, 3), chsh(), 1.0)])
+        with pytest.raises(ValueError, match="party 1 has 2 settings and 3"):
+            tradeoffs._PairTerms([((0, 1), chsh(), 1.0), ((2, 1), collins_gisin(), 1.0)])
+        assert tradeoffs._PairTerms([((2, 1), collins_gisin(), 1.0)]).settings == (0, 3, 3)
+
+    @pytest.mark.parametrize("search", [
+        lambda thetas, rng: quantum_boundary_search(thetas, 0, rng),
+        lambda thetas, rng: tradeoffs.separable_orthogonal_support(thetas, 1, rng),
+        lambda thetas, rng: tradeoffs.local_support(thetas),
+    ], ids=["quantum_boundary_search", "separable_orthogonal_support", "local_support"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_refused(self, search, bad):
+        with pytest.raises(ValueError, match="support directions must be finite"):
+            search(np.array([0.0, bad]), np.random.default_rng(0))
 
     def test_one_minimize_call_per_start(self, monkeypatch):
         original = tradeoffs.minimize
@@ -902,21 +1016,28 @@ class TestCgSearch:
 
 class TestObjectiveBuilders:
     @pytest.mark.parametrize("functional", [chsh(), collins_gisin()], ids=["chsh", "collins-gisin"])
-    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2), (2, 0), (2, 1)])
     def test_planar_value_and_gradient(self, functional, pair, rng):
-        # Only the three-setting functional has single-party weights, so
-        # only it exercises the Bloch terms of the gradient.
+        # The fixed-state path.  Only the three-setting functional has
+        # single-party weights, so only it exercises the Bloch terms.
         n = functional.correlators.shape[0]
         for _ in range(5):
-            t = tradeoffs._pure_vector(random_pure_state(3, rng)).reshape(2, 2, 2)
-            moments = tradeoffs._pair_moments(t, pair)
+            t = random_tensor(rng)
+            weight = rng.uniform(-2.0, 2.0)
+            terms = tradeoffs._PairTerms([(pair, functional, weight)])
+            m = tradeoffs._moment_tensor(t)
             angles = rng.uniform(-math.pi, math.pi, 2 * n)
-            value, grad = tradeoffs._planar_value_grad(moments, functional, angles)
-            want = tradeoffs._planar_value(moments, functional, angles[:n], angles[n:])
-            assert value == -want
-            differences = central_differences(
-                lambda x: tradeoffs._planar_value_grad(moments, functional, x)[0], angles
-            )
+            value, grad = terms.objective(angles, m)
+            moments = einsum_pair_moments(t, tuple(sorted(pair)))
+            first, second = angles[:n], angles[n:]
+            if pair[0] > pair[1]:
+                # The functional's first party comes second in party order.
+                moments, first, second = moments.T, second, first
+            want = weight * reference_pair_value(moments, functional, first, second)
+            assert value == pytest.approx(-want, abs=1e-12)
+            got = terms.values(split_angles(terms, angles), m).tolist()
+            assert got == [pytest.approx(want, abs=1e-12)]
+            differences = central_differences(lambda x: terms.objective(x, m)[0], angles)
             assert np.allclose(grad, differences, rtol=0.0, atol=1e-8)
 
     def test_chsh_objective_matches_behavior_evaluation(self, rng):
@@ -940,3 +1061,36 @@ class TestObjectiveBuilders:
         assert obj @ b.table.reshape(-1) == pytest.approx(
             bell_value(b, collins_gisin()), abs=1e-12
         )
+
+
+class TestPairTermsProperties:
+    # Derandomized and without an example database, so every run draws the
+    # same examples; the budget is a few seconds.
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=9, max_size=9),
+        pair=st.sampled_from(sorted(PAIR_MOMENT_SPECS)),
+        functional=st.sampled_from([chsh(), collins_gisin()]),
+    )
+    def test_fixed_state_value_is_the_born_value_below_the_top_eigenvalue(
+        self, amplitudes, angles, pair, functional
+    ):
+        vector = np.array(amplitudes[:8]) + 1j * np.array(amplitudes[8:])
+        assume(np.linalg.norm(vector) > 1e-3)
+        terms = tradeoffs._PairTerms([(pair, functional, 1.0)])
+        party_angles = [angles[3 * p:3 * p + terms.settings[p]] for p in range(3)]
+        rho = density_from_vector(vector)
+        t = tradeoffs._pure_vector(rho).reshape(2, 2, 2)
+        (value,) = terms.values(party_angles, tradeoffs._moment_tensor(t))
+
+        # A party outside the pair measures sigma_z; it is summed out.
+        observables = [
+            [planar_observable(x) for x in party_angles[p]] or [planar_observable(SZ_ANGLE)]
+            for p in range(3)
+        ]
+        behavior = born_behavior(rho, observables)
+        want = bell_value(marginal_behavior(behavior, pair, (0, 0, 0)), functional)
+        assert abs(value - want) <= 1e-10
+        top = np.linalg.eigvalsh(terms.operator(np.concatenate(party_angles)))[-1]
+        assert value <= top + 1e-12
