@@ -4,7 +4,11 @@ Every program is solved by HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
 119 (2018)) through the Python binding that scipy ships,
 ``scipy.optimize._highspy._core``.  ``linprog`` is the one call into it: it
 hands HiGHS canonical CSR rows with their row and column bounds, and reads
-back the status, solution, objective, iterations and row duals.  The binding
+back the status, solution, objective, iterations and row duals.  Given a
+stack of row bounds, it passes the model once and re-solves it once per
+row of the stack, changing only the row bounds in between, so that each
+run starts from the previous optimal basis; ``solve_stacked`` is ``solve``
+over such a stack of equality right-hand sides.  The binding
 is loaded on the first solve, by file path when scipy.optimize has not
 loaded it already, so neither importing this module nor solving runs
 ``scipy.optimize``'s package import; only ``scipy.sparse`` is loaded, for
@@ -21,13 +25,16 @@ with the minimized total (L1) constraint violation as a certificate value
 rather than a bare status; its slack entries are appended to each CSR row
 by index arithmetic.  Every optimal solution of either entry point is
 re-verified by ``constraint_residual`` on the program's own rows and bounds
-and refused as Failed when that residual exceeds 10 * tol, and every
-outcome carries an ``LpStats`` record of the system HiGHS received.
+(its own right-hand side, for a run of a stack; one call checks all the
+optima of a stack) and refused as Failed when that residual exceeds 10 *
+tol, and every outcome carries an ``LpStats`` record of the system HiGHS
+received and of its own run.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -113,8 +120,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpStats:
-    """The system HiGHS received (the elastic system, for a phase-one) and
-    the seconds spent building it, solving it and re-checking the answer."""
+    """The system HiGHS received (the elastic system, for a phase-one), the
+    seconds spent building it, solving it and re-checking the answer, and
+    whether the run started from the previous run's optimal basis.  Runs of
+    one stack share a build, whose seconds the first run carries."""
 
     rows: int
     cols: int
@@ -122,6 +131,7 @@ class LpStats:
     build_s: float
     solve_s: float
     verify_s: float = 0.0
+    warm: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +162,10 @@ class HighsResult:
     ``scipy.optimize.linprog``: 0 optimal, 1 iteration or time limit,
     2 infeasible, 3 unbounded, 4 anything else.  ``x``, ``fun`` and
     ``duals`` (HiGHS's ``row_dual``: the derivative of the minimum with
-    respect to each row's bound) are set only at status 0."""
+    respect to each row's bound) are set only at status 0.  ``warm`` says
+    whether the run started from the previous run's optimal basis, and
+    ``seconds`` is its time in ``linprog``: the first run's includes the
+    pass of the model to HiGHS, a later run's the change of its bounds."""
 
     status: int
     message: str
@@ -160,6 +173,8 @@ class HighsResult:
     x: np.ndarray | None = None
     fun: float | None = None
     duals: np.ndarray | None = None
+    warm: bool = False
+    seconds: float = 0.0
 
 
 def _as_matrix(a) -> sp.csr_array:
@@ -189,15 +204,24 @@ def _bound_arrays(bounds: list[Bound] | None, n: int) -> tuple[np.ndarray, np.nd
     return lower, upper
 
 
-def constraint_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest violation of any constraint or bound at ``x``."""
-    res = 0.0
+def constraint_residual(
+    lp: LinearProgram, x: np.ndarray, eq_rhs: np.ndarray | None = None
+) -> float | np.ndarray:
+    """Largest violation of any constraint or bound at ``x``, with
+    ``eq_rhs``, when given, in place of the program's equality right-hand
+    side.  ``x`` may be a (k, n) stack of points, and ``eq_rhs`` then a
+    (k, m) stack; the k residuals come back as an array."""
+    points = np.atleast_2d(x).T
+    res = np.zeros(points.shape[1])
     if lp.eq_lhs is not None:
-        res = max(res, float(np.max(np.abs(lp.eq_lhs @ x - lp.eq_rhs), initial=0.0)))
+        rhs = np.atleast_2d(lp.eq_rhs if eq_rhs is None else eq_rhs).T
+        res = np.maximum(res, np.max(np.abs(lp.eq_lhs @ points - rhs), axis=0, initial=0.0))
     if lp.ub_lhs is not None:
-        res = max(res, float(np.max(lp.ub_lhs @ x - lp.ub_rhs, initial=0.0)))
+        res = np.maximum(res, np.max(lp.ub_lhs @ points - lp.ub_rhs[:, None], axis=0, initial=0.0))
     # lower - x rather than -x, which would report a zero residual as -0.0.
-    return float(np.max(np.concatenate([lp.lower - x, x - lp.upper]), initial=res))
+    bounds = np.concatenate([lp.lower[:, None] - points, points - lp.upper[:, None]])
+    res = np.maximum(res, np.max(bounds, axis=0, initial=0.0))
+    return float(res[0]) if np.ndim(x) == 1 else res
 
 
 def _binding():
@@ -229,7 +253,7 @@ def _binding():
     return module
 
 
-def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper) -> HighsResult:
+def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper):
     """The one call into HiGHS: minimize ``cost @ x`` subject to
     ``row_lower <= rows @ x <= row_upper`` and ``col_lower <= x <=
     col_upper`` (float arrays, infinite where a side is absent), with a new
@@ -237,16 +261,25 @@ def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper) -> HighsResu
     ``rows`` is a CSR array, or None when there are none.  Rows with
     duplicate or unsorted entries are made canonical on a copy first, since
     HiGHS does not accept them.  Every solve goes through this module
-    attribute, so a caller can wrap it to observe HiGHS calls."""
+    attribute, so a caller can wrap it to observe HiGHS calls.
+
+    The row bounds may also be (k, m) stacks: the model is then passed once
+    and run k times, in order, and between runs only the bounds of the rows
+    that differ from the previous run's change (``changeRowBounds``).  A
+    run after an optimal one starts from that run's basis; a run after any
+    other outcome starts cold.  A stack returns a list of k results."""
     core = _binding()
+    started = time.perf_counter()
     # HiGHS reads as many entries as the sizes it is given say.
-    arrays = (cost, row_lower, row_upper, col_lower, col_upper)
-    cost, row_lower, row_upper, col_lower, col_upper = (
-        np.ascontiguousarray(a, dtype=float) for a in arrays
+    cost, col_lower, col_upper = (
+        np.ascontiguousarray(a, dtype=float) for a in (cost, col_lower, col_upper)
     )
+    stacked = np.ndim(row_lower) == 2
+    lowers, uppers = (np.atleast_2d(np.ascontiguousarray(a, dtype=float))
+                      for a in (row_lower, row_upper))
     n, m = len(cost), 0 if rows is None else rows.shape[0]
     fits = (rows is None or rows.shape[1] == n) and {len(col_lower), len(col_upper)} == {n}
-    if not (fits and {len(row_lower), len(row_upper)} == {m}):
+    if not (fits and lowers.shape == uppers.shape and lowers.shape[1] == m):
         raise ValueError(f"need {n} column bounds and {m} row bounds for a {m} x {n} system")
     if rows is None:
         indptr, indices, data = np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0)
@@ -256,39 +289,72 @@ def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper) -> HighsResu
             rows.sum_duplicates()
         indptr, indices = (a.astype(np.int32, copy=False) for a in (rows.indptr, rows.indices))
         data = np.ascontiguousarray(rows.data, dtype=float)
-    highs = core._Highs()
-    for option, value in _OPTIONS:
-        highs.setOptionValue(option, value)
-    loaded = highs.passModel(
-        n, m, len(data), int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize), 0.0,
-        cost, col_lower, col_upper, row_lower, row_upper, indptr, indices, data,
-        np.zeros(n, np.int32),
-    )
-    if loaded == core.HighsStatus.kError:
-        return HighsResult(2, "HiGHS rejected the model", 0)
+    results = []
+    if len(lowers):
+        highs = core._Highs()
+        for option, value in _OPTIONS:
+            highs.setOptionValue(option, value)
+        loaded = highs.passModel(
+            n, m, len(data), int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize), 0.0,
+            cost, col_lower, col_upper, lowers[0], uppers[0], indptr, indices, data,
+            np.zeros(n, np.int32),
+        )
+        if loaded == core.HighsStatus.kError:
+            results = [HighsResult(2, "HiGHS rejected the model", 0)] * len(lowers)
+    changed = (lowers[1:] != lowers[:-1]) | (uppers[1:] != uppers[:-1])
+    for j in range(len(results), len(lowers)):
+        warm = j > 0 and results[-1].status == 0
+        if j:
+            if not warm:
+                highs.clearSolver()
+            lower, upper = lowers[j].tolist(), uppers[j].tolist()
+            for i in np.flatnonzero(changed[j - 1]).tolist():
+                highs.changeRowBounds(i, lower[i], upper[i])
+        results.append(_run(core, highs, warm, started))
+        started = time.perf_counter()
+    return results if stacked else results[0]
+
+
+def _run(core, highs, warm: bool, started: float) -> HighsResult:
+    """One ``run`` of the model that ``highs`` holds, read back as a result
+    whose ``seconds`` count from ``started``.  Info values are read one by
+    one: ``getInfo`` copies the whole record, at several times the cost."""
     ran = highs.run()
-    model_status, info = highs.getModelStatus(), highs.getInfo()
-    status = _STATUS.get(model_status.name, 4)
+    model_status = highs.getModelStatus()
+    status = _linprog_status(model_status)
     message = f"HiGHS model status {int(model_status)}: {highs.modelStatusToString(model_status)}"
-    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    simplex, ipm = (highs.getInfoValue(f"{kind}_iteration_count")[1] for kind in ("simplex", "ipm"))
     if status != 0 or ran == core.HighsStatus.kError:
         # Without a solution to read, an "optimal" run error reads 4.
-        return HighsResult(status or 4, message, nit)
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    if not np.all(np.isfinite(x)):
-        return HighsResult(4, f"solution is not finite {message}", nit)
-    duals = np.array(solution.row_dual)
-    return HighsResult(status, message, nit, x, info.objective_function_value, duals)
+        fields = (status or 4, message, simplex or ipm)
+    else:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        if np.all(np.isfinite(x)):
+            fields = (status, message, simplex or ipm, x, highs.getObjectiveValue(),
+                      np.array(solution.row_dual))
+        else:
+            fields = (4, f"solution is not finite {message}", simplex or ipm)
+    return HighsResult(*fields, warm=warm, seconds=time.perf_counter() - started)
+
+
+@functools.cache
+def _linprog_status(model_status) -> int:
+    """The ``_STATUS`` of a HiGHS model status, memoised (one entry per
+    member of the enum): reading an enum's ``name`` through the binding
+    costs several microseconds."""
+    return _STATUS.get(model_status.name, 4)
 
 
 def _highs(started, cost, ub, eq, col_lower, col_upper):
     """Solve for a system whose build began at ``started`` (a
     ``time.perf_counter`` reading): ``ub`` and ``eq`` are (CSR rows,
-    right-hand side) blocks or None, stacked inequality rows first.
-    Returns the ``linprog`` result and the call's stats."""
+    right-hand side) blocks or None, stacked inequality rows first.  The
+    right-hand side of ``eq`` may be a (k, m) stack, solved as k runs of
+    one model.  Returns one (``linprog`` result, stats) pair per run."""
     import scipy.sparse as sp
 
+    runs = () if eq is None else np.shape(eq[1])[:-1]
     # (rows, row lower bounds, row upper bounds) per block.
     blocks = []
     if ub is not None:
@@ -298,27 +364,42 @@ def _highs(started, cost, ub, eq, col_lower, col_upper):
     rows = [block[0] for block in blocks]
     rows = sp.vstack(rows, format="csr") if len(rows) == 2 else rows[0] if rows else None
     row_lower, row_upper = (
-        np.concatenate([block[k] for block in blocks] or [np.zeros(0)]) for k in (1, 2)
+        np.concatenate([np.broadcast_to(block[k], runs + block[k].shape[-1:]) for block in blocks]
+                       or [np.zeros(0)], axis=-1)
+        for k in (1, 2)
     )
     begun = time.perf_counter()
-    result = linprog(cost, rows, row_lower, row_upper, col_lower, col_upper)
-    solved = time.perf_counter()
+    results = linprog(cost, rows, row_lower, row_upper, col_lower, col_upper)
     m, nnz = (0, 0) if rows is None else (rows.shape[0], rows.nnz)
-    return result, LpStats(m, len(cost), nnz, begun - started, solved - begun)
+    return [
+        (result, LpStats(m, len(cost), nnz, 0.0 if j else begun - started, result.seconds,
+                         warm=result.warm))
+        for j, result in enumerate(results if runs else [results])
+    ]
 
 
-def _checked(lp: LinearProgram, tol, x, iterations, stats, value, duals) -> LpOutcome:
-    """The optimum ``x`` of ``lp`` after its independent check, one
-    ``constraint_residual`` call timed as ``stats.verify_s``: Failed unless
-    the residual is at most 10 * tol."""
+def _checked(lp: LinearProgram, tol, optima, eq_rhs=None) -> list[LpOutcome]:
+    """The optima of ``lp``, (x, iterations, stats, value, duals) each,
+    after their independent check: one ``constraint_residual`` call over
+    all their points, against the rows of ``eq_rhs`` in place of the
+    program's equality right-hand side when given, its time shared among
+    their ``stats.verify_s``.  Each is Failed unless its residual is at
+    most 10 * tol."""
     checked = time.perf_counter()
-    residual = constraint_residual(lp, x)
-    stats = replace(stats, verify_s=time.perf_counter() - checked)
-    if not residual <= 10 * tol:
-        return LpOutcome(LpStatus.FAILED, x=x, max_residual=residual, iterations=iterations,
-                         stats=stats, message=f"solution residual {residual:.3e} exceeds 10*tol")
-    return LpOutcome(LpStatus.OPTIMAL, x=x, value=value, max_residual=residual,
-                     iterations=iterations, stats=stats, duals=duals)
+    residuals = constraint_residual(lp, np.array([optimum[0] for optimum in optima]), eq_rhs)
+    verify_s = (time.perf_counter() - checked) / len(optima)
+    outcomes = []
+    for (x, iterations, stats, value, duals), residual in zip(optima, residuals.tolist()):
+        stats = replace(stats, verify_s=verify_s)
+        if not residual <= 10 * tol:
+            outcomes.append(LpOutcome(
+                LpStatus.FAILED, x=x, max_residual=residual, iterations=iterations, stats=stats,
+                message=f"solution residual {residual:.3e} exceeds 10*tol",
+            ))
+        else:
+            outcomes.append(LpOutcome(LpStatus.OPTIMAL, x=x, value=value, max_residual=residual,
+                                      iterations=iterations, stats=stats, duals=duals))
+    return outcomes
 
 
 def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
@@ -326,14 +407,51 @@ def solve(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
     with numerical breakdowns reported as a distinct Failed status.  An
     infeasible answer is confirmed by the elastic phase-one, which supplies
     the violation certificate."""
+    return _solve(lp, None, tol, time.perf_counter())[0]
+
+
+def solve_stacked(lp: LinearProgram, eq_rhs: np.ndarray,
+                  tol: float = FEASIBILITY_TOL) -> list[LpOutcome]:
+    """``solve`` once per row of the (k, m) ``eq_rhs``, which takes the
+    place of the program's equality right-hand side: k runs of one HiGHS
+    model, in order, each after an optimal run starting from its basis (see
+    ``linprog``).  Each outcome is checked, and an infeasible one confirmed,
+    against its own right-hand side."""
     started = time.perf_counter()
-    eq = (lp.eq_lhs, lp.eq_rhs) if lp.eq_lhs is not None else None
+    eq_rhs = np.array(eq_rhs, dtype=float, ndmin=2)
+    if lp.eq_rhs is None or eq_rhs.shape[1:] != lp.eq_rhs.shape:
+        raise ValueError("need one equality right-hand side of the program's length per run")
+    if not np.all(np.isfinite(eq_rhs)):
+        raise ValueError("eq constraints must be finite")
+    return _solve(lp, eq_rhs, tol, started)
+
+
+def _solve(lp: LinearProgram, eq_rhs, tol: float, started: float) -> list[LpOutcome]:
+    """The outcomes of ``solve`` for ``lp``'s own right-hand side (``eq_rhs``
+    None) or for each row of the stack ``eq_rhs``, the build begun at
+    ``started``; every optimum is checked in one ``_checked`` call."""
+    eq = (lp.eq_lhs, lp.eq_rhs if eq_rhs is None else eq_rhs) if lp.eq_lhs is not None else None
     ub = (lp.ub_lhs, lp.ub_rhs) if lp.ub_lhs is not None else None
-    result, stats = _highs(started, -lp.objective, ub, eq, lp.lower, lp.upper)
-    if result.status == 0:
+    runs = _highs(started, -lp.objective, ub, eq, lp.lower, lp.upper)
+    outcomes = [
+        None if result.status == 0
+        else _unsolved(lp if eq_rhs is None else replace(lp, eq_rhs=eq_rhs[j]), tol, result, stats)
+        for j, (result, stats) in enumerate(runs)
+    ]
+    solved = [j for j, outcome in enumerate(outcomes) if outcome is None]
+    if solved:
         # HiGHS minimized -objective.
-        value = float(lp.objective @ result.x)
-        return _checked(lp, tol, result.x, result.nit, stats, value, -result.duals)
+        optima = [(result.x, result.nit, stats, float(lp.objective @ result.x), -result.duals)
+                  for result, stats in (runs[j] for j in solved)]
+        rhs = None if eq_rhs is None else eq_rhs[solved]
+        for j, outcome in zip(solved, _checked(lp, tol, optima, rhs)):
+            outcomes[j] = outcome
+    return outcomes
+
+
+def _unsolved(lp: LinearProgram, tol: float, result: HighsResult, stats) -> LpOutcome:
+    """The outcome of a HiGHS run of ``lp`` that reached no optimum: an
+    infeasible status is confirmed by the elastic phase-one."""
     if result.status == 2:
         phase1 = _phase_one(lp, tol, time.perf_counter())
         iterations = result.nit + phase1.iterations
@@ -384,8 +502,9 @@ def _phase_one(lp: LinearProgram, tol: float, started: float) -> LpOutcome:
     a_eq = (_with_slacks(lp.eq_lhs, (n, n + m_eq), (1.0, -1.0), width), lp.eq_rhs) if m_eq else None
     a_ub = (_with_slacks(lp.ub_lhs, (n + 2 * m_eq,), (-1.0,), width), lp.ub_rhs) if m_ub else None
     slack_lower, slack_upper = _bound_arrays(None, width - n)
-    result, stats = _highs(started, cost, a_ub, a_eq, np.concatenate([lp.lower, slack_lower]),
-                           np.concatenate([lp.upper, slack_upper]))
+    ((result, stats),) = _highs(started, cost, a_ub, a_eq,
+                                np.concatenate([lp.lower, slack_lower]),
+                                np.concatenate([lp.upper, slack_upper]))
     if result.status != 0:
         return LpOutcome(
             LpStatus.FAILED,
@@ -403,7 +522,7 @@ def _phase_one(lp: LinearProgram, tol: float, started: float) -> LpOutcome:
             stats=stats,
             duals=result.duals,
         )
-    return _checked(lp, tol, result.x[:n], result.nit, stats, 0.0, result.duals)
+    return _checked(lp, tol, [(result.x[:n], result.nit, stats, 0.0, result.duals)])[0]
 
 
 def feasibility(

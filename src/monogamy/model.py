@@ -168,65 +168,129 @@ def validate_behavior(b: Behavior, tol: float = DEFAULT_TOL) -> ValidationReport
 
     Passes iff every entry is >= -tol and every context sums to 1 within tol.
     Structural defects (wrong table shape) raise at `Behavior` construction
-    and never reach this function.
+    and never reach this function.  The stack of one of
+    :func:`definition_reports`.
     """
-    s = b.scenario
-    n_out_axes = tuple(range(s.parties, 2 * s.parties))
-
-    positivity = []
-    bad = np.argwhere(b.table < -tol)
-    for idx in bad:
-        idx = tuple(int(i) for i in idx)
-        positivity.append((idx[: s.parties], idx[s.parties:], float(b.table[idx])))
-    max_pos = float(max(0.0, -b.table.min())) if b.table.size else 0.0
-
-    sums = b.table.sum(axis=n_out_axes)
-    deviations = np.abs(sums - 1.0)
-    normalization = []
-    for ctx in np.argwhere(deviations > tol):
-        ctx = tuple(int(i) for i in ctx)
-        normalization.append((ctx, float(deviations[ctx])))
-    max_norm = float(deviations.max()) if deviations.size else 0.0
-
-    return ValidationReport(
-        passed=not positivity and not normalization,
-        positivity_violations=tuple(positivity),
-        normalization_deviations=tuple(normalization),
-        max_positivity_violation=max_pos,
-        max_normalization_deviation=max_norm,
-    )
+    return definition_reports(b.scenario, b.table[None], tol)[0][0]
 
 
 def is_no_signalling(b: Behavior, tol: float = DEFAULT_TOL) -> SignallingReport:
     """Compare, for every party and pair of its settings, the marginal of the
-    remaining parties; report the largest entry-wise difference."""
-    s = b.scenario
-    max_violation = 0.0
-    witness = None
-    for k in range(s.parties):
-        # Sum out party k's outcome axis, keeping its setting axis in front.
-        reduced = b.table.sum(axis=s.parties + k)
-        reduced = np.moveaxis(reduced, k, 0)  # axis 0 = party k's setting
-        for s1, s2 in itertools.combinations(range(s.settings[k]), 2):
-            diff = np.abs(reduced[s1] - reduced[s2])
-            local_max = float(diff.max())
-            if local_max > max_violation:
-                max_violation = local_max
-                flat = np.unravel_index(np.argmax(diff), diff.shape)
-                flat = tuple(int(i) for i in flat)
-                n_peer = s.parties - 1
-                witness = SignallingWitness(
-                    party=k,
-                    settings=(s1, s2),
-                    peer_context=flat[:n_peer],
-                    peer_outcomes=flat[n_peer:],
-                )
-    passed = max_violation <= tol
-    return SignallingReport(
-        is_no_signalling=passed,
-        max_violation=max_violation,
-        witness=None if passed else witness,
-    )
+    remaining parties; report the largest entry-wise difference.  The stack
+    of one of :func:`definition_reports`."""
+    return definition_reports(b.scenario, b.table[None], tol)[0][1]
+
+
+def definition_reports(
+    scenario: Scenario, tables: np.ndarray, tol: float = DEFAULT_TOL
+) -> list[tuple[ValidationReport, SignallingReport]]:
+    """The reports of :func:`validate_behavior` and :func:`is_no_signalling`
+    for each member of a ``(k, *scenario.table_shape)`` stack of tables,
+    each check one pass over the whole stack.
+
+    Positivity: every entry >= -tol.  Normalization: every context sums to
+    1 within tol.  No-signalling: for every party and pair of its settings,
+    the marginals of the remaining parties agree within tol; the witness is
+    the first largest difference, in party, settings-pair and entry order.
+    """
+    tables = np.asarray(tables, dtype=float)
+    k, n = len(tables), scenario.parties
+    flat = tables.reshape(k, -1)
+    members = range(k)
+
+    minima = flat.min(axis=1)
+    max_pos = np.where(minima < 0.0, -minima, 0.0).tolist()
+    positivity = [[] for _ in members]
+    # max_pos > tol says that some entry is below -tol; only then are they listed.
+    for idx in np.argwhere(tables < -tol).tolist() if max(max_pos) > tol else ():
+        entry = (tuple(idx[1:n + 1]), tuple(idx[n + 1:]), float(tables[tuple(idx)]))
+        positivity[idx[0]].append(entry)
+
+    deviations = np.abs(tables.sum(axis=tuple(range(1 + n, 1 + 2 * n))) - 1.0)
+    max_norm = deviations.reshape(k, -1).max(axis=1).tolist()
+    normalization = [[] for _ in members]
+    for idx in np.argwhere(deviations > tol).tolist() if max(max_norm) > tol else ():
+        normalization[idx[0]].append((tuple(idx[1:]), float(deviations[tuple(idx)])))
+
+    entries, first, second, segments = _signalling_index(scenario)
+    # The padding column is the 0 that short outcome rows add.  Outcomes
+    # are added in order, as a sum over a table axis adds them.
+    padded = np.hstack([flat, np.zeros((k, 1))])
+    marginals = padded[:, entries[:, 0]]
+    for column in entries.T[1:]:
+        marginals += padded[:, column]
+    diffs = np.abs(marginals[:, first] - marginals[:, second])
+    max_violation = diffs.max(axis=1, initial=0.0).tolist()
+
+    reports = []
+    for i in members:
+        witness = None
+        if max_violation[i] > tol:
+            witness = _signalling_witness(segments, int(np.argmax(diffs[i])))
+        reports.append((
+            ValidationReport(
+                passed=not positivity[i] and not normalization[i],
+                positivity_violations=tuple(positivity[i]),
+                normalization_deviations=tuple(normalization[i]),
+                max_positivity_violation=max_pos[i],
+                max_normalization_deviation=max_norm[i],
+            ),
+            SignallingReport(
+                is_no_signalling=witness is None,
+                max_violation=max_violation[i],
+                witness=witness,
+            ),
+        ))
+    return reports
+
+
+@functools.lru_cache(maxsize=8)
+def _signalling_index(scenario: Scenario):
+    """Flat-table indices of the no-signalling comparison, memoised:
+    ``(entries, first, second, segments)``.  Row r of ``entries`` lists
+    the entries whose sum is one marginal entry: for a party p, a setting
+    of p and an entry of the other parties' settings and outcomes, p's
+    outcomes, padded with ``table_size`` (a column of zeros).  A comparison
+    j is the difference of marginal rows ``first[j]`` and ``second[j]``,
+    ordered by party, then pair of its settings s1 < s2, then the other
+    parties' entry in C order.  ``segments`` holds per party (p, its first
+    comparison, its setting pairs, the shape of the other parties'
+    entries).  The arrays are read-only."""
+    n = scenario.parties
+    index = np.arange(scenario.table_size).reshape(scenario.table_shape)
+    width = max(scenario.outcomes)
+    entries, first, second, segments = [], [], [], []
+    rows = comparisons = 0
+    for p in range(n):
+        others = [a for a in range(2 * n) if a not in (p, n + p)]
+        # Axes: p's setting, the other parties' settings and outcomes, p's outcome.
+        block = index.transpose([p] + others + [n + p])
+        rest = block.shape[1:-1]
+        size = math.prod(rest)
+        block = block.reshape(-1, block.shape[-1])
+        entries.append(np.pad(block, ((0, 0), (0, width - block.shape[1])),
+                              constant_values=scenario.table_size))
+        pairs = list(itertools.combinations(range(scenario.settings[p]), 2))
+        segments.append((p, comparisons, pairs, rest))
+        for s1, s2 in pairs:
+            first.append(rows + s1 * size + np.arange(size))
+            second.append(rows + s2 * size + np.arange(size))
+        rows += len(block)
+        comparisons += len(pairs) * size
+    arrays = [np.concatenate(part or [np.zeros(0, int)]) for part in (entries, first, second)]
+    for array in arrays:
+        array.setflags(write=False)
+    return (*arrays, tuple(segments))
+
+
+def _signalling_witness(segments, j: int) -> SignallingWitness:
+    """The witness of comparison ``j`` of :func:`_signalling_index`."""
+    p, start, pairs, rest = next(segment for segment in reversed(segments) if segment[1] <= j)
+    pair, entry = divmod(j - start, math.prod(rest))
+    peer = tuple(int(i) for i in np.unravel_index(entry, rest))
+    n_peer = len(rest) // 2
+    return SignallingWitness(party=p, settings=pairs[pair], peer_context=peer[:n_peer],
+                             peer_outcomes=peer[n_peer:])
 
 
 def marginal(b: Behavior, keep: tuple[int, ...], context: tuple[int, ...]) -> MarginalTable:

@@ -24,13 +24,12 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     Behavior,
     Scenario,
     correlator,
-    is_no_signalling,
+    definition_reports,
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_dual_rows,
     permute_parties,
-    validate_behavior,
 )
 from .quantum import (
     IDENTITY_2,
@@ -369,18 +368,6 @@ def state_pair_point(
 # Support functions over the correlation classes
 # ---------------------------------------------------------------------------
 
-# Support directions per block-diagonal NS LP.  Most of a one-direction
-# solve is fixed per-call cost, which a block spreads over its directions,
-# while HiGHS's work and memory grow with the block.  On 2 vCPUs with one
-# BLAS thread, on the 64 x 27 Collins-Gisin rows per direction, 256 random
-# directions took 3.0-4.0 ms each at one direction per LP, 1.1-1.3 ms at 8,
-# 1.0-1.25 ms at 16 and 1.1-1.2 ms at 32-128 (best of 9, two runs on a
-# shared host).  The peak RSS of a 1 024-direction sweep was 2.1 MB above
-# that of one LP per direction at 16 directions per LP, 4.3 MB above it at
-# 32 and 8.6-9.4 MB above it at 64.
-_NS_CHUNK = 16
-
-
 @dataclass(frozen=True, eq=False)
 class SupportPoint:
     theta: float
@@ -404,111 +391,93 @@ def _ns_maxima(
     objectives: np.ndarray,
     blocks: tuple[tuple[int, ...], ...],
     tol: float,
-) -> tuple[list[float], list[Behavior], lp.LpOutcome]:
+) -> tuple[list[float], list[Behavior], list[lp.LpOutcome]]:
     """Maximize each row of ``objectives`` over the no-signalling tables
-    fixed by permuting the parties within each of ``blocks``, all in one LP
-    in the Collins-Gisin coordinates of ``model.symmetric_cg_rows``: row i
-    acts on its own copy of the free coordinates, under its own copy of the
-    positivity rows (a block-diagonal system), with the constant coordinate
-    fixed at 1.  The maximum of the summed objectives is then the sum of the
-    row maxima, and each block of the solution is an optimum of its row.
-    The LP is solved in its dual form by :func:`_ns_dual_optimum`.  Each
-    block is expanded to the full table, which ``_ns_table`` re-checks, and
-    its value is recomputed there.  Returns the values, the tables and the
-    LP's outcome."""
+    fixed by permuting the parties within each of ``blocks``, in the
+    Collins-Gisin coordinates of ``model.symmetric_cg_rows`` with the
+    constant coordinate fixed at 1.  The rows share one LP model, in the
+    dual form of :func:`_ns_dual_optima`, whose right-hand side is the
+    objective: HiGHS re-solves it once per row, in the given order, each
+    run starting from the previous optimal basis.  Each optimum is expanded
+    to the full table, all of which ``_ns_tables`` re-checks in one pass,
+    and its value is recomputed there.  Returns the values, the tables and
+    the outcomes of the runs."""
     constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
-    k = objectives.shape[0]
-    n_free = free_t.shape[0]
-    in_cg = objectives @ expand
-    outcome = _ns_dual_optimum(
-        np.concatenate([[in_cg[:, 0].sum()], in_cg[:, 1:].ravel()]),
-        np.tile(constant, k),
-        _block_diagonal(free_t, k),
-        tol,
-    )
-    free = outcome.x[1:].reshape(k, n_free)
-    blocks = [expand @ np.concatenate([[1.0], y]) for y in free]
-    values = [float(objective @ x) for objective, x in zip(objectives, blocks)]
-    return values, [_ns_table(scenario, x, tol) for x in blocks], outcome
+    outcomes = _ns_dual_optima(objectives @ expand, constant, free_t, tol)
+    # Contiguous rows: BLAS may add a strided vector's products in another order.
+    points = np.ascontiguousarray((expand @ np.stack([outcome.x for outcome in outcomes]).T).T)
+    values = [float(objective @ x) for objective, x in zip(objectives, points)]
+    return values, _ns_tables(scenario, points, tol), outcomes
 
 
-def _ns_dual_optimum(
-    objective: np.ndarray, constant: np.ndarray, free_t, tol: float
-) -> lp.LpOutcome:
-    """Maximize ``objective @ z`` over z with z[0] = 1, the other entries
-    free, and the rows ``constant * z[0] + free_t.T @ z[1:] >= 0``, through
-    the dual LP: minimize ``objective[0] + constant @ lam`` over lam >= 0
-    with ``free_t @ lam = -objective[1:]``, one equality row per free
-    coordinate and one column per row.  z[1:] is read from the dual's
-    equality duals, and is refused with a RuntimeError unless it meets the
-    rows within 10 * tol and its value the dual value within 10 * tol
-    (relative above 1).  Returns the outcome in primal terms: ``x`` is z,
-    ``value`` its value, ``duals`` the row multipliers lam >= 0 and
-    ``max_residual`` the larger of the two systems' residuals; the
-    iterations and stats are those of the dual LP that HiGHS solved."""
-    dual = lp.solve(
-        lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-objective[1:]), tol
-    )
-    if dual.status != lp.LpStatus.OPTIMAL:
-        raise RuntimeError(f"no-signalling LP failed: {dual.status} {dual.message}")
-    # lp.solve maximized -constant @ lam, which is objective[0] minus the
+def _ns_dual_optima(
+    objectives: np.ndarray, constant: np.ndarray, free_t, tol: float
+) -> list[lp.LpOutcome]:
+    """Maximize ``objective @ z`` for each row of ``objectives``, over z
+    with z[0] = 1, the other entries free, and the rows ``constant * z[0] +
+    free_t.T @ z[1:] >= 0``, through the dual LP: minimize ``objective[0] +
+    constant @ lam`` over lam >= 0 with ``free_t @ lam = -objective[1:]``,
+    one equality row per free coordinate and one column per row.  The rows
+    of ``objectives`` are the right-hand sides of ``lp.solve_stacked`` runs
+    on that one model.  Each z[1:] is read from its run's equality duals,
+    and is refused with a RuntimeError unless it meets the rows within 10 *
+    tol and its value the dual value within 10 * tol (relative above 1).
+    Returns the outcomes in primal terms: ``x`` is z, ``value`` its value,
+    ``duals`` the row multipliers lam >= 0 and ``max_residual`` the larger
+    of the two systems' residuals; the iterations and stats are those of
+    the dual run that HiGHS solved."""
+    program = lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-objectives[0, 1:])
+    duals = lp.solve_stacked(program, -objectives[:, 1:], tol)
+    for dual in duals:
+        if dual.status != lp.LpStatus.OPTIMAL:
+            raise RuntimeError(f"no-signalling LP failed: {dual.status} {dual.message}")
+    # Each run maximized -constant @ lam, which is objective[0] minus the
     # primal optimum; its derivative by the right-hand side -objective[j]
     # is the primal optimum's derivative by objective[j], which is z[j].
-    z = np.concatenate([[1.0], dual.duals])
-    residual = float(np.max(-(constant + free_t.T @ z[1:]), initial=0.0))
-    if residual > 10 * tol:
-        raise RuntimeError(f"no-signalling LP optimum has row residual {residual:.3e}")
-    value = float(objective @ z)
-    bound = float(objective[0]) - dual.value
-    if abs(value - bound) > 10 * tol * max(1.0, abs(value)):
-        raise RuntimeError(
-            f"no-signalling LP optimum {value!r} has duality gap {value - bound:.3e}"
-        )
-    return replace(dual, x=z, value=value, max_residual=max(dual.max_residual, residual),
-                   duals=dual.x)
+    z = np.hstack([np.ones((len(duals), 1)), np.stack([dual.duals for dual in duals])])
+    residuals = np.max(-(constant[:, None] + free_t.T @ z[:, 1:].T), axis=0, initial=0.0)
+    values = np.array([objective @ x for objective, x in zip(objectives, z)])
+    gaps = values - (objectives[:, 0] - np.array([dual.value for dual in duals]))
+    for residual, value, gap in zip(residuals, values, gaps):
+        if residual > 10 * tol:
+            raise RuntimeError(f"no-signalling LP optimum has row residual {residual:.3e}")
+        if abs(gap) > 10 * tol * max(1.0, abs(value)):
+            raise RuntimeError(f"no-signalling LP optimum {value!r} has duality gap {gap:.3e}")
+    return [
+        lp.LpOutcome(dual.status, x=x, value=value, max_residual=max(dual.max_residual, residual),
+                     iterations=dual.iterations, stats=dual.stats, duals=dual.x)
+        for dual, x, value, residual in zip(duals, z, values.tolist(), residuals.tolist())
+    ]
 
 
 def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
-    """What an LP was for (``context``), its HiGHS iterations, and the
-    rows, columns and nonzeros HiGHS received."""
+    """What an LP run was for (``context``), its HiGHS iterations, whether
+    it started warm, and the rows, columns and nonzeros HiGHS received."""
     return {
         **context,
         "iterations": outcome.iterations,
+        "warm": outcome.stats.warm,
         "rows": outcome.stats.rows,
         "cols": outcome.stats.cols,
         "nnz": outcome.stats.nnz,
     }
 
 
-def _block_diagonal(rows, k: int):
-    """``k`` copies of the CSR ``rows`` along the diagonal, built on
-    ``indptr`` / ``indices`` / ``data`` directly (``sp.block_diag`` costs
-    about twenty times as much at 16 copies of the 26 x 64 transposed
-    CG rows)."""
-    import scipy.sparse as sp
-
-    m, n = rows.shape
-    copies = np.arange(k)[:, None]
-    indptr = np.append((rows.indptr[:-1] + rows.nnz * copies).ravel(), k * rows.nnz)
-    indices = (rows.indices + n * copies).ravel()
-    return sp.csr_array((np.tile(rows.data, k), indices, indptr), shape=(k * m, k * n))
-
-
-def _ns_table(scenario: Scenario, x: np.ndarray, tol: float) -> Behavior:
-    """An LP solution clipped to a behavior and re-checked against the
-    model's own definitions, every pair of settings and every context's
-    normalization, at the LP's 10 * tol acceptance: the LP itself verified
-    only the positivity of its coordinates' tables."""
-    behavior = Behavior(scenario, np.clip(x.reshape(scenario.table_shape), 0.0, None))
-    signalling = is_no_signalling(behavior, 10 * tol)
-    validity = validate_behavior(behavior, 10 * tol)
-    if not (signalling.is_no_signalling and validity.passed):
-        raise RuntimeError(
-            "no-signalling LP optimum fails the definitions: signalling "
-            f"{signalling.max_violation:.3e}, normalization "
-            f"{validity.max_normalization_deviation:.3e}"
-        )
-    return behavior
+def _ns_tables(scenario: Scenario, points: np.ndarray, tol: float) -> list[Behavior]:
+    """LP solutions, one per row of ``points``, clipped to behaviors and
+    re-checked against the model's own definitions, every pair of settings
+    and every context's normalization, in one pass over the stack at the
+    LP's 10 * tol acceptance: the LP itself verified only the positivity of
+    its coordinates' tables."""
+    tables = np.clip(points, 0.0, None).reshape((-1,) + scenario.table_shape)
+    for i, (validity, signalling) in enumerate(definition_reports(scenario, tables, 10 * tol)):
+        if not (signalling.is_no_signalling and validity.passed):
+            raise RuntimeError(
+                f"no-signalling LP optimum of objective {i} fails the definitions: signalling "
+                f"{signalling.max_violation:.3e}, normalization "
+                f"{validity.max_normalization_deviation:.3e}"
+            )
+    return [Behavior(scenario, table) for table in tables]
 
 
 def _directions(thetas) -> list[float]:
@@ -522,27 +491,28 @@ def _directions(thetas) -> list[float]:
 def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[SupportPoint]:
     """Support function of the no-signalling region in the
     (chsh_ab, chsh_ac) plane: per direction, the LP maximum of
-    cos(theta) chsh_ab + sin(theta) chsh_ac.  Up to ``_NS_CHUNK``
-    directions share one block-diagonal LP; each point's ``params`` hold
-    that LP's record: its direction count, HiGHS iterations, and the rows,
-    columns and nonzeros HiGHS received."""
+    cos(theta) chsh_ab + sin(theta) chsh_ac.  Every direction is a
+    right-hand side of one LP model, re-solved in the order of theta mod
+    2 pi so that each run warm-starts from its neighbour's optimal basis;
+    the points come back in input order.  Each point's ``params`` hold its
+    own run's record: its HiGHS iterations (0 when the previous basis was
+    already optimal), whether it started warm, and the rows, columns and
+    nonzeros HiGHS received."""
     thetas = _directions(thetas)
+    if not thetas:
+        return []
     scenario = triple_scenario()
     obj_ab = functional_row(scenario, _CHSH, (0, 1))
     obj_ac = functional_row(scenario, _CHSH, (0, 2))
-    points = []
-    for start in range(0, len(thetas), _NS_CHUNK):
-        chunk = thetas[start:start + _NS_CHUNK]
-        cos_t = np.array([math.cos(theta) for theta in chunk])[:, None]
-        sin_t = np.array([math.sin(theta) for theta in chunk])[:, None]
-        values, tables, outcome = _ns_maxima(
-            scenario, cos_t * obj_ab + sin_t * obj_ac, ((0,), (1,), (2,)), tol
-        )
-        record = _lp_record(outcome, directions=len(chunk))
-        points.extend(
-            SupportPoint(theta, value, table, dict(record))
-            for theta, value, table in zip(chunk, values, tables)
-        )
+    order = sorted(range(len(thetas)), key=lambda i: thetas[i] % (2.0 * math.pi))
+    cos_t = np.array([math.cos(thetas[i]) for i in order])[:, None]
+    sin_t = np.array([math.sin(thetas[i]) for i in order])[:, None]
+    values, tables, outcomes = _ns_maxima(
+        scenario, cos_t * obj_ab + sin_t * obj_ac, ((0,), (1,), (2,)), tol
+    )
+    points = [None] * len(thetas)
+    for i, value, table, outcome in zip(order, values, tables, outcomes):
+        points[i] = SupportPoint(thetas[i], value, table, _lp_record(outcome))
     return points
 
 
@@ -834,7 +804,8 @@ class PbProbeReport:
     simultaneous double-violation conjecture.  ``lps`` holds one record
     per LP solved, in solve order: its ``blocks`` of parties permuted
     among themselves, HiGHS
-    ``iterations``, and the ``rows``, ``cols`` and ``nnz`` HiGHS received.
+    ``iterations``, ``warm`` (False: each LP is a model of its own), and
+    the ``rows``, ``cols`` and ``nnz`` HiGHS received.
     """
 
     sign_values: tuple[tuple[tuple[int, int, int], float], ...]
@@ -881,11 +852,11 @@ def _ns_max_min(
     """The maximum over the no-signalling polytope of the smallest of the
     ``functionals``' values, on the rows of :func:`_ns_maxima` plus a free
     coordinate t, last, with one row f @ x - t >= 0 each, solved in its
-    dual form by :func:`_ns_dual_optimum`.  The permutations within
+    dual form by :func:`_ns_dual_optima`.  The permutations within
     ``blocks`` must permute the functionals among themselves (checked
     first), so averaging an optimum over them gives one that is constant
     on orbits.  The solution is expanded to the full table, which
-    ``_ns_table`` re-checks, and the max-min rows are re-evaluated there at
+    ``_ns_tables`` re-checks, and the max-min rows are re-evaluated there at
     the LP's 10 * tol acceptance.  Returns the value, the table and the
     LP's outcome."""
     import scipy.sparse as sp
@@ -894,8 +865,8 @@ def _ns_max_min(
     constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
     n_free, n_rows = free_t.shape
     in_cg = np.array(functionals) @ expand
-    outcome = _ns_dual_optimum(
-        np.concatenate([np.zeros(1 + n_free), [1.0]]),
+    (outcome,) = _ns_dual_optima(
+        np.concatenate([np.zeros(1 + n_free), [1.0]])[None],
         np.concatenate([constant, in_cg[:, 0]]),
         sp.vstack([
             sp.hstack([free_t, in_cg[:, 1:].T]),
@@ -904,7 +875,7 @@ def _ns_max_min(
         tol,
     )
     x = expand @ outcome.x[:-1]
-    table = _ns_table(scenario, x, tol)
+    (table,) = _ns_tables(scenario, x[None], tol)
     values = [float(f @ x) for f in functionals]
     if min(values) < outcome.value - 10 * tol:
         raise RuntimeError(
@@ -947,9 +918,9 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
             # The optimum over the symmetric tables is the optimum over the
             # whole polytope only for an invariant objective.
             _require_invariant(scenario, [objective], blocks)
-            values, tables, outcome = _ns_maxima(scenario, objective[None], blocks, tol)
+            values, tables, outcomes = _ns_maxima(scenario, objective[None], blocks, tol)
             optima[representative] = values[0], tables[0]
-            lps.append(_lp_record(outcome, blocks=blocks))
+            lps.append(_lp_record(outcomes[0], blocks=blocks))
         value, behavior = optima[representative]
         sign_values.append((signs, value))
         # Each representative comes first in its orbit in product order, so

@@ -339,6 +339,47 @@ class TestSweep:
             assert main(argv + ["--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--class", "ns", "--grid", "100000000"], "--grid must be at most 10000"),
+        (["sweep", "--class", "local", "--grid", "10001"], "--grid must be at most 10000"),
+        (["cgsearch", "--grid", "100000000", "--restarts", "0"], "--grid must be at most 10000"),
+        (["sweep", "--class", "quantum", "--grid", "2", "--restarts", "100000000"],
+         "--grid * (--restarts + 3) must be at most 10000"),
+        (["sweep", "--class", "separable-orthogonal", "--grid", "1000", "--restarts", "8"],
+         "--grid * (--restarts + 3) must be at most 10000"),
+        (["cgsearch", "--grid", "3334", "--restarts", "0"],
+         "--grid * (--restarts + 3) must be at most 10000"),
+    ], ids=["ns-huge-grid", "local-grid", "cgsearch-grid", "quantum-restarts",
+            "separable-starts", "cgsearch-starts"])
+    def test_loop_sizes_above_the_ceiling_are_refused(self, argv, message, monkeypatch, capsys):
+        """Refused with exit 2 before the command runs."""
+        import monogamy.cli as cli
+
+        def refuse(args):
+            raise AssertionError("the command should not run")
+
+        monkeypatch.setattr(cli, "cmd_sweep", refuse)
+        monkeypatch.setattr(cli, "cmd_cgsearch", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_loop_sizes_at_the_ceiling_are_admitted(self, monkeypatch):
+        """The largest admitted loops reach their command, with the grid
+        and restarts as given; restarts do not count for an NS sweep."""
+        import monogamy.cli as cli
+
+        calls = []
+        for name in ("cmd_sweep", "cmd_cgsearch"):
+            monkeypatch.setattr(cli, name, lambda args: calls.append(args) or 0)
+        assert main(["sweep", "--class", "ns", "--grid", "10000", "--restarts", "100000"]) == 0
+        assert main(["sweep", "--class", "quantum", "--grid", "2", "--restarts", "4997"]) == 0
+        assert main(["cgsearch", "--grid", "3333", "--restarts", "0"]) == 0
+        assert [(args.grid, args.restarts) for args in calls] == [
+            (10000, 100000), (2, 4997), (3333, 0)
+        ]
+
     def test_separable_without_restarts_is_an_error(self, capsys):
         code = main(["sweep", "--class", "separable-orthogonal", "--grid", "4", "--restarts", "0"])
         assert code == 2

@@ -221,6 +221,72 @@ def test_linprog_refuses_mismatched_sizes():
         lp.linprog(np.ones(4), rows, np.zeros(2), np.ones(2), np.zeros(4), np.full(4, np.inf))
 
 
+def test_stacked_row_bounds_run_on_one_model(rng):
+    """A (k, m) stack of row bounds is k runs of one model, each with the
+    optimum of its own single call; a run after an optimal one starts
+    warm, and the run after an infeasible one starts cold."""
+    rows = sp.csr_array(rng.random((4, 7)) + 0.1)
+    cost = rng.standard_normal(7)
+    zeros, ones = np.zeros(7), np.full(7, 2.0)
+    rhs = rng.random((6, 4)) + 1.0
+    rhs[3] = -1.0  # Positive rows with x >= 0 cannot reach a negative sum.
+    lower, upper = rhs - 0.5, rhs
+    stacked = lp.linprog(cost, rows, lower, upper, zeros, ones)
+    assert [run.warm for run in stacked] == [False, True, True, True, False, True]
+    for j, run in enumerate(stacked):
+        single = lp.linprog(cost, rows, lower[j], upper[j], zeros, ones)
+        assert not single.warm and run.status == single.status == (2 if j == 3 else 0)
+        assert run.seconds > 0
+        if run.status == 0:
+            assert run.fun == pytest.approx(single.fun, abs=1e-9)
+            assert np.all(rows @ run.x <= upper[j] + 1e-9) and np.all(rows @ run.x >= lower[j] - 1e-9)
+    assert lp.linprog(cost, rows, lower[:0], upper[:0], zeros, ones) == []
+    with pytest.raises(ValueError, match="4 row bounds"):
+        lp.linprog(cost, rows, lower, upper[:5], zeros, ones)
+
+
+def test_solve_stacked_checks_each_right_hand_side(monkeypatch, rng):
+    """Each outcome of ``solve_stacked`` is that of ``solve`` with its own
+    right-hand side: optima checked against their own rows in one
+    residual call, an infeasible one confirmed by the phase-one."""
+    a = rng.random((3, 5)) + 0.1
+    program = LinearProgram(-np.ones(5), eq_lhs=a, eq_rhs=np.ones(3))
+    rhs = np.vstack([np.ones(3), 2.0 * np.ones(3), -np.ones(3), 0.5 * np.ones(3)])
+    calls = counting(monkeypatch, lp, "constraint_residual")
+    outcomes = lp.solve_stacked(program, rhs)
+    # One check of the stack's optima; the infeasible run has no point.
+    assert calls == ["constraint_residual"]
+    assert [o.status for o in outcomes] == [LpStatus.OPTIMAL, LpStatus.OPTIMAL,
+                                            LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
+    assert outcomes[2].violation > 0
+    for b, outcome in zip(rhs, outcomes):
+        single = solve(replace(program, eq_rhs=b))
+        assert single.status == outcome.status
+        if outcome.status == LpStatus.OPTIMAL:
+            assert outcome.value == pytest.approx(single.value, abs=1e-9)
+            assert outcome.max_residual == constraint_residual(program, outcome.x, b)
+            assert outcome.max_residual <= 10 * lp.FEASIBILITY_TOL
+            assert (outcome.stats.rows, outcome.stats.cols, outcome.stats.nnz) == (3, 5, 15)
+    assert [o.stats.warm for o in outcomes if o.status == LpStatus.OPTIMAL] == [False, True, False]
+    with pytest.raises(ValueError, match="one equality right-hand side"):
+        lp.solve_stacked(program, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        lp.solve_stacked(program, np.full((2, 3), np.nan))
+
+
+def test_stacked_residual_matches_single_points(rng):
+    program = LinearProgram(np.ones(4), eq_lhs=rng.random((2, 4)), eq_rhs=np.ones(2),
+                            ub_lhs=rng.random((3, 4)), ub_rhs=np.ones(3),
+                            bounds=[(0.0, 1.0)] * 4)
+    points, rhs = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+    residuals = constraint_residual(program, points, rhs)
+    assert residuals.shape == (5,)
+    for x, b, residual in zip(points, rhs, residuals):
+        assert residual == constraint_residual(program, x, b) == loop_residual(
+            replace(program, eq_rhs=b), x)
+    assert constraint_residual(program, points[0]) == loop_residual(program, points[0])
+
+
 def highs_calls(monkeypatch):
     """Spy on ``lp.linprog``: the list gets the arguments and the result of
     each call."""
@@ -439,18 +505,19 @@ def test_one_residual_check_per_optimum(monkeypatch):
     residuals, outcomes = [], []
     check = lp.constraint_residual
 
-    def spy(program, x):
-        residuals.append(check(program, x))
+    def spy(program, x, *eq_rhs):
+        residuals.append(check(program, x, *eq_rhs))
         return residuals[-1]
 
     def recording(entry):
         def wrapper(*args, **kwargs):
-            outcomes.append(entry(*args, **kwargs))
-            return outcomes[-1]
+            result = entry(*args, **kwargs)
+            outcomes.extend(result if isinstance(result, list) else [result])
+            return result
         return wrapper
 
     monkeypatch.setattr(lp, "constraint_residual", spy)
-    for name in ("solve", "feasibility"):
+    for name in ("solve", "solve_stacked", "feasibility"):
         monkeypatch.setattr(lp, name, recording(getattr(lp, name)))
     scenario = chsh_scenario()
     calls = [
@@ -640,14 +707,15 @@ def test_duals_of_the_cg_ns_maximum(monkeypatch):
     from monogamy.tradeoffs import _ns_maxima
 
     seen = []
-    original = lp.solve
+    original = lp.solve_stacked
     monkeypatch.setattr(
-        lp, "solve", lambda program, tol: seen.append(program) or original(program, tol)
+        lp, "solve_stacked",
+        lambda program, rhs, tol: seen.append(program) or original(program, rhs, tol),
     )
     scenario = chsh_scenario()
     objective = functional_row(scenario, chsh(), (0, 1))
     singletons = ((0,), (1,))
-    values, _, outcome = _ns_maxima(scenario, objective[None], singletons, lp.FEASIBILITY_TOL)
+    values, _, (outcome,) = _ns_maxima(scenario, objective[None], singletons, lp.FEASIBILITY_TOL)
     (program,) = seen
     rows = symmetric_cg_rows(scenario, singletons)
     expand = ns_orbit_dual_rows(scenario, singletons)[2]
@@ -661,8 +729,21 @@ def test_duals_of_the_cg_ns_maximum(monkeypatch):
     assert outcome.value == pytest.approx(4.0, abs=1e-9)
 
 
+def _runs(args, result) -> list:
+    """The runs of one ``lp.linprog`` call: (arguments of a single run,
+    its result) pairs, one for an unstacked call and one per row of the
+    row-bound stacks for a stacked one."""
+    cost, rows, row_lower, row_upper, col_lower, col_upper = args
+    if np.ndim(row_lower) == 1:
+        return [(args, result)]
+    assert len(result) == len(row_lower) == len(row_upper)
+    return [((cost, rows, lower, upper, col_lower, col_upper), run)
+            for lower, upper, run in zip(row_lower, row_upper, result)]
+
+
 def _row_residual(args, x) -> float:
-    """Largest violation at ``x`` of the rows and bounds ``lp.linprog`` got."""
+    """Largest violation at ``x`` of the rows and bounds that one run of
+    ``lp.linprog`` got."""
     cost, rows, row_lower, row_upper, col_lower, col_upper = args
     activity = np.zeros(0) if rows is None else rows @ x
     return float(np.max(np.concatenate([
@@ -679,6 +760,7 @@ def _chsh_ns_maximum():
 
 
 def _ns_support_block():
+    # One call, whose 16 runs share the model.
     from monogamy.tradeoffs import ns_support
 
     ns_support(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
@@ -722,9 +804,10 @@ def _empty():
     _local_decompositions, _unbounded, _empty,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_direct_highs_matches_linprog_reference(workload, monkeypatch):
-    # Every LP the workload hands HiGHS, solved again by
-    # scipy.optimize.linprog(method="highs"): same status, same optimum,
-    # and both solutions within the acceptance residual.
+    # Every LP the workload hands HiGHS, each run of a stacked call with
+    # its own row bounds, solved again by scipy.optimize.linprog(method=
+    # "highs"): same status, same optimum, and both solutions within the
+    # acceptance residual.
     seen = highs_calls(monkeypatch)
     expected = workload()
     if isinstance(expected, list):
@@ -732,7 +815,7 @@ def test_direct_highs_matches_linprog_reference(workload, monkeypatch):
         assert [(args[1].shape[0], len(args[0])) for args, _ in seen] == expected
     else:
         assert len(seen) == expected
-    for args, result in seen:
+    for args, result in (run for call in seen for run in _runs(*call)):
         reference = linprog_reference(*args)
         assert result.status == reference.status
         if result.status == 0:

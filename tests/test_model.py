@@ -28,6 +28,7 @@ from monogamy.model import (
     _clone_multisets,
     _multiset_ranks,
     cg_map,
+    definition_reports,
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_dual_rows,
@@ -141,6 +142,56 @@ class TestNoSignalling:
         f2 = random_behavior(rng, Scenario(1, (2,), (3,)))
         report = is_no_signalling(product_box([f1, f2]))
         assert report.is_no_signalling
+
+
+def loop_signalling(b):
+    """Reference no-signalling scan, one party and settings pair at a
+    time: the largest marginal difference and where it first occurs, as
+    (party, settings, peer context, peer outcomes)."""
+    s = b.scenario
+    best, where = 0.0, None
+    for k in range(s.parties):
+        reduced = np.moveaxis(b.table.sum(axis=s.parties + k), k, 0)
+        for s1, s2 in itertools.combinations(range(s.settings[k]), 2):
+            diff = np.abs(reduced[s1] - reduced[s2])
+            if diff.max() > best:
+                best = float(diff.max())
+                at = tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
+                where = (k, (s1, s2), at[:s.parties - 1], at[s.parties - 1:])
+    return best, where
+
+
+class TestDefinitionReports:
+    @pytest.mark.parametrize("settings, outcomes", [
+        ((2, 2), (2, 2)), ((3, 1, 2), (2, 3, 2)), ((2, 3, 2, 2), (2, 2, 3, 2)),
+        ((1, 1), (2, 2)), ((3,), (4,)),
+    ])
+    def test_stack_matches_one_table_at_a_time(self, settings, outcomes, rng):
+        """Each member of a stack gets the reports of ``validate_behavior``
+        and ``is_no_signalling`` on it alone, and the signalling scan of
+        one party and settings pair at a time, witness and ties included:
+        normalized, unnormalized, negative and rounded tables mixed."""
+        s = Scenario(len(settings), settings, outcomes)
+        sums = tuple(range(1 + s.parties, 1 + 2 * s.parties))
+        tables = rng.random((12,) + s.table_shape)
+        tables[::2] /= tables[::2].sum(axis=sums, keepdims=True)
+        tables[::3] = np.round(4.0 * tables[::3]) / 4.0
+        tables[1::4] -= 0.3
+        tables[4] = uniform_box(s).table
+        reports = definition_reports(s, tables, 1e-9)
+        assert len(reports) == 12
+        assert reports[4][0].passed and reports[4][1].is_no_signalling
+        for table, (validity, signalling) in zip(tables, reports):
+            b = Behavior(s, table)
+            assert validity == validate_behavior(b, 1e-9)
+            assert signalling == is_no_signalling(b, 1e-9)
+            best, where = loop_signalling(b)
+            assert signalling.max_violation == best
+            witness = signalling.witness
+            assert where is None or witness is None or where == (
+                witness.party, witness.settings, witness.peer_context, witness.peer_outcomes
+            )
+            assert (witness is None) == (best <= 1e-9)
 
 
 def loop_normalization_rows(s, all_contexts=False):

@@ -354,66 +354,81 @@ class TestNsSupport:
 
     @staticmethod
     def refuse_solves(monkeypatch):
-        def solve(*args, **kwargs):
+        def linprog(*args, **kwargs):
             raise AssertionError("no LP should be solved")
 
-        monkeypatch.setattr(tradeoffs.lp, "solve", solve)
+        monkeypatch.setattr(tradeoffs.lp, "linprog", linprog)
 
-    @pytest.mark.parametrize("count", [1, tradeoffs._NS_CHUNK, tradeoffs._NS_CHUNK + 1, 192])
+    @pytest.mark.parametrize("count", [1, 16, 17, 192])
     def test_block_lp_matches_one_lp_per_direction(self, count, monkeypatch):
-        """One block-diagonal LP per chunk of directions: the values of the
-        per-direction LPs, tables that pass the model's own checks and
-        reproduce their values, and each chunk's LP record on its points."""
+        """A block of directions is one LP model re-solved once per
+        direction, and all its tables are checked in one pass: the values
+        of the per-direction LPs, tables that pass the model's own checks
+        and reproduce their values, and each run's own record on its
+        point."""
         from monogamy import is_no_signalling, validate_behavior
 
         thetas = np.random.default_rng(count).uniform(-math.pi, math.pi, count)
         reference = per_direction_ns_support(thetas)
         solved, checked = [], []
-        solve, ns_table = tradeoffs.lp.solve, tradeoffs._ns_table
+        solve, ns_tables = tradeoffs.lp.solve_stacked, tradeoffs._ns_tables
 
-        def counting_solve(program, *args, **kwargs):
-            solved.append(program.n_variables)
-            return solve(program, *args, **kwargs)
+        def counting_solve(program, eq_rhs, *args, **kwargs):
+            solved.append((program.n_variables, len(eq_rhs)))
+            return solve(program, eq_rhs, *args, **kwargs)
 
-        def counting_table(scenario, x, tol):
-            checked.append(x.size)
-            return ns_table(scenario, x, tol)
+        def counting_tables(scenario, points, tol):
+            checked.append(points.shape)
+            return ns_tables(scenario, points, tol)
 
-        monkeypatch.setattr(tradeoffs.lp, "solve", counting_solve)
-        monkeypatch.setattr(tradeoffs, "_ns_table", counting_table)
+        monkeypatch.setattr(tradeoffs.lp, "solve_stacked", counting_solve)
+        monkeypatch.setattr(tradeoffs, "_ns_tables", counting_tables)
         points = ns_support(thetas)
 
-        chunk = tradeoffs._NS_CHUNK
-        sizes = [min(chunk, count - start) for start in range(0, count, chunk)]
-        assert len(sizes) == math.ceil(count / chunk)
         scenario = tradeoffs.triple_scenario()
-        # The Collins-Gisin rows, 64 x 27 per direction with no orbits to
-        # merge, in dual form: 26 free-coordinate rows over 64 multipliers.
+        # The Collins-Gisin rows, 64 x 27 with no orbits to merge, in dual
+        # form: 26 free-coordinate rows over 64 multipliers.
         singletons = ((0,), (1,), (2,))
         free_t = ns_orbit_dual_rows(scenario, singletons)[1]
         assert symmetric_cg_rows(scenario, singletons).shape == (64, 27)
         assert free_t.shape == (26, 64)
-        assert solved == [k * free_t.shape[1] for k in sizes]
-        assert checked == [scenario.table_size] * count
+        assert solved == [(free_t.shape[1], count)]
+        assert checked == [(count, scenario.table_size)]
         assert [p.theta for p in points] == list(thetas)
         assert np.allclose([p.value for p in points], reference, rtol=0.0, atol=1e-9)
 
         ab, ac = (functional_row(scenario, chsh(), pair) for pair in ((0, 1), (0, 2)))
-        directions = [k for k in sizes for _ in range(k)]
-        for point, k in zip(points, directions):
+        # The runs go in the order of theta mod 2 pi: only the first is cold.
+        first = int(np.argmin(np.mod(thetas, 2.0 * math.pi)))
+        for i, point in enumerate(points):
             assert is_no_signalling(point.behavior, 1e-7).is_no_signalling
             assert validate_behavior(point.behavior, 1e-7).passed
             objective = math.cos(point.theta) * ab + math.sin(point.theta) * ac
             value = objective @ point.behavior.table.reshape(-1)
             assert value == pytest.approx(point.value, abs=1e-9)
             record = dict(point.params)
-            assert record.pop("iterations") > 0
-            assert record == {
-                "directions": k,
-                "rows": k * free_t.shape[0],
-                "cols": k * free_t.shape[1],
-                "nnz": k * free_t.nnz,
-            }
+            iterations = record.pop("iterations")
+            assert iterations > 0 if i == first else iterations >= 0
+            assert record == {"warm": i != first, "rows": 26, "cols": 64, "nnz": free_t.nnz}
+        assert free_t.nnz == 208
+
+    def test_order_of_directions_does_not_change_values(self):
+        """Directions are solved in the order of theta mod 2 pi, and come
+        back in input order: permuted, repeated and shifted-by-2-pi copies
+        of a set of directions give its values at the same positions."""
+        thetas = np.random.default_rng(31).uniform(-math.pi, math.pi, 24)
+        values = np.array([p.value for p in ns_support(thetas)])
+        perm = np.random.default_rng(32).permutation(24)
+        variants = [
+            (thetas[perm], values[perm]),
+            (np.concatenate([thetas, thetas[::-1]]), np.concatenate([values, values[::-1]])),
+            (thetas - 2.0 * math.pi, values),
+            (-thetas, np.array(per_direction_ns_support(-thetas))),
+        ]
+        for directions, expected in variants:
+            points = ns_support(directions)
+            assert [p.theta for p in points] == [float(t) for t in directions]
+            assert np.abs([p.value for p in points] - expected).max() <= 1e-9
 
     def test_support_of_the_ns_diamond(self):
         """1 024 seeded directions at tol 1e-9: the NS region in the
@@ -424,14 +439,29 @@ class TestNsSupport:
         expected = 4.0 * np.maximum(np.abs(np.cos(thetas)), np.abs(np.sin(thetas)))
         assert np.abs([p.value for p in points] - expected).max() <= 1e-9
 
-    @pytest.mark.parametrize("k", [1, 2, 16])
-    def test_block_diagonal_rows(self, k):
-        import scipy.sparse as sp
+    @pytest.mark.parametrize("failing", ["warm", "cold"])
+    def test_failed_run_raises(self, failing, monkeypatch):
+        """A run that reaches no optimum is refused alike whether it
+        started from the previous run's basis (here the third warm run) or
+        from scratch (every cold run), and the run after it starts cold."""
+        run, warmth = tradeoffs.lp._run, []
 
-        rows = symmetric_cg_rows(tradeoffs.triple_scenario(), ((0,), (1,), (2,)))
-        blocks = tradeoffs._block_diagonal(rows, k)
-        assert blocks.shape == (k * rows.shape[0], k * rows.shape[1])
-        assert np.array_equal(blocks.toarray(), sp.block_diag([rows] * k).toarray())
+        def failing_run(core, highs, warm, started):
+            warmth.append(warm)
+            if warmth.count(True) == 3 and warm if failing == "warm" else not warm:
+                return tradeoffs.lp.HighsResult(1, "HiGHS model status 14: Iteration limit", 7)
+            return run(core, highs, warm, started)
+
+        monkeypatch.setattr(tradeoffs.lp, "_run", failing_run)
+        with pytest.raises(RuntimeError) as failure:
+            ns_support(np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+        assert str(failure.value) == (
+            "no-signalling LP failed: LpStatus.FAILED HiGHS model status 14: Iteration limit"
+        )
+        if failing == "warm":
+            assert warmth == [False, True, True, True, False] + [True] * 11
+        else:
+            assert warmth == [False] * 16
 
     def test_no_directions_solve_nothing(self, monkeypatch):
         self.refuse_solves(monkeypatch)
@@ -490,12 +520,32 @@ class TestNsMaximum:
             tradeoffs.ns_maximum(scenario, objective)
 
     def test_signalling_support_block_raises(self, monkeypatch):
-        """The same refusal for a chunk of support directions solved as one
-        block-diagonal LP."""
+        """The same refusal for a block of support directions re-solved on
+        one LP model."""
         self.normalization_only(monkeypatch)
-        thetas = np.linspace(0.0, 2.0 * math.pi, tradeoffs._NS_CHUNK, endpoint=False)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         with pytest.raises(RuntimeError, match="fails the definitions"):
             ns_support(thetas)
+
+    @pytest.mark.parametrize("defect, member", [("signalling", 1), ("unnormalised", 2)])
+    def test_stack_check_names_the_failing_member(self, defect, member):
+        """Every table of a stack is checked in one pass; the first that
+        signals, or whose contexts do not sum to 1, is refused by its
+        position in the stack."""
+        scenario, _ = self.marginal_objective()
+        uniform = np.full(scenario.table_size, 0.25)
+        bad = uniform.copy().reshape(scenario.table_shape)
+        if defect == "signalling":
+            # Party a's marginal at setting 0 depends on b's setting.
+            bad[0, 0] = [[0.5, 0.0], [0.5, 0.0]]
+            bad[0, 1] = [[0.0, 0.5], [0.0, 0.5]]
+        else:
+            bad[1, 1] *= 1.5
+        points = np.stack([uniform] * 4)
+        points[member] = bad.reshape(-1)
+        assert len(tradeoffs._ns_tables(scenario, np.stack([uniform] * 4), 1e-9)) == 4
+        with pytest.raises(RuntimeError, match=f"optimum of objective {member} fails the definitions"):
+            tradeoffs._ns_tables(scenario, points, 1e-9)
 
     @pytest.mark.parametrize("scenario", [
         Scenario(2, (3, 2), (2, 3)), Scenario(3, (2, 2, 2), (2, 3, 2)),
@@ -527,15 +577,15 @@ class TestPbProbe:
         """The report and, per LP it solved, the LP's column count and
         HiGHS iterations."""
         calls = []
-        solve = tradeoffs.lp.solve
+        solve = tradeoffs.lp.solve_stacked
 
         def counting_solve(program, *args, **kwargs):
-            outcome = solve(program, *args, **kwargs)
+            (outcome,) = solve(program, *args, **kwargs)
             calls.append((program.n_variables, outcome.iterations))
-            return outcome
+            return [outcome]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tradeoffs.lp, "solve", counting_solve)
+            patch.setattr(tradeoffs.lp, "solve_stacked", counting_solve)
             report = tradeoffs.pb_probe()
         return report, calls
 
@@ -604,6 +654,8 @@ class TestPbProbe:
         assert [record["iterations"] for record in report.lps] == [nit for _, nit in calls]
         assert [record["rows"] for record in report.lps] == [79, 159, 159, 79, 160]
         assert all(record["nnz"] > 0 for record in report.lps)
+        # Each LP is a model of its own, solved from scratch.
+        assert not any(record["warm"] for record in report.lps)
 
     def test_expanded_tables_are_orbit_constant(self, monkeypatch):
         """Each LP keeps one positivity row per orbit of table entries,
@@ -612,13 +664,13 @@ class TestPbProbe:
         entries, with no entry below -10 * tol."""
         tol = 1e-7
         expanded = []
-        ns_table = tradeoffs._ns_table
+        ns_tables = tradeoffs._ns_tables
 
-        def recording(scenario, x, tol):
-            expanded.append(np.array(x))
-            return ns_table(scenario, x, tol)
+        def recording(scenario, points, tol):
+            expanded.extend(np.array(points))
+            return ns_tables(scenario, points, tol)
 
-        monkeypatch.setattr(tradeoffs, "_ns_table", recording)
+        monkeypatch.setattr(tradeoffs, "_ns_tables", recording)
         report = tradeoffs.pb_probe(tol)
         scenario = tradeoffs.pb_scenario()
         assert len(expanded) == len(report.lps) == 5
@@ -664,14 +716,14 @@ class TestPbProbe:
         """An LP value that its expanded table does not reach is not
         returned: a single functional's value is recomputed on the full
         table, and a max-min t above its rows there raises.  The value is
-        inflated past the duality-gap check, in the outcome that
-        ``_ns_dual_optimum`` hands back."""
-        optimum = tradeoffs._ns_dual_optimum
+        inflated past the duality-gap check, in the outcomes that
+        ``_ns_dual_optima`` hands back."""
+        optima = tradeoffs._ns_dual_optima
 
         def inflated(*args, **kwargs):
-            return self.inflate_value(optimum(*args, **kwargs))
+            return [self.inflate_value(outcome) for outcome in optima(*args, **kwargs)]
 
-        monkeypatch.setattr(tradeoffs, "_ns_dual_optimum", inflated)
+        monkeypatch.setattr(tradeoffs, "_ns_dual_optima", inflated)
         scenario, ab, ac, ad = self.probe_rows()
         values, tables, _ = tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
         assert values[0] == pytest.approx(12.0, abs=1e-7)
@@ -686,13 +738,13 @@ class TestPbProbe:
         """A dual value above the primal point's value, or dual multipliers
         whose primal point breaks a positivity row, is refused before any
         table is built, for a single functional and for the max-min LP."""
-        solve, change = tradeoffs.lp.solve, getattr(self, tamper)
+        solve, change = tradeoffs.lp.solve_stacked, getattr(self, tamper)
 
         def tampered(*args, **kwargs):
-            return change(solve(*args, **kwargs))
+            return [change(outcome) for outcome in solve(*args, **kwargs)]
 
-        monkeypatch.setattr(tradeoffs.lp, "solve", tampered)
-        monkeypatch.setattr(tradeoffs, "_ns_table", None)
+        monkeypatch.setattr(tradeoffs.lp, "solve_stacked", tampered)
+        monkeypatch.setattr(tradeoffs, "_ns_tables", None)
         scenario, ab, ac, ad = self.probe_rows()
         with pytest.raises(RuntimeError, match=message):
             tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
@@ -725,25 +777,26 @@ class TestPbProbe:
 
 def test_optimum_lps_have_only_equality_rows(monkeypatch, rng):
     """Every NS optimum LP runs on the Collins-Gisin positivity rows in
-    dual form: each ``lp.solve`` reached from these entry points gets
-    equality rows, no inequality rows, and the default bounds, multipliers
-    >= 0."""
+    dual form: each ``lp.solve_stacked`` reached from these entry points
+    gets equality rows, no inequality rows, and the default bounds,
+    multipliers >= 0, and ``lp.solve`` is not reached."""
     from monogamy import random_shareable_behavior
 
     programs = []
-    solve = tradeoffs.lp.solve
+    solve = tradeoffs.lp.solve_stacked
 
     def recording(program, *args, **kwargs):
         programs.append(program)
         return solve(program, *args, **kwargs)
 
-    monkeypatch.setattr(tradeoffs.lp, "solve", recording)
+    monkeypatch.setattr(tradeoffs.lp, "solve_stacked", recording)
+    monkeypatch.setattr(tradeoffs.lp, "solve", None)
     scenario, objective = TestNsMaximum.marginal_objective()
     tradeoffs.ns_maximum(scenario, objective)
-    ns_support(np.linspace(0.0, 2.0 * math.pi, tradeoffs._NS_CHUNK + 1))
+    ns_support(np.linspace(0.0, 2.0 * math.pi, 17))
     tradeoffs.pb_probe()
     random_shareable_behavior(rng)
-    assert len(programs) == 1 + 2 + 5 + 1
+    assert len(programs) == 1 + 1 + 5 + 1
     assert all(program.ub_lhs is None and program.eq_lhs is not None for program in programs)
     assert all(program.bounds is None for program in programs)
 
