@@ -200,7 +200,7 @@ def cmd_chsh(args) -> int:
             # Three-party input: emit the pair values and the trade-off
             # checks as a JSON report array.
             point = tradeoffs.pair_values(b)
-            checks = tradeoffs.behavior_checks(b)
+            checks = tradeoffs.behavior_checks(b, args.tol)
             payload = {
                 "chsh_ab": point.chsh_ab,
                 "chsh_ac": point.chsh_ac,

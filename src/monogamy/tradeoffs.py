@@ -393,61 +393,46 @@ def _ns_maxima(
     tol: float,
 ) -> tuple[list[float], list[Behavior], list[lp.LpOutcome]]:
     """Maximize each row of ``objectives`` over the no-signalling tables
-    fixed by permuting the parties within each of ``blocks``, in the
-    Collins-Gisin coordinates of ``model.symmetric_cg_rows`` with the
-    constant coordinate fixed at 1.  The rows share one LP model, in the
-    dual form of :func:`_ns_dual_optima`, whose right-hand side is the
-    objective: HiGHS re-solves it once per row, in the given order, each
-    run starting from the previous optimal basis.  Each optimum is expanded
-    to the full table, all of which ``_ns_tables`` re-checks in one pass,
-    and its value is recomputed there.  Returns the values, the tables and
-    the outcomes of the runs."""
+    fixed by permuting the parties within each of ``blocks``.  In the
+    Collins-Gisin coordinates z of ``model.symmetric_cg_rows`` that is the
+    maximum of ``objective @ z`` over z[0] = 1, the other entries free, and
+    the rows ``constant * z[0] + free_t.T @ z[1:] >= 0``.  HiGHS gets its
+    dual: minimize ``objective[0] + constant @ lam`` over lam >= 0 with
+    ``free_t @ lam = -objective[1:]``, one equality row per free coordinate
+    and one column per row, whose right-hand side is the objective.  So the
+    rows share one model, which ``lp.solve_stacked`` re-solves once per
+    row, in the given order, each run starting from the previous optimal
+    basis.  Each z[1:] is read from its run's equality duals, and refused
+    with a RuntimeError unless the run is optimal, z meets the rows within
+    10 * tol and its value the dual value within 10 * tol (relative above
+    1).  Each optimum is expanded to the full table, all of which
+    ``_ns_tables`` re-checks in one pass, and its value is recomputed there.
+    Returns the values, the tables and the dual runs' outcomes: ``x`` is
+    lam, ``duals`` is z[1:] and ``value`` is objective[0] minus the
+    optimum."""
     constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
-    outcomes = _ns_dual_optima(objectives @ expand, constant, free_t, tol)
-    # Contiguous rows: BLAS may add a strided vector's products in another order.
-    points = np.ascontiguousarray((expand @ np.stack([outcome.x for outcome in outcomes]).T).T)
-    values = [float(objective @ x) for objective, x in zip(objectives, points)]
-    return values, _ns_tables(scenario, points, tol), outcomes
-
-
-def _ns_dual_optima(
-    objectives: np.ndarray, constant: np.ndarray, free_t, tol: float
-) -> list[lp.LpOutcome]:
-    """Maximize ``objective @ z`` for each row of ``objectives``, over z
-    with z[0] = 1, the other entries free, and the rows ``constant * z[0] +
-    free_t.T @ z[1:] >= 0``, through the dual LP: minimize ``objective[0] +
-    constant @ lam`` over lam >= 0 with ``free_t @ lam = -objective[1:]``,
-    one equality row per free coordinate and one column per row.  The rows
-    of ``objectives`` are the right-hand sides of ``lp.solve_stacked`` runs
-    on that one model.  Each z[1:] is read from its run's equality duals,
-    and is refused with a RuntimeError unless it meets the rows within 10 *
-    tol and its value the dual value within 10 * tol (relative above 1).
-    Returns the outcomes in primal terms: ``x`` is z, ``value`` its value,
-    ``duals`` the row multipliers lam >= 0 and ``max_residual`` the larger
-    of the two systems' residuals; the iterations and stats are those of
-    the dual run that HiGHS solved."""
-    program = lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-objectives[0, 1:])
-    duals = lp.solve_stacked(program, -objectives[:, 1:], tol)
-    for dual in duals:
-        if dual.status != lp.LpStatus.OPTIMAL:
-            raise RuntimeError(f"no-signalling LP failed: {dual.status} {dual.message}")
+    in_cg = objectives @ expand
+    program = lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-in_cg[0, 1:])
+    outcomes = lp.solve_stacked(program, -in_cg[:, 1:], tol)
+    for outcome in outcomes:
+        if outcome.status != lp.LpStatus.OPTIMAL:
+            raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
     # Each run maximized -constant @ lam, which is objective[0] minus the
     # primal optimum; its derivative by the right-hand side -objective[j]
     # is the primal optimum's derivative by objective[j], which is z[j].
-    z = np.hstack([np.ones((len(duals), 1)), np.stack([dual.duals for dual in duals])])
+    z = np.hstack([np.ones((len(outcomes), 1)), np.stack([outcome.duals for outcome in outcomes])])
     residuals = np.max(-(constant[:, None] + free_t.T @ z[:, 1:].T), axis=0, initial=0.0)
-    values = np.array([objective @ x for objective, x in zip(objectives, z)])
-    gaps = values - (objectives[:, 0] - np.array([dual.value for dual in duals]))
-    for residual, value, gap in zip(residuals, values, gaps):
+    optima = np.array([objective @ x for objective, x in zip(in_cg, z)])
+    gaps = optima - (in_cg[:, 0] - np.array([outcome.value for outcome in outcomes]))
+    for residual, optimum, gap in zip(residuals, optima, gaps):
         if residual > 10 * tol:
             raise RuntimeError(f"no-signalling LP optimum has row residual {residual:.3e}")
-        if abs(gap) > 10 * tol * max(1.0, abs(value)):
-            raise RuntimeError(f"no-signalling LP optimum {value!r} has duality gap {gap:.3e}")
-    return [
-        lp.LpOutcome(dual.status, x=x, value=value, max_residual=max(dual.max_residual, residual),
-                     iterations=dual.iterations, stats=dual.stats, duals=dual.x)
-        for dual, x, value, residual in zip(duals, z, values.tolist(), residuals.tolist())
-    ]
+        if abs(gap) > 10 * tol * max(1.0, abs(optimum)):
+            raise RuntimeError(f"no-signalling LP optimum {optimum!r} has duality gap {gap:.3e}")
+    # Contiguous rows: BLAS may add a strided vector's products in another order.
+    points = np.ascontiguousarray((expand @ z.T).T)
+    values = [float(objective @ x) for objective, x in zip(objectives, points)]
+    return values, _ns_tables(scenario, points, tol), outcomes
 
 
 def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
@@ -626,23 +611,14 @@ def _separable_value_grad(betas: np.ndarray, weights) -> tuple[float, np.ndarray
     return -float(weights @ (u[1:] @ pair)), -np.concatenate([[d_first], weights * (du[1:] @ pair)])
 
 
-def _require_restarts(restarts: int) -> None:
-    """The separable searches start only from random points, so they need
-    at least one."""
-    if restarts < 1:
-        raise ValueError(f"the separable search needs at least one restart, got {restarts}")
-
-
 def separable_orthogonal_max(restarts: int, rng: np.random.Generator) -> float:
     """Numerical maximum of |CHSH| over product two-qubit states with fixed
-    orthogonal sigma_x / sigma_z settings on both sides.  ``restarts``
-    below 1 raises ValueError."""
-    _require_restarts(restarts)
-    best = 0.0
-    for sign in (1.0, -1.0):
-        starts = [rng.uniform(-math.pi, math.pi, 2) for _ in range(restarts)]
-        best = max(best, _best_of(lambda x, s=sign: _separable_value_grad(x, [s]), starts)[0])
-    return best
+    orthogonal sigma_x / sigma_z settings on both sides: the larger
+    :func:`separable_orthogonal_support` value at theta = 0 and pi, where
+    CHSH_ac has no weight (sin pi is 1.2e-16).  ``restarts`` below 1
+    raises ValueError."""
+    points = separable_orthogonal_support(np.array([0.0, math.pi]), restarts, rng)
+    return max(point.value for point in points)
 
 
 def separable_orthogonal_support(
@@ -656,7 +632,9 @@ def separable_orthogonal_support(
     ``params`` holds ``starts``, ``evaluations`` (the summed
     value-and-gradient evaluations) and ``ceiling_gap``: the closed form
     sqrt(2) (|cos theta| + |sin theta|) minus the value."""
-    _require_restarts(restarts)
+    # The search starts only from random points, so it needs at least one.
+    if restarts < 1:
+        raise ValueError(f"the separable search needs at least one restart, got {restarts}")
     points = []
     for theta in _directions(thetas):
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -800,12 +778,13 @@ class PbProbeReport:
     3 * local_bound applies to rewritten functionals without negative
     coefficients, so the comparison is reported rather than asserted.
     ``t_star`` is the optimum of max t subject to C_ab + C_ac >= t and
-    C_ab + C_ad >= t; a value above 2 * local_bound would realize the
-    simultaneous double-violation conjecture.  ``lps`` holds one record
-    per LP solved, in solve order: its ``blocks`` of parties permuted
-    among themselves, HiGHS
-    ``iterations``, ``warm`` (False: each LP is a model of its own), and
-    the ``rows``, ``cols`` and ``nnz`` HiGHS received.
+    C_ab + C_ad >= t, computed as the maximum of their mean over the
+    tables fixed by swapping c and d, and ``t_behavior`` is that table;
+    a value above 2 * local_bound would realize the simultaneous
+    double-violation conjecture.  ``lps`` holds one record per LP solved,
+    in solve order: its ``blocks`` of parties permuted among themselves,
+    HiGHS ``iterations``, ``warm`` (False: each LP is a model of its own),
+    and the ``rows``, ``cols`` and ``nnz`` HiGHS received.
     """
 
     sign_values: tuple[tuple[tuple[int, int, int], float], ...]
@@ -843,60 +822,23 @@ def _require_invariant(
                     )
 
 
-def _ns_max_min(
-    scenario: Scenario,
-    functionals: list[np.ndarray],
-    blocks: tuple[tuple[int, ...], ...],
-    tol: float,
-) -> tuple[float, Behavior, lp.LpOutcome]:
-    """The maximum over the no-signalling polytope of the smallest of the
-    ``functionals``' values, on the rows of :func:`_ns_maxima` plus a free
-    coordinate t, last, with one row f @ x - t >= 0 each, solved in its
-    dual form by :func:`_ns_dual_optima`.  The permutations within
-    ``blocks`` must permute the functionals among themselves (checked
-    first), so averaging an optimum over them gives one that is constant
-    on orbits.  The solution is expanded to the full table, which
-    ``_ns_tables`` re-checks, and the max-min rows are re-evaluated there at
-    the LP's 10 * tol acceptance.  Returns the value, the table and the
-    LP's outcome."""
-    import scipy.sparse as sp
-
-    _require_invariant(scenario, functionals, blocks)
-    constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
-    n_free, n_rows = free_t.shape
-    in_cg = np.array(functionals) @ expand
-    (outcome,) = _ns_dual_optima(
-        np.concatenate([np.zeros(1 + n_free), [1.0]])[None],
-        np.concatenate([constant, in_cg[:, 0]]),
-        sp.vstack([
-            sp.hstack([free_t, in_cg[:, 1:].T]),
-            np.concatenate([np.zeros(n_rows), -np.ones(len(functionals))])[None],
-        ], format="csr"),
-        tol,
-    )
-    x = expand @ outcome.x[:-1]
-    (table,) = _ns_tables(scenario, x[None], tol)
-    values = [float(f @ x) for f in functionals]
-    if min(values) < outcome.value - 10 * tol:
-        raise RuntimeError(
-            f"max-min optimum {outcome.value!r} exceeds its rows on the full table: {values}"
-        )
-    return outcome.value, table, outcome
-
-
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     """The maximum of |C_ab| + |C_ac| + |C_ad| over the four-party
-    no-signalling polytope, through its eight sign patterns, plus the
-    max-min LP for the simultaneous double-violation question.
+    no-signalling polytope, through its eight sign patterns, plus t* for
+    the simultaneous double-violation question.
 
     Parties b, c and d enter the objective and the polytope symmetrically,
     so a sign pattern has the optimum of its sorted representative
     (+ before -), reached at the representative's table with those parties
-    permuted.  Four LPs, one per representative, fill all eight patterns;
-    the max-min LP is the fifth.  Each LP runs over the tables fixed by
-    the peer permutations that fix it, those within its blocks of peers
+    permuted.  Four LPs, one per representative, fill all eight patterns.
+    Swapping c and d maps C_ab + C_ac onto C_ab + C_ad, so averaging a
+    table with its swap makes the two sums equal without lowering the
+    smaller: t* is the maximum of their mean C_ab + (C_ac + C_ad) / 2, the
+    fifth LP, and both sums are re-checked to reach it on the returned
+    table within 10 * tol.  Each LP runs over the tables fixed by the peer
+    permutations that fix its objective, those within its blocks of peers
     with equal signs: b, c, d for (+++) and (---), b, c for (++-), and
-    c, d for (+--) and the max-min LP.
+    c, d for (+--) and the mean.
     """
     scenario = pb_scenario()
     functional = collins_gisin()
@@ -905,22 +847,27 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         functional_row(scenario, functional, pair) for pair in ((0, 1), (0, 2), (0, 3))
     )
 
+    lps = []
+
+    def maximum(objective, blocks):
+        # The optimum over the symmetric tables is the optimum over the
+        # whole polytope only for an invariant objective.
+        _require_invariant(scenario, [objective], blocks)
+        (value,), (table,), (outcome,) = _ns_maxima(scenario, objective[None], blocks, tol)
+        lps.append(_lp_record(outcome, blocks=blocks))
+        return value, table
+
     optima = {}
     sign_values = []
-    lps = []
     best_value, best_behavior = -np.inf, None
     for signs in itertools.product((1, -1), repeat=3):
         representative = tuple(sorted(signs, reverse=True))
         if representative not in optima:
             objective = sum(s * obj for s, obj in zip(representative, (ab, ac, ad)))
             peers = itertools.groupby((1, 2, 3), key=lambda p: representative[p - 1])
-            blocks = ((0,),) + tuple(tuple(block) for _, block in peers)
-            # The optimum over the symmetric tables is the optimum over the
-            # whole polytope only for an invariant objective.
-            _require_invariant(scenario, [objective], blocks)
-            values, tables, outcomes = _ns_maxima(scenario, objective[None], blocks, tol)
-            optima[representative] = values[0], tables[0]
-            lps.append(_lp_record(outcomes[0], blocks=blocks))
+            optima[representative] = maximum(
+                objective, ((0,),) + tuple(tuple(block) for _, block in peers)
+            )
         value, behavior = optima[representative]
         sign_values.append((signs, value))
         # Each representative comes first in its orbit in product order, so
@@ -928,9 +875,11 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         if value > best_value:
             best_value, best_behavior = value, behavior
 
-    blocks = ((0,), (1,), (2, 3))
-    t_star, t_behavior, outcome = _ns_max_min(scenario, [ab + ac, ab + ad], blocks, tol)
-    lps.append(_lp_record(outcome, blocks=blocks))
+    t_star, t_behavior = maximum(ab + (ac + ad) / 2.0, ((0,), (1,), (2, 3)))
+    x = t_behavior.table.reshape(-1)
+    sums = [float((ab + f) @ x) for f in (ac, ad)]
+    if min(sums) < t_star - 10 * tol:
+        raise RuntimeError(f"max-min optimum {t_star!r} exceeds its rows on the full table: {sums}")
 
     return PbProbeReport(
         sign_values=tuple(sign_values),

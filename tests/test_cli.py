@@ -196,6 +196,22 @@ class TestChsh:
         assert by_name["NS-13"]["passed"]
         assert not by_name["TV-14"]["passed"]
 
+    @pytest.mark.parametrize("tol, code", [("1e-9", 1), ("1e-6", 0)])
+    def test_three_party_checks_use_tol(self, tol, code, tmp_path, capsys):
+        # CHSH_ab is 2 sqrt(2) + 2e-8, so TV-14 and KEY-31 miss by 1.13e-7:
+        # a failure at 1e-9, within 1e-6.
+        from monogamy import Scenario, mixture, product_box
+
+        p = math.sqrt(2) / 2 + 5e-9
+        box = product_box([mixture([pr_box(), uniform_box(chsh_scenario())], [p, 1 - p]),
+                           uniform_box(Scenario(1, (2,), (2,)))])
+        path = write_behavior(tmp_path / "edge.json", box)
+        assert main(["chsh", "--in", path, "--tol", tol]) == code
+        by_name = {c["inequality"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        for name in ("TV-14", "KEY-31"):
+            assert by_name[name]["slack"] == pytest.approx(-1.13e-7, abs=1e-9)
+            assert by_name[name]["passed"] == (code == 0)
+
     def test_missing_angles(self, capsys):
         assert main(["chsh", "--state", "phi_plus"]) == 2
 

@@ -721,12 +721,16 @@ def test_duals_of_the_cg_ns_maximum(monkeypatch):
     expand = ns_orbit_dual_rows(scenario, singletons)[2]
     assert program.ub_lhs is None and program.bounds is None
     assert values[0] == pytest.approx(4.0, abs=1e-9)
-    assert outcome.duals.shape == (rows.shape[0],)
-    assert np.all(outcome.duals >= -1e-12)
-    reduced = objective @ expand + rows.T @ outcome.duals
+    # The outcome is the dual run's: x is lam, duals the free coordinates.
+    lam = outcome.x
+    assert lam.shape == (rows.shape[0],)
+    assert np.all(lam >= -1e-12)
+    reduced = objective @ expand + rows.T @ lam
     assert np.abs(reduced[1:]).max() <= 1e-9
-    assert reduced[0] == pytest.approx(4.0, abs=1e-9)
-    assert outcome.value == pytest.approx(4.0, abs=1e-9)
+    assert reduced[0] == pytest.approx(values[0], abs=1e-9)
+    z = np.concatenate([[1.0], outcome.duals])
+    assert np.all(rows @ z >= -1e-9)
+    assert objective @ expand @ z == pytest.approx(values[0], abs=1e-9)
 
 
 def _runs(args, result) -> list:

@@ -639,20 +639,20 @@ class TestPbProbe:
             assert moved_values == pytest.approx([values[p - 1] for p in peers], abs=1e-12)
 
     def test_one_lp_per_sign_orbit(self, probe):
-        # Four orbit representatives plus the max-min LP, each over the
-        # orbits of its blocks of peers: b, c, d; b, c; c, d; b, c, d; c, d
-        # (+ t), in dual form: one equality row per free coordinate (and t),
-        # one multiplier column per positivity row (and max-min row).
+        # Four orbit representatives plus the mean of the two sums, each
+        # over the orbits of its blocks of peers: b, c, d; b, c; c, d;
+        # b, c, d; c, d, in dual form: one equality row per free coordinate,
+        # one multiplier column per positivity row.
         report, calls = probe
         assert len(calls) == len(report.lps) == 5
         s3, swap_bc, swap_cd = ((0,), (1, 2, 3)), ((0,), (1, 2), (3,)), ((0,), (1,), (2, 3))
         assert [record["blocks"] for record in report.lps] == [
             s3, swap_bc, swap_cd, s3, swap_cd
         ]
-        assert [record["cols"] for record in report.lps] == [336, 756, 756, 336, 758]
-        assert [columns for columns, _ in calls] == [336, 756, 756, 336, 758]
+        assert [record["cols"] for record in report.lps] == [336, 756, 756, 336, 756]
+        assert [columns for columns, _ in calls] == [336, 756, 756, 336, 756]
         assert [record["iterations"] for record in report.lps] == [nit for _, nit in calls]
-        assert [record["rows"] for record in report.lps] == [79, 159, 159, 79, 160]
+        assert [record["rows"] for record in report.lps] == [79, 159, 159, 79, 159]
         assert all(record["nnz"] > 0 for record in report.lps)
         # Each LP is a model of its own, solved from scratch.
         assert not any(record["warm"] for record in report.lps)
@@ -680,6 +680,17 @@ class TestPbProbe:
             for perm in block_swaps(scenario.parties, record["blocks"]):
                 moved = tradeoffs.permute_parties(scenario, x, perm)
                 assert np.allclose(moved, x, rtol=0.0, atol=1e-12)
+
+    def test_t_behavior_is_swap_symmetric(self, probe):
+        """The mean's optimum is fixed by swapping c and d, so it reaches
+        t* on both sums."""
+        report, _ = probe
+        scenario, ab, ac, ad = self.probe_rows()
+        x = report.t_behavior.table.reshape(-1)
+        moved = tradeoffs.permute_parties(scenario, x, (0, 1, 3, 2))
+        assert np.allclose(moved, x, rtol=0.0, atol=1e-12)
+        for f in (ac, ad):
+            assert (ab + f) @ x == pytest.approx(report.t_star, abs=1e-9)
 
     def test_matches_full_table_reference(self, probe, reference):
         report, calls = probe
@@ -713,23 +724,23 @@ class TestPbProbe:
         return replace(outcome, duals=duals)
 
     def test_values_come_from_the_full_table(self, monkeypatch):
-        """An LP value that its expanded table does not reach is not
-        returned: a single functional's value is recomputed on the full
-        table, and a max-min t above its rows there raises.  The value is
-        inflated past the duality-gap check, in the outcomes that
-        ``_ns_dual_optima`` hands back."""
-        optima = tradeoffs._ns_dual_optima
+        """A t* that the returned table does not reach on both sums is not
+        returned: the probe re-checks it there.  The mean LP's value is
+        inflated in what ``_ns_maxima`` hands back, past its own checks."""
+        maxima, calls = tradeoffs._ns_maxima, []
 
-        def inflated(*args, **kwargs):
-            return [self.inflate_value(outcome) for outcome in optima(*args, **kwargs)]
+        def inflated(scenario, objectives, blocks, tol):
+            calls.append(blocks)
+            values, tables, outcomes = maxima(scenario, objectives, blocks, tol)
+            # The four sign LPs come first; the fifth is the mean's.
+            if len(calls) == 5:
+                values = [value + 1.0 for value in values]
+            return values, tables, outcomes
 
-        monkeypatch.setattr(tradeoffs, "_ns_dual_optima", inflated)
-        scenario, ab, ac, ad = self.probe_rows()
-        values, tables, _ = tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
-        assert values[0] == pytest.approx(12.0, abs=1e-7)
-        assert values[0] == pytest.approx((ab + ac + ad) @ tables[0].table.reshape(-1), abs=1e-9)
+        monkeypatch.setattr(tradeoffs, "_ns_maxima", inflated)
         with pytest.raises(RuntimeError, match="exceeds its rows"):
-            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], self.SWAP_CD, 1e-7)
+            tradeoffs.pb_probe(1e-7)
+        assert calls == [self.S3, ((0,), (1, 2), (3,)), self.SWAP_CD, self.S3, self.SWAP_CD]
 
     @pytest.mark.parametrize("tamper, message", [
         ("inflate_value", "duality gap"), ("shift_duals", "row residual"),
@@ -737,7 +748,7 @@ class TestPbProbe:
     def test_dual_solution_is_checked_on_the_primal_side(self, tamper, message, monkeypatch):
         """A dual value above the primal point's value, or dual multipliers
         whose primal point breaks a positivity row, is refused before any
-        table is built, for a single functional and for the max-min LP."""
+        table is built."""
         solve, change = tradeoffs.lp.solve_stacked, getattr(self, tamper)
 
         def tampered(*args, **kwargs):
@@ -748,8 +759,6 @@ class TestPbProbe:
         scenario, ab, ac, ad = self.probe_rows()
         with pytest.raises(RuntimeError, match=message):
             tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
-        with pytest.raises(RuntimeError, match=message):
-            tradeoffs._ns_max_min(scenario, [ab + ac, ab + ad], self.SWAP_CD, 1e-7)
 
     def test_invariance_guard(self, monkeypatch):
         scenario = tradeoffs.pb_scenario()
@@ -761,8 +770,6 @@ class TestPbProbe:
         tradeoffs._require_invariant(scenario, rows, self.SWAP_CD)
         with pytest.raises(ValueError, match="not invariant"):
             tradeoffs._require_invariant(scenario, rows, self.S3)
-        with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._ns_max_min(scenario, rows, self.S3, 1e-7)
         # The probe checks each sign LP's objective against its blocks:
         # with C_ad doubled, (+++) is not fixed by swapping c and d.
         row_of = tradeoffs.functional_row
