@@ -97,6 +97,8 @@ def _resolve_state(
     ``allow_behavior`` is set, and as a state otherwise."""
     if args.infile and args.state:
         raise CliError("give either --in or --state, not both")
+    if args.mu is not None and args.state != "cg":
+        raise CliError("--mu applies only to --state cg")
     if args.infile:
         data = _load_json(args.infile)
         is_state = isinstance(data, dict) and "dimension" in data and "entries" in data

@@ -49,9 +49,11 @@ FEASIBILITY_TOL = 1e-7
 
 _BINDING = "scipy.optimize._highspy._core"
 
-# The options ``scipy.optimize.linprog(method="highs")`` sets: presolve on,
-# dual simplex, no output.
-_OPTIONS = (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1))
+# No output, dual simplex and no presolve.  The models reach HiGHS
+# reduced already: Collins-Gisin coordinates, orbit-symmetric rows, and no
+# fixed column (``sharing.ns_extension`` folds its pinned columns into the
+# row bounds), so presolve would only cost time.
+_OPTIONS = (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1))
 
 # HiGHS model status -> linprog status, as scipy's
 # ``_highs_to_scipy_status_message`` maps them; any other status reads 4.
@@ -123,7 +125,9 @@ class LpStats:
     """The system HiGHS received (the elastic system, for a phase-one), the
     seconds spent building it, solving it and re-checking the answer, and
     whether the run started from the previous run's optimal basis.  Runs of
-    one stack share a build, whose seconds the first run carries."""
+    one stack share a build, whose seconds the first run carries.  For an
+    ``ns_extension``, ``cols`` counts the free columns and the elastic
+    slacks: the pinned marginal columns are folded into the row bounds."""
 
     rows: int
     cols: int
@@ -257,7 +261,7 @@ def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper):
     """The one call into HiGHS: minimize ``cost @ x`` subject to
     ``row_lower <= rows @ x <= row_upper`` and ``col_lower <= x <=
     col_upper`` (float arrays, infinite where a side is absent), with a new
-    solver and the options of ``scipy.optimize.linprog(method="highs")``.
+    solver and the options ``_OPTIONS``: dual simplex, no presolve.
     ``rows`` is a CSR array, or None when there are none.  Rows with
     duplicate or unsorted entries are made canonical on a copy first, since
     HiGHS does not accept them.  Every solve goes through this module

@@ -651,6 +651,28 @@ def symmetric_cg_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -
     return rows
 
 
+@functools.lru_cache(maxsize=8)
+def symmetric_cg_marginal_split(
+    scenario: Scenario, blocks: tuple[tuple[int, ...], ...]
+) -> tuple[sp.csr_array, sp.csr_array, np.ndarray]:
+    """The columns of :func:`symmetric_cg_rows` split into the marginal
+    columns, whose multiset of last-block coordinates has at most one
+    non-constant coordinate (the first 1 + s (o - 1) multisets of that
+    block, under every coordinate of the other blocks), and the others:
+    ``(free, marginal, mask)``, the free and the marginal columns as CSR
+    rows, each in column order, and the boolean mask of the marginal
+    columns.  Memoised and returned read-only."""
+    rows = symmetric_cg_rows(scenario, blocks)
+    party, k = blocks[-1][0], len(blocks[-1])
+    n_coords = 1 + scenario.settings[party] * (scenario.outcomes[party] - 1)
+    mask = np.arange(rows.shape[1]) % math.comb(n_coords + k - 1, k) < n_coords
+    free, marginal = rows[:, ~mask], rows[:, mask]
+    for part in (mask, free.data, free.indices, free.indptr,
+                 marginal.data, marginal.indices, marginal.indptr):
+        part.setflags(write=False)
+    return free, marginal, mask
+
+
 @functools.lru_cache(maxsize=16)
 def symmetric_cg_index(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """For every entry of the flat table, the row of

@@ -14,11 +14,13 @@ extended with N clones of the second party:
   the clones another: one column per Alice coordinate and multiset of clone
   coordinates, with the a, b_i and (a, b_i) marginals pinned to the base,
   and one positivity row per Alice (setting, outcome) and multiset of clone
-  (setting, outcome) pairs.  There are no equality rows.  For a 2x2 base
-  that is 4*C(N+3, 3) rows by 3*C(N+2, 2) columns, 9 of them pinned
-  (140 x 45 at N = 4), against 4^(N+1) table entries (1 024).  A feasible
-  solution is expanded to the full table by ``model.symmetric_cg_index``,
-  and the certificate's residuals are computed there.
+  (setting, outcome) pairs.  There are no equality rows, and the pinned
+  columns are folded into the rows' bounds, so that HiGHS gets only the
+  free columns.  For a 2x2 base that is 4*C(N+3, 3) rows by 3*C(N+2, 2)
+  columns, 9 of them pinned (140 x 36 free at N = 4), against 4^(N+1)
+  table entries (1 024).  A feasible solution is expanded to the full
+  table by ``model.symmetric_cg_index``, and the certificate's residuals
+  are computed there.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     no_signalling_constraints,
     normalization_constraints,
     symmetric_cg_index,
+    symmetric_cg_marginal_split,
     symmetric_cg_rows,
     validate_behavior,
 )
@@ -253,11 +256,13 @@ def ns_extension(
     clone CG coordinates; the first ``1 + s_B (o_B - 1)`` multisets C have
     at most one non-constant coordinate.  Those columns are the a, b_i and
     (a, b_i) marginals: they are pinned to the base's CG coordinates, the
-    others are free, and the only rows are positivity.  A feasible
-    solution is expanded to the full (N+1)-party table, where the
-    certificate's residuals are computed.  An infeasible system returns
-    the minimized total deficit of the positivity rows, positive iff no
-    extension exists."""
+    others are free, and the only rows are positivity.  The LP gets the
+    free columns only (``model.symmetric_cg_marginal_split``), with the
+    pinned columns' product in the rows' bounds.  A feasible solution is
+    completed by the pinned values and expanded to the full (N+1)-party
+    table, where the certificate's residuals are computed.  An infeasible
+    system returns the minimized total deficit of the positivity rows,
+    positive iff no extension exists."""
     _require_two_party(b)
     if n_clones < 1:
         raise ValueError("need at least one clone")
@@ -271,22 +276,22 @@ def ns_extension(
     spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "ns", tol)
 
     blocks = ((0,), tuple(range(1, n_clones + 1)))
-    rows = symmetric_cg_rows(scen, blocks)
-    s_a, o_a = b.scenario.settings[0], b.scenario.outcomes[0]
-    # The base's CG coordinates q[alpha, beta] pin the columns (alpha, C)
-    # whose multiset C is beta and N - 1 constants.
+    free, marginal, mask = symmetric_cg_marginal_split(scen, blocks)
+    # The base's CG coordinates q[alpha, beta] are the marginal columns
+    # (alpha, C) whose multiset C is beta and N - 1 constants, in order.
     base = np.linalg.lstsq(cg_map(b.scenario).toarray(), b.table.ravel(), rcond=None)[0]
-    base = base.reshape(1 + s_a * (o_a - 1), -1)
-    pinned = np.full((base.shape[0], rows.shape[1] // base.shape[0]), np.nan)
-    pinned[:, :base.shape[1]] = base
-    bounds = [(None, None) if np.isnan(q) else (q, q) for q in pinned.ravel()]
-    outcome = lp.feasibility(ub=(-rows, np.zeros(rows.shape[0])), bounds=bounds, tol=tol)
+    # Positivity free @ z + marginal @ base >= 0, with the pins folded in.
+    outcome = lp.feasibility(ub=(-free, marginal @ base), bounds=[(None, None)] * free.shape[1],
+                             tol=tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return InfeasibleExtension(spec, violation=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"extension LP failed: {outcome.message}")
 
-    table = np.clip(rows @ outcome.x, 0.0, None)[symmetric_cg_index(scen, blocks)]
+    x = np.empty(mask.size)
+    x[mask], x[~mask] = base, outcome.x
+    table = np.clip(symmetric_cg_rows(scen, blocks) @ x, 0.0, None)
+    table = table[symmetric_cg_index(scen, blocks)]
     behavior = Behavior(scen, table.reshape(scen.table_shape))
     return ExtensionCertificate(
         spec,

@@ -129,7 +129,8 @@ class TestShare:
     def test_eight_clones_refused_before_rows(self, uniform_path, monkeypatch, capsys):
         # 4^9 = 262 144 certificate entries exceed EXTENSION_TABLE_CAP.
         built = []
-        monkeypatch.setattr(sharing, "symmetric_cg_rows", lambda *args: built.append(args))
+        for name in ("symmetric_cg_rows", "symmetric_cg_marginal_split"):
+            monkeypatch.setattr(sharing, name, lambda *args: built.append(args))
         assert main(["share", "--in", uniform_path, "--n", "8", "--mode", "ns"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -476,6 +477,19 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a behavior file is required (--in)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["chsh", "--state", "singlet", "--mu", "0.3", "--angles=0,1,2,3"],
+        ["cg", "--in", "BOX", "--mu", "0.5"],
+        ["ckw", "--state", "w", "--mu", "0.9"],
+        ["cg", "--mu", "0.9", "--angles=0,0,0,0,0,0,0,0,0"],
+    ], ids=["chsh-singlet", "cg-file", "ckw-w", "cg-no-state"])
+    def test_mu_without_cg_state_refused(self, argv, pr_path, capsys):
+        # --mu parametrizes only the cg family; elsewhere it would be ignored.
+        assert main([pr_path if arg == "BOX" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --mu applies only to --state cg\n"
 
     def test_console_entry_point(self):
         result = subprocess.run(

@@ -14,6 +14,7 @@ import monogamy.lp as lp
 from conftest import chsh_scenario, child_env, linprog_reference, ns_polytope
 from monogamy import Scenario, chsh, local_decomposition, ns_extension, pr_box, uniform_box
 from monogamy.bell import functional_row
+from monogamy.model import mixture, symmetric_cg_marginal_split
 from monogamy.lp import (
     LinearProgram,
     LpStatus,
@@ -308,10 +309,18 @@ def test_extension_systems_reach_highs_dense_or_sparse(monkeypatch):
     ns_extension(base, 4)
     ns_extension(base, 6)
     (four, _), (six, _) = seen
-    # 140 positivity rows over 45 CG columns, each row with one slack.
-    for (cost, rows, row_lower, row_upper, *_), shape in zip((four, six), [(140, 185), (336, 420)]):
+    # 140 positivity rows over the 36 free of 45 CG columns, each row with
+    # one slack; the 9 pinned columns' product is the rows' upper bound.
+    for (cost, rows, row_lower, row_upper, *_), n_clones, shape in zip(
+            (four, six), (4, 6), [(140, 176), (336, 411)]):
         assert sp.issparse(rows) and rows.format == "csr" and rows.shape == shape
-        assert len(cost) == shape[1] and np.all(row_lower == -np.inf) and np.all(row_upper == 0.0)
+        assert len(cost) == shape[1] and np.all(row_lower == -np.inf)
+        scenario = Scenario(1 + n_clones, (2,) * (1 + n_clones), (2,) * (1 + n_clones))
+        blocks = ((0,), tuple(range(1, 1 + n_clones)))
+        _, marginal, _ = symmetric_cg_marginal_split(scenario, blocks)
+        # The uniform box's CG coordinates: products of 1 and q(a|x) = 1/2.
+        base = np.outer([1.0, 0.5, 0.5], [1.0, 0.5, 0.5]).ravel()
+        assert np.allclose(row_upper, marginal @ base, rtol=0, atol=1e-12)
         # Each slack column holds one -1, on its own row.
         m = shape[0]
         assert np.array_equal(rows.toarray()[:, -m:], -np.eye(m))
@@ -337,7 +346,7 @@ def test_stats_record_the_system_highs_received(monkeypatch):
     ns_extension(uniform_box(chsh), 4)
     ns_extension(uniform_box(chsh), 6)
     sizes = [(o.stats.rows, o.stats.cols, o.stats.nnz) for o in outcomes]
-    assert sizes == [(17, 50, 114), (140, 185, 896), (336, 420, 3108)]
+    assert sizes == [(17, 50, 114), (140, 176, 770), (336, 411, 2922)]
     for o in outcomes:
         assert o.status == LpStatus.OPTIMAL
         assert o.stats.build_s > 0 and o.stats.solve_s > 0 and o.stats.verify_s > 0
@@ -778,16 +787,26 @@ def _pb_probe_lps():
 
 
 def _extensions():
-    for base in (pr_box(), uniform_box(chsh_scenario())):
-        for n_clones in range(2, 7):
+    uniform = uniform_box(chsh_scenario())
+    for base in (pr_box(), uniform, mixture([pr_box(), uniform], [0.3, 0.7])):
+        for n_clones in range(2, 8):
             ns_extension(base, n_clones)
-    return 10
+    return 18
 
 
 def _local_decompositions():
     local_decomposition(pr_box())
     local_decomposition(uniform_box(chsh_scenario()))
     return 2
+
+
+def _draws():
+    from monogamy.sharing import random_shareable_behavior
+
+    rng = np.random.default_rng(25)
+    for _ in range(3):
+        random_shareable_behavior(rng)
+    return 3
 
 
 def _unbounded():
@@ -826,3 +845,18 @@ def test_direct_highs_matches_linprog_reference(workload, monkeypatch):
             assert result.fun == pytest.approx(reference.fun, abs=1e-9)
             assert _row_residual(args, result.x) <= 10 * lp.FEASIBILITY_TOL
             assert _row_residual(args, reference.x) <= 10 * lp.FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize("workload", [
+    _chsh_ns_maximum, _ns_support_block, _pb_probe_lps, _extensions,
+    _local_decompositions, _draws,
+], ids=lambda f: f.__name__.strip("_"))
+def test_no_model_reaches_highs_with_a_fixed_column(workload, monkeypatch):
+    # HiGHS runs without presolve, which is what would remove a fixed
+    # column: every column the toolkit's models send has room to move.
+    assert ("presolve", "off") in lp._OPTIONS
+    seen = highs_calls(monkeypatch)
+    workload()
+    assert seen
+    for (cost, rows, row_lower, row_upper, col_lower, col_upper), _ in seen:
+        assert np.all(col_lower < col_upper)

@@ -28,7 +28,13 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy import sharing
-from monogamy.model import _block_rows, _clone_multisets, symmetric_cg_index, symmetric_cg_rows
+from monogamy.model import (
+    _block_rows,
+    _clone_multisets,
+    symmetric_cg_index,
+    symmetric_cg_marginal_split,
+    symmetric_cg_rows,
+)
 from monogamy.sharing import (
     EXTENSION_TABLE_CAP,
     _extended_scenario,
@@ -135,10 +141,24 @@ class TestNsExtension:
 
     def test_pr_box_violation(self):
         # Total positivity deficit with the pair marginals held at the PR box.
-        for n_clones, deficit in ((2, 0.5), (3, 1.0), (4, 7 / 6)):
+        deficits = (1 / 2, 1.0, 7 / 6, 1.0, 43 / 54, 25 / 44)
+        for n_clones, deficit in enumerate(deficits, start=2):
             result = ns_extension(pr_box(), n_clones)
             assert isinstance(result, InfeasibleExtension)
             assert result.violation == pytest.approx(deficit, abs=1e-9)
+            assert is_n_shareable(pr_box(), n_clones).score == pytest.approx(deficit, abs=1e-9)
+
+    @pytest.mark.parametrize("pr_weight", [0.0, 0.3], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("n_clones", range(2, 8))
+    def test_feasible_certificates_are_exact(self, n_clones, pr_weight):
+        # The LP solves the free columns only; the certificate, rebuilt with
+        # the pinned marginals, is symmetric and has the base's marginals.
+        uniform = uniform_box(chsh_scenario())
+        base = mixture([pr_box(), uniform], [pr_weight, 1 - pr_weight])
+        result = ns_extension(base, n_clones)
+        assert isinstance(result, ExtensionCertificate)
+        assert result.symmetry_residual <= 1e-9
+        assert result.marginal_residual <= 1e-9
 
     def test_pr_box_five_clones_infeasible(self):
         result = ns_extension(pr_box(), 5)
@@ -283,6 +303,24 @@ class TestExtensionRows:
                 assert index.size == scen.table_size and not index.flags.writeable
         if base == chsh_scenario():
             assert rows.shape == (1144, 198) and d_a * d_b == 9
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("n_clones", (1, 2, 5))
+    def test_marginal_split(self, base, n_clones):
+        # The marginal columns are the first d_B multisets of each Alice
+        # coordinate's block, d_A d_B in all; the split keeps every column
+        # once, in order, and is memoised read-only.
+        d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
+        scen = uncapped_scenario(base, n_clones)
+        rows = symmetric_cg_rows(scen, clone_blocks(n_clones))
+        free, marginal, mask = symmetric_cg_marginal_split(scen, clone_blocks(n_clones))
+        per_alpha = rows.shape[1] // d_a
+        assert np.flatnonzero(mask).tolist() == [
+            alpha * per_alpha + beta for alpha in range(d_a) for beta in range(d_b)]
+        assert (rows[:, mask] != marginal).nnz == 0 and (rows[:, ~mask] != free).nnz == 0
+        assert symmetric_cg_marginal_split(scen, clone_blocks(n_clones))[0] is free
+        for part in (mask, free.data, marginal.data):
+            assert not part.flags.writeable
 
     @pytest.mark.parametrize("base", BASES)
     def test_ten_clones_build_without_the_table(self, base):

@@ -812,9 +812,9 @@ def test_optimum_lps_have_only_equality_rows(monkeypatch, rng):
 def test_extension_lp_has_no_equality_rows(monkeypatch):
     """The NS extension LP runs on clone-symmetric Collins-Gisin positivity
     rows: the ``lp.feasibility`` call reached from ``ns_extension`` gets no
-    equality rows and one inequality block, with the 9 pair-marginal
-    coordinates of a 2x2 base pinned and the rest free, and no ``cg_map``
-    of the extended scenario is built."""
+    equality rows and one inequality block over the free coordinates only:
+    the 9 pair-marginal coordinates of a 2x2 base are folded into the
+    right-hand side, and no ``cg_map`` of the extended scenario is built."""
     import monogamy.sharing as sharing
     from monogamy import ns_extension, pr_box, uniform_box
 
@@ -835,13 +835,13 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
     for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
         ns_extension(box, n_clones)
     assert len(calls) == 2
-    for args, kwargs in calls:
+    for (args, kwargs), n_clones in zip(calls, (2, 4)):
         assert args == () and kwargs.get("eq") is None
         lhs, rhs = kwargs["ub"]
-        assert lhs.shape[0] == rhs.size and not rhs.any()
-        pinned = [lo for lo, hi in kwargs["bounds"] if lo is not None]
-        free = [(lo, hi) for lo, hi in kwargs["bounds"] if lo is None]
-        assert len(pinned) == 9 and set(free) == {(None, None)}
+        assert lhs.shape[0] == rhs.size and rhs.any()
+        # 3 C(N+2, 2) CG columns, 9 of them pinned and folded.
+        assert lhs.shape[1] == 3 * math.comb(n_clones + 2, 2) - 9
+        assert kwargs["bounds"] == [(None, None)] * lhs.shape[1]
     assert mapped and max(mapped) <= 2
 
 class TestQuantumSearch:
