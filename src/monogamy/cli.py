@@ -55,14 +55,16 @@ def parse_behavior(path: str | None) -> model.Behavior:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _require_valid(b: model.Behavior, tol: float) -> None:
-    report = model.validate_behavior(b, tol)
+def _require_valid(b: model.Behavior, tol: float) -> model.SignallingReport:
+    """The signalling report of ``b`` at ``tol``; CliError unless it validates."""
+    ((report, signalling),) = model.definition_reports(b.scenario, b.table[None], tol)
     if not report.passed:
         raise CliError(
             "input behavior failed validation: "
             f"max positivity violation {report.max_positivity_violation:.3e}, "
             f"max normalization deviation {report.max_normalization_deviation:.3e}"
         )
+    return signalling
 
 
 def _write(text: str, out: str | None) -> None:
@@ -142,8 +144,7 @@ def cmd_validate(args) -> int:
 
 def cmd_nstest(args) -> int:
     b = parse_behavior(args.infile)
-    _require_valid(b, args.tol)
-    report = model.is_no_signalling(b, args.tol)
+    report = _require_valid(b, args.tol)
     payload = {
         "is_no_signalling": report.is_no_signalling,
         "max_violation": report.max_violation,

@@ -32,11 +32,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import lp
-from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
+from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders and checks here
     Behavior,
     Scenario,
+    SignallingReport,
     cg_map,
-    is_no_signalling,
+    definition_reports,
+    is_no_signalling,  # a check perfbench traces here
     marginal,
     marginal_behavior,
     no_signalling_constraints,
@@ -44,7 +46,7 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     symmetric_cg_index,
     symmetric_cg_marginal_split,
     symmetric_cg_rows,
-    validate_behavior,
+    validate_behavior,  # a check perfbench traces here
 )
 from .tradeoffs import _ns_maxima
 
@@ -112,12 +114,14 @@ def _extended_scenario(base: Scenario, n_clones: int) -> Scenario:
     return Scenario(1 + n_clones, settings, outcomes, table_cap=EXTENSION_TABLE_CAP)
 
 
-def _require_two_party(b: Behavior) -> None:
+def _require_two_party(b: Behavior) -> SignallingReport:
+    """The signalling report of a valid two-party ``b``; ValueError otherwise."""
     if b.scenario.parties != 2:
         raise ValueError("extensions are defined for two-party base behaviors")
-    report = validate_behavior(b)
-    if not report.passed:
+    ((validity, signalling),) = definition_reports(b.scenario, b.table[None])
+    if not validity.passed:
         raise ValueError("base behavior does not validate")
+    return signalling
 
 
 def unrestricted_extension(b: Behavior, n_clones: int) -> ExtensionCertificate:
@@ -263,10 +267,9 @@ def ns_extension(
     table, where the certificate's residuals are computed.  An infeasible
     system returns the minimized total deficit of the positivity rows,
     positive iff no extension exists."""
-    _require_two_party(b)
+    report = _require_two_party(b)
     if n_clones < 1:
         raise ValueError("need at least one clone")
-    report = is_no_signalling(b)
     if not report.is_no_signalling:
         raise ValueError(
             f"base behavior is signalling (violation {report.max_violation:.3e})"

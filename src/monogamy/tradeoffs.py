@@ -18,14 +18,12 @@ import numpy as np
 
 from . import lp
 from .bell import BellFunctional, chsh, collins_gisin, functional_row
-from .bell import chsh_value as _behavior_chsh
+from .bell import chsh_value as _behavior_chsh  # noqa: F401 - perfbench traces it
 from .localpoly import deterministic_strategies, strategy_matrix  # noqa: F401 - perfbench traces it
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
-    correlator,
     definition_reports,
-    marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_dual_rows,
@@ -173,13 +171,10 @@ def behavior_checks(b: Behavior, tol: float = DEFAULT_CHECK_TOL) -> list[CheckRe
     corollary uses the plain a-c correlator at the first settings.  Bounds
     that need state context (sigma_y expectations) are not evaluated here.
     """
-    point = pair_values(b)
-    corr_ac = correlator(marginal_behavior(b, (0, 2), (0, 0, 0)), (0, 0))
-    return [
-        check_ns_tradeoff(point, tol),
-        check_tv_tradeoff(point, tol),
-        check_key_corollary(point.chsh_ab, corr_ac, tol),
-    ]
+    ab, ac, _, corr_ac = _table_terms(b)
+    point = TradeoffPoint(ab, ac)
+    return [check_ns_tradeoff(point, tol), check_tv_tradeoff(point, tol),
+            check_key_corollary(ab, corr_ac, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +185,23 @@ def triple_scenario() -> Scenario:
     return Scenario(3, (2, 2, 2), (2, 2, 2))
 
 
-def pair_values(b: Behavior) -> TradeoffPoint:
-    """CHSH on the (a, b) and (a, c) marginals of a three-party behavior,
-    with party a's settings shared between the two evaluations."""
-    s = b.scenario
-    if s.parties != 3 or s.settings != (2, 2, 2) or not s.is_dichotomic():
+def _table_terms(b: Behavior) -> list[float]:
+    """The four ``_TABLE_TERMS`` on a 3-party, 2-setting, 2-outcome behavior."""
+    if b.scenario != triple_scenario():
         raise ValueError("pair values need a 3-party, 2-setting, 2-outcome behavior")
-    fill = (0, 0, 0)
-    ab = _behavior_chsh(marginal_behavior(b, (0, 1), fill))
-    ac = _behavior_chsh(marginal_behavior(b, (0, 2), fill))
-    return TradeoffPoint(chsh_ab=ab, chsh_ac=ac)
+    return (_TABLE_TERMS @ b.table.reshape(-1)).tolist()
+
+
+def pair_values(b: Behavior) -> TradeoffPoint:
+    """CHSH on the (a, b) and (a, c) pairs of a three-party behavior, party
+    a's settings shared.  Each pair is read with the third party at setting
+    0: on a signalling table, the marginal at context (0, 0, 0)."""
+    return TradeoffPoint(*_table_terms(b)[:2])
 
 
 def triple_values(b: Behavior) -> TradeoffPoint:
-    """Pair values plus CHSH on the (b, c) marginal."""
-    p = pair_values(b)
-    bc = _behavior_chsh(marginal_behavior(b, (1, 2), (0, 0, 0)))
-    return TradeoffPoint(chsh_ab=p.chsh_ab, chsh_ac=p.chsh_ac, chsh_bc=bc)
+    """Pair values plus CHSH on the (b, c) pair, party a at setting 0."""
+    return TradeoffPoint(*_table_terms(b)[:3])
 
 
 # The moment basis (sigma_x, sigma_z, I, sigma_y), one operator P per row of
@@ -329,10 +324,13 @@ class _PairTerms:
         return -float(value), -self._gradient(rows, g)
 
 
+# CHSH_ab, CHSH_ac, CHSH_bc and the a-c correlator at the first settings: on
+# states through _PairTerms, on tables as functional_row rows (read-only).
 _FIRST_CORRELATOR = BellFunctional([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [0.0, 0.0], 1.0)
-_POINT_TERMS = _PairTerms(
-    [(pair, _CHSH, 1.0) for pair in ((0, 1), (0, 2), (1, 2))] + [((0, 2), _FIRST_CORRELATOR, 1.0)]
-)
+_TERMS = [(p, _CHSH, 1.0) for p in ((0, 1), (0, 2), (1, 2))] + [((0, 2), _FIRST_CORRELATOR, 1.0)]
+_POINT_TERMS = _PairTerms(_TERMS)
+_TABLE_TERMS = np.stack([w * functional_row(triple_scenario(), f, pair) for pair, f, w in _TERMS])
+_TABLE_TERMS.setflags(write=False)
 
 
 def _pure_vector(rho: DensityMatrix) -> np.ndarray:
@@ -486,14 +484,12 @@ def ns_support(thetas: np.ndarray, tol: float = lp.FEASIBILITY_TOL) -> list[Supp
     thetas = _directions(thetas)
     if not thetas:
         return []
-    scenario = triple_scenario()
-    obj_ab = functional_row(scenario, _CHSH, (0, 1))
-    obj_ac = functional_row(scenario, _CHSH, (0, 2))
+    obj_ab, obj_ac = _TABLE_TERMS[:2]
     order = sorted(range(len(thetas)), key=lambda i: thetas[i] % (2.0 * math.pi))
     cos_t = np.array([math.cos(thetas[i]) for i in order])[:, None]
     sin_t = np.array([math.sin(thetas[i]) for i in order])[:, None]
     values, tables, outcomes = _ns_maxima(
-        scenario, cos_t * obj_ab + sin_t * obj_ac, ((0,), (1,), (2,)), tol
+        triple_scenario(), cos_t * obj_ab + sin_t * obj_ac, ((0,), (1,), (2,)), tol
     )
     points = [None] * len(thetas)
     for i, value, table, outcome in zip(order, values, tables, outcomes):
@@ -508,8 +504,7 @@ def local_support(thetas: np.ndarray) -> list[SupportPoint]:
     thetas = _directions(thetas)
     scenario = triple_scenario()
     vertices = strategy_matrix(scenario)
-    ab = functional_row(scenario, _CHSH, (0, 1)) @ vertices
-    ac = functional_row(scenario, _CHSH, (0, 2)) @ vertices
+    ab, ac = _TABLE_TERMS[0] @ vertices, _TABLE_TERMS[1] @ vertices
     points = []
     for theta in thetas:
         values = math.cos(theta) * ab + math.sin(theta) * ac
@@ -598,6 +593,8 @@ def quantum_boundary_search(
     return points
 
 
+# Kept closed: _PairTerms on |000> at settings (beta, beta + pi/2) gives the same values but took
+# 97-99 ms, not 51-60, for separable_orthogonal_max(16) and a 1-restart 32-direction support.
 def _separable_value_grad(betas: np.ndarray, weights) -> tuple[float, np.ndarray]:
     """Minus sum_k weights[k] CHSH(beta_0, beta_k+1) over planar product
     qubits with sigma_x / sigma_z settings on both sides, and minus its
@@ -804,22 +801,20 @@ def pb_scenario() -> Scenario:
 
 
 def _require_invariant(
-    scenario: Scenario, functionals: list[np.ndarray], blocks: tuple[tuple[int, ...], ...]
+    scenario: Scenario, objective: np.ndarray, blocks: tuple[tuple[int, ...], ...]
 ) -> None:
     """ValueError unless every swap of neighbouring parties within a block
-    maps each functional onto one of ``functionals``, so that the LP over
-    them is invariant under the permutations within ``blocks``, which
-    those swaps generate."""
+    maps ``objective`` onto itself: then so do the permutations within
+    ``blocks``.  Stacked objectives are maximized one by one, so each must pass."""
     for block in blocks:
         for p, q in zip(block, block[1:]):
             perm = list(range(scenario.parties))
             perm[p], perm[q] = q, p
-            for f in functionals:
-                moved = permute_parties(scenario, f, perm)
-                if not any(np.allclose(moved, g, rtol=0.0, atol=1e-12) for g in functionals):
-                    raise ValueError(
-                        f"objective is not invariant under the party permutation {tuple(perm)}"
-                    )
+            moved = permute_parties(scenario, objective, perm)
+            if not np.allclose(moved, objective, rtol=0.0, atol=1e-12):
+                raise ValueError(
+                    f"objective is not invariant under the party permutation {tuple(perm)}"
+                )
 
 
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
@@ -852,7 +847,7 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     def maximum(objective, blocks):
         # The optimum over the symmetric tables is the optimum over the
         # whole polytope only for an invariant objective.
-        _require_invariant(scenario, [objective], blocks)
+        _require_invariant(scenario, objective, blocks)
         (value,), (table,), (outcome,) = _ns_maxima(scenario, objective[None], blocks, tol)
         lps.append(_lp_record(outcome, blocks=blocks))
         return value, table

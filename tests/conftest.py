@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from monogamy import (
     planar_observable,
     pr_box,
 )
+from monogamy import model
 from monogamy.bell import functional_row
 from monogamy.model import (
     _clone_multisets,
@@ -44,6 +46,23 @@ TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def definition_passes(monkeypatch):
+    """The arguments of every ``model.definition_reports`` call, recorded at
+    each package module that binds the name."""
+    calls = []
+    original = model.definition_reports
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "monogamy" and getattr(module, "definition_reports", None) is original:
+            monkeypatch.setattr(module, "definition_reports", counting)
+    return calls
 
 
 def child_env() -> dict:

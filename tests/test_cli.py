@@ -5,13 +5,22 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from monogamy import behavior_to_json_dict, pr_box, sharing, state_to_json_dict, uniform_box
+from monogamy import (
+    Behavior,
+    behavior_to_json_dict,
+    is_no_signalling,
+    pr_box,
+    sharing,
+    state_to_json_dict,
+    uniform_box,
+)
 from monogamy.cli import main
-from conftest import chsh_scenario, child_env
+from conftest import chsh_scenario, child_env, random_behavior
 
 
 def write_behavior(path, behavior):
@@ -80,6 +89,30 @@ class TestNsAndLocal:
     def test_pr_is_ns(self, pr_path, capsys):
         assert main(["nstest", "--in", pr_path]) == 0
         assert json.loads(capsys.readouterr().out)["is_no_signalling"]
+
+    def test_nstest_makes_one_definition_pass(self, tmp_path, pr_path, capsys, rng,
+                                              definition_passes):
+        # Validity and signalling come from one pass at --tol; the payloads,
+        # messages and exit codes are those of the two checks run apart.
+        signalling = random_behavior(rng, chsh_scenario())
+        report = is_no_signalling(signalling, 1e-9)
+        unnormalized = Behavior(chsh_scenario(), np.full((2, 2, 2, 2), 0.3))
+        cases = [
+            (pr_path, 0, {"is_no_signalling": True, "max_violation": 0.0}, ""),
+            (write_behavior(tmp_path / "signalling.json", signalling), 1,
+             {"is_no_signalling": False, "max_violation": report.max_violation,
+              "witness": json.loads(json.dumps(asdict(report.witness)))}, ""),
+            (write_behavior(tmp_path / "unnormalized.json", unnormalized), 2, None,
+             "error: input behavior failed validation: max positivity violation 0.000e+00, "
+             "max normalization deviation 2.000e-01\n"),
+        ]
+        for path, code, payload, err in cases:
+            definition_passes.clear()
+            assert main(["nstest", "--in", path]) == code
+            captured = capsys.readouterr()
+            assert (json.loads(captured.out) if captured.out else None) == payload
+            assert captured.err == err
+            assert len(definition_passes) == 1
 
     def test_pr_not_local(self, pr_path, capsys):
         assert main(["localtest", "--in", pr_path]) == 1

@@ -118,6 +118,28 @@ class TestNsExtension:
         with pytest.raises(ValueError, match="signalling"):
             ns_extension(random_behavior(rng, chsh_scenario()), 2)
 
+    def test_one_definition_pass_per_base(self, definition_passes, rng):
+        # The base's validity and signalling reports come from one pass, and
+        # the refusals read as they did when each had a pass of its own.
+        signalling = random_behavior(rng, chsh_scenario())
+        violation = is_no_signalling(signalling).max_violation
+        unnormalized = Behavior(chsh_scenario(), np.full((2, 2, 2, 2), 0.3))
+        cases = [
+            (uniform_box(chsh_scenario()), ExtensionCertificate),
+            (pr_box(), InfeasibleExtension),
+            (signalling, f"base behavior is signalling (violation {violation:.3e})"),
+            (unnormalized, "base behavior does not validate"),
+        ]
+        for base, expected in cases:
+            definition_passes.clear()
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as refusal:
+                    ns_extension(base, 2)
+                assert str(refusal.value) == expected
+            else:
+                assert isinstance(ns_extension(base, 2), expected)
+            assert len(definition_passes) == 1
+
     def test_local_mixture_three_clones_feasible(self, rng):
         vertices = deterministic_behaviors(chsh_scenario())
         picks = rng.choice(len(vertices), size=5, replace=False)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monogamy import (
+    Behavior,
     Scenario,
     TradeoffPoint,
     bell_value,
@@ -20,6 +21,7 @@ from monogamy import (
     check_triple,
     check_tv_tradeoff,
     collins_gisin,
+    correlator,
     deterministic_box,
     density_from_vector,
     mixture,
@@ -764,12 +766,18 @@ class TestPbProbe:
         scenario = tradeoffs.pb_scenario()
         row = functional_row(scenario, collins_gisin(), (0, 1))
         with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._require_invariant(scenario, [row], self.S3)
-        # The max-min rows are swapped by c <-> d, but not fixed by b <-> c.
-        rows = [row + functional_row(scenario, collins_gisin(), pair) for pair in ((0, 2), (0, 3))]
-        tradeoffs._require_invariant(scenario, rows, self.SWAP_CD)
+            tradeoffs._require_invariant(scenario, row, self.S3)
+        # The max-min rows C_ab + C_ac and C_ab + C_ad are swapped by
+        # c <-> d, but neither is fixed by it: a stack maximizes each row on
+        # its own, so each is refused.  Their mean is fixed by c <-> d, not
+        # by b <-> c.
+        ac, ad = (functional_row(scenario, collins_gisin(), pair) for pair in ((0, 2), (0, 3)))
+        for objective in (row + ac, row + ad):
+            with pytest.raises(ValueError, match=r"permutation \(0, 1, 3, 2\)"):
+                tradeoffs._require_invariant(scenario, objective, self.SWAP_CD)
+        tradeoffs._require_invariant(scenario, row + (ac + ad) / 2.0, self.SWAP_CD)
         with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._require_invariant(scenario, rows, self.S3)
+            tradeoffs._require_invariant(scenario, row + (ac + ad) / 2.0, self.S3)
         # The probe checks each sign LP's objective against its blocks:
         # with C_ad doubled, (+++) is not fixed by swapping c and d.
         row_of = tradeoffs.functional_row
@@ -1121,6 +1129,48 @@ class TestObjectiveBuilders:
         assert obj @ b.table.reshape(-1) == pytest.approx(
             bell_value(b, collins_gisin()), abs=1e-12
         )
+
+
+def marginal_route(b):
+    """CHSH_ab, CHSH_ac, CHSH_bc and the a-c correlator at the first
+    settings, each on the two-party marginal at context (0, 0, 0)."""
+    pairs = [marginal_behavior(b, pair, (0, 0, 0)) for pair in ((0, 1), (0, 2), (1, 2))]
+    return [bell_value(pair, chsh()) for pair in pairs] + [correlator(pairs[1], (0, 0))]
+
+
+class TestTableTermsProperties:
+    # Derandomized and without an example database, so every run draws the
+    # same examples.
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-0.125, 0.125), min_size=64, max_size=64),
+        kind=st.sampled_from(["raw", "normalized", "local"]),
+    )
+    def test_table_terms_are_the_marginal_route(self, entries, kind):
+        # Raw entries of at most 1/8 in size keep each correlator in [-1, 1]
+        # and each CHSH value in [-4, 4]; normalized tables are generally
+        # signalling; local ones mix the 64 deterministic strategies.
+        scenario = tradeoffs.triple_scenario()
+        weights = np.abs(entries) + 1e-3
+        table = np.array(entries)
+        if kind == "normalized":
+            table = weights.reshape(scenario.table_shape)
+            table = table / table.sum(axis=(3, 4, 5), keepdims=True)
+        elif kind == "local":
+            table = tradeoffs.strategy_matrix(scenario) @ (weights / weights.sum())
+        b = Behavior(scenario, table.reshape(scenario.table_shape))
+        ab, ac, bc, corr_ac = marginal_route(b)
+        point = triple_values(b)
+        assert np.allclose([point.chsh_ab, point.chsh_ac, point.chsh_bc], [ab, ac, bc],
+                           rtol=0.0, atol=1e-12)
+        # behavior_checks hands its a-c correlator to the key-rate check.
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            key = tradeoffs.check_key_corollary
+            patch.setattr(tradeoffs, "check_key_corollary",
+                          lambda chsh_ab, corr, tol: seen.append(corr) or key(chsh_ab, corr, tol))
+            tradeoffs.behavior_checks(b)
+        assert seen == [pytest.approx(corr_ac, abs=1e-12)]
 
 
 class TestPairTermsProperties:
