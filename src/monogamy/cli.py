@@ -173,7 +173,6 @@ def cmd_localtest(args) -> int:
 
 def cmd_share(args) -> int:
     b = parse_behavior(args.infile)
-    _require_valid(b, args.tol)
     try:
         result = sharing.is_n_shareable(b, args.n, mode=args.mode, tol=args.tol)
     except ValueError as exc:
@@ -285,6 +284,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cgsearch(args) -> int:
+    bound = bell.collins_gisin().local_bound
     rng = np.random.default_rng(args.seed)
     mu_values = np.linspace(0.0, 1.0, args.grid)
     result = tradeoffs.cg_double_violation_search(mu_values, args.restarts, rng)
@@ -296,11 +296,11 @@ def cmd_cgsearch(args) -> int:
         "cg_ab": result.value_ab,
         "cg_ac": result.value_ac,
         "min_value": result.min_value,
-        "local_bound": 4.0,
-        "double_violation": result.min_value > 4.0,
+        "local_bound": bound,
+        "double_violation": result.min_value > bound,
     }
     _emit(payload, args.out)
-    return 0 if result.min_value > 4.0 else 1
+    return 0 if result.min_value > bound else 1
 
 
 def cmd_pbprobe(args) -> int:
@@ -364,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, infile=True)
     p.set_defaults(func=cmd_localtest)
 
-    p = sub.add_parser("share", help="N-shareability test")
+    p = sub.add_parser("share", help="N-shareability test", description=(
+        "N-shareability test.  --tol is the extension LP's feasibility threshold;"
+        f" the input behavior is checked at {model.DEFAULT_TOL:g}."))
     common(p, infile=True, tol=1e-7)  # LP feasibility threshold
     p.add_argument("--n", type=int, required=True, help="number of clones")
     p.add_argument("--mode", choices=["unrestricted", "ns"], default="ns")

@@ -16,12 +16,13 @@ from .bell import (  # noqa: F401 - perfbench/spans.py wraps bell_value here
     bell_value,
     functional_row,
 )
-from .model import Behavior, Scenario, deterministic_box
+from .model import Behavior, Scenario, _capped_product, deterministic_box
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-STRATEGY_CAP = 1_000_000
+STRATEGY_CAP = 2**23  # strategy matrix entries, table size x strategy count: 64 MiB
+_RECONSTRUCTION_TOL = 1e-8  # largest error of a feasible local model's table
 
 
 @dataclass(frozen=True)
@@ -56,38 +57,26 @@ class NotLocal:
     score: float
 
 
-def _checked_count(scenario: Scenario, cap: int) -> int:
-    """The strategy count prod_p o_p^s_p, refused as soon as the running
-    product passes ``cap``: a huge count is never formed or printed."""
-    count = 1
-    for s, o in zip(scenario.settings, scenario.outcomes):
-        for _ in range(s):
-            count *= o
-            if count > cap:
-                raise ValueError(f"strategy count exceeds cap {cap}")
-    return count
+def _refuse_oversized(scenario: Scenario) -> None:
+    """Refuse a strategy matrix, table size x prod_p o_p^s_p, past the cap."""
+    responses = (o for s, o in zip(scenario.settings, scenario.outcomes) for _ in range(s))
+    _capped_product(itertools.chain(scenario.table_shape, responses), STRATEGY_CAP,
+                    "strategy matrix size")
 
 
-def deterministic_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> list[DeterministicStrategy]:
+def deterministic_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
     """Enumerate all per-party deterministic response functions."""
-    _checked_count(scenario, cap)
-    per_party = []
-    for p in range(scenario.parties):
-        responses = list(
-            itertools.product(range(scenario.outcomes[p]), repeat=scenario.settings[p])
-        )
-        per_party.append(responses)
-    return [
-        DeterministicStrategy(assignment=combo)
-        for combo in itertools.product(*per_party)
-    ]
+    _refuse_oversized(scenario)
+    per_party = (itertools.product(range(o), repeat=s)
+                 for s, o in zip(scenario.settings, scenario.outcomes))
+    return [DeterministicStrategy(combo) for combo in itertools.product(*per_party)]
 
 
-def deterministic_behaviors(scenario: Scenario, cap: int = STRATEGY_CAP) -> list[Behavior]:
-    return [s.to_behavior(scenario) for s in deterministic_strategies(scenario, cap)]
+def deterministic_behaviors(scenario: Scenario) -> list[Behavior]:
+    return [s.to_behavior(scenario) for s in deterministic_strategies(scenario)]
 
 
-def strategy_matrix(scenario: Scenario, cap: int = STRATEGY_CAP) -> np.ndarray:
+def strategy_matrix(scenario: Scenario) -> np.ndarray:
     """Dense matrix with one flattened deterministic table per column, the
     columns in the order of :func:`deterministic_strategies`.
 
@@ -95,7 +84,7 @@ def strategy_matrix(scenario: Scenario, cap: int = STRATEGY_CAP) -> np.ndarray:
     base o_p, most significant first.  Its one-hot table ``[x, a, r]`` is 1
     where r answers a at x; the matrix is the broadcast product of the
     parties' tables over axes (settings, outcomes, responses)."""
-    total = _checked_count(scenario, cap)
+    _refuse_oversized(scenario)
     k = scenario.parties
     matrix = np.ones(())
     for p, (s, o) in enumerate(zip(scenario.settings, scenario.outcomes)):
@@ -103,26 +92,24 @@ def strategy_matrix(scenario: Scenario, cap: int = STRATEGY_CAP) -> np.ndarray:
         shape = [1] * (3 * k)
         shape[p], shape[k + p], shape[2 * k + p] = s, o, o ** s
         matrix = matrix * (answers[:, None, :] == np.arange(o)[:, None]).reshape(shape)
-    return matrix.reshape(scenario.table_size, total)
+    return matrix.reshape(scenario.table_size, -1)
 
 
 @functools.lru_cache(maxsize=8)
-def _membership_rows(scenario: Scenario, cap: int) -> sp.csr_array:
+def _membership_rows(scenario: Scenario) -> sp.csr_array:
     """The strategy columns of :func:`strategy_matrix` over one row of ones
-    (the weights' normalization), as CSR.  Memoised per scenario and cap,
-    and returned read-only, as ``model.cg_map`` is."""
+    (the weights' normalization), as CSR.  Memoised per scenario, and
+    returned read-only, as ``model.cg_map`` is."""
+    matrix = strategy_matrix(scenario)  # refuses before scipy is imported
     import scipy.sparse as sp
 
-    matrix = strategy_matrix(scenario, cap)
     rows = sp.csr_array(np.vstack([matrix, np.ones((1, matrix.shape[1]))]))
     for part in (rows.data, rows.indices, rows.indptr):
         part.setflags(write=False)
     return rows
 
 
-def local_decomposition(
-    b: Behavior, tol: float = 1e-8, cap: int = STRATEGY_CAP
-) -> LocalModel | NotLocal:
+def local_decomposition(b: Behavior) -> LocalModel | NotLocal:
     """Find hidden-variable weights reproducing ``b``, or certify none exist.
 
     Feasibility of  D w = b,  sum(w) = 1,  w >= 0  over the deterministic
@@ -130,7 +117,7 @@ def local_decomposition(
     violation as a non-locality score.
     """
     scenario = b.scenario
-    rows = _membership_rows(scenario, cap)
+    rows = _membership_rows(scenario)
     eq_rhs = np.concatenate([b.table.reshape(-1), [1.0]])
     outcome = lp.feasibility(eq=(rows, eq_rhs), n_variables=rows.shape[1], tol=lp.FEASIBILITY_TOL)
     if outcome.status == lp.LpStatus.INFEASIBLE:
@@ -141,18 +128,18 @@ def local_decomposition(
     weights = weights / weights.sum()
     reconstruction = (rows @ weights)[:-1]
     err = float(np.max(np.abs(reconstruction - b.table.reshape(-1))))
-    if err > tol:
+    if err > _RECONSTRUCTION_TOL:
         # Feasible per the LP but imprecise reconstruction: a numerical
         # failure, not evidence of non-locality.
         raise RuntimeError(f"feasible weights reconstruct with error {err:.3e}")
     return LocalModel(scenario=scenario, weights=weights, reconstruction_error=err)
 
 
-def local_bound(f: BellFunctional, scenario: Scenario, cap: int = STRATEGY_CAP) -> float:
+def local_bound(f: BellFunctional, scenario: Scenario) -> float:
     """Maximum of the functional over all deterministic strategies (the
     vertices of the local polytope); exact up to float evaluation."""
     if scenario.parties != 2:
         raise ValueError("Bell functionals here are two-party")
     if scenario.settings != f.settings:
         raise ValueError("functional settings do not match the scenario")
-    return float(np.max(functional_row(scenario, f, (0, 1)) @ strategy_matrix(scenario, cap)))
+    return float(np.max(functional_row(scenario, f, (0, 1)) @ strategy_matrix(scenario)))

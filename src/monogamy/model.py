@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -33,6 +33,18 @@ DEFAULT_TOL = 1e-9
 
 # Refuse to allocate tables beyond this many entries.
 DEFAULT_TABLE_CAP = 1_000_000
+
+
+def _capped_product(factors: Iterable[int], cap: int, what: str) -> int:
+    """The product of ``factors``, refused with ``{what} exceeds cap {cap}``
+    as soon as the running product passes ``cap``: the full size of a huge
+    array, a number of thousands of digits, is never formed or printed."""
+    size = 1
+    for n in factors:
+        size *= n
+        if size > cap:
+            raise ValueError(f"{what} exceeds cap {cap}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -58,13 +70,7 @@ class Scenario:
             raise ValueError("every party needs at least one setting")
         if min(self.outcomes) < 2:
             raise ValueError("every party needs at least two outcomes")
-        # Stop multiplying once past the cap: the full size of a huge
-        # scenario is a number of thousands of digits.
-        size = 1
-        for n in self.table_shape:
-            size *= n
-            if size > self.table_cap:
-                raise ValueError(f"table size exceeds cap {self.table_cap}")
+        _capped_product(self.table_shape, self.table_cap, "table size")
 
     @property
     def table_shape(self) -> tuple[int, ...]:

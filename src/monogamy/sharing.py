@@ -53,8 +53,6 @@ from .tradeoffs import _ns_maxima
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-EXTENSION_TABLE_CAP = 200_000
-
 
 @dataclass(frozen=True)
 class ExtensionSpec:
@@ -111,16 +109,19 @@ class ShareabilityResult:
 def _extended_scenario(base: Scenario, n_clones: int) -> Scenario:
     settings = (base.settings[0],) + (base.settings[1],) * n_clones
     outcomes = (base.outcomes[0],) + (base.outcomes[1],) * n_clones
-    return Scenario(1 + n_clones, settings, outcomes, table_cap=EXTENSION_TABLE_CAP)
+    return Scenario(1 + n_clones, settings, outcomes)
 
 
 def _require_two_party(b: Behavior) -> SignallingReport:
-    """The signalling report of a valid two-party ``b``; ValueError otherwise."""
+    """The signalling report of a two-party ``b`` valid at
+    ``model.DEFAULT_TOL``; ValueError otherwise."""
     if b.scenario.parties != 2:
         raise ValueError("extensions are defined for two-party base behaviors")
     ((validity, signalling),) = definition_reports(b.scenario, b.table[None])
     if not validity.passed:
-        raise ValueError("base behavior does not validate")
+        raise ValueError(f"base behavior does not validate: max positivity violation "
+                         f"{validity.max_positivity_violation:.3e}, max normalization "
+                         f"deviation {validity.max_normalization_deviation:.3e}")
     return signalling
 
 

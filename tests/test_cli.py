@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -12,8 +13,11 @@ import pytest
 
 from monogamy import (
     Behavior,
+    Scenario,
     behavior_to_json_dict,
     is_no_signalling,
+    localpoly,
+    model,
     pr_box,
     sharing,
     state_to_json_dict,
@@ -122,6 +126,34 @@ class TestNsAndLocal:
     def test_uniform_local(self, uniform_path, capsys):
         assert main(["localtest", "--in", uniform_path]) == 0
 
+    def test_wide_box_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # 1 960 entries and 2^19 strategies, but an 8.2 GB strategy matrix.
+        # The peak is read above the memory held when the membership call
+        # starts, past the file's parse.
+        wide = uniform_box(Scenario(3, (7, 7, 5), (2, 2, 2)))
+        path = write_behavior(tmp_path / "wide.json", wide)
+        decompose = localpoly.local_decomposition
+        held = []
+
+        def from_here(b):
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return decompose(b)
+
+        monkeypatch.setattr(localpoly, "local_decomposition", from_here)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert main(["localtest", "--in", path]) == 2
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**16
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: strategy matrix size exceeds cap {localpoly.STRATEGY_CAP}\n"
+
 
 class TestShare:
     def test_pr_infeasible_at_two(self, pr_path, capsys):
@@ -159,15 +191,26 @@ class TestShare:
             assert time.perf_counter() - start < 10.0
         capsys.readouterr()
 
-    def test_eight_clones_refused_before_rows(self, uniform_path, monkeypatch, capsys):
-        # 4^9 = 262 144 certificate entries exceed EXTENSION_TABLE_CAP.
+    def test_eight_clones_finish(self, uniform_path, pr_path, capsys):
+        # 660 x 135 positivity rows x columns for a 262 144-entry certificate.
+        assert main(["share", "--in", uniform_path, "--n", "8", "--mode", "ns"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "feasible"
+        assert payload["symmetry_residual"] <= 1e-6 and payload["marginal_residual"] <= 1e-6
+        assert main(["share", "--in", pr_path, "--n", "8", "--mode", "ns"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "infeasible"
+        assert payload["score"] == pytest.approx(361 / 900, abs=1e-9)
+
+    def test_nine_clones_refused_before_rows(self, uniform_path, monkeypatch, capsys):
+        # 4^10 = 1 048 576 certificate entries exceed the table cap.
         built = []
         for name in ("symmetric_cg_rows", "symmetric_cg_marginal_split"):
             monkeypatch.setattr(sharing, name, lambda *args: built.append(args))
-        assert main(["share", "--in", uniform_path, "--n", "8", "--mode", "ns"]) == 2
+        assert main(["share", "--in", uniform_path, "--n", "9", "--mode", "ns"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"exceeds cap {sharing.EXTENSION_TABLE_CAP}" in captured.err
+        assert captured.err == f"error: table size exceeds cap {model.DEFAULT_TABLE_CAP}\n"
         assert built == []
 
     def test_huge_clone_count_refused_at_once(self, pr_path, capsys):
@@ -178,7 +221,28 @@ class TestShare:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: table size exceeds cap {sharing.EXTENSION_TABLE_CAP}\n"
+        assert captured.err == f"error: table size exceeds cap {model.DEFAULT_TABLE_CAP}\n"
+
+    @pytest.mark.parametrize("mode", ["ns", "unrestricted"])
+    def test_input_checked_once(self, tmp_path, mode, capsys, definition_passes):
+        # --tol is the LP threshold; the input is checked once, at the
+        # library's tolerance, and the refusal names the deviation.
+        table = uniform_box(chsh_scenario()).table.copy()
+        table[0, 0, 0, 0] += 5e-9
+        path = write_behavior(tmp_path / "off.json", Behavior(chsh_scenario(), table))
+        assert main(["share", "--in", path, "--n", "2", "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: base behavior does not validate: max positivity violation 0.000e+00, "
+            "max normalization deviation 5.000e-09\n"
+        )
+        assert len(definition_passes) == 1
+        definition_passes.clear()
+        assert main(["share", "--in", write_behavior(tmp_path / "pr.json", pr_box()),
+                     "--n", "2", "--mode", mode]) == (1 if mode == "ns" else 0)
+        capsys.readouterr()
+        assert len(definition_passes) == 1
 
     def test_out_of_memory_is_an_error(self, uniform_path, monkeypatch, capsys):
         # Exit 1 would read as "not shareable".

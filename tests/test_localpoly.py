@@ -28,6 +28,10 @@ from monogamy.bell import BellFunctional
 from monogamy.localpoly import STRATEGY_CAP, _membership_rows, strategy_matrix
 from conftest import chsh_scenario, random_violating_behavior, tsirelson_behavior
 
+# 1 960 table entries and 2^19 strategies, both modest, but a
+# 1 960 x 524 288 strategy matrix: 8.2 GB of float64.
+WIDE = Scenario(3, (7, 7, 5), (2, 2, 2))
+
 
 class TestEnumeration:
     @pytest.mark.parametrize(
@@ -56,13 +60,14 @@ class TestEnumeration:
         # 2^20000 strategies: the refusal stops multiplying at the cap and
         # prints no 6 000-digit count.
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"^strategy count exceeds cap {STRATEGY_CAP}$"):
+        with pytest.raises(ValueError, match=f"^strategy matrix size exceeds cap {STRATEGY_CAP}$"):
             local_decomposition(uniform_box(Scenario(1, (20000,), (2,))))
         assert time.perf_counter() - start < 1.0
 
     def test_behaviors_respect_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            deterministic_behaviors(chsh_scenario(), cap=4)
+        # One deterministic table per strategy: the matrix's entries again.
+        with pytest.raises(ValueError, match=f"^strategy matrix size exceeds cap {STRATEGY_CAP}$"):
+            deterministic_behaviors(WIDE)
 
     @pytest.mark.parametrize(
         "scenario",
@@ -85,18 +90,25 @@ class TestEnumeration:
         assert np.array_equal(matrix, expected)
 
     def test_strategy_matrix_refuses_before_allocating(self):
-        # 4^20 columns: any allocation of the matrix would exhaust memory.
+        # 4^20 columns, or the WIDE box's 8.2 GB matrix: any allocation of
+        # the matrix would exhaust memory.
         big = Scenario(4, (5, 5, 5, 5), (4, 4, 4, 4), table_cap=10 ** 9)
+        wide = uniform_box(WIDE)
+        message = f"^strategy matrix size exceeds cap {STRATEGY_CAP}$"
+        start = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="exceeds cap"):
+            with pytest.raises(ValueError, match=message):
                 strategy_matrix(big)
-            with pytest.raises(ValueError, match="exceeds cap"):
-                strategy_matrix(chsh_scenario(), cap=15)
+            with pytest.raises(ValueError, match=message):
+                strategy_matrix(WIDE)
+            with pytest.raises(ValueError, match=message):
+                local_decomposition(wide)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDecomposition:
@@ -145,11 +157,11 @@ class TestDecomposition:
     @pytest.mark.parametrize("scenario", [chsh_scenario(), Scenario(2, (3, 2), (2, 3))])
     def test_membership_rows_memoised_read_only(self, scenario):
         # The strategy columns over the normalization row, built once.
-        rows = _membership_rows(scenario, STRATEGY_CAP)
+        rows = _membership_rows(scenario)
         matrix = strategy_matrix(scenario)
         assert rows.format == "csr"
         assert np.array_equal(rows.toarray(), np.vstack([matrix, np.ones(matrix.shape[1])]))
-        assert _membership_rows(scenario, STRATEGY_CAP) is rows
+        assert _membership_rows(scenario) is rows
         for part in (rows.data, rows.indices, rows.indptr):
             assert not part.flags.writeable
 

@@ -29,6 +29,7 @@ from monogamy import (
 )
 from monogamy import sharing
 from monogamy.model import (
+    DEFAULT_TABLE_CAP,
     _block_rows,
     _clone_multisets,
     symmetric_cg_index,
@@ -36,7 +37,6 @@ from monogamy.model import (
     symmetric_cg_rows,
 )
 from monogamy.sharing import (
-    EXTENSION_TABLE_CAP,
     _extended_scenario,
     _joint_symmetry_residual,
     _marginal_residual_ns,
@@ -128,7 +128,8 @@ class TestNsExtension:
             (uniform_box(chsh_scenario()), ExtensionCertificate),
             (pr_box(), InfeasibleExtension),
             (signalling, f"base behavior is signalling (violation {violation:.3e})"),
-            (unnormalized, "base behavior does not validate"),
+            (unnormalized, "base behavior does not validate: max positivity violation "
+                           "0.000e+00, max normalization deviation 2.000e-01"),
         ]
         for base, expected in cases:
             definition_passes.clear()
@@ -163,7 +164,7 @@ class TestNsExtension:
 
     def test_pr_box_violation(self):
         # Total positivity deficit with the pair marginals held at the PR box.
-        deficits = (1 / 2, 1.0, 7 / 6, 1.0, 43 / 54, 25 / 44)
+        deficits = (1 / 2, 1.0, 7 / 6, 1.0, 43 / 54, 25 / 44, 361 / 900)
         for n_clones, deficit in enumerate(deficits, start=2):
             result = ns_extension(pr_box(), n_clones)
             assert isinstance(result, InfeasibleExtension)
@@ -255,9 +256,8 @@ def clone_blocks(n_clones: int) -> tuple[tuple[int, ...], ...]:
 
 
 def uncapped_scenario(base: Scenario, n_clones: int) -> Scenario:
-    """The extended scenario without the certificate's table cap, which
-    refuses 8 clones of a 2x2 base: the row builder never builds the
-    table."""
+    """The extended scenario without the table cap, which refuses 9 clones
+    of a 2x2 base: the row builder never builds the table."""
     return Scenario(1 + n_clones, (base.settings[0],) + (base.settings[1],) * n_clones,
                     (base.outcomes[0],) + (base.outcomes[1],) * n_clones, table_cap=10**12)
 
@@ -320,7 +320,7 @@ class TestExtensionRows:
             assert np.flatnonzero(np.count_nonzero(multisets, axis=1) <= 1).tolist() == list(range(d_b))
             for part in (rows.data, rows.indices, rows.indptr):
                 assert not part.flags.writeable
-            if scen.table_size <= EXTENSION_TABLE_CAP:
+            if scen.table_size <= DEFAULT_TABLE_CAP:
                 index = symmetric_cg_index(scen, clone_blocks(n_clones))
                 assert index.size == scen.table_size and not index.flags.writeable
         if base == chsh_scenario():
