@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,22 +108,11 @@ def functional_row(scenario: Scenario, f: BellFunctional, pair: tuple[int, int])
     return coeffs.reshape(-1)
 
 
-@functools.lru_cache(maxsize=32)
-def _functional_row(scenario: Scenario, f: BellFunctional, pair: tuple[int, int]) -> np.ndarray:
-    """:func:`functional_row`, memoised by scenario, functional (by
-    identity) and pair, and returned read-only.  Only :func:`bell_value`
-    reads it, so it holds two-party rows; the LP builders call
-    :func:`functional_row` once per objective."""
-    row = functional_row(scenario, f, pair)
-    row.setflags(write=False)
-    return row
-
-
 def bell_value(b: Behavior, f: BellFunctional) -> float:
     """Evaluate the functional on a two-party behavior."""
     if b.scenario.parties != 2:
         raise ValueError("Bell functionals act on two-party behaviors")
-    return float(_functional_row(b.scenario, f, (0, 1)) @ b.table.reshape(-1))
+    return float(functional_row(b.scenario, f, (0, 1)) @ b.table.reshape(-1))
 
 
 _CHSH = chsh()

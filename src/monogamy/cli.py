@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 on pass/success, 1 on a failed check, 2 on usage, parse or
-run-time errors (running out of memory included).  All sampling flows
-through a single seedable generator, so identical seeds and flags produce
-byte-identical output files.
+run-time errors (running out of memory included).  Every exit-2 refusal
+after argparse's own is one ``error: ...`` line on stderr, written by
+``main`` alone: this module and the library raise ValueError or
+RuntimeError.  An input behavior that fails validation is refused by
+``model.require_valid``, with the same line whatever the command.  All
+sampling flows through a single seedable generator, so identical seeds and
+flags produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -28,18 +32,14 @@ MAX_STARTS = 10_000
 _SEARCHING_SWEEPS = ("quantum", "separable-orthogonal")
 
 
-class CliError(Exception):
-    """Usage or input error; maps to exit code 2."""
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}") from None
+        raise ValueError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(
+        raise ValueError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
 
@@ -47,24 +47,12 @@ def _load_json(path: str) -> dict:
 def parse_behavior(path: str | None) -> model.Behavior:
     """Load and structurally check a behavior JSON file."""
     if path is None:
-        raise CliError("a behavior file is required (--in)")
+        raise ValueError("a behavior file is required (--in)")
     data = _load_json(path)
     try:
         return model.behavior_from_json_dict(data)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _require_valid(b: model.Behavior, tol: float) -> model.SignallingReport:
-    """The signalling report of ``b`` at ``tol``; CliError unless it validates."""
-    ((report, signalling),) = model.definition_reports(b.scenario, b.table[None], tol)
-    if not report.passed:
-        raise CliError(
-            "input behavior failed validation: "
-            f"max positivity violation {report.max_positivity_violation:.3e}, "
-            f"max normalization deviation {report.max_normalization_deviation:.3e}"
-        )
-    return signalling
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -83,11 +71,11 @@ def _angles(text: str, count: int) -> list[float]:
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError:
-        raise CliError(f"--angles must be comma-separated radians: '{text}'") from None
+        raise ValueError(f"--angles must be comma-separated radians: '{text}'") from None
     if len(values) != count:
-        raise CliError(f"expected {count} angles, got {len(values)}")
+        raise ValueError(f"expected {count} angles, got {len(values)}")
     if not all(math.isfinite(v) for v in values):
-        raise CliError(f"--angles must be finite: '{text}'")
+        raise ValueError(f"--angles must be finite: '{text}'")
     return values
 
 
@@ -98,9 +86,9 @@ def _resolve_state(
     'entries' fields is a state; any other file is read as a behavior when
     ``allow_behavior`` is set, and as a state otherwise."""
     if args.infile and args.state:
-        raise CliError("give either --in or --state, not both")
+        raise ValueError("give either --in or --state, not both")
     if args.mu is not None and args.state != "cg":
-        raise CliError("--mu applies only to --state cg")
+        raise ValueError("--mu applies only to --state cg")
     if args.infile:
         data = _load_json(args.infile)
         is_state = isinstance(data, dict) and "dimension" in data and "entries" in data
@@ -109,13 +97,10 @@ def _resolve_state(
                 return quantum.state_from_json_dict(data)
             return model.behavior_from_json_dict(data)
         except ValueError as exc:
-            raise CliError(f"{args.infile}: {exc}") from None
+            raise ValueError(f"{args.infile}: {exc}") from None
     if args.state:
-        try:
-            return quantum.named_state(args.state, mu=args.mu)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    raise CliError("a state is required (--in or --state)")
+        return quantum.named_state(args.state, mu=args.mu)
+    raise ValueError("a state is required (--in or --state)")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +129,7 @@ def cmd_validate(args) -> int:
 
 def cmd_nstest(args) -> int:
     b = parse_behavior(args.infile)
-    report = _require_valid(b, args.tol)
+    report = model.require_valid(b, args.tol)
     payload = {
         "is_no_signalling": report.is_no_signalling,
         "max_violation": report.max_violation,
@@ -157,7 +142,7 @@ def cmd_nstest(args) -> int:
 
 def cmd_localtest(args) -> int:
     b = parse_behavior(args.infile)
-    _require_valid(b, args.tol)
+    model.require_valid(b, args.tol)
     result = localpoly.local_decomposition(b)
     if isinstance(result, localpoly.NotLocal):
         _emit({"local": False, "score": result.score}, args.out)
@@ -173,10 +158,7 @@ def cmd_localtest(args) -> int:
 
 def cmd_share(args) -> int:
     b = parse_behavior(args.infile)
-    try:
-        result = sharing.is_n_shareable(b, args.n, mode=args.mode, tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    result = sharing.is_n_shareable(b, args.n, mode=args.mode, tol=args.tol)
     payload = {
         "mode": args.mode,
         "n": args.n,
@@ -197,7 +179,7 @@ def cmd_chsh(args) -> int:
     source = _resolve_state(args, allow_behavior=True)
     if isinstance(source, model.Behavior):
         b = source
-        _require_valid(b, args.tol)
+        model.require_valid(b, args.tol)
         if b.scenario.parties == 3:
             # Three-party input: emit the pair values and the trade-off
             # checks as a JSON report array.
@@ -214,9 +196,9 @@ def cmd_chsh(args) -> int:
     else:
         rho = source
         if rho.qubits != 2:
-            raise CliError("chsh needs a two-qubit state")
+            raise ValueError("chsh needs a two-qubit state")
         if args.angles is None:
-            raise CliError("chsh on a state needs --angles (four values: a0,a1,b0,b1)")
+            raise ValueError("chsh on a state needs --angles (four values: a0,a1,b0,b1)")
         alphas = _angles(args.angles, 4)
         observables = [
             [quantum.planar_observable(alphas[0]), quantum.planar_observable(alphas[1])],
@@ -233,15 +215,15 @@ def cmd_cg(args) -> int:
     functional = bell.collins_gisin()
     source = _resolve_state(args, allow_behavior=True)
     if isinstance(source, model.Behavior):
-        _require_valid(source, args.tol)
+        model.require_valid(source, args.tol)
         value = bell.bell_value(source, functional)
         _emit({"cg": value, "local_bound": functional.local_bound}, args.out)
         return 0
     rho = source
     if rho.qubits != 3:
-        raise CliError("cg needs a three-qubit state (or a behavior file)")
+        raise ValueError("cg needs a three-qubit state (or a behavior file)")
     if args.angles is None:
-        raise CliError("cg on a state needs --angles (nine values: a, b, c)")
+        raise ValueError("cg on a state needs --angles (nine values: a, b, c)")
     alphas = _angles(args.angles, 9)
     value_ab, value_ac = tradeoffs.cg_values_for_state(
         rho, tuple(alphas[0:3]), tuple(alphas[3:6]), tuple(alphas[6:9])
@@ -257,10 +239,7 @@ def cmd_cg(args) -> int:
 
 def cmd_ckw(args) -> int:
     rho = _resolve_state(args)
-    try:
-        report = entanglement.ckw_check(rho, args.pivot, tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = entanglement.ckw_check(rho, args.pivot, tol=args.tol)
     payload = {
         "pivot": report.pivot,
         "partners": list(report.partners),
@@ -418,6 +397,26 @@ def _join_angles(argv: list[str]) -> list[str]:
     return argv
 
 
+def _check_arguments(args) -> None:
+    """ValueError for the first flag out of its range."""
+    if getattr(args, "tol", None) is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("--tol must be positive and finite")
+    if getattr(args, "grid", None) is not None and args.grid < 1:
+        raise ValueError(f"--grid must be at least 1 (the number of {args.grid_counts})")
+    if getattr(args, "restarts", None) is not None and args.restarts < 0:
+        raise ValueError("--restarts must be non-negative")
+    if getattr(args, "grid", None) is not None and args.grid > MAX_GRID:
+        raise ValueError(f"--grid must be at most {MAX_GRID}")
+    searching = args.command == "cgsearch" or getattr(args, "cls", None) in _SEARCHING_SWEEPS
+    if searching and args.grid * (args.restarts + 3) > MAX_STARTS:
+        raise ValueError(
+            f"--grid * (--restarts + 3) must be at most {MAX_STARTS}, the number of"
+            " local searches the command may start"
+        )
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ValueError("--seed must be non-negative")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -425,33 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
-    if getattr(args, "tol", None) is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        sys.stderr.write("error: --tol must be positive and finite\n")
-        return 2
-    if getattr(args, "grid", None) is not None and args.grid < 1:
-        sys.stderr.write(f"error: --grid must be at least 1 (the number of {args.grid_counts})\n")
-        return 2
-    if getattr(args, "restarts", None) is not None and args.restarts < 0:
-        sys.stderr.write("error: --restarts must be non-negative\n")
-        return 2
-    if getattr(args, "grid", None) is not None and args.grid > MAX_GRID:
-        sys.stderr.write(f"error: --grid must be at most {MAX_GRID}\n")
-        return 2
-    searching = args.command == "cgsearch" or getattr(args, "cls", None) in _SEARCHING_SWEEPS
-    if searching and args.grid * (args.restarts + 3) > MAX_STARTS:
-        sys.stderr.write(
-            f"error: --grid * (--restarts + 3) must be at most {MAX_STARTS}, the number of"
-            " local searches the command may start\n"
-        )
-        return 2
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        sys.stderr.write("error: --seed must be non-negative\n")
-        return 2
     try:
+        _check_arguments(args)
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (RuntimeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

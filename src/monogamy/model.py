@@ -187,6 +187,20 @@ def is_no_signalling(b: Behavior, tol: float = DEFAULT_TOL) -> SignallingReport:
     return definition_reports(b.scenario, b.table[None], tol)[0][1]
 
 
+def require_valid(b: Behavior, tol: float = DEFAULT_TOL) -> SignallingReport:
+    """The signalling report of one :func:`definition_reports` pass over
+    ``b``; ValueError, naming the largest deviations, unless ``b``
+    validates at ``tol``."""
+    ((report, signalling),) = definition_reports(b.scenario, b.table[None], tol)
+    if not report.passed:
+        raise ValueError(
+            "input behavior failed validation: "
+            f"max positivity violation {report.max_positivity_violation:.3e}, "
+            f"max normalization deviation {report.max_normalization_deviation:.3e}"
+        )
+    return signalling
+
+
 def definition_reports(
     scenario: Scenario, tables: np.ndarray, tol: float = DEFAULT_TOL
 ) -> list[tuple[ValidationReport, SignallingReport]]:

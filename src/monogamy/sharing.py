@@ -37,12 +37,12 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders a
     Scenario,
     SignallingReport,
     cg_map,
-    definition_reports,
     is_no_signalling,  # a check perfbench traces here
     marginal,
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
+    require_valid,
     symmetric_cg_index,
     symmetric_cg_marginal_split,
     symmetric_cg_rows,
@@ -117,12 +117,7 @@ def _require_two_party(b: Behavior) -> SignallingReport:
     ``model.DEFAULT_TOL``; ValueError otherwise."""
     if b.scenario.parties != 2:
         raise ValueError("extensions are defined for two-party base behaviors")
-    ((validity, signalling),) = definition_reports(b.scenario, b.table[None])
-    if not validity.passed:
-        raise ValueError(f"base behavior does not validate: max positivity violation "
-                         f"{validity.max_positivity_violation:.3e}, max normalization "
-                         f"deviation {validity.max_normalization_deviation:.3e}")
-    return signalling
+    return require_valid(b)
 
 
 def unrestricted_extension(b: Behavior, n_clones: int) -> ExtensionCertificate:
@@ -135,50 +130,29 @@ def unrestricted_extension(b: Behavior, n_clones: int) -> ExtensionCertificate:
     if n_clones < 1:
         raise ValueError("need at least one clone")
     scen = _extended_scenario(b.scenario, n_clones)
+    # Axes: [A, B1..BN, a, b1..bN]; the base sits on (A, B1, a, b1), is
+    # broadcast over B2..BN, and is kept where b1 = ... = bN.
+    pad = (None,) * (n_clones - 1)
+    base = b.table[(slice(None),) * 2 + pad + (slice(None),) * 2 + pad]
     n_out_b = b.scenario.outcomes[1]
-    table = np.zeros(scen.table_shape)
-    # Axes: [A, B1..BN, a, b1..bN]; broadcast the base over B2..BN.
-    base = b.table  # shape (sA, sB, oA, oB)
-    for beta in range(n_out_b):
-        view_index = (
-            (slice(None),) * (1 + n_clones)  # settings
-            + (slice(None),)                  # a
-            + (beta,) * n_clones              # all clone outcomes equal
-        )
-        block = base[:, :, :, beta]  # (sA, sB1, oA)
-        expand = block[(slice(None), slice(None)) + (None,) * (n_clones - 1) + (slice(None),)]
-        table[view_index] = np.broadcast_to(
-            expand,
-            (scen.settings[0],) + scen.settings[1:] + (scen.outcomes[0],),
-        )
-    behavior = Behavior(scen, table)
+    equal = np.zeros((n_out_b,) * n_clones, dtype=bool)
+    equal[(np.arange(n_out_b),) * n_clones] = True
+    behavior = Behavior(scen, np.broadcast_to(np.where(equal, base, 0.0), scen.table_shape))
     spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "unrestricted")
-    sym = _outcome_symmetry_residual(behavior)
+    sym = _symmetry_residual(behavior, joint=False)
     marg = _marginal_residual_unrestricted(behavior, b)
     return ExtensionCertificate(spec, behavior, sym, marg)
 
 
-def _outcome_symmetry_residual(ext: Behavior) -> float:
-    """Max deviation under clone outcome swaps at fixed settings."""
-    n_clones = ext.scenario.parties - 1
+def _symmetry_residual(ext: Behavior, joint: bool) -> float:
+    """Max deviation under clone swaps: of outcomes at fixed settings, or
+    with ``joint`` of (setting, outcome) pairs."""
+    n = ext.scenario.parties
     residual = 0.0
-    for i, j in itertools.combinations(range(n_clones), 2):
-        ax_i = ext.scenario.parties + 1 + i
-        ax_j = ext.scenario.parties + 1 + j
-        swapped = np.swapaxes(ext.table, ax_i, ax_j)
-        residual = max(residual, float(np.max(np.abs(ext.table - swapped))))
-    return residual
-
-
-def _joint_symmetry_residual(ext: Behavior) -> float:
-    """Max deviation under joint (setting, outcome) clone swaps."""
-    n_clones = ext.scenario.parties - 1
-    residual = 0.0
-    for i, j in itertools.combinations(range(n_clones), 2):
-        swapped = np.swapaxes(ext.table, 1 + i, 1 + j)
-        swapped = np.swapaxes(
-            swapped, ext.scenario.parties + 1 + i, ext.scenario.parties + 1 + j
-        )
+    for i, j in itertools.combinations(range(1, n), 2):
+        swapped = np.swapaxes(ext.table, n + i, n + j)
+        if joint:
+            swapped = np.swapaxes(swapped, i, j)
         residual = max(residual, float(np.max(np.abs(ext.table - swapped))))
     return residual
 
@@ -300,7 +274,7 @@ def ns_extension(
     return ExtensionCertificate(
         spec,
         behavior,
-        symmetry_residual=_joint_symmetry_residual(behavior),
+        symmetry_residual=_symmetry_residual(behavior, joint=True),
         marginal_residual=_marginal_residual_ns(behavior, b),
     )
 

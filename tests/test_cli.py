@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
+import ast
+import inspect
 import json
 import math
 import subprocess
@@ -23,6 +25,7 @@ from monogamy import (
     state_to_json_dict,
     uniform_box,
 )
+from monogamy import cli
 from monogamy.cli import main
 from conftest import chsh_scenario, child_env, random_behavior
 
@@ -234,7 +237,7 @@ class TestShare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: base behavior does not validate: max positivity violation 0.000e+00, "
+            "error: input behavior failed validation: max positivity violation 0.000e+00, "
             "max normalization deviation 5.000e-09\n"
         )
         assert len(definition_passes) == 1
@@ -595,6 +598,41 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert "monogamy" in result.stdout
+
+
+class TestRefusals:
+    def test_invalid_behavior_refused_alike(self, tmp_path, capsys):
+        # One invalid file gets one refusal, from the library and from every
+        # command that checks its input.
+        table = uniform_box(chsh_scenario()).table.copy()
+        table[0, 0, 0, 0] += 1e-3
+        b = Behavior(chsh_scenario(), table)
+        path = write_behavior(tmp_path / "raised.json", b)
+        refusal = ("input behavior failed validation: max positivity violation 0.000e+00, "
+                   "max normalization deviation 1.000e-03")
+        commands = [["nstest"], ["localtest"], ["chsh"], ["cg"],
+                    ["share", "--n", "2", "--mode", "ns"],
+                    ["share", "--n", "2", "--mode", "unrestricted"]]
+        for argv in commands:
+            assert main(argv + ["--in", path]) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {refusal}\n"), argv
+        for extension in (sharing.ns_extension, sharing.unrestricted_extension):
+            with pytest.raises(ValueError) as raised:
+                extension(b, 2)
+            assert str(raised.value) == refusal
+
+    def test_cli_raises_only_value_error(self):
+        # main's one handler sees every refusal of the module as a ValueError.
+        tree = ast.parse(inspect.getsource(cli))
+        exception_classes = [
+            node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)
+        ]
+        assert exception_classes == []
+        raised = [ast.unparse(node.exc) if node.exc else "raise" for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise)]
+        assert raised and all(text.startswith("ValueError(") for text in raised), raised
 
 
 # Runs CLI commands in order and prints, after the import and after each

@@ -38,10 +38,9 @@ from monogamy.model import (
 )
 from monogamy.sharing import (
     _extended_scenario,
-    _joint_symmetry_residual,
     _marginal_residual_ns,
     _marginal_residual_unrestricted,
-    _outcome_symmetry_residual,
+    _symmetry_residual,
     clone_symmetry_constraints,
     discard_last_clone,
 )
@@ -128,7 +127,7 @@ class TestNsExtension:
             (uniform_box(chsh_scenario()), ExtensionCertificate),
             (pr_box(), InfeasibleExtension),
             (signalling, f"base behavior is signalling (violation {violation:.3e})"),
-            (unnormalized, "base behavior does not validate: max positivity violation "
+            (unnormalized, "input behavior failed validation: max positivity violation "
                            "0.000e+00, max normalization deviation 2.000e-01"),
         ]
         for base, expected in cases:
@@ -159,7 +158,7 @@ class TestNsExtension:
         reduced = discard_last_clone(cert)
         assert validate_behavior(reduced, tol=1e-6).passed
         assert is_no_signalling(reduced, tol=1e-6).is_no_signalling
-        assert _joint_symmetry_residual(reduced) <= 1e-6
+        assert _symmetry_residual(reduced, joint=True) <= 1e-6
         assert _marginal_residual_ns(reduced, base) <= 1e-6
 
     def test_pr_box_violation(self):
@@ -211,7 +210,7 @@ class TestTamperedCertificates:
         # Clone 3's marginal moves by 0.1 per b_2; swapping clones 2 and 3
         # pairs a lowered entry with a raised one.
         assert _marginal_residual_unrestricted(tampered, pr_box()) == pytest.approx(0.2)
-        assert _outcome_symmetry_residual(tampered) == pytest.approx(0.2)
+        assert _symmetry_residual(tampered, joint=False) == pytest.approx(0.2)
 
     def test_ns_clone_one(self):
         base = uniform_box(chsh_scenario())
@@ -226,7 +225,7 @@ class TestTamperedCertificates:
         # Clone 1's marginal (B_2 pinned to 0) moves by 0.05 per b_2; the
         # clone swap maps the tampered context to the untouched (0, 0, 1).
         assert _marginal_residual_ns(tampered, base) == pytest.approx(0.1)
-        assert _joint_symmetry_residual(tampered) == pytest.approx(0.05)
+        assert _symmetry_residual(tampered, joint=True) == pytest.approx(0.05)
 
 
 def loop_symmetry_rows(scen):
@@ -293,7 +292,7 @@ class TestExtensionRows:
                 reference.status == LpStatus.OPTIMAL
             )
             if isinstance(result, ExtensionCertificate):
-                assert _joint_symmetry_residual(result.behavior) == 0.0
+                assert _symmetry_residual(result.behavior, joint=True) == 0.0
                 assert result.symmetry_residual == 0.0
                 assert is_no_signalling(result.behavior, tol=1e-6).is_no_signalling
                 assert result.marginal_residual <= 1e-6

@@ -37,7 +37,6 @@ from monogamy import (
     triple_values,
     uniform_box,
 )
-import monogamy.bell as bell
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import BellFunctional, functional_row
@@ -141,16 +140,6 @@ class TestBellValue:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             bell_value(pr_box(), collins_gisin())
-
-    def test_memoised_rows_are_read_only(self):
-        scenario, f = tradeoffs.triple_scenario(), chsh()
-        memo = bell._functional_row(scenario, f, (0, 2))
-        assert memo is bell._functional_row(scenario, f, (0, 2))
-        assert not memo.flags.writeable
-        row = functional_row(scenario, f, (0, 2))
-        assert row.flags.writeable and np.array_equal(row, memo)
-        row[:] = 0.0
-        assert np.array_equal(functional_row(scenario, f, (0, 2)), memo)
 
     def test_functional_arrays_are_read_only_copies(self):
         weights = np.array([[1.0, 1.0], [1.0, -1.0]])
