@@ -60,7 +60,6 @@ from .quantum import (
 )
 from .sharing import (
     ExtensionCertificate,
-    ExtensionSpec,
     InfeasibleExtension,
     ShareabilityResult,
     is_n_shareable,

@@ -15,16 +15,14 @@ class BellFunctional:
 
     ``correlators[x, y]`` weights the full correlator at settings (x, y);
     ``marginals_a[x]`` and ``marginals_b[y]`` weight the single-party
-    expectation values.  ``local_bound`` is the maximum over deterministic
-    strategies (see ``localpoly.local_bound``).  The arrays are read-only
-    copies, so a functional's coefficient row can be memoised.
+    expectation values.  Its local bound, the maximum over deterministic
+    strategies, is derived by ``localpoly.local_bound``.  The arrays are
+    read-only copies, so a functional never changes once built.
     """
 
     correlators: np.ndarray
     marginals_a: np.ndarray
     marginals_b: np.ndarray
-    local_bound: float
-    name: str = ""
 
     def __post_init__(self):
         corr = np.array(self.correlators, dtype=float)
@@ -48,8 +46,6 @@ def chsh() -> BellFunctional:
         correlators=np.array([[1.0, 1.0], [1.0, -1.0]]),
         marginals_a=np.zeros(2),
         marginals_b=np.zeros(2),
-        local_bound=2.0,
-        name="chsh",
     )
 
 
@@ -64,8 +60,6 @@ def collins_gisin() -> BellFunctional:
         ]),
         marginals_a=np.array([1.0, 1.0, 0.0]),
         marginals_b=np.array([-1.0, -1.0, 0.0]),
-        local_bound=4.0,
-        name="collins-gisin",
     )
 
 

@@ -38,6 +38,8 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -57,8 +59,11 @@ def parse_behavior(path: str | None) -> model.Behavior:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -217,7 +222,7 @@ def cmd_cg(args) -> int:
     if isinstance(source, model.Behavior):
         model.require_valid(source, args.tol)
         value = bell.bell_value(source, functional)
-        _emit({"cg": value, "local_bound": functional.local_bound}, args.out)
+        _emit({"cg": value, "local_bound": localpoly.local_bound(functional)}, args.out)
         return 0
     rho = source
     if rho.qubits != 3:
@@ -231,7 +236,7 @@ def cmd_cg(args) -> int:
     payload = {
         "cg_ab": value_ab,
         "cg_ac": value_ac,
-        "local_bound": functional.local_bound,
+        "local_bound": localpoly.local_bound(functional),
     }
     _emit(payload, args.out)
     return 0
@@ -263,7 +268,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cgsearch(args) -> int:
-    bound = bell.collins_gisin().local_bound
+    bound = localpoly.local_bound(bell.collins_gisin())
     rng = np.random.default_rng(args.seed)
     mu_values = np.linspace(0.0, 1.0, args.grid)
     result = tradeoffs.cg_double_violation_search(mu_values, args.restarts, rng)
@@ -313,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, infile=False, state=False, angles=False, grid=None, tol=1e-9):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--tol", type=float, default=tol, help="numeric tolerance")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="numeric tolerance")
         if infile:
             p.add_argument("--in", dest="infile", default=None, help="input JSON file")
         if state:
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cgsearch", help="double-violation search over the cg family")
-    common(p, grid="mu values")
+    common(p, grid="mu values", tol=None)
     p.set_defaults(func=cmd_cgsearch)
 
     p = sub.add_parser("pbprobe", help="four-party no-signalling probe")

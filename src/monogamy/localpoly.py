@@ -119,7 +119,7 @@ def local_decomposition(b: Behavior) -> LocalModel | NotLocal:
     scenario = b.scenario
     rows = _membership_rows(scenario)
     eq_rhs = np.concatenate([b.table.reshape(-1), [1.0]])
-    outcome = lp.feasibility(eq=(rows, eq_rhs), n_variables=rows.shape[1], tol=lp.FEASIBILITY_TOL)
+    outcome = lp.feasibility(eq=(rows, eq_rhs), tol=lp.FEASIBILITY_TOL)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return NotLocal(score=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
@@ -135,11 +135,9 @@ def local_decomposition(b: Behavior) -> LocalModel | NotLocal:
     return LocalModel(scenario=scenario, weights=weights, reconstruction_error=err)
 
 
-def local_bound(f: BellFunctional, scenario: Scenario) -> float:
+def local_bound(f: BellFunctional) -> float:
     """Maximum of the functional over all deterministic strategies (the
-    vertices of the local polytope); exact up to float evaluation."""
-    if scenario.parties != 2:
-        raise ValueError("Bell functionals here are two-party")
-    if scenario.settings != f.settings:
-        raise ValueError("functional settings do not match the scenario")
+    vertices of the two-party dichotomic local polytope of its settings);
+    exact up to float evaluation."""
+    scenario = Scenario(2, f.settings, (2, 2))
     return float(np.max(functional_row(scenario, f, (0, 1)) @ strategy_matrix(scenario)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-9
 
-# Refuse to allocate tables beyond this many entries.
+# Refuse to allocate tables beyond this many entries; read at each
+# Scenario's construction.
 DEFAULT_TABLE_CAP = 1_000_000
 
 
@@ -57,7 +58,6 @@ class Scenario:
     parties: int
     settings: tuple[int, ...]
     outcomes: tuple[int, ...]
-    table_cap: int = field(default=DEFAULT_TABLE_CAP, compare=False)
 
     def __post_init__(self):
         if self.parties < 1:
@@ -70,7 +70,7 @@ class Scenario:
             raise ValueError("every party needs at least one setting")
         if min(self.outcomes) < 2:
             raise ValueError("every party needs at least two outcomes")
-        _capped_product(self.table_shape, self.table_cap, "table size")
+        _capped_product(self.table_shape, DEFAULT_TABLE_CAP, "table size")
 
     @property
     def table_shape(self) -> tuple[int, ...]:
@@ -120,10 +120,6 @@ class Behavior:
         tbl = tbl.copy()
         tbl.setflags(write=False)
         object.__setattr__(self, "table", tbl)
-
-    def context_table(self, context: tuple[int, ...]) -> np.ndarray:
-        """Outcome distribution at one setting vector."""
-        return self.table[tuple(context)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -766,19 +762,28 @@ def behavior_to_json_dict(b: Behavior) -> dict:
     }
 
 
+def _json_integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; ValueError naming ``what`` for a
+    bool, a float, a string or anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def behavior_from_json_dict(data: dict) -> Behavior:
     """Inverse of :func:`behavior_to_json_dict`; raises ValueError on any
-    schema defect (missing keys, wrong lengths, malformed context keys)."""
+    schema defect (missing keys, non-integer counts, wrong lengths,
+    malformed context keys)."""
     if not isinstance(data, dict):
         raise ValueError("behavior JSON must be an object")
     for key in ("parties", "settings", "outcomes", "table"):
         if key not in data:
             raise ValueError(f"behavior JSON is missing the '{key}' field")
+    parties = _json_integer(data["parties"], "behavior JSON 'parties'")
     try:
-        parties = int(data["parties"])
-        settings = tuple(int(x) for x in data["settings"])
-        outcomes = tuple(int(x) for x in data["outcomes"])
-    except (TypeError, ValueError) as exc:
+        settings = tuple(_json_integer(x, "behavior JSON 'settings' entry") for x in data["settings"])
+        outcomes = tuple(_json_integer(x, "behavior JSON 'outcomes' entry") for x in data["outcomes"])
+    except TypeError as exc:
         raise ValueError(f"malformed scenario fields: {exc}") from None
     scenario = Scenario(parties, settings, outcomes)
     table_data = data["table"]

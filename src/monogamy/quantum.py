@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Behavior, Scenario
+from .model import Behavior, Scenario, _json_integer
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -37,16 +37,9 @@ def bloch_observable(nx: float, ny: float, nz: float) -> np.ndarray:
     return nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
 
 
-def is_dichotomic_observable(op: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff the operator is Hermitian and squares to the identity."""
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        return False
-    return _all_dichotomic(op[None], tol)
-
-
 def _all_dichotomic(ops: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """:func:`is_dichotomic_observable` of every member of a (k, d, d) stack."""
+    """True iff every member of a (k, d, d) stack is Hermitian and squares
+    to the identity."""
     if np.max(np.abs(ops - ops.conj().swapaxes(1, 2))) > tol:
         return False
     return bool(np.max(np.abs(ops @ ops - np.eye(ops.shape[1]))) <= tol)
@@ -113,9 +106,6 @@ class DensityMatrix:
     @property
     def qubits(self) -> int:
         return self.dimension.bit_length() - 1
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def largest_eigenvalue(self) -> float:
         return float(self._spectrum[-1])
@@ -308,10 +298,7 @@ def state_to_json_dict(rho: DensityMatrix) -> dict:
 def state_from_json_dict(data: dict) -> DensityMatrix:
     if not isinstance(data, dict) or "dimension" not in data or "entries" not in data:
         raise ValueError("state JSON needs 'dimension' and 'entries' fields")
-    try:
-        dim = int(data["dimension"])
-    except TypeError:
-        raise ValueError("state JSON 'dimension' must be an integer") from None
+    dim = _json_integer(data["dimension"], "state JSON 'dimension'")
     entries = data["entries"]
     if not isinstance(entries, list):
         raise ValueError("state JSON 'entries' must be a list of (re, im) pairs")

@@ -54,18 +54,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """What was extended: the base scenario, the clone count, the mode, and
-    the feasibility tolerance used."""
-
-    base_settings: tuple[int, int]
-    base_outcomes: tuple[int, int]
-    clones: int
-    mode: str  # "unrestricted" or "ns"
-    tol: float = 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class ExtensionCertificate:
     """(N+1)-party extension behavior with its verification residuals.
@@ -80,7 +68,6 @@ class ExtensionCertificate:
     marginal from the base behavior.
     """
 
-    spec: ExtensionSpec
     behavior: Behavior
     symmetry_residual: float
     marginal_residual: float
@@ -95,7 +82,6 @@ class InfeasibleExtension:
     exists; its size is not comparable with the violation of a full-table
     LP."""
 
-    spec: ExtensionSpec
     violation: float
 
 
@@ -138,10 +124,9 @@ def unrestricted_extension(b: Behavior, n_clones: int) -> ExtensionCertificate:
     equal = np.zeros((n_out_b,) * n_clones, dtype=bool)
     equal[(np.arange(n_out_b),) * n_clones] = True
     behavior = Behavior(scen, np.broadcast_to(np.where(equal, base, 0.0), scen.table_shape))
-    spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "unrestricted")
     sym = _symmetry_residual(behavior, joint=False)
     marg = _marginal_residual_unrestricted(behavior, b)
-    return ExtensionCertificate(spec, behavior, sym, marg)
+    return ExtensionCertificate(behavior, sym, marg)
 
 
 def _symmetry_residual(ext: Behavior, joint: bool) -> float:
@@ -251,7 +236,6 @@ def ns_extension(
         )
     # The certificate's scenario refuses oversized tables before any row is built.
     scen = _extended_scenario(b.scenario, n_clones)
-    spec = ExtensionSpec(b.scenario.settings, b.scenario.outcomes, n_clones, "ns", tol)
 
     blocks = ((0,), tuple(range(1, n_clones + 1)))
     free, marginal, mask = symmetric_cg_marginal_split(scen, blocks)
@@ -262,7 +246,7 @@ def ns_extension(
     outcome = lp.feasibility(ub=(-free, marginal @ base), bounds=[(None, None)] * free.shape[1],
                              tol=tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
-        return InfeasibleExtension(spec, violation=outcome.violation)
+        return InfeasibleExtension(violation=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"extension LP failed: {outcome.message}")
 
@@ -272,7 +256,6 @@ def ns_extension(
     table = table[symmetric_cg_index(scen, blocks)]
     behavior = Behavior(scen, table.reshape(scen.table_shape))
     return ExtensionCertificate(
-        spec,
         behavior,
         symmetry_residual=_symmetry_residual(behavior, joint=True),
         marginal_residual=_marginal_residual_ns(behavior, b),
@@ -298,21 +281,17 @@ def is_n_shareable(
     raise ValueError("mode must be 'unrestricted' or 'ns'")
 
 
-def random_shareable_behavior(
-    rng: np.random.Generator, n_vertices: int = 3
-) -> tuple[Behavior, Behavior]:
+def random_shareable_behavior(rng: np.random.Generator) -> tuple[Behavior, Behavior]:
     """Random two-party behavior that is 2-shareable by construction.
 
     Samples a point of the clone-symmetric no-signalling three-party
-    polytope (a random mixture of vertices found by maximizing random
+    polytope (a random mixture of three vertices found by maximizing random
     objectives over the tables fixed by the clone swap) and marginalizes it
     down to the (a, b_1) pair.  Returns (pair, witness), the witness being
     the three-party behavior that certifies shareability.
     """
-    if n_vertices < 1:
-        raise ValueError(f"n_vertices must be at least 1, got {n_vertices}")
     scen = _extended_scenario(Scenario(2, (2, 2), (2, 2)), 2)
-    objectives = rng.standard_normal((n_vertices, scen.table_size))
+    objectives = rng.standard_normal((3, scen.table_size))
     _, vertices, _ = _ns_maxima(scen, objectives, ((0,), (1, 2)), lp.FEASIBILITY_TOL)
     weights = rng.dirichlet(np.ones(len(vertices)))
     witness = Behavior(scen, sum(w * v.table for w, v in zip(weights, vertices)))

@@ -20,6 +20,7 @@ from . import lp
 from .bell import BellFunctional, chsh, collins_gisin, functional_row
 from .bell import chsh_value as _behavior_chsh  # noqa: F401 - perfbench traces it
 from .localpoly import deterministic_strategies, strategy_matrix  # noqa: F401 - perfbench traces it
+from .localpoly import local_bound
 from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders here
     Behavior,
     Scenario,
@@ -326,7 +327,7 @@ class _PairTerms:
 
 # CHSH_ab, CHSH_ac, CHSH_bc and the a-c correlator at the first settings: on
 # states through _PairTerms, on tables as functional_row rows (read-only).
-_FIRST_CORRELATOR = BellFunctional([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [0.0, 0.0], 1.0)
+_FIRST_CORRELATOR = BellFunctional([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [0.0, 0.0])
 _TERMS = [(p, _CHSH, 1.0) for p in ((0, 1), (0, 2), (1, 2))] + [((0, 2), _FIRST_CORRELATOR, 1.0)]
 _POINT_TERMS = _PairTerms(_TERMS)
 _TABLE_TERMS = np.stack([w * functional_row(triple_scenario(), f, pair) for pair, f, w in _TERMS])
@@ -837,7 +838,7 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     """
     scenario = pb_scenario()
     functional = collins_gisin()
-    local_bound = functional.local_bound
+    bound = local_bound(functional)
     ab, ac, ad = (
         functional_row(scenario, functional, pair) for pair in ((0, 1), (0, 2), (0, 3))
     )
@@ -879,12 +880,12 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     return PbProbeReport(
         sign_values=tuple(sign_values),
         max_sum=best_value,
-        pb_bound=3.0 * local_bound,
-        exceeds_pb_form_bound=best_value > 3.0 * local_bound + 1e-6,
+        pb_bound=3.0 * bound,
+        exceeds_pb_form_bound=best_value > 3.0 * bound + 1e-6,
         argmax_behavior=best_behavior,
         t_star=t_star,
-        t_threshold=2.0 * local_bound,
-        t_exceeds=t_star > 2.0 * local_bound + 1e-6,
+        t_threshold=2.0 * bound,
+        t_exceeds=t_star > 2.0 * bound + 1e-6,
         t_behavior=t_behavior,
         lps=tuple(lps),
     )

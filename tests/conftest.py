@@ -359,10 +359,10 @@ def equality_extension_lp(base: Behavior, n_clones: int) -> lp.LpOutcome:
     return lp.feasibility(eq=(lhs, rhs), n_variables=lhs.shape[1])
 
 
-def reference_shareable_draw(rng: np.random.Generator, n_vertices: int = 3) -> np.ndarray:
+def reference_shareable_draw(rng: np.random.Generator) -> np.ndarray:
     """The witness table of ``random_shareable_behavior`` from the
     equality-form LP over the raw three-party table: the ``ns_polytope``
-    rows plus the clone-swap rows, one ``lp.solve`` per vertex, with the
+    rows plus the clone-swap rows, one ``lp.solve`` per vertex (three), with the
     objectives and the mixture weights drawn in the same order."""
     import scipy.sparse as sp
 
@@ -371,12 +371,12 @@ def reference_shareable_draw(rng: np.random.Generator, n_vertices: int = 3) -> n
     eq_lhs = sp.vstack([blk[0] for blk in blocks], format="csr")
     eq_rhs = np.concatenate([blk[1] for blk in blocks])
     vertices = []
-    for _ in range(n_vertices):
+    for _ in range(3):
         objective = rng.standard_normal(scen.table_size)
         outcome = lp.solve(lp.LinearProgram(objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs))
         assert outcome.status == lp.LpStatus.OPTIMAL
         vertices.append(np.clip(outcome.x, 0.0, None))
-    weights = rng.dirichlet(np.ones(n_vertices))
+    weights = rng.dirichlet(np.ones(3))
     return sum(w * v for w, v in zip(weights, vertices)).reshape(scen.table_shape)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -558,6 +559,11 @@ class TestCgSearchCommand:
         assert main(["cgsearch", "--grid", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
+    def test_tol_is_not_an_option(self, capsys):
+        # The search reads no tolerance, so it offers none to set.
+        assert main(["cgsearch", "--grid", "1", "--restarts", "0", "--tol", "1e-9"]) == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_flag_rejected(self, capsys):
@@ -590,6 +596,55 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --mu applies only to --state cg\n"
+
+    def test_unreadable_in_refused(self, tmp_path, capsys):
+        # A directory given as --in is an error naming the path, not a traceback.
+        assert main(["validate", "--in", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["nstest", "--in", "BOX"], "--out"),
+        (["share", "--in", "BOX", "--n", "2"], "--out"),
+        (["share", "--in", "BOX", "--n", "2"], "--cert-out"),
+    ], ids=["nstest-out", "share-out", "share-cert-out"])
+    def test_unwritable_output_refused(self, argv, flag, uniform_path, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        argv = [uniform_path if arg == "BOX" else arg for arg in argv]
+        assert main(argv + [flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+        assert captured.out == ""
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("settings", [2.7, 2], "behavior JSON 'settings' entry must be a JSON integer, got 2.7"),
+        ("outcomes", [2, "2"], "behavior JSON 'outcomes' entry must be a JSON integer, got '2'"),
+        ("parties", True, "behavior JSON 'parties' must be a JSON integer, got True"),
+    ], ids=["settings-float", "outcomes-string", "parties-bool"])
+    def test_non_integer_behavior_counts_refused(self, key, value, message, tmp_path, capsys):
+        data = behavior_to_json_dict(pr_box())
+        data[key] = value
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate", "nstest", "localtest", "chsh"):
+            assert main([command, "--in", str(path)]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {path}: {message}\n"), command
+
+    def test_non_integer_state_dimension_refused(self, tmp_path, capsys):
+        from monogamy import ghz
+
+        data = state_to_json_dict(ghz())
+        data["dimension"] = 8.9
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        assert main(["ckw", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: state JSON 'dimension' must be a JSON integer, got 8.9\n")
 
     def test_console_entry_point(self):
         result = subprocess.run(
@@ -633,6 +688,35 @@ class TestRefusals:
         raised = [ast.unparse(node.exc) if node.exc else "raise" for node in ast.walk(tree)
                   if isinstance(node, ast.Raise)]
         assert raised and all(text.startswith("ValueError(") for text in raised), raised
+
+
+def _args_read(function) -> set[str]:
+    """The names ``x`` that ``function``'s source reads as ``args.x``."""
+    tree = ast.parse(inspect.getsource(function))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+class TestOptionsAreRead:
+    def test_every_option_is_read_by_its_command(self):
+        # A flag that its command never reads is a setting nobody can vary;
+        # range checks in _check_arguments do not count as reading it.
+        parser = cli.build_parser()
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        unread = {}
+        for name, sub in commands.choices.items():
+            func = sub.get_default("func")
+            read = _args_read(func)
+            if "_resolve_state(" in inspect.getsource(func):
+                read |= _args_read(cli._resolve_state)
+            dests = [action.dest for action in sub._actions
+                     if not isinstance(action, argparse._HelpAction)]
+            assert dests, name
+            missing = [dest for dest in dests if dest not in read]
+            if missing:
+                unread[name] = missing
+        assert unread == {}
 
 
 # Runs CLI commands in order and prints, after the import and after each

@@ -735,3 +735,20 @@ class TestJson:
         data["table"]["0,0"] = [1.0]
         with pytest.raises(ValueError):
             behavior_from_json_dict(data)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("parties", 2.0, "'parties'"),
+        ("parties", True, "'parties'"),
+        ("parties", "2", "'parties'"),
+        ("settings", [2.7, 2], "'settings' entry"),
+        ("settings", [True, 2], "'settings' entry"),
+        ("outcomes", [2, "2"], "'outcomes' entry"),
+        ("outcomes", [2, 2.0], "'outcomes' entry"),
+    ], ids=["parties-float", "parties-bool", "parties-string", "settings-float",
+            "settings-bool", "outcomes-string", "outcomes-integral-float"])
+    def test_non_integer_counts_refused(self, key, value, named):
+        # A count that int() would truncate or parse is refused, naming its field.
+        data = behavior_to_json_dict(pr_box())
+        data[key] = value
+        with pytest.raises(ValueError, match=f"behavior JSON {named} must be a JSON integer"):
+            behavior_from_json_dict(data)

@@ -386,3 +386,11 @@ class TestStateJson:
     def test_malformed_fields_refused(self, data):
         with pytest.raises(ValueError, match="state JSON"):
             state_from_json_dict(data)
+
+    @pytest.mark.parametrize("dimension", [4.9, 4.0, "4", True],
+                             ids=["float", "integral-float", "string", "bool"])
+    def test_non_integer_dimension_refused(self, dimension):
+        data = state_to_json_dict(phi_plus())
+        data["dimension"] = dimension
+        with pytest.raises(ValueError, match="state JSON 'dimension' must be a JSON integer"):
+            state_from_json_dict(data)

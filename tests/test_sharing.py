@@ -27,7 +27,7 @@ from monogamy import (
     unrestricted_extension,
     validate_behavior,
 )
-from monogamy import sharing
+from monogamy import model, sharing
 from monogamy.model import (
     DEFAULT_TABLE_CAP,
     _block_rows,
@@ -254,11 +254,12 @@ def clone_blocks(n_clones: int) -> tuple[tuple[int, ...], ...]:
     return ((0,), tuple(range(1, n_clones + 1)))
 
 
-def uncapped_scenario(base: Scenario, n_clones: int) -> Scenario:
-    """The extended scenario without the table cap, which refuses 9 clones
-    of a 2x2 base: the row builder never builds the table."""
-    return Scenario(1 + n_clones, (base.settings[0],) + (base.settings[1],) * n_clones,
-                    (base.outcomes[0],) + (base.outcomes[1],) * n_clones, table_cap=10**12)
+def uncapped_scenario(monkeypatch, base: Scenario, n_clones: int) -> Scenario:
+    """The extended scenario under a raised table cap, for this test only:
+    the cap refuses 9 clones of a 2x2 base, but the row builder never
+    builds the table."""
+    monkeypatch.setattr(model, "DEFAULT_TABLE_CAP", 10**12)
+    return _extended_scenario(base, n_clones)
 
 
 class TestExtensionRows:
@@ -300,7 +301,7 @@ class TestExtensionRows:
                 assert result.violation > 0
 
     @pytest.mark.parametrize("base", BASES)
-    def test_positivity_block_size(self, base):
+    def test_positivity_block_size(self, base, monkeypatch):
         # One row per Alice (setting, outcome) and multiset of clone
         # (setting, outcome) letters, one column per Alice CG coordinate and
         # multiset of clone CG coordinates: 4 C(N+3, 3) x 3 C(N+2, 2) for a
@@ -309,7 +310,7 @@ class TestExtensionRows:
         d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
         n_letters = base.settings[1] * base.outcomes[1]
         for n_clones in range(2, 11):
-            scen = uncapped_scenario(base, n_clones)
+            scen = uncapped_scenario(monkeypatch, base, n_clones)
             rows = symmetric_cg_rows(scen, clone_blocks(n_clones))
             assert rows.shape == (
                 base.settings[0] * base.outcomes[0] * math.comb(n_letters + n_clones - 1, n_clones),
@@ -332,7 +333,7 @@ class TestExtensionRows:
         # coordinate's block, d_A d_B in all; the split keeps every column
         # once, in order, and is memoised read-only.
         d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
-        scen = uncapped_scenario(base, n_clones)
+        scen = _extended_scenario(base, n_clones)
         rows = symmetric_cg_rows(scen, clone_blocks(n_clones))
         free, marginal, mask = symmetric_cg_marginal_split(scen, clone_blocks(n_clones))
         per_alpha = rows.shape[1] // d_a
@@ -344,16 +345,17 @@ class TestExtensionRows:
             assert not part.flags.writeable
 
     @pytest.mark.parametrize("base", BASES)
-    def test_ten_clones_build_without_the_table(self, base):
+    def test_ten_clones_build_without_the_table(self, base, monkeypatch):
         # The certificate table at N = 10 has s_A o_A (s_B o_B)^10 entries
         # (4^11 for a 2x2 base); the builder allocates less than that table.
         (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
         table_bytes = 8 * s_a * o_a * (s_b * o_b) ** 10
+        scen = uncapped_scenario(monkeypatch, base, 10)
         _block_rows.cache_clear()
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            symmetric_cg_rows.__wrapped__(uncapped_scenario(base, 10), clone_blocks(10))
+            symmetric_cg_rows.__wrapped__(scen, clone_blocks(10))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -453,15 +455,6 @@ class TestMasanesProperty:
             assert is_no_signalling(witness, tol=1e-9).is_no_signalling
             assert validate_behavior(witness, tol=1e-9).passed
             assert np.array_equal(pair.table, witness.table[:, :, 0].sum(axis=-1))
-
-    @pytest.mark.parametrize("n_vertices", [0, -1])
-    def test_no_vertices_refused_before_any_lp(self, n_vertices, monkeypatch, rng):
-        def refuse(*args, **kwargs):
-            raise AssertionError("no LP may run")
-
-        monkeypatch.setattr(sharing.lp, "solve", refuse)
-        with pytest.raises(ValueError, match="n_vertices"):
-            random_shareable_behavior(rng, n_vertices)
 
     def test_sampled_pairs_are_two_shareable(self, rng):
         # The generating witness is symmetric and no-signalling, so the

@@ -143,7 +143,7 @@ class TestBellValue:
 
     def test_functional_arrays_are_read_only_copies(self):
         weights = np.array([[1.0, 1.0], [1.0, -1.0]])
-        f = BellFunctional(weights, np.zeros(2), np.zeros(2), local_bound=2.0)
+        f = BellFunctional(weights, np.zeros(2), np.zeros(2))
         assert weights.flags.writeable
         for values in (f.correlators, f.marginals_a, f.marginals_b):
             assert not values.flags.writeable
