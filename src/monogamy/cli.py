@@ -40,6 +40,8 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"no such file: {path}") from None
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"

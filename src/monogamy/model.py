@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -594,15 +595,13 @@ def _multiset_ranks(letters: np.ndarray, n_letters: int) -> np.ndarray:
     return np.sum(below[position, rows] - below[position, previous], axis=1, dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=32)
 def _block_rows(settings: int, outcomes: int, n_parties: int) -> sp.csr_array:
     """The CG rows of ``n_parties`` identical parties, symmetrized.  A party
     with s settings and o outcomes has 1 + s (o - 1) coordinates: a
     constant, then q(a|x) for a < o - 1.  Row L is a multiset of letters
     l = x * o + a, column C a multiset of coordinates, and the entry is the
     coefficient of the monomial C in the product of the letters' linear
-    forms over L, grown one letter at a time.  Memoised and returned
-    read-only."""
+    forms over L, grown one letter at a time.  Built on every call."""
     import scipy.sparse as sp
 
     # Letter (x, a): q(a|x) for a < o - 1, and 1 minus their sum for o - 1.
@@ -630,8 +629,6 @@ def _block_rows(settings: int, outcomes: int, n_parties: int) -> sp.csr_array:
             shape=(len(letters), math.comb(n_coords + k - 1, k)),
         )
         power.eliminate_zeros()
-    for part in (power.data, power.indices, power.indptr):
-        part.setflags(write=False)
     return power
 
 
@@ -645,7 +642,6 @@ def _check_blocks(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> No
             raise ValueError(f"block {block} mixes parties of different settings or outcomes")
 
 
-@functools.lru_cache(maxsize=32)
 def symmetric_cg_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> sp.csr_array:
     """The positivity rows R of the no-signalling tables fixed by permuting
     the parties within each of ``blocks``, in Collins-Gisin (CG)
@@ -654,39 +650,37 @@ def symmetric_cg_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -
     partition the parties, and one block's parties share settings and
     outcome counts.  R is the Kronecker product of the blocks' rows (see
     ``_block_rows``) in block order, column 0 is the constant, and no
-    table-sized array is built.  Memoised and returned read-only."""
+    table-sized array is built.  Built anew on each call; its memoised
+    consumers read it once per scenario and blocks."""
     import scipy.sparse as sp
 
     _check_blocks(scenario, blocks)
-    rows = functools.reduce(
+    return functools.reduce(
         lambda a, b: sp.kron(a, b, format="csr"),
         (_block_rows(scenario.settings[b[0]], scenario.outcomes[b[0]], len(b)) for b in blocks),
     )
-    for part in (rows.data, rows.indices, rows.indptr):
-        part.setflags(write=False)
-    return rows
 
 
 @functools.lru_cache(maxsize=8)
 def symmetric_cg_marginal_split(
     scenario: Scenario, blocks: tuple[tuple[int, ...], ...]
-) -> tuple[sp.csr_array, sp.csr_array, np.ndarray]:
-    """The columns of :func:`symmetric_cg_rows` split into the marginal
-    columns, whose multiset of last-block coordinates has at most one
-    non-constant coordinate (the first 1 + s (o - 1) multisets of that
-    block, under every coordinate of the other blocks), and the others:
-    ``(free, marginal, mask)``, the free and the marginal columns as CSR
-    rows, each in column order, and the boolean mask of the marginal
-    columns.  Memoised and returned read-only."""
+) -> tuple[sp.csr_array, sp.csr_array]:
+    """The columns of :func:`symmetric_cg_rows` split into ``(free,
+    marginal)``, each as CSR rows in column order, so that the rows' values
+    are ``free @ z + marginal @ q`` for the free and marginal coordinates.
+    A marginal column's multiset of last-block coordinates has at most one
+    non-constant coordinate: the first 1 + s (o - 1) multisets of that
+    block, under every coordinate of the other blocks.  Memoised and
+    returned read-only."""
     rows = symmetric_cg_rows(scenario, blocks)
     party, k = blocks[-1][0], len(blocks[-1])
     n_coords = 1 + scenario.settings[party] * (scenario.outcomes[party] - 1)
     mask = np.arange(rows.shape[1]) % math.comb(n_coords + k - 1, k) < n_coords
     free, marginal = rows[:, ~mask], rows[:, mask]
-    for part in (mask, free.data, free.indices, free.indptr,
+    for part in (free.data, free.indices, free.indptr,
                  marginal.data, marginal.indices, marginal.indptr):
         part.setflags(write=False)
-    return free, marginal, mask
+    return free, marginal
 
 
 @functools.lru_cache(maxsize=16)
@@ -770,10 +764,15 @@ def _json_integer(value, what: str) -> int:
     return value
 
 
+def _is_json_number(value) -> bool:
+    """True for a real number that is not a bool, as a JSON int or float is."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def behavior_from_json_dict(data: dict) -> Behavior:
     """Inverse of :func:`behavior_to_json_dict`; raises ValueError on any
     schema defect (missing keys, non-integer counts, wrong lengths,
-    malformed context keys)."""
+    non-number probabilities, malformed or repeated context keys)."""
     if not isinstance(data, dict):
         raise ValueError("behavior JSON must be an object")
     for key in ("parties", "settings", "outcomes", "table"):
@@ -793,7 +792,7 @@ def behavior_from_json_dict(data: dict) -> Behavior:
     for o in outcomes:
         n_out *= o
     table = np.zeros(scenario.table_shape)
-    seen = set()
+    seen = {}
     for key, values in table_data.items():
         try:
             ctx = tuple(int(part) for part in key.split(","))
@@ -803,13 +802,20 @@ def behavior_from_json_dict(data: dict) -> Behavior:
             not 0 <= c < settings[p] for p, c in enumerate(ctx)
         ):
             raise ValueError(f"context key '{key}' out of range")
+        if ctx in seen:
+            raise ValueError(f"context keys '{seen[ctx]}' and '{key}' both name context {ctx}")
+        if not isinstance(values, list):
+            raise ValueError(f"context '{key}' needs a list of {n_out} probabilities")
+        for k, value in enumerate(values):
+            if not _is_json_number(value):
+                raise ValueError(f"context '{key}' entry {k} must be a JSON number, got {value!r}")
         row = np.asarray(values, dtype=float)
         if row.shape != (n_out,):
             raise ValueError(
                 f"context '{key}' needs {n_out} probabilities, got {row.size}"
             )
         table[ctx] = row.reshape(tuple(outcomes))
-        seen.add(ctx)
+        seen[ctx] = key
     missing = [ctx for ctx in scenario.contexts() if ctx not in seen]
     if missing:
         raise ValueError(f"table is missing context {missing[0]}")

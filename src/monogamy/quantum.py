@@ -8,12 +8,11 @@ computation in this package, with sigma_y kept for context expectations.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Behavior, Scenario, _json_integer
+from .model import Behavior, Scenario, _is_json_number, _json_integer
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -299,6 +298,8 @@ def state_from_json_dict(data: dict) -> DensityMatrix:
     if not isinstance(data, dict) or "dimension" not in data or "entries" not in data:
         raise ValueError("state JSON needs 'dimension' and 'entries' fields")
     dim = _json_integer(data["dimension"], "state JSON 'dimension'")
+    if dim < 1:
+        raise ValueError(f"state JSON 'dimension' must be positive, got {dim}")
     entries = data["entries"]
     if not isinstance(entries, list):
         raise ValueError("state JSON 'entries' must be a list of (re, im) pairs")
@@ -306,7 +307,7 @@ def state_from_json_dict(data: dict) -> DensityMatrix:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
     for k, entry in enumerate(entries):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry)):
+                and all(_is_json_number(x) for x in entry)):
             raise ValueError(f"entry {k} must be a pair of real numbers (re, im)")
     flat = np.array([complex(re, im) for re, im in entries])
     return DensityMatrix(flat.reshape(dim, dim))

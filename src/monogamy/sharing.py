@@ -45,7 +45,6 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders a
     require_valid,
     symmetric_cg_index,
     symmetric_cg_marginal_split,
-    symmetric_cg_rows,
     validate_behavior,  # a check perfbench traces here
 )
 from .tradeoffs import _ns_maxima
@@ -222,11 +221,11 @@ def ns_extension(
     (a, b_i) marginals: they are pinned to the base's CG coordinates, the
     others are free, and the only rows are positivity.  The LP gets the
     free columns only (``model.symmetric_cg_marginal_split``), with the
-    pinned columns' product in the rows' bounds.  A feasible solution is
-    completed by the pinned values and expanded to the full (N+1)-party
-    table, where the certificate's residuals are computed.  An infeasible
-    system returns the minimized total deficit of the positivity rows,
-    positive iff no extension exists."""
+    pinned columns' product in the rows' bounds.  A feasible solution z
+    gives the orbit values ``free @ z + marginal @ base``, expanded to the
+    full (N+1)-party table, where the certificate's residuals are
+    computed.  An infeasible system returns the minimized total deficit of
+    the positivity rows, positive iff no extension exists."""
     report = _require_two_party(b)
     if n_clones < 1:
         raise ValueError("need at least one clone")
@@ -238,22 +237,19 @@ def ns_extension(
     scen = _extended_scenario(b.scenario, n_clones)
 
     blocks = ((0,), tuple(range(1, n_clones + 1)))
-    free, marginal, mask = symmetric_cg_marginal_split(scen, blocks)
+    free, marginal = symmetric_cg_marginal_split(scen, blocks)
     # The base's CG coordinates q[alpha, beta] are the marginal columns
     # (alpha, C) whose multiset C is beta and N - 1 constants, in order.
     base = np.linalg.lstsq(cg_map(b.scenario).toarray(), b.table.ravel(), rcond=None)[0]
-    # Positivity free @ z + marginal @ base >= 0, with the pins folded in.
-    outcome = lp.feasibility(ub=(-free, marginal @ base), bounds=[(None, None)] * free.shape[1],
-                             tol=tol)
+    # Positivity free @ z + pinned >= 0, with the pins folded in.
+    pinned = marginal @ base
+    outcome = lp.feasibility(ub=(-free, pinned), bounds=[(None, None)] * free.shape[1], tol=tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return InfeasibleExtension(violation=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"extension LP failed: {outcome.message}")
 
-    x = np.empty(mask.size)
-    x[mask], x[~mask] = base, outcome.x
-    table = np.clip(symmetric_cg_rows(scen, blocks) @ x, 0.0, None)
-    table = table[symmetric_cg_index(scen, blocks)]
+    table = np.clip(free @ outcome.x + pinned, 0.0, None)[symmetric_cg_index(scen, blocks)]
     behavior = Behavior(scen, table.reshape(scen.table_shape))
     return ExtensionCertificate(
         behavior,

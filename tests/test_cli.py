@@ -209,7 +209,7 @@ class TestShare:
     def test_nine_clones_refused_before_rows(self, uniform_path, monkeypatch, capsys):
         # 4^10 = 1 048 576 certificate entries exceed the table cap.
         built = []
-        for name in ("symmetric_cg_rows", "symmetric_cg_marginal_split"):
+        for name in ("symmetric_cg_marginal_split", "symmetric_cg_index"):
             monkeypatch.setattr(sharing, name, lambda *args: built.append(args))
         assert main(["share", "--in", uniform_path, "--n", "9", "--mode", "ns"]) == 2
         captured = capsys.readouterr()
@@ -645,6 +645,51 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == (
             f"error: {path}: state JSON 'dimension' must be a JSON integer, got 8.9\n")
+
+    @pytest.mark.parametrize("row, refused", [
+        ([{"a": 1}, 0, 0, 0], "entry 0 must be a JSON number, got {'a': 1}"),
+        (["0.5", "0", "0", "0.5"], "entry 0 must be a JSON number, got '0.5'"),
+        ([0.5, False, 0, 0.5], "entry 1 must be a JSON number, got False"),
+        ([0.5, 0, None, 0.5], "entry 2 must be a JSON number, got None"),
+        ({"0": 0.5}, "needs a list of 4 probabilities"),
+    ], ids=["object", "string", "bool", "null", "object-row"])
+    def test_non_number_probability_refused(self, row, refused, tmp_path, capsys):
+        data = behavior_to_json_dict(pr_box())
+        data["table"]["1,0"] = row
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: context '1,0' {refused}\n")
+
+    def test_duplicate_context_refused(self, tmp_path, capsys):
+        # "0, 1" and "0,1" parse to one context; the later row would replace
+        # the earlier one.
+        data = behavior_to_json_dict(pr_box())
+        data["table"]["0, 1"] = [0.5, 0.5, 0.0, 0.0]
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path}: context keys '0,1' and '0, 1' both name context (0, 1)\n")
+
+    def test_non_positive_state_dimension_refused(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dimension": -2, "entries": [[1.0, 0.0]] * 4}))
+        assert main(["ckw", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path}: state JSON 'dimension' must be positive, got -2\n")
+
+    def test_non_utf8_in_refused(self, tmp_path, capsys):
+        path = tmp_path / "box.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        assert main(["validate", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"))
 
     def test_console_entry_point(self):
         result = subprocess.run(

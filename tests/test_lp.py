@@ -317,7 +317,7 @@ def test_extension_systems_reach_highs_dense_or_sparse(monkeypatch):
         assert len(cost) == shape[1] and np.all(row_lower == -np.inf)
         scenario = Scenario(1 + n_clones, (2,) * (1 + n_clones), (2,) * (1 + n_clones))
         blocks = ((0,), tuple(range(1, 1 + n_clones)))
-        _, marginal, _ = symmetric_cg_marginal_split(scenario, blocks)
+        _, marginal = symmetric_cg_marginal_split(scenario, blocks)
         # The uniform box's CG coordinates: products of 1 and q(a|x) = 1/2.
         base = np.outer([1.0, 0.5, 0.5], [1.0, 0.5, 0.5]).ravel()
         assert np.allclose(row_upper, marginal @ base, rtol=0, atol=1e-12)

@@ -504,15 +504,13 @@ class TestNsOrbitPolytope:
 
     def test_memoised_read_only(self):
         scenario = pb_scenario()
-        rows = symmetric_cg_rows(scenario, self.SWAP_CD)
         index = symmetric_cg_index(scenario, self.SWAP_CD)
         dual = ns_orbit_dual_rows(scenario, self.SWAP_CD)
-        assert symmetric_cg_rows(scenario, self.SWAP_CD) is rows
         assert symmetric_cg_index(scenario, self.SWAP_CD) is index
         assert ns_orbit_dual_rows(scenario, self.SWAP_CD) is dual
         constant, free_t, expand = dual
         assert not index.flags.writeable and not constant.flags.writeable
-        for part in (rows, free_t, expand):
+        for part in (free_t, expand):
             assert part.format == "csr"
             for array in (part.data, part.indices, part.indptr):
                 assert not array.flags.writeable

@@ -30,7 +30,6 @@ from monogamy import (
 from monogamy import model, sharing
 from monogamy.model import (
     DEFAULT_TABLE_CAP,
-    _block_rows,
     _clone_multisets,
     symmetric_cg_index,
     symmetric_cg_marginal_split,
@@ -318,8 +317,6 @@ class TestExtensionRows:
             )
             multisets = _clone_multisets(d_b, n_clones)
             assert np.flatnonzero(np.count_nonzero(multisets, axis=1) <= 1).tolist() == list(range(d_b))
-            for part in (rows.data, rows.indices, rows.indptr):
-                assert not part.flags.writeable
             if scen.table_size <= DEFAULT_TABLE_CAP:
                 index = symmetric_cg_index(scen, clone_blocks(n_clones))
                 assert index.size == scen.table_size and not index.flags.writeable
@@ -335,13 +332,12 @@ class TestExtensionRows:
         d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
         scen = _extended_scenario(base, n_clones)
         rows = symmetric_cg_rows(scen, clone_blocks(n_clones))
-        free, marginal, mask = symmetric_cg_marginal_split(scen, clone_blocks(n_clones))
+        free, marginal = symmetric_cg_marginal_split(scen, clone_blocks(n_clones))
         per_alpha = rows.shape[1] // d_a
-        assert np.flatnonzero(mask).tolist() == [
-            alpha * per_alpha + beta for alpha in range(d_a) for beta in range(d_b)]
+        mask = np.arange(rows.shape[1]) % per_alpha < d_b
         assert (rows[:, mask] != marginal).nnz == 0 and (rows[:, ~mask] != free).nnz == 0
         assert symmetric_cg_marginal_split(scen, clone_blocks(n_clones))[0] is free
-        for part in (mask, free.data, marginal.data):
+        for part in (free.data, marginal.data):
             assert not part.flags.writeable
 
     @pytest.mark.parametrize("base", BASES)
@@ -351,11 +347,10 @@ class TestExtensionRows:
         (s_a, s_b), (o_a, o_b) = base.settings, base.outcomes
         table_bytes = 8 * s_a * o_a * (s_b * o_b) ** 10
         scen = uncapped_scenario(monkeypatch, base, 10)
-        _block_rows.cache_clear()
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            symmetric_cg_rows.__wrapped__(scen, clone_blocks(10))
+            symmetric_cg_rows(scen, clone_blocks(10))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -378,7 +373,7 @@ class TestExtensionRows:
         index = sharing.symmetric_cg_index
         monkeypatch.setattr(sharing, "symmetric_cg_index",
                             lambda *args: built.append(args) or index(*args))
-        symmetric_cg_rows.cache_clear()
+        symmetric_cg_marginal_split.cache_clear()
         symmetric_cg_index.cache_clear()
         assert isinstance(ns_extension(pr_box(), 4), InfeasibleExtension)
         assert built == []
@@ -387,6 +382,38 @@ class TestExtensionRows:
             assert isinstance(ns_extension(uniform_box(chsh_scenario()), 4), ExtensionCertificate)
         assert len(built) == 2
         assert symmetric_cg_index.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("base, n_clones", [
+        pytest.param(base, n_clones, id=f"{n_clones}-base{i}")
+        for i, (base, most) in enumerate(zip(BASES, (7, 4)))
+        for n_clones in range(2, most + 1)
+    ])
+    def test_certificate_is_the_full_row_read_back(self, base, n_clones, monkeypatch):
+        # A feasible certificate, read from the free and marginal columns
+        # the LP used, is the full rows at the pinned values interleaved by
+        # the marginal mask with the LP's free values, clipped and indexed.
+        solutions = []
+        feasibility = sharing.lp.feasibility
+        monkeypatch.setattr(sharing.lp, "feasibility",
+                            lambda *a, **k: solutions.append(feasibility(*a, **k)) or solutions[-1])
+        scen, blocks = _extended_scenario(base, n_clones), clone_blocks(n_clones)
+        rows = symmetric_cg_rows(scen, blocks)
+        d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))
+        mask = np.arange(rows.shape[1]) % (rows.shape[1] // d_a) < d_b
+        rng = np.random.default_rng(3000 + n_clones)
+        boxes = [uniform_box(base)] + [random_ns_behavior(rng, base, w) for w in (0.0, 0.2, 0.4)]
+        feasible = 0
+        for b in boxes:
+            cert = ns_extension(b, n_clones)
+            if isinstance(cert, InfeasibleExtension):
+                continue
+            feasible += 1
+            x = np.empty(mask.size)
+            x[mask] = np.linalg.lstsq(model.cg_map(base).toarray(), b.table.ravel(), rcond=None)[0]
+            x[~mask] = solutions[-1].x
+            old = np.clip(rows @ x, 0.0, None)[symmetric_cg_index(scen, blocks)]
+            assert np.allclose(cert.behavior.table.ravel(), old, rtol=0.0, atol=1e-12)
+        assert feasible >= 2
 
     @pytest.mark.parametrize("n_clones", range(2, 8))
     def test_verdicts_match_references(self, n_clones):

@@ -828,7 +828,7 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
 
     monkeypatch.setattr(sharing.lp, "feasibility", recording)
     monkeypatch.setattr(sharing, "cg_map", recording_map)
-    sharing.symmetric_cg_rows.cache_clear()
+    sharing.symmetric_cg_marginal_split.cache_clear()
     for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
         ns_extension(box, n_clones)
     assert len(calls) == 2
