@@ -91,7 +91,8 @@ def _resolve_state(
 ) -> quantum.DensityMatrix | model.Behavior:
     """The --in file or the named --state.  A file with 'dimension' and
     'entries' fields is a state; any other file is read as a behavior when
-    ``allow_behavior`` is set, and as a state otherwise."""
+    ``allow_behavior`` is set, and as a state otherwise.  A behavior
+    refuses --angles, as every source but --state cg refuses --mu."""
     if args.infile and args.state:
         raise ValueError("give either --in or --state, not both")
     if args.mu is not None and args.state != "cg":
@@ -99,10 +100,13 @@ def _resolve_state(
     if args.infile:
         data = _load_json(args.infile)
         is_state = isinstance(data, dict) and "dimension" in data and "entries" in data
+        as_behavior = allow_behavior and not is_state
+        if as_behavior and args.angles is not None:
+            raise ValueError("--angles applies only to a state")
         try:
-            if is_state or not allow_behavior:
-                return quantum.state_from_json_dict(data)
-            return model.behavior_from_json_dict(data)
+            if as_behavior:
+                return model.behavior_from_json_dict(data)
+            return quantum.state_from_json_dict(data)
         except ValueError as exc:
             raise ValueError(f"{args.infile}: {exc}") from None
     if args.state:

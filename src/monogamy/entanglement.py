@@ -86,16 +86,12 @@ def ckw_check(psi: DensityMatrix, pivot: int, tol: float = 1e-9) -> TangleReport
     n = psi.qubits
     if n not in (3, 4):
         raise ValueError("check supports 3- and 4-qubit pure states")
-    if psi.largest_eigenvalue() < 1.0 - PURITY_TOL:
-        raise ValueError("check requires a pure global state")
-    if not 0 <= pivot < n:
-        raise ValueError("pivot qubit out of range")
+    cut = cut_tangle(psi, pivot)
     partners = tuple(q for q in range(n) if q != pivot)
     # The pair-reduced states, checked and measured as one stack.
     pairs = np.stack([_reduced_matrix(psi.matrix, (pivot, q)) for q in partners])
     _checked_densities(pairs)
     pairwise = tuple(float(c * c) for c in _concurrences(pairs))
-    cut = cut_tangle(psi, pivot)
     residual = cut - sum(pairwise)
     return TangleReport(
         pivot=pivot,

@@ -310,6 +310,17 @@ def _signalling_witness(segments, j: int) -> SignallingWitness:
                              peer_outcomes=peer[n_peer:])
 
 
+def _checked_context(s: Scenario, context: tuple[int, ...]) -> tuple[int, ...]:
+    """``context`` as ints, refused unless party p's entry is in [0, settings[p])."""
+    if len(context) != s.parties:
+        raise ValueError("context must give a setting for every party")
+    context = tuple(int(c) for c in context)
+    for p, (c, k) in enumerate(zip(context, s.settings)):
+        if not 0 <= c < k:
+            raise ValueError(f"context setting {c} of party {p} is outside [0, {k})")
+    return context
+
+
 def marginal(b: Behavior, keep: tuple[int, ...], context: tuple[int, ...]) -> MarginalTable:
     """Marginal distribution of the parties in ``keep``.
 
@@ -323,13 +334,10 @@ def marginal(b: Behavior, keep: tuple[int, ...], context: tuple[int, ...]) -> Ma
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= s.parties:
         raise ValueError("keep set out of range")
-    if len(context) != s.parties:
-        raise ValueError("context must give a setting for every party")
+    context = _checked_context(s, context)
     drop = tuple(p for p in range(s.parties) if p not in keep)
 
-    index = tuple(
-        slice(None) if p in keep else int(context[p]) for p in range(s.parties)
-    )
+    index = tuple(slice(None) if p in keep else context[p] for p in range(s.parties))
     sub = b.table[index]  # axes: kept settings, then all outcomes
     out_offset = len(keep)
     sum_axes = tuple(out_offset + p for p in drop)
@@ -365,9 +373,7 @@ def correlator(b: Behavior, context: tuple[int, ...]) -> float:
     s = b.scenario
     if not s.is_dichotomic():
         raise ValueError("correlator requires dichotomic outcomes for every party")
-    if len(context) != s.parties:
-        raise ValueError("context must give a setting for every party")
-    block = b.table[tuple(int(c) for c in context)]
+    block = b.table[_checked_context(s, context)]
     return float((block * _sign_tensor(s)).sum())
 
 
@@ -377,10 +383,7 @@ def correlator(b: Behavior, context: tuple[int, ...]) -> float:
 
 def uniform_box(scenario: Scenario) -> Behavior:
     """All outcomes equally likely in every context."""
-    n_out = 1
-    for o in scenario.outcomes:
-        n_out *= o
-    table = np.full(scenario.table_shape, 1.0 / n_out)
+    table = np.full(scenario.table_shape, 1.0 / math.prod(scenario.outcomes))
     return Behavior(scenario, table)
 
 
@@ -396,10 +399,7 @@ def deterministic_box(scenario: Scenario, assignment: tuple[tuple[int, ...], ...
             raise ValueError(f"party {p} assignment must cover every setting")
         if any(not 0 <= o < scenario.outcomes[p] for o in row):
             raise ValueError(f"party {p} assignment has out-of-range outcomes")
-    table = np.zeros(scenario.table_shape)
-    for ctx in scenario.contexts():
-        outs = tuple(assignment[p][ctx[p]] for p in range(scenario.parties))
-        table[ctx + outs] = 1.0
+    table = _block_product([np.eye(o)[list(row)] for o, row in zip(scenario.outcomes, assignment)])
     return Behavior(scenario, table)
 
 
@@ -417,21 +417,10 @@ def product_box(factors: list[Behavior]) -> Behavior:
     """Independent parties: the product of behaviors on consecutive blocks."""
     if not factors:
         raise ValueError("product needs at least one factor")
-    settings: tuple[int, ...] = ()
-    outcomes: tuple[int, ...] = ()
-    for f in factors:
-        settings += f.scenario.settings
-        outcomes += f.scenario.outcomes
-    parties = len(settings)
-    scenario = Scenario(parties, settings, outcomes)
-    blocks = []
-    start = 0
-    for f in factors:
-        n = f.scenario.parties
-        blocks.append(tuple(range(start, start + n)))
-        start += n
-    table = _block_product([f.table for f in factors], blocks)
-    return Behavior(scenario, table)
+    scenario = Scenario(sum(f.scenario.parties for f in factors),
+                        sum((f.scenario.settings for f in factors), ()),
+                        sum((f.scenario.outcomes for f in factors), ()))
+    return Behavior(scenario, _block_product([f.table for f in factors]))
 
 
 def mixture(behaviors: list[Behavior], weights: list[float]) -> Behavior:
@@ -449,16 +438,14 @@ def mixture(behaviors: list[Behavior], weights: list[float]) -> Behavior:
     return Behavior(scenario, table)
 
 
-def _block_product(tables: list[np.ndarray], blocks: list[tuple[int, ...]]) -> np.ndarray:
-    """Outer product of block tables, axes rearranged to global party order."""
-    combined = np.ones(())
-    # combined axes: per block, its settings then its outcomes; each axis is
-    # keyed (0, party) for a setting and (1, party) for an outcome.
-    keys = []
-    for tbl, block in zip(tables, blocks):
-        combined = np.multiply.outer(combined, tbl)
-        keys += [(0, p) for p in block] + [(1, p) for p in block]
-    return np.transpose(combined, sorted(range(len(keys)), key=keys.__getitem__))
+def _block_product(tables: list[np.ndarray]) -> np.ndarray:
+    """Outer product of tables on consecutive parties, in party order: each
+    table covers ``tbl.ndim // 2`` parties, and the result's axes are every
+    table's settings, then every table's outcomes."""
+    combined = functools.reduce(np.multiply.outer, tables, np.ones(()))
+    # A stable sort on "is an outcome axis" keeps party order within each half.
+    is_outcome = [k >= tbl.ndim // 2 for tbl in tables for k in range(tbl.ndim)]
+    return combined.transpose(sorted(range(combined.ndim), key=is_outcome.__getitem__))
 
 
 def partial_local_box(
@@ -470,6 +457,9 @@ def partial_local_box(
 
     Each term supplies one behavior per block; inside a block the behavior
     may be signalling, but the blocks are uncorrelated within each term.
+    A term is the :func:`product_box` of its pair, its parties moved to
+    their blocks by :func:`permute_parties`; :func:`mixture` combines the
+    terms and checks the weights.
     """
     block1, block2 = (tuple(sorted(set(blk))) for blk in blocks)
     all_parties = tuple(sorted(block1 + block2))
@@ -477,32 +467,19 @@ def partial_local_box(
         raise ValueError("blocks must form a two-block partition of the parties")
     if all_parties != tuple(range(len(all_parties))):
         raise ValueError("blocks must cover parties 0..N-1")
-    if len(terms) != len(weights) or not terms:
-        raise ValueError("need one weight per term")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must form a probability distribution")
-
-    n = len(all_parties)
-    settings = [0] * n
-    outcomes = [0] * n
-    b1, b2 = terms[0]
-    for blk, beh in ((block1, b1), (block2, b2)):
-        for i, p in enumerate(blk):
-            settings[p] = beh.scenario.settings[i]
-            outcomes[p] = beh.scenario.outcomes[i]
-    scenario = Scenario(n, tuple(settings), tuple(outcomes))
-
-    table = np.zeros(scenario.table_shape)
-    for wi, (t1, t2) in zip(w, terms):
-        for blk, beh in ((block1, t1), (block2, t2)):
-            expected = tuple(scenario.settings[p] for p in blk) + tuple(
-                scenario.outcomes[p] for p in blk
-            )
-            if beh.scenario.table_shape != expected:
-                raise ValueError("term behavior does not match its block")
-        table += wi * _block_product([t1.table, t2.table], [block1, block2])
-    return Behavior(scenario, table)
+    # Party p of the result is party perm[p] of the block product.
+    n, order = len(all_parties), block1 + block2
+    perm = tuple(order.index(p) for p in range(n))
+    placed = []
+    for pair in terms:
+        if tuple(b.scenario.parties for b in pair) != (len(block1), len(block2)):
+            raise ValueError("term behavior does not match its block")
+        product = product_box(list(pair))
+        s = product.scenario
+        scenario = Scenario(n, tuple(s.settings[p] for p in perm), tuple(s.outcomes[p] for p in perm))
+        table = permute_parties(s, product.table, perm)
+        placed.append(Behavior(scenario, table.reshape(scenario.table_shape)))
+    return mixture(placed, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +765,7 @@ def behavior_from_json_dict(data: dict) -> Behavior:
     table_data = data["table"]
     if not isinstance(table_data, dict):
         raise ValueError("'table' must map setting vectors to probability lists")
-    n_out = 1
-    for o in outcomes:
-        n_out *= o
+    n_out = math.prod(outcomes)
     table = np.zeros(scenario.table_shape)
     seen = {}
     for key, values in table_data.items():

@@ -92,6 +92,8 @@ class ShareabilityResult:
 
 
 def _extended_scenario(base: Scenario, n_clones: int) -> Scenario:
+    if n_clones < 1:
+        raise ValueError("need at least one clone")
     settings = (base.settings[0],) + (base.settings[1],) * n_clones
     outcomes = (base.outcomes[0],) + (base.outcomes[1],) * n_clones
     return Scenario(1 + n_clones, settings, outcomes)
@@ -112,8 +114,6 @@ def unrestricted_extension(b: Behavior, n_clones: int) -> ExtensionCertificate:
     else 0.  Both residuals are exactly zero by construction.
     """
     _require_two_party(b)
-    if n_clones < 1:
-        raise ValueError("need at least one clone")
     scen = _extended_scenario(b.scenario, n_clones)
     # Axes: [A, B1..BN, a, b1..bN]; the base sits on (A, B1, a, b1), is
     # broadcast over B2..BN, and is kept where b1 = ... = bN.
@@ -227,14 +227,12 @@ def ns_extension(
     computed.  An infeasible system returns the minimized total deficit of
     the positivity rows, positive iff no extension exists."""
     report = _require_two_party(b)
-    if n_clones < 1:
-        raise ValueError("need at least one clone")
+    # The certificate's scenario refuses oversized tables before any row is built.
+    scen = _extended_scenario(b.scenario, n_clones)
     if not report.is_no_signalling:
         raise ValueError(
             f"base behavior is signalling (violation {report.max_violation:.3e})"
         )
-    # The certificate's scenario refuses oversized tables before any row is built.
-    scen = _extended_scenario(b.scenario, n_clones)
 
     blocks = ((0,), tuple(range(1, n_clones + 1)))
     free, marginal = symmetric_cg_marginal_split(scen, blocks)

@@ -597,6 +597,17 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "error: --mu applies only to --state cg\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["chsh", "--in", "BOX", "--angles", "9,9,9,9"],
+        ["cg", "--in", "BOX", "--angles", "0,0,0,0,0,0,0,0,0"],
+    ], ids=["chsh", "cg"])
+    def test_angles_with_behavior_refused(self, argv, pr_path, capsys):
+        # A behavior file has no measurements to set; the angles would be ignored.
+        assert main([pr_path if arg == "BOX" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --angles applies only to a state\n"
+
     def test_unreadable_in_refused(self, tmp_path, capsys):
         # A directory given as --in is an error naming the path, not a traceback.
         assert main(["validate", "--in", str(tmp_path)]) == 2

@@ -160,6 +160,12 @@ class TestCkwCheck:
                 assert np.max(np.abs(np.subtract(report.pairwise, want))) <= 1e-12
                 assert report.cut == pytest.approx(cut_tangle(psi, pivot), abs=1e-12)
 
+    def test_mixed_state_and_pivot_refused_by_cut_tangle(self):
+        with pytest.raises(ValueError, match="cut tangle requires a pure global state"):
+            ckw_check(DensityMatrix(np.eye(8) / 8), 0)
+        with pytest.raises(ValueError, match="pivot qubit out of range"):
+            ckw_check(w_state(), 3)
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             ckw_check(phi_plus(), 0)

@@ -549,6 +549,14 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal(pr_box(), (), (0, 0))
 
+    @pytest.mark.parametrize("keep, context, party", [
+        ((0,), (0, 7), 1), ((0,), (0, 2), 1), ((1,), (-1, 0), 0), ((0, 1), (2, 0), 0),
+    ])
+    def test_context_out_of_range_refused(self, keep, context, party):
+        # Neither an IndexError nor a wrapped-around negative index.
+        with pytest.raises(ValueError, match=f"of party {party} is outside"):
+            marginal(pr_box(), keep, context)
+
     def test_context_independent_for_ns(self, rng):
         # Mixture of deterministic boxes is no-signalling; its marginals must
         # agree across the discarded party's settings.
@@ -603,6 +611,12 @@ class TestCorrelator:
         with pytest.raises(ValueError):
             correlator(b, (0, 0))
 
+    @pytest.mark.parametrize("context, party", [((1, -1), 1), ((-1, 0), 0), ((2, 0), 0), ((0, 5), 1)])
+    def test_context_out_of_range_refused(self, context, party):
+        # (1, -1) would otherwise read the (1, 1) context of the PR box.
+        with pytest.raises(ValueError, match=f"of party {party} is outside"):
+            correlator(pr_box(), context)
+
     def test_affine_in_behavior(self, rng):
         s = chsh_scenario()
         for _ in range(25):
@@ -646,6 +660,32 @@ class TestConstructors:
         with pytest.raises(ValueError):
             mixture([pr_box(), pr_box()], [0.7, 0.7])
 
+    def test_product_of_three_factors_matches_oracle(self, rng):
+        factors = [
+            random_behavior(rng, Scenario(1, (3,), (2,))),
+            random_behavior(rng, Scenario(2, (2, 1), (3, 2))),
+            random_behavior(rng, Scenario(1, (2,), (4,))),
+        ]
+        b = product_box(factors)
+        assert b.scenario == Scenario(4, (3, 2, 1, 2), (2, 3, 2, 4))
+        for ctx in b.scenario.contexts():
+            for outs in b.scenario.outcome_tuples():
+                expected = (
+                    factors[0].table[ctx[0], outs[0]]
+                    * factors[1].table[ctx[1], ctx[2], outs[1], outs[2]]
+                    * factors[2].table[ctx[3], outs[3]]
+                )
+                assert b.table[ctx + outs] == expected
+
+    def test_deterministic_mixed_outcomes_matches_oracle(self):
+        s = Scenario(3, (2, 3, 1), (3, 2, 4))
+        assignment = ((2, 0), (1, 1, 0), (3,))
+        b = deterministic_box(s, assignment)
+        for ctx in s.contexts():
+            for outs in s.outcome_tuples():
+                hit = all(outs[p] == assignment[p][ctx[p]] for p in range(3))
+                assert b.table[ctx + outs] == (1.0 if hit else 0.0)
+
 
 class TestPartialLocal:
     def test_uniform_blocks_give_uniform(self):
@@ -671,17 +711,23 @@ class TestPartialLocal:
         assert np.allclose(mixed.table, 0.5 * one.table + 0.5 * two.table)
 
     def test_noncontiguous_blocks(self, rng):
-        # Blocks {0, 2} and {1}: check against an index-level oracle.
-        pair = random_behavior(rng, chsh_scenario())
-        single = random_behavior(rng, Scenario(1, (2,), (2,)))
-        b = partial_local_box(((0, 2), (1,)), [(pair, single)], [1.0])
-        for ctx in b.scenario.contexts():
-            for outs in b.scenario.outcome_tuples():
-                expected = (
-                    pair.table[ctx[0], ctx[2], outs[0], outs[2]]
-                    * single.table[ctx[1], outs[1]]
-                )
-                assert b.table[ctx + outs] == pytest.approx(expected, abs=1e-14)
+        # Blocks {0, 2} | {1}, and {0, 2, 4} | {1, 3} with mixed settings and
+        # outcomes: check against an index-level oracle.
+        cases = [
+            (((0, 2), (1,)), chsh_scenario(), Scenario(1, (2,), (2,))),
+            (((0, 2, 4), (1, 3)), Scenario(3, (2, 1, 3), (3, 2, 2)), Scenario(2, (3, 2), (2, 3))),
+        ]
+        for blocks, s1, s2 in cases:
+            first = random_behavior(rng, s1)
+            second = random_behavior(rng, s2)
+            b = partial_local_box(blocks, [(first, second)], [1.0])
+            for ctx in b.scenario.contexts():
+                for outs in b.scenario.outcome_tuples():
+                    expected = math.prod(
+                        beh.table[tuple(ctx[p] for p in blk) + tuple(outs[p] for p in blk)]
+                        for blk, beh in zip(blocks, (first, second))
+                    )
+                    assert b.table[ctx + outs] == pytest.approx(expected, abs=1e-14)
 
     def test_ns_blocks_give_ns_output(self, rng):
         u1 = random_behavior(rng, Scenario(1, (2,), (2,)))
@@ -706,6 +752,12 @@ class TestPartialLocal:
         u1 = uniform_box(Scenario(1, (2,), (2,)))
         with pytest.raises(ValueError):
             partial_local_box(((0,), (0,)), [(u1, u1)], [1.0])
+
+    def test_term_party_counts_checked(self):
+        # A one-party behavior on the two-party block, and a pair on the single.
+        u1 = uniform_box(Scenario(1, (2,), (2,)))
+        with pytest.raises(ValueError, match="term behavior does not match its block"):
+            partial_local_box(((0, 1), (2,)), [(u1, pr_box())], [1.0])
 
 
 class TestJson:

@@ -95,6 +95,13 @@ class TestUnrestricted:
                 assert cert.marginal_residual == 0.0
 
 
+    @pytest.mark.parametrize("extend", [unrestricted_extension, ns_extension])
+    @pytest.mark.parametrize("n_clones", [0, -1])
+    def test_no_clones_refused(self, extend, n_clones):
+        with pytest.raises(ValueError, match="need at least one clone"):
+            extend(pr_box(), n_clones)
+
+
 class TestNsExtension:
     def test_uniform_four_clones_feasible(self):
         result = ns_extension(uniform_box(chsh_scenario()), 4)
