@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,9 +16,6 @@ from .bell import (  # noqa: F401 - perfbench/spans.py wraps bell_value here
     functional_row,
 )
 from .model import Behavior, Scenario, _capped_product, deterministic_box
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 STRATEGY_CAP = 2**23  # strategy matrix entries, table size x strategy count: 64 MiB
 _RECONSTRUCTION_TOL = 1e-8  # largest error of a feasible local model's table
@@ -96,17 +92,20 @@ def strategy_matrix(scenario: Scenario) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _membership_rows(scenario: Scenario) -> sp.csr_array:
-    """The strategy columns of :func:`strategy_matrix` over one row of ones
-    (the weights' normalization), as CSR.  Memoised per scenario, and
-    returned read-only, as ``model.cg_map`` is."""
+def _membership_program(scenario: Scenario) -> lp.LinearProgram:
+    """The membership LP of :func:`local_decomposition` up to its
+    right-hand side: the strategy columns of :func:`strategy_matrix` over
+    one row of ones (the weights' normalization) as equality rows, CSR and
+    read-only as ``model.cg_map`` is, with weights >= 0 and zeros in place
+    of the table.  Memoised per scenario; each behavior gives its table
+    through ``with_rhs``."""
     matrix = strategy_matrix(scenario)  # refuses before scipy is imported
     import scipy.sparse as sp
 
     rows = sp.csr_array(np.vstack([matrix, np.ones((1, matrix.shape[1]))]))
     for part in (rows.data, rows.indices, rows.indptr):
         part.setflags(write=False)
-    return rows
+    return lp.LinearProgram(np.zeros(rows.shape[1]), eq_lhs=rows, eq_rhs=np.zeros(rows.shape[0]))
 
 
 def local_decomposition(b: Behavior) -> LocalModel | NotLocal:
@@ -117,16 +116,16 @@ def local_decomposition(b: Behavior) -> LocalModel | NotLocal:
     violation as a non-locality score.
     """
     scenario = b.scenario
-    rows = _membership_rows(scenario)
+    program = _membership_program(scenario)
     eq_rhs = np.concatenate([b.table.reshape(-1), [1.0]])
-    outcome = lp.feasibility(eq=(rows, eq_rhs), tol=lp.FEASIBILITY_TOL)
+    outcome = lp.phase_one(program.with_rhs(eq_rhs=eq_rhs), lp.FEASIBILITY_TOL)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return NotLocal(score=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:
         raise RuntimeError(f"local membership LP failed: {outcome.message}")
     weights = np.clip(outcome.x, 0.0, None)
     weights = weights / weights.sum()
-    reconstruction = (rows @ weights)[:-1]
+    reconstruction = (program.eq_lhs @ weights)[:-1]
     err = float(np.max(np.abs(reconstruction - b.table.reshape(-1))))
     if err > _RECONSTRUCTION_TOL:
         # Feasible per the LP but imprecise reconstruction: a numerical

@@ -4,26 +4,33 @@ Every program is solved by HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
 119 (2018)) through the Python binding that scipy ships,
 ``scipy.optimize._highspy._core``.  ``linprog`` is the one call into it: it
 hands HiGHS canonical CSR rows with their row and column bounds, and reads
-back the status, solution, objective, iterations and row duals.  Given a
-stack of row bounds, it passes the model once and re-solves it once per
-row of the stack, changing only the row bounds in between, so that each
-run starts from the previous optimal basis; ``solve_stacked`` is ``solve``
-over such a stack of equality right-hand sides.  The binding
-is loaded on the first solve, by file path when scipy.optimize has not
-loaded it already, so neither importing this module nor solving runs
-``scipy.optimize``'s package import; only ``scipy.sparse`` is loaded, for
-the rows.
+back the status, solution, objective, iterations and row duals.  Each
+thread keeps one configured solver, and every call passes its model to that
+solver with ``passModel``, which discards the previous model and basis, so
+every call starts cold.  Given a stack of row bounds, ``linprog`` passes the
+model once and re-solves it once per row of the stack, changing only the
+row bounds in between, so that each run starts from the previous optimal
+basis; ``solve_stacked`` is ``solve`` over such a stack of equality
+right-hand sides.  The binding is loaded on the first solve, by file path
+when scipy.optimize has not loaded it already, so neither importing this
+module nor solving runs ``scipy.optimize``'s package import; only
+``scipy.sparse`` is loaded, for the rows.
 
 Constraint matrices may be given dense or as ``scipy.sparse`` arrays;
 ``LinearProgram`` stores them as CSR.  It is the one parsed form of a
-system: ``solve`` takes one and ``feasibility`` builds one, so both refuse
-alike non-finite data, a matrix whose shape does not match its right-hand
-side and the variable count, and NaN or crossed bounds.  Feasibility
-questions, and the confirmation of an infeasible ``solve``, go through one
-explicit elastic phase-one program, so that infeasible systems come back
-with the minimized total (L1) constraint violation as a certificate value
-rather than a bare status; its slack entries are appended to each CSR row
-by index arithmetic.  Every optimal solution of either entry point is
+system: ``solve`` and ``phase_one`` take one and ``feasibility`` builds one,
+so all refuse alike non-finite data, a matrix whose shape does not match
+its right-hand side and the variable count, and NaN or crossed bounds.
+Feasibility questions, and the confirmation of an infeasible ``solve``, go
+through one explicit elastic phase-one program, ``phase_one``, so that
+infeasible systems come back with the minimized total (L1) constraint
+violation as a certificate value rather than a bare status; its slack
+entries are appended to each CSR row by index arithmetic.  A program
+builds its elastic system once, on its first phase-one, and
+``LinearProgram.with_rhs`` gives the same program with other right-hand
+sides, sharing that system: a caller that asks the same question of many
+right-hand sides prepares one program and builds only the new row bounds
+for each.  Every optimal solution of either entry point is
 re-verified by ``constraint_residual`` on the program's own rows and bounds
 (its own right-hand side, for a run of a stack; one call checks all the
 optima of a stack) and refused as Failed when that residual exceeds 10 *
@@ -33,9 +40,11 @@ received and of its own run.
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -54,6 +63,11 @@ _BINDING = "scipy.optimize._highspy._core"
 # fixed column (``sharing.ns_extension`` folds its pinned columns into the
 # row bounds), so presolve would only cost time.
 _OPTIONS = (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1))
+
+# Each thread's HiGHS solver, as ``highs``: made and configured on the
+# thread's first ``linprog`` call, dropped after a rejected model or a run
+# error.
+_SOLVERS = threading.local()
 
 # HiGHS model status -> linprog status, as scipy's
 # ``_highs_to_scipy_status_message`` maps them; any other status reads 4.
@@ -77,7 +91,9 @@ class LinearProgram:
     (rows mean ``a @ x <= rhs``), and per-variable bounds (default x >= 0;
     None leaves a side unbounded).  Constraint matrices may be dense or
     ``scipy.sparse``; both are stored as CSR, checked against their
-    right-hand sides, and the bounds parsed to ``lower`` / ``upper``."""
+    right-hand sides, and the bounds parsed to ``lower`` / ``upper``.  The
+    elastic phase-one system is built on the first ``phase_one`` of the
+    program or of any ``with_rhs`` copy of it, and shared by them all."""
 
     objective: np.ndarray
     eq_lhs: np.ndarray | None = None
@@ -87,6 +103,9 @@ class LinearProgram:
     bounds: list[Bound] | None = None
     lower: np.ndarray = field(init=False, repr=False)
     upper: np.ndarray = field(init=False, repr=False)
+    # The elastic system once built (``_elastic_system``), in one list that
+    # every ``with_rhs`` copy shares.
+    _elastic: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         obj = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -99,13 +118,8 @@ class LinearProgram:
                 raise ValueError(f"{name} constraints need both sides")
             if lhs is not None:
                 lhs = _as_matrix(lhs)
-                rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-                if lhs.shape != (rhs.size, n):
-                    raise ValueError(
-                        f"{name} constraint matrix must have {rhs.size} rows, one per"
-                        f" right-hand side entry, and {n} columns; it is {lhs.shape}"
-                    )
-                if not (np.all(np.isfinite(lhs.data)) and np.all(np.isfinite(rhs))):
+                rhs = _checked_rhs(name, lhs, rhs, n)
+                if not np.all(np.isfinite(lhs.data)):
                     raise ValueError(f"{name} constraints must be finite")
                 object.__setattr__(self, f"{name}_lhs", lhs)
                 object.__setattr__(self, f"{name}_rhs", rhs)
@@ -119,15 +133,33 @@ class LinearProgram:
     def n_variables(self) -> int:
         return self.objective.size
 
+    def with_rhs(self, eq_rhs=None, ub_rhs=None) -> LinearProgram:
+        """This program with ``eq_rhs`` and / or ``ub_rhs`` in place of its
+        own (None keeps a side's own), checked for length and finiteness as
+        the constructor checks them.  The copy shares the parsed rows, the
+        bounds and the elastic phase-one system."""
+        program = copy.copy(self)
+        for name, rhs in (("eq", eq_rhs), ("ub", ub_rhs)):
+            if rhs is not None:
+                lhs = getattr(self, f"{name}_lhs")
+                if lhs is None:
+                    raise ValueError(f"{name} constraints need both sides")
+                rhs = _checked_rhs(name, lhs, rhs, self.n_variables)
+                object.__setattr__(program, f"{name}_rhs", rhs)
+        return program
+
 
 @dataclass(frozen=True)
 class LpStats:
     """The system HiGHS received (the elastic system, for a phase-one), the
     seconds spent building it, solving it and re-checking the answer, and
     whether the run started from the previous run's optimal basis.  Runs of
-    one stack share a build, whose seconds the first run carries.  For an
-    ``ns_extension``, ``cols`` counts the free columns and the elastic
-    slacks: the pinned marginal columns are folded into the row bounds."""
+    one stack share a build, whose seconds the first run carries.  A
+    phase-one of a program whose elastic system is already built (see
+    ``LinearProgram``) builds only its row bounds from the right-hand side,
+    and ``build_s`` covers only that.  For an ``ns_extension``, ``cols``
+    counts the free columns and the elastic slacks: the pinned marginal
+    columns are folded into the row bounds."""
 
     rows: int
     cols: int
@@ -179,6 +211,20 @@ class HighsResult:
     duals: np.ndarray | None = None
     warm: bool = False
     seconds: float = 0.0
+
+
+def _checked_rhs(name: str, lhs: sp.csr_array, rhs, n: int) -> np.ndarray:
+    """``rhs`` as a float array, refused unless it is finite and ``lhs`` is
+    its m x ``n`` matrix, one row per entry."""
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+    if lhs.shape != (rhs.size, n):
+        raise ValueError(
+            f"{name} constraint matrix must have {rhs.size} rows, one per"
+            f" right-hand side entry, and {n} columns; it is {lhs.shape}"
+        )
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError(f"{name} constraints must be finite")
+    return rhs
 
 
 def _as_matrix(a) -> sp.csr_array:
@@ -260,9 +306,14 @@ def _binding():
 def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper):
     """The one call into HiGHS: minimize ``cost @ x`` subject to
     ``row_lower <= rows @ x <= row_upper`` and ``col_lower <= x <=
-    col_upper`` (float arrays, infinite where a side is absent), with a new
-    solver and the options ``_OPTIONS``: dual simplex, no presolve.
-    ``rows`` is a CSR array, or None when there are none.  Rows with
+    col_upper`` (float arrays, infinite where a side is absent), on this
+    thread's solver, which has the options ``_OPTIONS``: dual simplex, no
+    presolve.  The solver is made on the thread's first call and reused by
+    the next: each call passes it the model with ``passModel``, which
+    discards the previous model, solution and basis, so the first run
+    starts cold as on a new solver.  After a model that HiGHS rejects, or a
+    run that errors, the solver is dropped and the next call makes a new
+    one.  ``rows`` is a CSR array, or None when there are none.  Rows with
     duplicate or unsorted entries are made canonical on a copy first, since
     HiGHS does not accept them.  Every solve goes through this module
     attribute, so a caller can wrap it to observe HiGHS calls.
@@ -295,15 +346,14 @@ def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper):
         data = np.ascontiguousarray(rows.data, dtype=float)
     results = []
     if len(lowers):
-        highs = core._Highs()
-        for option, value in _OPTIONS:
-            highs.setOptionValue(option, value)
+        highs = _solver(core)
         loaded = highs.passModel(
             n, m, len(data), int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize), 0.0,
             cost, col_lower, col_upper, lowers[0], uppers[0], indptr, indices, data,
             np.zeros(n, np.int32),
         )
         if loaded == core.HighsStatus.kError:
+            _SOLVERS.highs = None
             results = [HighsResult(2, "HiGHS rejected the model", 0)] * len(lowers)
     changed = (lowers[1:] != lowers[:-1]) | (uppers[1:] != uppers[:-1])
     for j in range(len(results), len(lowers)):
@@ -319,11 +369,26 @@ def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper):
     return results if stacked else results[0]
 
 
+def _solver(core):
+    """This thread's solver, made and given ``_OPTIONS`` when the thread
+    has none."""
+    highs = getattr(_SOLVERS, "highs", None)
+    if highs is None:
+        highs = core._Highs()
+        for option, value in _OPTIONS:
+            highs.setOptionValue(option, value)
+        _SOLVERS.highs = highs
+    return highs
+
+
 def _run(core, highs, warm: bool, started: float) -> HighsResult:
     """One ``run`` of the model that ``highs`` holds, read back as a result
-    whose ``seconds`` count from ``started``.  Info values are read one by
-    one: ``getInfo`` copies the whole record, at several times the cost."""
+    whose ``seconds`` count from ``started``; a run error drops the
+    thread's solver.  Info values are read one by one: ``getInfo`` copies
+    the whole record, at several times the cost."""
     ran = highs.run()
+    if ran == core.HighsStatus.kError:
+        _SOLVERS.highs = None
     model_status = highs.getModelStatus()
     status = _linprog_status(model_status)
     message = f"HiGHS model status {int(model_status)}: {highs.modelStatusToString(model_status)}"
@@ -350,35 +415,46 @@ def _linprog_status(model_status) -> int:
     return _STATUS.get(model_status.name, 4)
 
 
-def _highs(started, cost, ub, eq, col_lower, col_upper):
-    """Solve for a system whose build began at ``started`` (a
-    ``time.perf_counter`` reading): ``ub`` and ``eq`` are (CSR rows,
-    right-hand side) blocks or None, stacked inequality rows first.  The
-    right-hand side of ``eq`` may be a (k, m) stack, solved as k runs of
-    one model.  Returns one (``linprog`` result, stats) pair per run."""
+def _stacked_rows(ub_lhs, eq_lhs):
+    """Inequality rows over equality rows as one CSR array, either block
+    None; None when both are."""
     import scipy.sparse as sp
 
-    runs = () if eq is None else np.shape(eq[1])[:-1]
-    # (rows, row lower bounds, row upper bounds) per block.
+    rows = [lhs for lhs in (ub_lhs, eq_lhs) if lhs is not None]
+    return sp.vstack(rows, format="csr") if len(rows) == 2 else rows[0] if rows else None
+
+
+def _row_bounds(ub_rhs, eq_rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Row lower and upper bounds of the rows of ``_stacked_rows``: each
+    inequality row below its ``ub_rhs`` entry, each equality row at its
+    ``eq_rhs`` entry.  ``eq_rhs`` may be a (k, m) stack, which gives
+    (k, rows) bounds, one per run."""
+    runs = np.shape(eq_rhs)[:-1]
+    # (row lower bounds, row upper bounds) per block.
     blocks = []
-    if ub is not None:
-        blocks.append((ub[0], np.full(len(ub[1]), -np.inf), ub[1]))
-    if eq is not None:
-        blocks.append((eq[0], eq[1], eq[1]))
-    rows = [block[0] for block in blocks]
-    rows = sp.vstack(rows, format="csr") if len(rows) == 2 else rows[0] if rows else None
-    row_lower, row_upper = (
+    if ub_rhs is not None:
+        blocks.append((np.full(len(ub_rhs), -np.inf), ub_rhs))
+    if eq_rhs is not None:
+        blocks.append((eq_rhs, eq_rhs))
+    return tuple(
         np.concatenate([np.broadcast_to(block[k], runs + block[k].shape[-1:]) for block in blocks]
                        or [np.zeros(0)], axis=-1)
-        for k in (1, 2)
+        for k in (0, 1)
     )
+
+
+def _highs(started, cost, rows, row_lower, row_upper, col_lower, col_upper):
+    """Solve for a system whose build began at ``started`` (a
+    ``time.perf_counter`` reading), given as ``linprog``'s arguments.  Row
+    bounds that are (k, m) stacks are solved as k runs of one model.
+    Returns one (``linprog`` result, stats) pair per run."""
     begun = time.perf_counter()
     results = linprog(cost, rows, row_lower, row_upper, col_lower, col_upper)
     m, nnz = (0, 0) if rows is None else (rows.shape[0], rows.nnz)
     return [
         (result, LpStats(m, len(cost), nnz, 0.0 if j else begun - started, result.seconds,
                          warm=result.warm))
-        for j, result in enumerate(results if runs else [results])
+        for j, result in enumerate(results if np.ndim(row_lower) == 2 else [results])
     ]
 
 
@@ -434,12 +510,12 @@ def _solve(lp: LinearProgram, eq_rhs, tol: float, started: float) -> list[LpOutc
     """The outcomes of ``solve`` for ``lp``'s own right-hand side (``eq_rhs``
     None) or for each row of the stack ``eq_rhs``, the build begun at
     ``started``; every optimum is checked in one ``_checked`` call."""
-    eq = (lp.eq_lhs, lp.eq_rhs if eq_rhs is None else eq_rhs) if lp.eq_lhs is not None else None
-    ub = (lp.ub_lhs, lp.ub_rhs) if lp.ub_lhs is not None else None
-    runs = _highs(started, -lp.objective, ub, eq, lp.lower, lp.upper)
+    rows = _stacked_rows(lp.ub_lhs, lp.eq_lhs)
+    row_lower, row_upper = _row_bounds(lp.ub_rhs, lp.eq_rhs if eq_rhs is None else eq_rhs)
+    runs = _highs(started, -lp.objective, rows, row_lower, row_upper, lp.lower, lp.upper)
     outcomes = [
         None if result.status == 0
-        else _unsolved(lp if eq_rhs is None else replace(lp, eq_rhs=eq_rhs[j]), tol, result, stats)
+        else _unsolved(lp if eq_rhs is None else lp.with_rhs(eq_rhs=eq_rhs[j]), tol, result, stats)
         for j, (result, stats) in enumerate(runs)
     ]
     solved = [j for j, outcome in enumerate(outcomes) if outcome is None]
@@ -457,7 +533,7 @@ def _unsolved(lp: LinearProgram, tol: float, result: HighsResult, stats) -> LpOu
     """The outcome of a HiGHS run of ``lp`` that reached no optimum: an
     infeasible status is confirmed by the elastic phase-one."""
     if result.status == 2:
-        phase1 = _phase_one(lp, tol, time.perf_counter())
+        phase1 = phase_one(lp, tol)
         iterations = result.nit + phase1.iterations
         if phase1.status == LpStatus.OPTIMAL:
             return LpOutcome(
@@ -490,25 +566,47 @@ def _with_slacks(rows, starts, signs, width: int):
     return sp.csr_array((data, indices, indptr), shape=(m, width))
 
 
-def _phase_one(lp: LinearProgram, tol: float, started: float) -> LpOutcome:
-    """The elastic phase-one of ``lp``'s rows and bounds, its build begun at
-    ``started``: elastic slacks are added to every equality (two-sided) and
-    inequality (one-sided) row and their total is minimized; bounds stay
-    hard.  An optimum above ``tol`` means Infeasible, and that optimum is
-    returned as the violation certificate."""
-    n = lp.n_variables
-    m_eq, m_ub = (0 if rhs is None else rhs.size for rhs in (lp.eq_rhs, lp.ub_rhs))
-    width = n + 2 * m_eq + m_ub
+def _elastic_system(lp: LinearProgram):
+    """The elastic phase-one of ``lp``'s rows and bounds, as ``linprog``'s
+    (cost, rows, column lower bounds, column upper bounds): built on the
+    first call for ``lp`` or any ``with_rhs`` copy of it, then shared.
 
-    # Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
-    # row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j].
-    cost = np.concatenate([np.zeros(n), np.ones(width - n)])
-    a_eq = (_with_slacks(lp.eq_lhs, (n, n + m_eq), (1.0, -1.0), width), lp.eq_rhs) if m_eq else None
-    a_ub = (_with_slacks(lp.ub_lhs, (n + 2 * m_eq,), (-1.0,), width), lp.ub_rhs) if m_ub else None
-    slack_lower, slack_upper = _bound_arrays(None, width - n)
-    ((result, stats),) = _highs(started, cost, a_ub, a_eq,
-                                np.concatenate([lp.lower, slack_lower]),
-                                np.concatenate([lp.upper, slack_upper]))
+    Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
+    row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j];
+    the rows are stacked as ``_stacked_rows`` stacks them, and made
+    canonical here, once, with HiGHS's int32 indices."""
+    if not lp._elastic:
+        n = lp.n_variables
+        m_eq, m_ub = (0 if rhs is None else rhs.size for rhs in (lp.eq_rhs, lp.ub_rhs))
+        width = n + 2 * m_eq + m_ub
+        cost = np.concatenate([np.zeros(n), np.ones(width - n)])
+        rows = _stacked_rows(
+            _with_slacks(lp.ub_lhs, (n + 2 * m_eq,), (-1.0,), width) if m_ub else None,
+            _with_slacks(lp.eq_lhs, (n, n + m_eq), (1.0, -1.0), width) if m_eq else None,
+        )
+        if rows is not None:
+            rows.sum_duplicates()
+            rows.indptr, rows.indices = (a.astype(np.int32, copy=False)
+                                         for a in (rows.indptr, rows.indices))
+        slack_lower, slack_upper = _bound_arrays(None, width - n)
+        lp._elastic.append((cost, rows, np.concatenate([lp.lower, slack_lower]),
+                            np.concatenate([lp.upper, slack_upper])))
+    return lp._elastic[0]
+
+
+def phase_one(lp: LinearProgram, tol: float = FEASIBILITY_TOL) -> LpOutcome:
+    """The elastic phase-one of ``lp``'s rows and bounds: elastic slacks
+    are added to every equality (two-sided) and inequality (one-sided) row
+    and their total is minimized; bounds stay hard, and the objective is
+    not read.  An optimum above ``tol`` means Infeasible, and that optimum
+    is returned as the violation certificate; a point at most ``tol`` off
+    is checked by ``constraint_residual`` as every optimum is.  The elastic
+    system is built once per program (see ``LinearProgram``); each call
+    builds only the row bounds of its right-hand sides."""
+    started = time.perf_counter()
+    cost, rows, col_lower, col_upper = _elastic_system(lp)
+    row_lower, row_upper = _row_bounds(lp.ub_rhs, lp.eq_rhs)
+    ((result, stats),) = _highs(started, cost, rows, row_lower, row_upper, col_lower, col_upper)
     if result.status != 0:
         return LpOutcome(
             LpStatus.FAILED,
@@ -526,6 +624,7 @@ def _phase_one(lp: LinearProgram, tol: float, started: float) -> LpOutcome:
             stats=stats,
             duals=result.duals,
         )
+    n = lp.n_variables
     return _checked(lp, tol, [(result.x[:n], result.nit, stats, 0.0, result.duals)])[0]
 
 
@@ -539,8 +638,7 @@ def feasibility(
     """Phase-one only: find a point satisfying the constraints and bounds,
     given and checked as ``LinearProgram``'s (``eq`` and ``ub`` are (lhs,
     rhs) pairs; ``n_variables`` defaults to the first block's columns), by
-    the elastic phase-one that also confirms an infeasible ``solve``."""
-    started = time.perf_counter()
+    ``phase_one``, which also confirms an infeasible ``solve``."""
     if n_variables is None:
         if eq is None and ub is None:
             raise ValueError("cannot infer the number of variables")
@@ -548,4 +646,4 @@ def feasibility(
     program = LinearProgram(
         np.zeros(int(n_variables)), *(eq or (None, None)), *(ub or (None, None)), bounds
     )
-    return _phase_one(program, tol, started)
+    return phase_one(program, tol)

@@ -461,9 +461,10 @@ def partial_local_box(
     their blocks by :func:`permute_parties`; :func:`mixture` combines the
     terms and checks the weights.
     """
-    block1, block2 = (tuple(sorted(set(blk))) for blk in blocks)
+    block1, block2 = (tuple(sorted(blk)) for blk in blocks)
     all_parties = tuple(sorted(block1 + block2))
-    if len(block1) + len(block2) != len(all_parties) or not block1 or not block2:
+    # A party repeated inside a block or shared by both appears twice.
+    if len(set(all_parties)) != len(all_parties) or not block1 or not block2:
         raise ValueError("blocks must form a two-block partition of the parties")
     if all_parties != tuple(range(len(all_parties))):
         raise ValueError("blocks must cover parties 0..N-1")

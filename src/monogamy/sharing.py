@@ -18,13 +18,19 @@ extended with N clones of the second party:
   columns are folded into the rows' bounds, so that HiGHS gets only the
   free columns.  For a 2x2 base that is 4*C(N+3, 3) rows by 3*C(N+2, 2)
   columns, 9 of them pinned (140 x 36 free at N = 4), against 4^(N+1)
-  table entries (1 024).  A feasible solution is expanded to the full
+  table entries (1 024).  The LP's rows and free columns do not depend on
+  the base, so ``_extension_program`` memoises them as one
+  ``lp.LinearProgram`` per extended scenario and blocks, beside
+  ``model.symmetric_cg_marginal_split``; each base only sets the rows'
+  bounds (``LinearProgram.with_rhs``), and the elastic phase-one system is
+  built once per program.  A feasible solution is expanded to the full
   table by ``model.symmetric_cg_index``, and the certificate's residuals
   are computed there.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -209,6 +215,18 @@ def clone_symmetry_constraints(scen: Scenario) -> tuple[sp.csr_array, np.ndarray
     return rows, np.zeros(n_rows)
 
 
+@functools.lru_cache(maxsize=8)
+def _extension_program(scen: Scenario, blocks: tuple[tuple[int, ...], ...]) -> lp.LinearProgram:
+    """The extension LP of ``ns_extension`` for one extended scenario and
+    blocks, up to its right-hand side: the positivity rows ``-free @ z <=
+    pinned`` over the free columns of ``symmetric_cg_marginal_split``,
+    every column free, with zeros in place of the pins.  Memoised, as the
+    split is; each base gives its pins through ``with_rhs``."""
+    free, _ = symmetric_cg_marginal_split(scen, blocks)
+    return lp.LinearProgram(np.zeros(free.shape[1]), ub_lhs=-free, ub_rhs=np.zeros(free.shape[0]),
+                            bounds=[(None, None)] * free.shape[1])
+
+
 def ns_extension(
     b: Behavior, n_clones: int, tol: float = lp.FEASIBILITY_TOL
 ) -> ExtensionCertificate | InfeasibleExtension:
@@ -221,7 +239,8 @@ def ns_extension(
     (a, b_i) marginals: they are pinned to the base's CG coordinates, the
     others are free, and the only rows are positivity.  The LP gets the
     free columns only (``model.symmetric_cg_marginal_split``), with the
-    pinned columns' product in the rows' bounds.  A feasible solution z
+    pinned columns' product in the rows' bounds: ``with_rhs`` of the
+    memoised ``_extension_program``.  A feasible solution z
     gives the orbit values ``free @ z + marginal @ base``, expanded to the
     full (N+1)-party table, where the certificate's residuals are
     computed.  An infeasible system returns the minimized total deficit of
@@ -241,7 +260,7 @@ def ns_extension(
     base = np.linalg.lstsq(cg_map(b.scenario).toarray(), b.table.ravel(), rcond=None)[0]
     # Positivity free @ z + pinned >= 0, with the pins folded in.
     pinned = marginal @ base
-    outcome = lp.feasibility(ub=(-free, pinned), bounds=[(None, None)] * free.shape[1], tol=tol)
+    outcome = lp.phase_one(_extension_program(scen, blocks).with_rhs(ub_rhs=pinned), tol)
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return InfeasibleExtension(violation=outcome.violation)
     if outcome.status != lp.LpStatus.OPTIMAL:

@@ -26,7 +26,7 @@ from monogamy import (
     validate_behavior,
 )
 from monogamy.bell import BellFunctional
-from monogamy.localpoly import STRATEGY_CAP, _membership_rows, strategy_matrix
+from monogamy.localpoly import STRATEGY_CAP, _membership_program, strategy_matrix
 from conftest import chsh_scenario, random_violating_behavior, tsirelson_behavior
 
 # 1 960 table entries and 2^19 strategies, both modest, but a
@@ -158,11 +158,11 @@ class TestDecomposition:
     @pytest.mark.parametrize("scenario", [chsh_scenario(), Scenario(2, (3, 2), (2, 3))])
     def test_membership_rows_memoised_read_only(self, scenario):
         # The strategy columns over the normalization row, built once.
-        rows = _membership_rows(scenario)
+        rows = _membership_program(scenario).eq_lhs
         matrix = strategy_matrix(scenario)
         assert rows.format == "csr"
         assert np.array_equal(rows.toarray(), np.vstack([matrix, np.ones(matrix.shape[1])]))
-        assert _membership_rows(scenario) is rows
+        assert _membership_program(scenario).eq_lhs is rows
         for part in (rows.data, rows.indices, rows.indptr):
             assert not part.flags.writeable
 

@@ -327,15 +327,15 @@ def test_extension_systems_reach_highs_dense_or_sparse(monkeypatch):
 
 
 def outcomes_of(monkeypatch):
-    """Record every outcome ``lp.feasibility`` returns."""
+    """Record every outcome ``lp.phase_one`` returns."""
     outcomes = []
-    original = lp.feasibility
+    original = lp.phase_one
 
     def recording(*args, **kwargs):
         outcomes.append(original(*args, **kwargs))
         return outcomes[-1]
 
-    monkeypatch.setattr(lp, "feasibility", recording)
+    monkeypatch.setattr(lp, "phase_one", recording)
     return outcomes
 
 
@@ -526,7 +526,7 @@ def test_one_residual_check_per_optimum(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(lp, "constraint_residual", spy)
-    for name in ("solve", "solve_stacked", "feasibility"):
+    for name in ("solve", "solve_stacked", "phase_one"):
         monkeypatch.setattr(lp, name, recording(getattr(lp, name)))
     scenario = chsh_scenario()
     calls = [
@@ -860,3 +860,96 @@ def test_no_model_reaches_highs_with_a_fixed_column(workload, monkeypatch):
     assert seen
     for (cost, rows, row_lower, row_upper, col_lower, col_upper), _ in seen:
         assert np.all(col_lower < col_upper)
+
+
+def test_with_rhs_checks_like_the_constructor():
+    program = LinearProgram(np.ones(2), eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0],
+                            ub_lhs=np.eye(2), ub_rhs=[1.0, 1.0], bounds=[(None, 3.0)] * 2)
+    with pytest.raises(ValueError, match="eq constraint matrix must have 2 rows"):
+        program.with_rhs(eq_rhs=[1.0, 2.0])
+    with pytest.raises(ValueError, match="ub constraint matrix must have 1 rows"):
+        program.with_rhs(ub_rhs=[1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="ub constraints must be finite"):
+            program.with_rhs(ub_rhs=[1.0, bad])
+        with pytest.raises(ValueError, match="eq constraints must be finite"):
+            program.with_rhs(eq_rhs=[bad])
+    with pytest.raises(ValueError, match="eq constraints need both sides"):
+        LinearProgram(np.ones(2), ub_lhs=np.eye(2), ub_rhs=[1.0, 1.0]).with_rhs(eq_rhs=[1.0])
+    # The copy shares everything but the new side; the program keeps its own.
+    moved = program.with_rhs(ub_rhs=[-3.0, -3.0])
+    assert np.array_equal(moved.ub_rhs, [-3.0, -3.0]) and np.array_equal(program.ub_rhs, [1.0, 1.0])
+    for name in ("objective", "eq_lhs", "eq_rhs", "ub_lhs", "lower", "upper", "_elastic"):
+        assert getattr(moved, name) is getattr(program, name)
+    assert lp.phase_one(program).status == LpStatus.OPTIMAL
+    assert lp.phase_one(moved).status == LpStatus.INFEASIBLE
+
+
+def test_prepared_programs_build_their_elastic_system_once(monkeypatch):
+    # Extensions at one clone count share one program, and so do the
+    # membership LPs of one scenario: only the right-hand side is new.
+    from monogamy import localpoly, sharing
+
+    sharing._extension_program.cache_clear()
+    localpoly._membership_program.cache_clear()
+    built = counting(monkeypatch, lp, "_with_slacks")
+    boxes = (pr_box(), uniform_box(chsh_scenario()))
+    verdicts = [type(ns_extension(b, 3)).__name__ for b in boxes]
+    assert verdicts == ["InfeasibleExtension", "ExtensionCertificate"] and len(built) == 1
+    verdicts = [type(local_decomposition(b)).__name__ for b in boxes]
+    assert verdicts == ["NotLocal", "LocalModel"] and len(built) == 2
+
+
+def _same_runs(first, second):
+    """Whether two lists of ``linprog`` results agree bit for bit."""
+    def key(r):
+        return (r.status, r.message, r.nit, r.warm, r.fun,
+                *(None if a is None else a.tobytes() for a in (r.x, r.duals)))
+    return [key(r) for r in first] == [key(r) for r in second]
+
+
+def _interleaved_runs(fresh: bool) -> list:
+    """The ``linprog`` results of one sequence of every LP kind, run on the
+    thread's reused solver, or on a new one per call with ``fresh``."""
+    from monogamy.tradeoffs import ns_support, pb_probe
+
+    results = []
+    original = lp.linprog
+
+    def recording(*args):
+        if fresh:
+            lp._SOLVERS.highs = None
+        result = original(*args)
+        results.extend(result if isinstance(result, list) else [result])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "linprog", recording)
+        ns_extension(mixture([pr_box(), uniform_box(chsh_scenario())], [0.3, 0.7]), 7)
+        pb_probe()
+        local_decomposition(pr_box())
+        ns_support(np.linspace(0.0, 2.0 * np.pi, 9))
+        ns_extension(pr_box(), 2)
+    return results
+
+
+def test_reused_solver_answers_as_a_new_one():
+    # The solver keeps nothing from one model to the next: x, objective,
+    # duals and iterations are those of a new solver per call.
+    fresh = _interleaved_runs(fresh=True)
+    reused = _interleaved_runs(fresh=False)
+    assert len(fresh) == len(reused) > 5 and all(r.status == 0 for r in fresh)
+    assert _same_runs(fresh, reused)
+
+
+def test_rejected_model_drops_the_solver():
+    cost, rows = -np.ones(3), sp.csr_array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    args = (cost, rows, np.full(2, -np.inf), np.array([4.0, 1.0]), np.zeros(3), np.full(3, np.inf))
+    lp._SOLVERS.highs = None
+    expected = lp.linprog(*args)
+    assert expected.status == 0 and expected.nit > 0
+    nan_bound = np.array([np.nan, 0.0, 0.0])
+    rejected = lp.linprog(*args[:4], nan_bound, args[5])
+    assert (rejected.status, rejected.message) == (2, "HiGHS rejected the model")
+    assert getattr(lp._SOLVERS, "highs", None) is None
+    assert _same_runs([lp.linprog(*args)], [expected])

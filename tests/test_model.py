@@ -750,8 +750,19 @@ class TestPartialLocal:
 
     def test_partition_validated(self):
         u1 = uniform_box(Scenario(1, (2,), (2,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two-block partition"):
             partial_local_box(((0,), (0,)), [(u1, u1)], [1.0])
+
+    def test_overlapping_blocks_refused(self):
+        u1 = uniform_box(Scenario(1, (2,), (2,)))
+        with pytest.raises(ValueError, match="two-block partition"):
+            partial_local_box(((0, 1), (1,)), [(pr_box(), u1)], [1.0])
+
+    def test_repeated_party_refused(self):
+        # Not read as ((0,), (1,)).
+        u1 = uniform_box(Scenario(1, (2,), (2,)))
+        with pytest.raises(ValueError, match="two-block partition"):
+            partial_local_box(((0, 0), (1,)), [(u1, u1)], [1.0])
 
     def test_term_party_counts_checked(self):
         # A one-party behavior on the two-party block, and a pair on the single.

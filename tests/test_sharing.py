@@ -400,9 +400,9 @@ class TestExtensionRows:
         # the LP used, is the full rows at the pinned values interleaved by
         # the marginal mask with the LP's free values, clipped and indexed.
         solutions = []
-        feasibility = sharing.lp.feasibility
-        monkeypatch.setattr(sharing.lp, "feasibility",
-                            lambda *a, **k: solutions.append(feasibility(*a, **k)) or solutions[-1])
+        phase_one = sharing.lp.phase_one
+        monkeypatch.setattr(sharing.lp, "phase_one",
+                            lambda *a, **k: solutions.append(phase_one(*a, **k)) or solutions[-1])
         scen, blocks = _extended_scenario(base, n_clones), clone_blocks(n_clones)
         rows = symmetric_cg_rows(scen, blocks)
         d_a, d_b = (1 + s * (o - 1) for s, o in zip(base.settings, base.outcomes))

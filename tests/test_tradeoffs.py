@@ -808,7 +808,7 @@ def test_optimum_lps_have_only_equality_rows(monkeypatch, rng):
 
 def test_extension_lp_has_no_equality_rows(monkeypatch):
     """The NS extension LP runs on clone-symmetric Collins-Gisin positivity
-    rows: the ``lp.feasibility`` call reached from ``ns_extension`` gets no
+    rows: the ``lp.phase_one`` call reached from ``ns_extension`` gets no
     equality rows and one inequality block over the free coordinates only:
     the 9 pair-marginal coordinates of a 2x2 base are folded into the
     right-hand side, and no ``cg_map`` of the extended scenario is built."""
@@ -816,29 +816,29 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
     from monogamy import ns_extension, pr_box, uniform_box
 
     calls, mapped = [], []
-    feasibility, cg_map = sharing.lp.feasibility, sharing.cg_map
+    phase_one, cg_map = sharing.lp.phase_one, sharing.cg_map
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
-        return feasibility(*args, **kwargs)
+        return phase_one(*args, **kwargs)
 
     def recording_map(scenario):
         mapped.append(scenario.parties)
         return cg_map(scenario)
 
-    monkeypatch.setattr(sharing.lp, "feasibility", recording)
+    monkeypatch.setattr(sharing.lp, "phase_one", recording)
     monkeypatch.setattr(sharing, "cg_map", recording_map)
     sharing.symmetric_cg_marginal_split.cache_clear()
     for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
         ns_extension(box, n_clones)
     assert len(calls) == 2
-    for (args, kwargs), n_clones in zip(calls, (2, 4)):
-        assert args == () and kwargs.get("eq") is None
-        lhs, rhs = kwargs["ub"]
+    for ((program, _), kwargs), n_clones in zip(calls, (2, 4)):
+        assert kwargs == {} and program.eq_lhs is None and program.eq_rhs is None
+        lhs, rhs = program.ub_lhs, program.ub_rhs
         assert lhs.shape[0] == rhs.size and rhs.any()
         # 3 C(N+2, 2) CG columns, 9 of them pinned and folded.
         assert lhs.shape[1] == 3 * math.comb(n_clones + 2, 2) - 9
-        assert kwargs["bounds"] == [(None, None)] * lhs.shape[1]
+        assert program.bounds == [(None, None)] * lhs.shape[1]
     assert mapped and max(mapped) <= 2
 
 class TestQuantumSearch:
