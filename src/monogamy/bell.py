@@ -17,7 +17,7 @@ class BellFunctional:
     ``marginals_a[x]`` and ``marginals_b[y]`` weight the single-party
     expectation values.  Its local bound, the maximum over deterministic
     strategies, is derived by ``localpoly.local_bound``.  The arrays are
-    read-only copies, so a functional never changes once built.
+    finite, read-only copies, so a functional never changes once built.
     """
 
     correlators: np.ndarray
@@ -30,6 +30,8 @@ class BellFunctional:
         mb = np.array(self.marginals_b, dtype=float)
         if corr.ndim != 2 or ma.shape != (corr.shape[0],) or mb.shape != (corr.shape[1],):
             raise ValueError("coefficient shapes are inconsistent")
+        if not all(np.isfinite(value).all() for value in (corr, ma, mb)):
+            raise ValueError("coefficients must be finite")
         for name, value in (("correlators", corr), ("marginals_a", ma), ("marginals_b", mb)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

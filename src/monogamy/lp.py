@@ -24,13 +24,13 @@ its right-hand side and the variable count, and NaN or crossed bounds.
 Feasibility questions, and the confirmation of an infeasible ``solve``, go
 through one explicit elastic phase-one program, ``phase_one``, so that
 infeasible systems come back with the minimized total (L1) constraint
-violation as a certificate value rather than a bare status; its slack
-entries are appended to each CSR row by index arithmetic.  A program
-builds its elastic system once, on its first phase-one, and
-``LinearProgram.with_rhs`` gives the same program with other right-hand
-sides, sharing that system: a caller that asks the same question of many
-right-hand sides prepares one program and builds only the new row bounds
-for each.  Every optimal solution of either entry point is
+violation as a certificate value rather than a bare status; its rows are
+the blocks ``[A | I | -I]`` of equality rows and ``[A | -I]`` of
+inequality rows.  A program builds its elastic system once, on its first
+phase-one, and ``LinearProgram.with_rhs`` gives the same program with
+other right-hand sides, sharing that system: a caller that asks the same
+question of many right-hand sides prepares one program and builds only
+the new row bounds for each.  Every optimal solution of either entry point is
 re-verified by ``constraint_residual`` on the program's own rows and bounds
 (its own right-hand side, for a run of a stack; one call checks all the
 optima of a stack) and refused as Failed when that residual exceeds 10 *
@@ -547,48 +547,31 @@ def _unsolved(lp: LinearProgram, tol: float, result: HighsResult, stats) -> LpOu
     return LpOutcome(status, message=result.message, iterations=result.nit, stats=stats)
 
 
-def _with_slacks(rows, starts, signs, width: int):
-    """``rows`` widened to ``width`` columns, each row i with one entry
-    ``signs[k]`` appended at column ``starts[k] + i`` for every k.  Built
-    on ``indptr`` / ``indices`` / ``data`` directly: no identity block."""
-    import scipy.sparse as sp
-
-    m, k = rows.shape[0], len(starts)
-    indptr = rows.indptr + k * np.arange(m + 1, dtype=rows.indptr.dtype)
-    slots = indptr[1:, None] - k + np.arange(k)
-    kept = np.ones(indptr[-1], dtype=bool)
-    kept[slots] = False
-    indices = np.empty(indptr[-1], dtype=rows.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[kept], data[kept] = rows.indices, rows.data
-    indices[slots] = np.arange(m)[:, None] + np.asarray(starts)
-    data[slots] = signs
-    return sp.csr_array((data, indices, indptr), shape=(m, width))
-
-
 def _elastic_system(lp: LinearProgram):
     """The elastic phase-one of ``lp``'s rows and bounds, as ``linprog``'s
     (cost, rows, column lower bounds, column upper bounds): built on the
     first call for ``lp`` or any ``with_rhs`` copy of it, then shared.
 
-    Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  Equality
-    row i gains +s_plus[i] - s_minus[i]; inequality row j gains -s_ub[j];
-    the rows are stacked as ``_stacked_rows`` stacks them, and made
-    canonical here, once, with HiGHS's int32 indices."""
+    Variables: [x, s_plus, s_minus, s_ub], all slack blocks >= 0.  The rows
+    are the blocks [[ub_lhs, 0, 0, -I], [eq_lhs, I, -I, 0]], made canonical
+    here, once, with HiGHS's int32 indices."""
     if not lp._elastic:
+        import scipy.sparse as sp
+
         n = lp.n_variables
         m_eq, m_ub = (0 if rhs is None else rhs.size for rhs in (lp.eq_rhs, lp.ub_rhs))
-        width = n + 2 * m_eq + m_ub
-        cost = np.concatenate([np.zeros(n), np.ones(width - n)])
+        cost = np.concatenate([np.zeros(n), np.ones(2 * m_eq + m_ub)])
+        # CSR identities keep ``hstack`` on scipy's fast path for CSR blocks.
+        i_eq, i_ub = (sp.eye_array(m, format="csr") for m in (m_eq, m_ub))
         rows = _stacked_rows(
-            _with_slacks(lp.ub_lhs, (n + 2 * m_eq,), (-1.0,), width) if m_ub else None,
-            _with_slacks(lp.eq_lhs, (n, n + m_eq), (1.0, -1.0), width) if m_eq else None,
+            sp.hstack([lp.ub_lhs, sp.csr_array((m_ub, 2 * m_eq)), -i_ub], "csr") if m_ub else None,
+            sp.hstack([lp.eq_lhs, i_eq, -i_eq, sp.csr_array((m_eq, m_ub))], "csr") if m_eq else None,
         )
         if rows is not None:
             rows.sum_duplicates()
             rows.indptr, rows.indices = (a.astype(np.int32, copy=False)
                                          for a in (rows.indptr, rows.indices))
-        slack_lower, slack_upper = _bound_arrays(None, width - n)
+        slack_lower, slack_upper = _bound_arrays(None, 2 * m_eq + m_ub)
         lp._elastic.append((cost, rows, np.concatenate([lp.lower, slack_lower]),
                             np.concatenate([lp.upper, slack_upper])))
     return lp._elastic[0]

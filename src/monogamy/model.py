@@ -747,6 +747,13 @@ def _is_json_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_too_large(value) -> bool:
+    """True for a finite number above 1e300 in magnitude, an integer too
+    large for float64 among them (compared exactly, never converted), so
+    that any sum of up to 10^6 entries (the table cap) stays finite."""
+    return 1e300 < abs(value) < math.inf
+
+
 def behavior_from_json_dict(data: dict) -> Behavior:
     """Inverse of :func:`behavior_to_json_dict`; raises ValueError on any
     schema defect (missing keys, non-integer counts, wrong lengths,
@@ -785,6 +792,8 @@ def behavior_from_json_dict(data: dict) -> Behavior:
         for k, value in enumerate(values):
             if not _is_json_number(value):
                 raise ValueError(f"context '{key}' entry {k} must be a JSON number, got {value!r}")
+            if _is_too_large(value):
+                raise ValueError(f"context '{key}' entry {k} exceeds 1e300 in magnitude")
         row = np.asarray(values, dtype=float)
         if row.shape != (n_out,):
             raise ValueError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Behavior, Scenario, _is_json_number, _json_integer
+from .model import Behavior, Scenario, _is_json_number, _is_too_large, _json_integer
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -309,5 +309,7 @@ def state_from_json_dict(data: dict) -> DensityMatrix:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and all(_is_json_number(x) for x in entry)):
             raise ValueError(f"entry {k} must be a pair of real numbers (re, im)")
+        if any(_is_too_large(x) for x in entry):
+            raise ValueError(f"entry {k} exceeds 1e300 in magnitude")
     flat = np.array([complex(re, im) for re, im in entries])
     return DensityMatrix(flat.reshape(dim, dim))

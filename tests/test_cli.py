@@ -733,6 +733,51 @@ class TestRefusals:
                 extension(b, 2)
             assert str(raised.value) == refusal
 
+    @pytest.mark.parametrize("value", [10 ** 400, 1e308], ids=["400-digit-integer", "1e308"])
+    @pytest.mark.parametrize("command", ["validate", "nstest", "localtest", "chsh"])
+    def test_probability_above_1e300_refused(self, command, value, tmp_path, capsys):
+        # One line and exit 2: no traceback for an integer too large for
+        # float64, no Infinity in a report and no overflow warning for 1e308.
+        data = behavior_to_json_dict(pr_box())
+        data["table"]["1,1"][1:] = [value, 0.0, value]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path}: context '1,1' entry 1 exceeds 1e300 in magnitude\n")
+
+    @pytest.mark.parametrize("value", [10 ** 400, 1e308], ids=["400-digit-integer", "1e308"])
+    @pytest.mark.parametrize("argv", [["chsh", "--angles", "0,1,0,1"], ["ckw"]],
+                             ids=["chsh", "ckw"])
+    def test_state_entry_above_1e300_refused(self, argv, value, tmp_path, capsys):
+        from monogamy import ghz, phi_plus
+
+        data = state_to_json_dict(phi_plus() if argv[0] == "chsh" else ghz())
+        data["entries"][0] = [value, 0.0]
+        data["entries"][-1] = [value, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main([argv[0], "--in", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path}: entry 0 exceeds 1e300 in magnitude\n")
+
+    def test_entries_at_1e300_read(self, tmp_path, capsys):
+        # At the bound every sum stays finite: a strict JSON report, or one
+        # refusal line, and no warning.
+        data = behavior_to_json_dict(pr_box())
+        data["table"]["1,1"] = [-1e300, 1e300, 0.0, 1e300]
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=pytest.fail)
+        assert report["max_normalization_deviation"] == 1e300 and captured.err == ""
+        assert main(["nstest", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
     def test_cli_raises_only_value_error(self):
         # main's one handler sees every refusal of the module as a ValueError.
         tree = ast.parse(inspect.getsource(cli))

@@ -196,6 +196,17 @@ class TestLocalBound:
         )
         assert local_bound(zero) == 0.0
 
+    @pytest.mark.parametrize("block", ["correlators", "marginals_a", "marginals_b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coefficients_refused(self, block, value):
+        # A NaN or infinite weight would make every bound and value NaN.
+        coefficients = {"correlators": np.eye(2), "marginals_a": np.zeros(2),
+                        "marginals_b": np.zeros(2)}
+        coefficients[block] = coefficients[block].copy()
+        coefficients[block].flat[0] = value
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            BellFunctional(**coefficients)
+
     @pytest.mark.parametrize("settings", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_brute_force(self, settings):

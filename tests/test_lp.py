@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import monogamy.lp as lp
@@ -892,12 +894,73 @@ def test_prepared_programs_build_their_elastic_system_once(monkeypatch):
 
     sharing._extension_program.cache_clear()
     localpoly._membership_program.cache_clear()
-    built = counting(monkeypatch, lp, "_with_slacks")
+    # Every phase-one reads its program's system; a build makes a new one.
+    systems = []
+    original = lp._elastic_system
+    monkeypatch.setattr(lp, "_elastic_system",
+                        lambda program: systems.append(original(program)) or systems[-1])
     boxes = (pr_box(), uniform_box(chsh_scenario()))
     verdicts = [type(ns_extension(b, 3)).__name__ for b in boxes]
+    built = {id(system) for system in systems}
     assert verdicts == ["InfeasibleExtension", "ExtensionCertificate"] and len(built) == 1
     verdicts = [type(local_decomposition(b)).__name__ for b in boxes]
+    built = {id(system) for system in systems}
     assert verdicts == ["NotLocal", "LocalModel"] and len(built) == 2
+    assert len(systems) == 4
+
+
+@st.composite
+def _programs(draw):
+    """A program of 1-6 variables with 0-4 equality and 0-4 inequality
+    rows, each block dense or CSR with duplicate and unsorted entries, and
+    its dense blocks summed."""
+    n = draw(st.integers(1, 6))
+    blocks = {}
+    for name in ("eq", "ub"):
+        m = draw(st.integers(0, 4))
+        entries = draw(st.lists(st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, n - 1),
+                                          st.integers(-3, 3)), max_size=3 * m * n))
+        rows, cols, values = np.array(entries, dtype=int).reshape(-1, 3).T
+        dense = np.zeros((m, n))
+        np.add.at(dense, (rows, cols), values)
+        if not m:
+            blocks[name] = (None, None, dense)
+            continue
+        if draw(st.booleans()):
+            # Row by row, in drawn order: unsorted, with every duplicate kept.
+            order = np.argsort(rows, kind="stable")
+            indptr = np.searchsorted(rows[order], np.arange(m + 1))
+            lhs = sp.csr_array((values[order].astype(float), cols[order], indptr), shape=(m, n))
+        else:
+            lhs = dense
+        blocks[name] = (lhs, draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), dense)
+    bounds = draw(st.none() | st.lists(
+        st.tuples(st.none() | st.integers(-2, 0), st.none() | st.integers(1, 3)),
+        min_size=n, max_size=n))
+    program = LinearProgram(np.zeros(n), *blocks["eq"][:2], *blocks["ub"][:2], bounds)
+    return program, blocks["eq"][2], blocks["ub"][2]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_programs())
+def test_elastic_system_is_the_dense_block_form(case):
+    program, a_eq, a_ub = case
+    (m_eq, n), m_ub = a_eq.shape, a_ub.shape[0]
+    cost, rows, col_lower, col_upper = lp._elastic_system(program)
+    reference = np.block([[a_ub, np.zeros((m_ub, 2 * m_eq)), -np.eye(m_ub)],
+                          [a_eq, np.eye(m_eq), -np.eye(m_eq), np.zeros((m_eq, m_ub))]])
+    if m_eq + m_ub:
+        assert rows.shape == reference.shape and np.array_equal(rows.toarray(), reference)
+        assert rows.indptr.dtype == rows.indices.dtype == np.int32
+        starts = np.repeat(rows.indptr[:-1], np.diff(rows.indptr))
+        # Canonical: strictly increasing columns within every row.
+        assert np.all(np.diff(rows.indices)[starts[1:] == starts[:-1]] > 0)
+        assert rows.has_canonical_format
+    else:
+        assert rows is None
+    assert np.array_equal(cost, np.r_[np.zeros(n), np.ones(2 * m_eq + m_ub)])
+    assert np.array_equal(col_lower, np.r_[program.lower, np.zeros(2 * m_eq + m_ub)])
+    assert np.array_equal(col_upper, np.r_[program.upper, np.full(2 * m_eq + m_ub, np.inf)])
 
 
 def _same_runs(first, second):

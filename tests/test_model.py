@@ -791,6 +791,21 @@ class TestJson:
         with pytest.raises(ValueError, match="table"):
             behavior_from_json_dict(data)
 
+    @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 1e308, -1.5e300],
+                             ids=["integer", "negative-integer", "float", "negative-float"])
+    def test_entry_above_1e300_refused(self, value):
+        # Compared exactly: an integer too large for float64 is refused, not
+        # converted.
+        data = behavior_to_json_dict(pr_box())
+        data["table"]["1,0"][2] = value
+        with pytest.raises(ValueError, match=r"^context '1,0' entry 2 exceeds 1e300 in magnitude$"):
+            behavior_from_json_dict(data)
+
+    def test_entries_at_1e300_read(self):
+        data = behavior_to_json_dict(pr_box())
+        data["table"]["1,0"] = [1e300, -1e300, 10 ** 300, 0.0]
+        assert behavior_from_json_dict(data).table[1, 0].tolist() == [[1e300, -1e300], [1e300, 0.0]]
+
     def test_wrong_row_length_rejected(self):
         data = behavior_to_json_dict(pr_box())
         data["table"]["0,0"] = [1.0]

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monogamy import (
     Behavior,
@@ -43,7 +45,7 @@ from monogamy.sharing import (
     clone_symmetry_constraints,
     discard_last_clone,
 )
-from monogamy.localpoly import deterministic_behaviors
+from monogamy.localpoly import LocalModel, deterministic_behaviors, local_decomposition
 from conftest import (
     assert_matches_orbit_reference,
     chsh_scenario,
@@ -496,6 +498,30 @@ class TestMasanesProperty:
         pair, _ = random_shareable_behavior(rng)
         result = ns_extension(pair, 2, tol=1e-6)
         assert isinstance(result, ExtensionCertificate)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 23), st.integers(1, 6)), min_size=1, max_size=4))
+    def test_two_settings_shareable_exactly_when_local(self, parts):
+        """With two settings a box is 2-shareable exactly when it is local
+        (and then N-shareable for every N), here on mixtures of the 8
+        PR-type and 16 deterministic boxes off the CHSH facets."""
+        scenario = chsh_scenario()
+        x, y, a, b = np.ix_(*(range(2),) * 4)
+        vertices = [
+            Behavior(scenario, 0.5 * ((a ^ b) == (x * y ^ alpha * x ^ beta * y ^ gamma)))
+            for alpha, beta, gamma in itertools.product(range(2), repeat=3)
+        ] + deterministic_behaviors(scenario)
+        box = mixture([vertices[k] for k, _ in parts], [w / sum(w for _, w in parts) for _, w in parts])
+        correlators = np.einsum("xyab,ab->xy", box.table, [[1, -1], [-1, 1]])
+        largest = max(
+            abs(np.sum((-1) ** (x * y ^ alpha * x ^ beta * y)[:, :, 0, 0] * correlators))
+            for alpha, beta in itertools.product(range(2), repeat=2)
+        )
+        assume(abs(largest - 2) > 1e-6)
+        local = isinstance(local_decomposition(box), LocalModel)
+        assert local == (largest < 2)
+        assert isinstance(ns_extension(box, 2), ExtensionCertificate) == local
+        assert isinstance(ns_extension(box, 3), ExtensionCertificate) == local
 
     def test_contrapositive_on_violating_behaviors(self, rng):
         from conftest import random_violating_behavior
