@@ -11,9 +11,11 @@ every call starts cold.  Given a stack of row bounds, ``linprog`` passes the
 model once and re-solves it once per row of the stack, changing only the
 row bounds in between, so that each run starts from the previous optimal
 basis; ``solve_stacked`` is ``solve`` over such a stack of equality
-right-hand sides.  The binding is loaded on the first solve, by file path
-when scipy.optimize has not loaded it already, so neither importing this
-module nor solving runs ``scipy.optimize``'s package import; only
+right-hand sides.  The binding is loaded on the first solve by
+``_binding``, the one loader of scipy's compiled modules, which
+``tradeoffs.minimize`` uses for scipy's L-BFGS-B too: by file path when
+scipy.optimize has not loaded it already, so neither importing this module
+nor solving runs ``scipy.optimize``'s package import; only
 ``scipy.sparse`` is loaded, for the rows.
 
 Constraint matrices may be given dense or as ``scipy.sparse`` arrays;
@@ -274,12 +276,14 @@ def constraint_residual(
     return float(res[0]) if np.ndim(x) == 1 else res
 
 
-def _binding():
-    """scipy's HiGHS binding: the module that ``sys.modules`` holds, or else
-    its extension file loaded by path under its dotted name, which skips
-    ``scipy/optimize/__init__`` and registers the module for scipy's own
-    later imports."""
-    module = sys.modules.get(_BINDING)
+def _binding(name: str):
+    """A compiled module of scipy by dotted name, such as ``_BINDING``: the
+    module that ``sys.modules`` holds, or else its extension file loaded by
+    path under that name, which skips the ``__init__`` of the packages
+    above it (``scipy.optimize``'s among them) and registers the module for
+    scipy's own later imports.  ImportError, naming scipy's version, when
+    the file is missing or does not load."""
+    module = sys.modules.get(name)
     if module is not None:
         return module
     import importlib.machinery
@@ -288,18 +292,17 @@ def _binding():
 
     import scipy
 
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
-    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    _, *packages, leaf = name.split(".")
+    folder = Path(scipy.__file__).parent.joinpath(*packages)
+    paths = [folder / f"{leaf}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     try:
-        spec = importlib.util.spec_from_file_location(_BINDING, next(filter(Path.is_file, paths)))
+        spec = importlib.util.spec_from_file_location(name, next(filter(Path.is_file, paths)))
         module = importlib.util.module_from_spec(spec)
-        sys.modules[_BINDING] = module
+        sys.modules[name] = module
         spec.loader.exec_module(module)
     except (StopIteration, ImportError, OSError) as err:
-        sys.modules.pop(_BINDING, None)
-        raise ImportError(
-            f"cannot load the HiGHS binding of scipy {scipy.__version__} from {folder}"
-        ) from err
+        sys.modules.pop(name, None)
+        raise ImportError(f"cannot load {name} of scipy {scipy.__version__} from {folder}") from err
     return module
 
 
@@ -323,7 +326,7 @@ def linprog(cost, rows, row_lower, row_upper, col_lower, col_upper):
     that differ from the previous run's change (``changeRowBounds``).  A
     run after an optimal one starts from that run's basis; a run after any
     other outcome starts cold.  A stack returns a list of k results."""
-    core = _binding()
+    core = _binding(_BINDING)
     started = time.perf_counter()
     # HiGHS reads as many entries as the sizes it is given say.
     cost, col_lower, col_upper = (

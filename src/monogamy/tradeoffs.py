@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -464,9 +465,18 @@ def _ns_tables(scenario: Scenario, points: np.ndarray, tol: float) -> list[Behav
     return [Behavior(scenario, table) for table in tables]
 
 
+def _grid(values, name: str) -> list[float]:
+    """A grid of directions or mu values as floats; ValueError, naming the
+    argument, when it has more than one dimension."""
+    if np.ndim(values) > 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {np.shape(values)}")
+    return [float(value) for value in values]
+
+
 def _directions(thetas) -> list[float]:
-    """Support directions as floats; ValueError unless all are finite."""
-    thetas = [float(theta) for theta in thetas]
+    """Support directions as floats; ValueError unless they are a
+    one-dimensional grid of finite values."""
+    thetas = _grid(thetas, "thetas")
     if not all(math.isfinite(theta) for theta in thetas):
         raise ValueError("support directions must be finite")
     return thetas
@@ -520,28 +530,95 @@ def local_support(thetas: np.ndarray) -> list[SupportPoint]:
     return points
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call so that
-    importing the package does not load scipy.  Every search goes through
-    this module attribute."""
-    from scipy.optimize import minimize as scipy_minimize
+_LBFGSB = "scipy.optimize._lbfgsb"
 
-    return scipy_minimize(*args, **kwargs)
+
+def minimize(objective, x0: np.ndarray) -> SimpleNamespace:
+    """Local minimum of ``objective``, which returns a value and its
+    gradient, from the float vector ``x0`` by L-BFGS-B without bounds
+    (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)): the
+    reverse-communication loop over ``setulb``, the compiled routine that
+    scipy ships in ``scipy.optimize._lbfgsb``, loaded by ``lp._binding``
+    without the ``scipy.optimize`` package.  It keeps the settings and the
+    protocol of scipy 1.17's ``minimize(objective, x0, method="L-BFGS-B",
+    jac=True, options={"ftol": 1e-15, "gtol": 1e-10})``, and so its results
+    to the bit: 10 corrections, at most 20 line-search steps, 15 000
+    iterations and 15 000 evaluations, one evaluation at ``x0`` and then one
+    at each new point that ``setulb`` asks for, each on a copy.  Returns
+    ``fun`` (the last value), ``x`` and ``nfev`` (the evaluations).  Every
+    search goes through this module attribute.  A ``_lbfgsb`` without
+    scipy 1.17's ``setulb`` raises ImportError naming scipy's version."""
+    setulb = getattr(lp._binding(_LBFGSB), "setulb", None)
+    if setulb is None:
+        raise _unmatched_lbfgsb()
+    m, maxls, limit = 10, 20, 15000
+    factr, pgtol = 1e-15 / np.finfo(float).eps, 1e-10
+    x = np.array(x0, dtype=np.float64)
+    n = x.size
+    evaluated = x.copy()
+    fun, grad = objective(x.copy())
+    nfev, iterations = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    lower, upper = np.zeros((2, n))
+    nbd, iwa = np.zeros(n, np.int32), np.zeros(3 * n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    task, ln_task, lsave, isave = (np.zeros(k, np.int32) for k in (2, 2, 4, 44))
+    dsave = np.zeros(29)
+    while True:
+        try:
+            setulb(m, x, lower, upper, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave,
+                   dsave, maxls, ln_task)
+        except TypeError as err:
+            raise _unmatched_lbfgsb() from err
+        if task[0] == 3:
+            # setulb asks for the value and gradient at x.
+            if not np.array_equal(x, evaluated):
+                evaluated = x.copy()
+                fun, grad = objective(x.copy())
+                nfev += 1
+            f, g = fun, np.atleast_1d(grad).astype(np.float64)
+        elif task[0] == 1:
+            # A new iterate: stop (task 5) at a limit.
+            iterations += 1
+            if iterations >= limit:
+                task[:] = 5, 504
+            elif nfev > limit:
+                task[:] = 5, 502
+        else:
+            return SimpleNamespace(fun=fun, x=x, nfev=nfev)
+
+
+def _unmatched_lbfgsb() -> ImportError:
+    """The error for a ``_lbfgsb`` that ``minimize`` cannot drive."""
+    import scipy
+
+    return ImportError(f"the {_LBFGSB} of scipy {scipy.__version__} lacks scipy 1.17's setulb")
 
 
 def _best_of(objective, starts: list[np.ndarray]) -> tuple[float, np.ndarray | None, int]:
-    """Best local maximum over the starts by L-BFGS-B: value, argument and
-    summed objective evaluations.  ``objective`` returns the negated value
-    and its gradient.  The first start wins a tie; with no starts the value
-    is -inf and the argument None."""
-    options = {"ftol": 1e-15, "gtol": 1e-10}
+    """Best local maximum over the starts, one ``minimize`` call each:
+    value, argument and summed objective evaluations.  ``objective``
+    returns the negated value and its gradient.  The first start wins a
+    tie; with no starts the value is -inf and the argument None."""
     best_value, best_x, evaluations = -np.inf, None, 0
     for x0 in starts:
-        result = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
-        evaluations += int(result.nfev)
+        result = minimize(objective, x0)
+        evaluations += result.nfev
         if -result.fun > best_value:
-            best_value, best_x = float(-result.fun), np.asarray(result.x)
+            best_value, best_x = float(-result.fun), result.x
     return best_value, best_x, evaluations
+
+
+def _multistart(grid: list[float], restarts: int, rng: np.random.Generator,
+                seeds=(), size: int = 6) -> list[tuple[float, list[np.ndarray]]]:
+    """Every search's starts, built here: each grid value with ``seeds``
+    and then ``restarts`` uniform random points of [-pi, pi]^size, drawn
+    from ``rng`` in grid order.  A negative ``restarts`` raises
+    ValueError."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
+    return [(value, list(seeds) + [rng.uniform(-math.pi, math.pi, size) for _ in range(restarts)])
+            for value in grid]
 
 
 # Angles (a0, a1, b0, b1, c0, c1) of the two maximally violating pair
@@ -566,7 +643,8 @@ def quantum_boundary_search(
     starts.  The Toner-Verstraete bound makes the support 2*sqrt(2) in
     every direction; a value above it by more than 1e-9 raises, as does an
     eigenvector whose moment tensor gives another value.  A non-finite
-    direction raises ValueError.
+    direction, a grid of more than one dimension or a negative
+    ``restarts`` raises ValueError.
 
     ``params`` holds ``x`` (the optimal state's real and imaginary parts,
     then the six angles), ``starts``, ``evaluations`` (the summed
@@ -574,10 +652,8 @@ def quantum_boundary_search(
     minus the value).
     """
     points = []
-    for theta in _directions(thetas):
+    for theta, starts in _multistart(_directions(thetas), restarts, rng, _WITNESS_SEEDS):
         terms = _PairTerms([((0, 1), _CHSH, math.cos(theta)), ((0, 2), _CHSH, math.sin(theta))])
-        starts = list(_WITNESS_SEEDS)
-        starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
         best_value, best_x, evaluations = _best_of(terms.objective, starts)
         if best_value > TSIRELSON + 1e-9:
             raise RuntimeError(f"quantum search exceeded the Tsirelson ceiling: {best_value}")
@@ -624,8 +700,8 @@ def separable_orthogonal_support(
 ) -> list[SupportPoint]:
     """Support trace of the product-state region under orthogonal settings:
     per direction, maximize over planar Bloch angles of three product
-    qubits.  ``restarts`` below 1 or a non-finite direction raises
-    ValueError.
+    qubits.  ``restarts`` below 1, a non-finite direction or a grid of
+    more than one dimension raises ValueError.
 
     ``params`` holds ``starts``, ``evaluations`` (the summed
     value-and-gradient evaluations) and ``ceiling_gap``: the closed form
@@ -634,9 +710,8 @@ def separable_orthogonal_support(
     if restarts < 1:
         raise ValueError(f"the separable search needs at least one restart, got {restarts}")
     points = []
-    for theta in _directions(thetas):
+    for theta, starts in _multistart(_directions(thetas), restarts, rng, size=3):
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        starts = [rng.uniform(-math.pi, math.pi, 3) for _ in range(restarts)]
         value, _, evaluations = _best_of(
             lambda x, c=cos_t, s=sin_t: _separable_value_grad(x, [c, s]), starts
         )
@@ -737,25 +812,25 @@ def cg_double_violation_search(
     The b and c measurement angles are tied together, which makes the two
     values equal by the b-c exchange symmetry of the family; the search then
     maximizes the common value over the remaining six angles per mu, by
-    L-BFGS-B on its exact gradient.  An empty ``mu_values`` raises
-    ValueError.
+    L-BFGS-B on its exact gradient.  An empty ``mu_values``, one of more
+    than one dimension or a negative ``restarts`` raises ValueError.
     """
-    if len(mu_values) == 0:
+    mu_values = _grid(mu_values, "mu_values")
+    if not mu_values:
         raise ValueError("the double-violation search needs at least one mu value")
     terms = _PairTerms([((0, 1), _CG, 1.0)])
+    seeds = [_mirror_angles(0.53, 0.25), _mirror_angles(0.9, 0.45), _mirror_angles(0.2, 0.1)]
     best: CgSearchResult | None = None
     total_starts = total_evaluations = 0
-    for mu in mu_values:
-        m = _moment_tensor(_pure_vector(cg_state(float(mu))).reshape(2, 2, 2))
-        starts = [_mirror_angles(0.53, 0.25), _mirror_angles(0.9, 0.45), _mirror_angles(0.2, 0.1)]
-        starts += [rng.uniform(-math.pi, math.pi, 6) for _ in range(restarts)]
+    for mu, starts in _multistart(mu_values, restarts, rng, seeds):
+        m = _moment_tensor(_pure_vector(cg_state(mu)).reshape(2, 2, 2))
         _, x, evaluations = _best_of(lambda x, m=m: terms.objective(x, m), starts)
         total_starts += len(starts)
         total_evaluations += evaluations
         a_angles, b_angles = tuple(x[:3].tolist()), tuple(x[3:].tolist())
         value_ab, value_ac = _CG_TERMS.values((a_angles, b_angles, b_angles), m).tolist()
         result = CgSearchResult(
-            mu=float(mu), a_angles=a_angles, b_angles=b_angles, c_angles=b_angles,
+            mu=mu, a_angles=a_angles, b_angles=b_angles, c_angles=b_angles,
             value_ab=value_ab, value_ac=value_ac, starts=len(starts), evaluations=evaluations,
         )
         if best is None or result.min_value > best.min_value:

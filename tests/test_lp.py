@@ -651,7 +651,7 @@ def test_binding_already_loaded_is_reused():
     # In this process scipy.optimize is loaded, so its module is the one.
     import scipy.optimize._highspy._core as core
 
-    assert lp._binding() is core
+    assert lp._binding(lp._BINDING) is core
 
 
 def test_missing_binding_names_scipy_version(monkeypatch):
@@ -661,8 +661,29 @@ def test_missing_binding_names_scipy_version(monkeypatch):
     monkeypatch.delitem(sys.modules, lp._BINDING)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
     with pytest.raises(ImportError, match=f"scipy {version('scipy')}"):
-        lp._binding()
+        lp._binding(lp._BINDING)
     assert lp._BINDING not in sys.modules
+
+
+LBFGSB = "scipy.optimize._lbfgsb"
+
+
+def test_lbfgsb_already_loaded_is_reused():
+    # The one loader serves scipy's compiled L-BFGS-B as it serves HiGHS.
+    import scipy.optimize._lbfgsb as lbfgsb
+
+    assert lp._binding(LBFGSB) is lbfgsb
+
+
+def test_missing_lbfgsb_names_scipy_version(monkeypatch):
+    import importlib.machinery
+    from importlib.metadata import version
+
+    monkeypatch.delitem(sys.modules, LBFGSB)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=f"{LBFGSB} of scipy {version('scipy')}"):
+        lp._binding(LBFGSB)
+    assert LBFGSB not in sys.modules
 
 
 def test_outcomes_report_highs_iterations(monkeypatch):

@@ -1,7 +1,11 @@
 """Trade-off checkers, support sweeps, and violation searches."""
 
 import itertools
+import json
 import math
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -37,12 +41,14 @@ from monogamy import (
     triple_values,
     uniform_box,
 )
+import monogamy.lp as lp
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import BellFunctional, functional_row
 from monogamy.model import marginal_behavior, ns_orbit_dual_rows, symmetric_cg_rows
 from conftest import (
     block_swaps,
+    child_env,
     full_table_probe,
     linprog_reference,
     ns_polytope,
@@ -954,6 +960,26 @@ class TestQuantumSearch:
         with pytest.raises(ValueError, match="support directions must be finite"):
             search(np.array([0.0, bad]), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("search, message", [
+        (lambda rng: quantum_boundary_search(np.array([0.3]), -3, rng),
+         "restarts must be non-negative"),
+        (lambda rng: tradeoffs.cg_double_violation_search(np.array([0.9]), -1, rng),
+         "restarts must be non-negative"),
+        (lambda rng: tradeoffs.sweep("quantum", 2, -1, rng), "restarts must be non-negative"),
+        (lambda rng: quantum_boundary_search(np.zeros((2, 2)), 0, rng),
+         r"thetas must be one-dimensional, got shape \(2, 2\)"),
+        (lambda rng: tradeoffs.cg_double_violation_search(np.full((1, 2), 0.9), 0, rng),
+         r"mu_values must be one-dimensional, got shape \(1, 2\)"),
+    ], ids=["quantum-negative-restarts", "cg-negative-restarts", "sweep-negative-restarts",
+            "quantum-2d-thetas", "cg-2d-mu"])
+    def test_bad_search_input_refused_before_any_search(self, search, message, monkeypatch):
+        def unreachable(objective, x0):
+            raise AssertionError("a refused search ran")
+
+        monkeypatch.setattr(tradeoffs, "minimize", unreachable)
+        with pytest.raises(ValueError, match=message):
+            search(np.random.default_rng(0))
+
     def test_one_minimize_call_per_start(self, monkeypatch):
         original = tradeoffs.minimize
         evaluations = []
@@ -982,24 +1008,115 @@ class TestQuantumSearch:
             "separable_orthogonal_max", "separable_orthogonal_support"])
     def test_search_goes_through_module_minimize(self, search, calls, want, monkeypatch):
         # tradeoffs.minimize is what a caller wraps to observe searches; it
-        # must reach scipy's L-BFGS-B on every call.
-        methods, reached = [], []
-        wrapped, scipy_minimize = tradeoffs.minimize, scipy.optimize.minimize
+        # must reach the loaded L-BFGS-B setulb on every call.
+        lbfgsb = lp._binding(tradeoffs._LBFGSB)
+        wrapped, setulb = tradeoffs.minimize, lbfgsb.setulb
+        reached = []
 
-        def routed(*args, **kwargs):
-            methods.append(kwargs["method"])
-            return wrapped(*args, **kwargs)
+        def routed(objective, x0):
+            reached.append(0)
+            return wrapped(objective, x0)
 
-        def counted(*args, **kwargs):
-            reached.append(1)
-            return scipy_minimize(*args, **kwargs)
+        def counted(*args):
+            reached[-1] += 1
+            return setulb(*args)
 
         monkeypatch.setattr(tradeoffs, "minimize", routed)
-        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        monkeypatch.setattr(lbfgsb, "setulb", counted)
         value = search(np.random.default_rng(1))
-        assert methods == ["L-BFGS-B"] * calls
         assert len(reached) == calls
+        assert all(reached)
         assert value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("setulb", [None, lambda m, x, f, g: None],
+                             ids=["no_setulb", "other_protocol"])
+    def test_unmatched_lbfgsb_names_scipy_version(self, setulb, monkeypatch):
+        # A _lbfgsb without scipy 1.17's setulb is refused, never worked around.
+        from importlib.metadata import version
+
+        module = types.ModuleType(tradeoffs._LBFGSB)
+        if setulb is not None:
+            module.setulb = setulb
+        monkeypatch.setitem(sys.modules, tradeoffs._LBFGSB, module)
+        message = f"scipy {version('scipy')} lacks scipy 1.17's setulb"
+        with pytest.raises(ImportError, match=message):
+            quantum_boundary_search(np.array([0.3]), 0, np.random.default_rng(1))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["direction", "cg", "separable"]),
+        parameter=st.floats(0.0, 1.0),
+        weights=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+        start=st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+    )
+    def test_minimize_matches_scipy_lbfgsb(self, kind, parameter, weights, start):
+        # The driver keeps scipy's L-BFGS-B settings and protocol, so it
+        # returns scipy's value, argument and evaluation count to the bit.
+        if kind == "direction":
+            theta = 2.0 * math.pi * parameter
+            terms = tradeoffs._PairTerms(
+                [((0, 1), chsh(), math.cos(theta)), ((0, 2), chsh(), math.sin(theta))]
+            )
+            objective, x0 = terms.objective, np.array(start)
+        elif kind == "cg":
+            m = tradeoffs._moment_tensor(
+                tradeoffs._pure_vector(tradeoffs.cg_state(parameter)).reshape(2, 2, 2)
+            )
+            terms = tradeoffs._PairTerms([((0, 1), collins_gisin(), 1.0)])
+            objective, x0 = (lambda x: terms.objective(x, m)), np.array(start)
+        else:
+            objective = lambda x: tradeoffs._separable_value_grad(x, weights)  # noqa: E731
+            x0 = np.array(start[:len(weights) + 1])
+        ours = tradeoffs.minimize(objective, x0)
+        theirs = scipy.optimize.minimize(
+            objective, x0, method="L-BFGS-B", jac=True, options={"ftol": 1e-15, "gtol": 1e-10}
+        )
+        assert ours.fun == theirs.fun
+        assert ours.x.tobytes() == theirs.x.tobytes()
+        assert ours.nfev == theirs.nfev
+
+
+# Runs a direction search and a CG search in a fresh interpreter, then
+# scipy.optimize's own L-BFGS-B on the direction objective from the same
+# start as the driver, and prints what was loaded and both results.
+FRESH_SEARCH = """
+import json, sys
+import numpy as np
+from monogamy import tradeoffs
+
+rng = np.random.default_rng(4)
+value = tradeoffs.quantum_boundary_search(np.array([0.3]), 1, rng)[0].value
+cg = tradeoffs.cg_double_violation_search(np.array([0.9]), 1, rng).min_value
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+terms = tradeoffs._PairTerms([((0, 1), tradeoffs._CHSH, 0.6), ((0, 2), tradeoffs._CHSH, 0.8)])
+x0 = rng.uniform(-np.pi, np.pi, 6)
+ours = tradeoffs.minimize(terms.objective, x0)
+
+import scipy.optimize
+
+theirs = scipy.optimize.minimize(terms.objective, x0, method="L-BFGS-B", jac=True,
+                                 options={"ftol": 1e-15, "gtol": 1e-10})
+shared = scipy.optimize._lbfgsb_py._lbfgsb is sys.modules[tradeoffs._LBFGSB]
+print(json.dumps([value, cg, loaded, shared] + [[r.fun, r.x.tobytes().hex(), int(r.nfev)]
+                                                for r in (ours, theirs)]))
+"""
+
+
+def test_search_loads_only_scipy_lbfgsb():
+    # The searches load scipy's compiled L-BFGS-B by path: neither the
+    # package scipy.optimize nor scipy.sparse; scipy.optimize, imported
+    # later, uses that module and finds what the driver found.
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_SEARCH],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    value, cg, loaded, shared, ours, theirs = json.loads(child.stdout)
+    assert value == pytest.approx(ROOT8, abs=1e-9)
+    assert cg > 4.0
+    assert loaded == ["scipy.optimize._lbfgsb"]
+    assert shared
+    assert ours == theirs
 
 
 class TestSeparableOrthogonal:
