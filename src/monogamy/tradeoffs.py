@@ -813,11 +813,15 @@ def cg_double_violation_search(
     values equal by the b-c exchange symmetry of the family; the search then
     maximizes the common value over the remaining six angles per mu, by
     L-BFGS-B on its exact gradient.  An empty ``mu_values``, one of more
-    than one dimension or a negative ``restarts`` raises ValueError.
+    than one dimension, one with a value that is not finite or lies outside
+    [0, 1], or a negative ``restarts`` raises ValueError before any search.
     """
     mu_values = _grid(mu_values, "mu_values")
     if not mu_values:
         raise ValueError("the double-violation search needs at least one mu value")
+    bad = [mu for mu in mu_values if not 0.0 <= mu <= 1.0]
+    if bad:
+        raise ValueError(f"mu values must lie in [0, 1], got {bad[0]!r}")
     terms = _PairTerms([((0, 1), _CG, 1.0)])
     seeds = [_mirror_angles(0.53, 0.25), _mirror_angles(0.9, 0.45), _mirror_angles(0.2, 0.1)]
     best: CgSearchResult | None = None

@@ -1187,6 +1187,21 @@ class TestCgSearch:
         with pytest.raises(ValueError, match="mu"):
             tradeoffs.cg_double_violation_search(np.array([]), restarts=1, rng=rng)
 
+    @pytest.mark.parametrize("grid, bad", [
+        (np.r_[np.linspace(0.8, 1.0, 40), 1.5], "1.5"),
+        (np.array([0.9, np.nan, -0.1]), "nan"),
+        (np.array([-0.5, 0.9]), "-0.5"),
+        (np.array([0.9, np.inf]), "inf"),
+    ], ids=["above-one-at-the-end", "nan", "negative", "inf"])
+    def test_bad_mu_refused_before_any_search(self, grid, bad, monkeypatch):
+        """A mu grid with a value outside [0, 1] or not finite is refused,
+        naming the first such value, before any local search runs."""
+        calls = []
+        monkeypatch.setattr(tradeoffs, "minimize", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=rf"mu values must lie in \[0, 1\], got {bad}$"):
+            tradeoffs.cg_double_violation_search(grid, restarts=12, rng=np.random.default_rng(0))
+        assert calls == []
+
 
 class TestObjectiveBuilders:
     @pytest.mark.parametrize("functional", [chsh(), collins_gisin()], ids=["chsh", "collins-gisin"])
