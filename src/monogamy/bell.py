@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Behavior, Scenario
+from .model import Behavior, Relabeling, Scenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +65,53 @@ def collins_gisin() -> BellFunctional:
         marginals_a=np.array([1.0, 1.0, 0.0]),
         marginals_b=np.array([-1.0, -1.0, 0.0]),
     )
+
+
+# Refuse enumerations whose one broadcast would exceed this many entries.
+SYMMETRY_CAP = 1 << 22
+
+
+def relabeling_symmetries(f: BellFunctional) -> tuple[tuple[Relabeling, Relabeling], ...]:
+    """The relabeling pairs (g_A, g_B) that leave the functional unchanged
+    on every behavior, identity first: g permutes a party's settings by
+    sigma and flips its outcome at some of them, which multiplies its
+    expectation at setting x by s[x] = -1 or 1 and moves it to sigma[x].
+    So g_A keeps the functional iff marginals_a[sigma_A[x]] = s_A[x]
+    marginals_a[x] (and likewise g_B) and correlators[sigma_A[x],
+    sigma_B[y]] = s_A[x] s_B[y] correlators[x, y].  Each party's
+    candidates are filtered on its marginals first, and the correlators
+    are then checked in one broadcast, refused with ValueError above
+    ``SYMMETRY_CAP`` entries.  Memoised by the coefficients."""
+    return _symmetries(f.correlators.tobytes(), f.marginals_a.tobytes(),
+                       f.marginals_b.tobytes(), f.settings)
+
+
+def _party_candidates(marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (setting permutation, signs) of one party that keeps its marginal terms."""
+    s = marginals.size
+    perms = np.array(list(itertools.permutations(range(s)))).reshape(-1, s)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=s))).reshape(-1, s)
+    perms, signs = np.repeat(perms, len(signs), axis=0), np.tile(signs, (len(perms), 1))
+    keep = np.all(marginals[perms] == signs * marginals, axis=1)
+    return perms[keep], signs[keep]
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetries(correlators: bytes, marginals_a: bytes, marginals_b: bytes, settings):
+    w = np.frombuffer(correlators).reshape(settings)
+    perms_a, signs_a = _party_candidates(np.frombuffer(marginals_a))
+    perms_b, signs_b = _party_candidates(np.frombuffer(marginals_b))
+    size = len(perms_a) * len(perms_b) * w.size
+    if size > SYMMETRY_CAP:
+        raise ValueError(f"relabeling enumeration needs {size} entries, above cap {SYMMETRY_CAP}")
+    moved = w[perms_a[:, None, :, None], perms_b[None, :, None, :]]
+    signed = signs_a[:, None, :, None] * signs_b[None, :, None, :] * w
+    pairs = np.argwhere(np.all(moved == signed, axis=(2, 3)))
+
+    def relabeling(perms, signs, i):
+        return Relabeling(tuple(perms[i].tolist()), tuple((signs[i] < 0).tolist()))
+
+    return tuple((relabeling(perms_a, signs_a, i), relabeling(perms_b, signs_b, j)) for i, j in pairs)
 
 
 def functional_row(scenario: Scenario, f: BellFunctional, pair: tuple[int, int]) -> np.ndarray:

@@ -23,7 +23,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -541,6 +541,38 @@ def permute_parties(scenario: Scenario, flat: np.ndarray, perm: tuple[int, ...])
     party ``perm[i]`` of ``flat``, settings and outcomes alike."""
     axes = tuple(perm) + tuple(scenario.parties + p for p in perm)
     return np.asarray(flat).reshape(scenario.table_shape).transpose(axes).ravel()
+
+
+class Relabeling(NamedTuple):
+    """One party's relabeling: entry (x, a) of the relabeled table is entry
+    (``settings[x]``, a flipped if ``flips[x]``) of the original.  Flips
+    need dichotomic outcomes."""
+
+    settings: tuple[int, ...]
+    flips: tuple[bool, ...]
+
+
+def relabeling_index(scenario: Scenario, relabeling: tuple[Relabeling, ...]) -> np.ndarray:
+    """The flat-table index permutation of one :class:`Relabeling` per
+    party: ``flat[relabeling_index(scenario, relabeling)]`` is the relabeled
+    table, in the index convention of :func:`permute_parties`."""
+    n = scenario.parties
+    if len(relabeling) != n:
+        raise ValueError(f"need one relabeling per party, got {len(relabeling)} for {n}")
+    axes = [None] * (2 * n)
+    for p, (settings, flips) in enumerate(relabeling):
+        s, o = scenario.settings[p], scenario.outcomes[p]
+        if sorted(settings) != list(range(s)) or len(flips) != s:
+            raise ValueError(f"party {p} needs a permutation of its {s} settings and {s} flips")
+        if any(flips) and o != 2:
+            raise ValueError(f"party {p} has {o} outcomes; flips need 2")
+        shape = [1] * (2 * n)
+        shape[p] = s
+        axes[p] = np.asarray(settings, dtype=np.int64).reshape(shape)
+        shape[n + p] = o
+        flipped = np.arange(o)[None, :] ^ np.asarray(flips, dtype=np.int64)[:, None]
+        axes[n + p] = flipped.reshape(shape)
+    return np.ravel_multi_index(np.broadcast_arrays(*axes), scenario.table_shape).ravel()
 
 
 def _clone_multisets(n_letters: int, n_clones: int) -> np.ndarray:

@@ -157,6 +157,60 @@ class TestBellValue:
         assert bell_value(pr_box(), f) == pytest.approx(4.0)
 
 
+class TestRelabelingSymmetries:
+    def test_group_orders(self):
+        from monogamy.bell import relabeling_symmetries
+
+        assert len(relabeling_symmetries(collins_gisin())) == 4
+        assert len(relabeling_symmetries(chsh())) == 8
+
+    def test_relabeling_index_refuses_bad_relabelings(self):
+        from monogamy.model import Relabeling, relabeling_index
+
+        scenario = Scenario(2, (2, 2), (2, 3))
+        keep = Relabeling((0, 1), (False, False))
+        with pytest.raises(ValueError, match="one relabeling per party"):
+            relabeling_index(scenario, (keep,))
+        with pytest.raises(ValueError, match="permutation"):
+            relabeling_index(scenario, (Relabeling((0, 0), (False, False)), keep))
+        with pytest.raises(ValueError, match="flips need 2"):
+            relabeling_index(scenario, (keep, Relabeling((1, 0), (True, False))))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+        coefficients=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=15, max_size=15),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_symmetries_keep_the_functional(self, shape, coefficients, seed):
+        """Every returned relabeling keeps the functional's value on random
+        no-signalling mixtures of deterministic boxes and its local bound;
+        the set holds the identity and is closed under composition."""
+        from monogamy.bell import relabeling_symmetries
+        from monogamy.localpoly import local_bound, strategy_matrix
+        from monogamy.model import relabeling_index
+
+        sa, sb = shape
+        values = np.array(coefficients)
+        f = BellFunctional(values[:sa * sb].reshape(shape), values[9:9 + sa], values[12:12 + sb])
+        scenario = Scenario(2, shape, (2, 2))
+        row = functional_row(scenario, f, (0, 1))
+        vertices = strategy_matrix(scenario)
+        weights = np.random.default_rng(seed).dirichlet(np.ones(vertices.shape[1]), size=4)
+        tables = weights @ vertices.T
+        group = relabeling_symmetries(f)
+        indices = [relabeling_index(scenario, pair) for pair in group]
+        identity = np.arange(scenario.table_size)
+        assert np.array_equal(indices[0], identity)
+        members = {index.tobytes() for index in indices}
+        assert len(members) == len(group)
+        for index in indices:
+            assert np.allclose(tables[:, index] @ row, tables @ row, rtol=0.0, atol=1e-12)
+            assert np.max(row @ vertices[index]) == pytest.approx(local_bound(f), abs=1e-12)
+            for other in indices:
+                assert index[other].tobytes() in members
+
+
 class TestPairValues:
     def test_pr_times_uniform(self):
         b = product_box([pr_box(), uniform_box(Scenario(1, (2,), (2,)))])
