@@ -612,16 +612,33 @@ def _block_rows(settings: int, outcomes: int, n_parties: int) -> sp.csr_array:
     l = x * o + a, column C a multiset of coordinates, and the entry is the
     coefficient of the monomial C in the product of the letters' linear
     forms over L, grown one letter at a time.  Built on every call."""
-    import scipy.sparse as sp
-
     # Letter (x, a): q(a|x) for a < o - 1, and 1 minus their sum for o - 1.
     eye = np.eye(1 + settings * (outcomes - 1))
     q = eye[1:].reshape(settings, outcomes - 1, -1)
     form = np.concatenate([q, eye[:1] - q.sum(axis=1, keepdims=True)], axis=1)
-    form = form.reshape(settings * outcomes, -1)
+    return _form_power(form.reshape(settings * outcomes, -1), outcomes, n_parties)
+
+
+def _block_readout(settings: int, outcomes: int, n_parties: int) -> sp.csr_array:
+    """The left inverse of :func:`_block_rows`: row C, a multiset of
+    coordinates, reads its monomial off the rows, the constant as the sum
+    over setting 0's letters and q(a|x) as letter x * o + a."""
+    left = np.zeros((1 + settings * (outcomes - 1), settings * outcomes))
+    left[0, :outcomes] = 1.0
+    letters = (np.arange(settings)[:, None] * outcomes + np.arange(outcomes - 1)).ravel()
+    left[1 + np.arange(letters.size), letters] = 1.0
+    return _form_power(left, outcomes, n_parties)
+
+
+def _form_power(form: np.ndarray, width: int, n_parties: int) -> sp.csr_array:
+    """Row L, a multiset of ``n_parties`` rows of ``form`` (letters, each
+    with at most ``width`` nonzeros), against column C, a multiset of its
+    columns: the coefficient of the monomial C in the product of L's rows."""
+    import scipy.sparse as sp
+
     n_letters, n_coords = form.shape
-    # Each letter's (at most o) nonzero coordinates, padded with zeros.
-    nonzero = np.argsort(form == 0, axis=1, kind="stable")[:, :outcomes]
+    # Each letter's (at most width) nonzero coordinates, padded with zeros.
+    nonzero = np.argsort(form == 0, axis=1, kind="stable")[:, :width]
     weight = np.take_along_axis(form, nonzero, axis=1)
     power = sp.csr_array(np.ones((1, 1)))
     for k in range(1, n_parties + 1):
@@ -630,12 +647,12 @@ def _block_rows(settings: int, outcomes: int, n_parties: int) -> sp.csr_array:
         terms = power[_multiset_ranks(letters[:, :-1], n_letters)].tocoo()
         last = letters[terms.row, -1]
         grown = np.column_stack([
-            np.repeat(_clone_multisets(n_coords, k - 1)[terms.col], outcomes, axis=0),
+            np.repeat(_clone_multisets(n_coords, k - 1)[terms.col], width, axis=0),
             nonzero[last].ravel(),
         ])
         power = sp.csr_array(
             ((terms.data[:, None] * weight[last]).ravel(),
-             (np.repeat(terms.row, outcomes), _multiset_ranks(grown, n_coords))),
+             (np.repeat(terms.row, width), _multiset_ranks(grown, n_coords))),
             shape=(len(letters), math.comb(n_coords + k - 1, k)),
         )
         power.eliminate_zeros()
@@ -669,6 +686,24 @@ def symmetric_cg_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -
         lambda a, b: sp.kron(a, b, format="csr"),
         (_block_rows(scenario.settings[b[0]], scenario.outcomes[b[0]], len(b)) for b in blocks),
     )
+
+
+def symmetric_cg_readout(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> sp.csr_array:
+    """The left inverse L of :func:`symmetric_cg_rows`, L @ rows the
+    identity, and each coordinate's degree, the number of its parties'
+    factors that are not the constant: ``(L, degree)``."""
+    import scipy.sparse as sp
+
+    _check_blocks(scenario, blocks)
+    readout = functools.reduce(
+        lambda a, b: sp.kron(a, b, format="csr"),
+        (_block_readout(scenario.settings[b[0]], scenario.outcomes[b[0]], len(b)) for b in blocks),
+    )
+    degrees = (
+        (_clone_multisets(1 + scenario.settings[b[0]] * (scenario.outcomes[b[0]] - 1), len(b)) > 0)
+        .sum(axis=1) for b in blocks
+    )
+    return readout, functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), degrees)
 
 
 @functools.lru_cache(maxsize=8)

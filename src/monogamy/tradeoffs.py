@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import lp
-from .bell import BellFunctional, chsh, collins_gisin, functional_row
+from .bell import BellFunctional, chsh, collins_gisin, functional_row, relabeling_symmetries
 from .bell import chsh_value as _behavior_chsh  # noqa: F401 - perfbench traces it
 from .localpoly import deterministic_strategies, strategy_matrix  # noqa: F401 - perfbench traces it
 from .localpoly import local_bound
@@ -30,6 +30,9 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     normalization_constraints,
     ns_orbit_dual_rows,
     permute_parties,
+    relabeling_index,
+    symmetric_cg_index,
+    symmetric_cg_readout,
 )
 from .quantum import (
     IDENTITY_2,
@@ -391,48 +394,128 @@ def _ns_maxima(
     objectives: np.ndarray,
     blocks: tuple[tuple[int, ...], ...],
     tol: float,
+    relabelings: tuple = (),
 ) -> tuple[list[float], list[Behavior], list[lp.LpOutcome]]:
     """Maximize each row of ``objectives`` over the no-signalling tables
     fixed by permuting the parties within each of ``blocks``.  In the
     Collins-Gisin coordinates z of ``model.symmetric_cg_rows`` that is the
     maximum of ``objective @ z`` over z[0] = 1, the other entries free, and
-    the rows ``constant * z[0] + free_t.T @ z[1:] >= 0``.  HiGHS gets its
-    dual: minimize ``objective[0] + constant @ lam`` over lam >= 0 with
-    ``free_t @ lam = -objective[1:]``, one equality row per free coordinate
-    and one column per row, whose right-hand side is the objective.  So the
-    rows share one model, which ``lp.solve_stacked`` re-solves once per
-    row, in the given order, each run starting from the previous optimal
-    basis.  Each z[1:] is read from its run's equality duals, and refused
-    with a RuntimeError unless the run is optimal, z meets the rows within
-    10 * tol and its value the dual value within 10 * tol (relative above
-    1).  Each optimum is expanded to the full table, all of which
-    ``_ns_tables`` re-checks in one pass, and its value is recomputed there.
-    Returns the values, the tables and the dual runs' outcomes: ``x`` is
-    lam, ``duals`` is z[1:] and ``value`` is objective[0] minus the
-    optimum."""
+    the rows ``constant * z[0] + free_t.T @ z[1:] >= 0``.  ``relabelings``,
+    a group of relabelings (one ``model.Relabeling`` per party, empty for
+    the trivial group), must map every objective onto itself, else
+    ValueError; the LP then runs over the z they all fix, z = U w with
+    w[0] = 1, keeping one row per orbit of rows (see
+    ``_relabeled_dual_rows``).  HiGHS gets its dual: minimize
+    ``objective[0] + constant @ lam`` over lam >= 0 with ``free_t @ lam =
+    -objective[1:]``, one equality row per free coordinate and one column
+    per row, whose right-hand side is the objective.  So the rows share one
+    model, which ``lp.solve_stacked`` re-solves once per row, in the given
+    order, each run starting from the previous optimal basis.  Each w[1:]
+    is read from its run's equality duals, and refused with a RuntimeError
+    unless the run is optimal, the table of z = U w meets every unreduced
+    row within 10 * tol, its value the dual value within 10 * tol (relative
+    above 1), and the dual, each multiplier spread evenly over the rows of
+    its orbit, is >= -10 * tol, solves the unreduced equality rows within
+    10 * tol and bounds the value within 10 * tol.  ``_ns_tables``
+    re-checks the tables in one pass.  Returns the values, the tables and
+    the dual runs' outcomes: ``x`` is lam, ``duals`` is w[1:] and ``value``
+    is objective[0] minus the optimum."""
     constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
+    constant_w, free_t_w, expand_w, orbit, moves = (
+        _relabeled_dual_rows(scenario, blocks, relabelings) if relabelings
+        else (constant, free_t, expand, np.arange(constant.size), ())
+    )
     in_cg = objectives @ expand
-    program = lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-in_cg[0, 1:])
-    outcomes = lp.solve_stacked(program, -in_cg[:, 1:], tol)
+    for relabeling, move in zip(relabelings, moves):
+        moved = np.abs(in_cg @ move - in_cg).max(axis=1)
+        if moved.max() > 1e-12:
+            raise ValueError(f"objective {int(np.argmax(moved))} is not invariant under the "
+                             f"relabeling {relabeling}")
+    in_w = objectives @ expand_w
+    program = lp.LinearProgram(-constant_w, eq_lhs=free_t_w, eq_rhs=-in_w[0, 1:])
+    outcomes = lp.solve_stacked(program, -in_w[:, 1:], tol)
     for outcome in outcomes:
         if outcome.status != lp.LpStatus.OPTIMAL:
             raise RuntimeError(f"no-signalling LP failed: {outcome.status} {outcome.message}")
     # Each run maximized -constant @ lam, which is objective[0] minus the
     # primal optimum; its derivative by the right-hand side -objective[j]
-    # is the primal optimum's derivative by objective[j], which is z[j].
-    z = np.hstack([np.ones((len(outcomes), 1)), np.stack([outcome.duals for outcome in outcomes])])
-    residuals = np.max(-(constant[:, None] + free_t.T @ z[:, 1:].T), axis=0, initial=0.0)
-    optima = np.array([objective @ x for objective, x in zip(in_cg, z)])
-    gaps = optima - (in_cg[:, 0] - np.array([outcome.value for outcome in outcomes]))
-    for residual, optimum, gap in zip(residuals, optima, gaps):
+    # is the primal optimum's derivative by objective[j], which is w[j].
+    w = np.hstack([np.ones((len(outcomes), 1)), np.stack([outcome.duals for outcome in outcomes])])
+    # Contiguous rows: BLAS may add a strided vector's products in another order.
+    points = np.ascontiguousarray((expand_w @ w.T).T)
+    values = [float(objective @ x) for objective, x in zip(objectives, points)]
+    # Every unreduced positivity row is an entry of the table.
+    residuals = np.max(-points, axis=1, initial=0.0)
+    gaps = np.array(values) - (in_w[:, 0] - np.array([outcome.value for outcome in outcomes]))
+    lam = np.stack([outcome.x for outcome in outcomes])[:, orbit] / np.bincount(orbit)[orbit]
+    dual_residuals = np.abs(free_t @ lam.T + in_cg[:, 1:].T).max(axis=0, initial=0.0)
+    bounds = in_cg[:, 0] + lam @ constant
+    for value, residual, gap, low, dual_residual, bound in zip(
+        values, residuals, gaps, lam.min(axis=1), dual_residuals, bounds
+    ):
+        scale = 10 * tol * max(1.0, abs(value))
         if residual > 10 * tol:
             raise RuntimeError(f"no-signalling LP optimum has row residual {residual:.3e}")
-        if abs(gap) > 10 * tol * max(1.0, abs(optimum)):
-            raise RuntimeError(f"no-signalling LP optimum {optimum!r} has duality gap {gap:.3e}")
-    # Contiguous rows: BLAS may add a strided vector's products in another order.
-    points = np.ascontiguousarray((expand @ z.T).T)
-    values = [float(objective @ x) for objective, x in zip(objectives, points)]
+        if abs(gap) > scale:
+            raise RuntimeError(f"no-signalling LP optimum {value!r} has duality gap {gap:.3e}")
+        if low < -10 * tol or dual_residual > 10 * tol or abs(bound - value) > scale:
+            raise RuntimeError(
+                f"no-signalling LP dual on the unreduced rows: smallest multiplier {low:.3e}, "
+                f"equality residual {dual_residual:.3e}, bound {bound!r} for optimum {value!r}"
+            )
     return values, _ns_tables(scenario, points, tol), outcomes
+
+
+@functools.lru_cache(maxsize=8)
+def _relabeled_dual_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...],
+                         relabelings: tuple) -> tuple:
+    """The dual rows of ``_ns_maxima`` over the CG coordinates z fixed by
+    the group ``relabelings``: ``(constant, free_t, expand @ U, orbit,
+    moves)``.  Each relabeling's flat-table permutation p maps onto the
+    coordinates as the integer matrix M (``moves``), read off the permuted
+    rows by ``model.symmetric_cg_readout`` and refused with ValueError
+    unless ``expand @ M == expand[p]`` exactly.  To leading order in the
+    coordinates' degree each M permutes the coordinates up to sign, so the
+    columns of the Reynolds average of the M's that come first in their
+    leading orbit and have a nonzero diagonal entry are a rational basis U
+    of the fixed subspace, column 0 the constant.  Rows in one orbit under
+    the permutations coincide on it, and ``orbit`` maps each row to the
+    one kept, the first.  Memoised and returned read-only."""
+    _, _, expand = ns_orbit_dual_rows(scenario, blocks)
+    index = symmetric_cg_index(scenario, blocks)
+    first = np.unique(index, return_index=True)[1]
+    readout, degree = symmetric_cg_readout(scenario, blocks)
+    n = readout.shape[0]
+    moves, leads, images = [], [np.arange(n)], [np.arange(first.size)]
+    for relabeling in relabelings:
+        perm = relabeling_index(scenario, relabeling)
+        move = (readout @ expand[perm[first]]).tocsr()
+        if (expand @ move != expand[perm]).nnz:
+            raise ValueError(f"relabeling {relabeling} does not map the CG coordinates of "
+                             f"blocks {blocks} onto themselves")
+        entries = move.tocoo()
+        same = degree[entries.row] == degree[entries.col]
+        if (np.bincount(entries.row[same], minlength=n) != 1).any() or (
+                np.abs(entries.data[same]) != 1).any():
+            raise ValueError(f"relabeling {relabeling} does not permute the CG coordinates "
+                             "up to sign")
+        lead = np.empty(n, dtype=np.int64)
+        lead[entries.row[same]] = entries.col[same]
+        moves.append(move)
+        leads.append(lead)
+        images.append(index[perm[first]])
+    average = functools.reduce(lambda a, b: a + b, moves) / len(moves)
+    kept = (np.min(leads, axis=0) == np.arange(n)) & (average.diagonal() != 0)
+    basis = average.tocsc()[:, np.flatnonzero(kept)]
+    kept_rows, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
+    rows = (expand[first[kept_rows]] @ basis).tocsc()
+    constant = rows[:, [0]].toarray().ravel()
+    free_t = rows[:, 1:].T.tocsr()
+    expand_w = (expand @ basis).tocsr()
+    for part in (constant, orbit, free_t.data, free_t.indices, free_t.indptr,
+                 expand_w.data, expand_w.indices, expand_w.indptr):
+        part.setflags(write=False)
+    return constant, free_t, expand_w, orbit, tuple(moves)
 
 
 def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
@@ -860,8 +943,10 @@ class PbProbeReport:
     a value above 2 * local_bound would realize the simultaneous
     double-violation conjecture.  ``lps`` holds one record per LP solved,
     in solve order: its ``blocks`` of parties permuted among themselves,
+    ``relabelings`` (the order of the functional's relabeling group, 4),
     HiGHS ``iterations``, ``warm`` (False: each LP is a model of its own),
-    and the ``rows``, ``cols`` and ``nnz`` HiGHS received.
+    and the ``rows``, ``cols`` and ``nnz`` HiGHS received: 25 x 104 over
+    blocks b, c, d and 47 x 221 over two blocks.
     """
 
     sign_values: tuple[tuple[tuple[int, int, int], float], ...]
@@ -913,7 +998,9 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     table within 10 * tol.  Each LP runs over the tables fixed by the peer
     permutations that fix its objective, those within its blocks of peers
     with equal signs: b, c, d for (+++) and (---), b, c for (++-), and
-    c, d for (+--) and the mean.
+    c, d for (+--) and the mean, and further over the tables fixed by the
+    functional's relabeling symmetries (``bell.relabeling_symmetries``),
+    g_A on a and the same g_B on b, c and d, which fix every objective.
     """
     scenario = pb_scenario()
     functional = collins_gisin()
@@ -922,14 +1009,17 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
         functional_row(scenario, functional, pair) for pair in ((0, 1), (0, 2), (0, 3))
     )
 
+    # Each pair (g_A, g_B) fixes every pair's functional, so g_A on a and
+    # g_B on b, c and d fix each objective and commute with the blocks.
+    group = tuple((g_a,) + (g_b,) * 3 for g_a, g_b in relabeling_symmetries(functional))
     lps = []
 
     def maximum(objective, blocks):
         # The optimum over the symmetric tables is the optimum over the
         # whole polytope only for an invariant objective.
         _require_invariant(scenario, objective, blocks)
-        (value,), (table,), (outcome,) = _ns_maxima(scenario, objective[None], blocks, tol)
-        lps.append(_lp_record(outcome, blocks=blocks))
+        (value,), (table,), (outcome,) = _ns_maxima(scenario, objective[None], blocks, tol, group)
+        lps.append(_lp_record(outcome, blocks=blocks, relabelings=len(group)))
         return value, table
 
     optima = {}

@@ -693,17 +693,22 @@ class TestPbProbe:
         # Four orbit representatives plus the mean of the two sums, each
         # over the orbits of its blocks of peers: b, c, d; b, c; c, d;
         # b, c, d; c, d, in dual form: one equality row per free coordinate,
-        # one multiplier column per positivity row.
+        # one multiplier column per positivity row.  Each LP runs over the
+        # coordinates fixed by the functional's 4 relabelings too: 25 and 47
+        # free coordinates (79 and 159 without them), and one column per
+        # orbit of rows, 104 and 221 (336 and 756).
         report, calls = probe
         assert len(calls) == len(report.lps) == 5
         s3, swap_bc, swap_cd = ((0,), (1, 2, 3)), ((0,), (1, 2), (3,)), ((0,), (1,), (2, 3))
         assert [record["blocks"] for record in report.lps] == [
             s3, swap_bc, swap_cd, s3, swap_cd
         ]
-        assert [record["cols"] for record in report.lps] == [336, 756, 756, 336, 756]
-        assert [columns for columns, _ in calls] == [336, 756, 756, 336, 756]
+        assert [record["relabelings"] for record in report.lps] == [4] * 5
+        assert [record["cols"] for record in report.lps] == [104, 221, 221, 104, 221]
+        assert [columns for columns, _ in calls] == [104, 221, 221, 104, 221]
         assert [record["iterations"] for record in report.lps] == [nit for _, nit in calls]
-        assert [record["rows"] for record in report.lps] == [79, 159, 159, 79, 159]
+        assert sum(nit for _, nit in calls) <= 400
+        assert [record["rows"] for record in report.lps] == [25, 47, 47, 25, 47]
         assert all(record["nnz"] > 0 for record in report.lps)
         # Each LP is a model of its own, solved from scratch.
         assert not any(record["warm"] for record in report.lps)
@@ -780,9 +785,9 @@ class TestPbProbe:
         inflated in what ``_ns_maxima`` hands back, past its own checks."""
         maxima, calls = tradeoffs._ns_maxima, []
 
-        def inflated(scenario, objectives, blocks, tol):
+        def inflated(scenario, objectives, blocks, tol, *relabelings):
             calls.append(blocks)
-            values, tables, outcomes = maxima(scenario, objectives, blocks, tol)
+            values, tables, outcomes = maxima(scenario, objectives, blocks, tol, *relabelings)
             # The four sign LPs come first; the fifth is the mean's.
             if len(calls) == 5:
                 values = [value + 1.0 for value in values]
@@ -810,6 +815,53 @@ class TestPbProbe:
         scenario, ab, ac, ad = self.probe_rows()
         with pytest.raises(RuntimeError, match=message):
             tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7)
+
+    def test_tables_are_fixed_by_the_relabelings(self, probe):
+        from monogamy.bell import relabeling_symmetries
+        from monogamy.model import relabeling_index
+
+        report, _ = probe
+        scenario = tradeoffs.pb_scenario()
+        group = relabeling_symmetries(collins_gisin())
+        assert len(group) == 4
+        for g_a, g_b in group:
+            index = relabeling_index(scenario, (g_a, g_b, g_b, g_b))
+            for behavior in (report.argmax_behavior, report.t_behavior):
+                x = behavior.table.reshape(-1)
+                assert np.allclose(x[index], x, rtol=0.0, atol=1e-12)
+
+    def test_perturbed_lifted_multiplier_raises(self, monkeypatch):
+        """A reduced multiplier moved by 1e-3 leaves the primal point and
+        the dual value as they were, but its lift no longer solves the
+        unreduced equality rows: refused before any table is built."""
+        from dataclasses import replace
+
+        solve = tradeoffs.lp.solve_stacked
+
+        def perturbed(*args, **kwargs):
+            outcomes = solve(*args, **kwargs)
+            x = outcomes[0].x.copy()
+            x[np.argmax(x)] += 1e-3
+            return [replace(outcomes[0], x=x)]
+
+        monkeypatch.setattr(tradeoffs.lp, "solve_stacked", perturbed)
+        monkeypatch.setattr(tradeoffs, "_ns_tables", None)
+        scenario, ab, ac, ad = self.probe_rows()
+        group = tuple((g_a,) + (g_b,) * 3 for g_a, g_b in
+                      tradeoffs.relabeling_symmetries(collins_gisin()))
+        with pytest.raises(RuntimeError, match="dual on the unreduced rows"):
+            tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7, group)
+
+    def test_objective_must_be_fixed_by_the_relabelings(self):
+        scenario, ab, ac, ad = self.probe_rows()
+        group = tuple((g_a,) + (g_b,) * 3 for g_a, g_b in
+                      tradeoffs.relabeling_symmetries(collins_gisin()))
+        # p(0000|0000) is fixed by permuting b, c and d, but the
+        # relabelings move the settings of b, c and d.
+        objective = ab + ac + ad
+        objective[0] += 1.0
+        with pytest.raises(ValueError, match="not invariant under the relabeling"):
+            tradeoffs._ns_maxima(scenario, objective[None], self.S3, 1e-7, group)
 
     def test_invariance_guard(self, monkeypatch):
         scenario = tradeoffs.pb_scenario()
