@@ -688,7 +688,9 @@ def symmetric_cg_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -
     )
 
 
-def symmetric_cg_readout(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]) -> sp.csr_array:
+def symmetric_cg_readout(
+    scenario: Scenario, blocks: tuple[tuple[int, ...], ...]
+) -> tuple[sp.csr_array, np.ndarray]:
     """The left inverse L of :func:`symmetric_cg_rows`, L @ rows the
     identity, and each coordinate's degree, the number of its parties'
     factors that are not the constant: ``(L, degree)``."""
