@@ -783,6 +783,20 @@ def cg_map(scenario: Scenario) -> sp.csr_array:
     return ns_orbit_dual_rows(scenario, tuple((p,) for p in range(scenario.parties)))[2]
 
 
+@functools.lru_cache(maxsize=8)
+def _cg_readout(scenario: Scenario) -> sp.csr_array:
+    """The left inverse of :func:`cg_map`: :func:`symmetric_cg_readout`'s
+    columns in flat-table order.  It reads a no-signalling table's CG
+    coordinates exactly, as sums of entries.  Memoised and returned
+    read-only."""
+    singletons = tuple((p,) for p in range(scenario.parties))
+    readout, _ = symmetric_cg_readout(scenario, singletons)
+    readout = readout[:, symmetric_cg_index(scenario, singletons)]
+    for part in (readout.data, readout.indices, readout.indptr):
+        part.setflags(write=False)
+    return readout
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders a
     Behavior,
     Scenario,
     SignallingReport,
-    cg_map,
+    _cg_readout,
     is_no_signalling,  # a check perfbench traces here
     marginal,
     marginal_behavior,
     no_signalling_constraints,
     normalization_constraints,
+    permute_parties,
     require_valid,
     symmetric_cg_index,
     symmetric_cg_marginal_split,
@@ -257,7 +258,7 @@ def ns_extension(
     free, marginal = symmetric_cg_marginal_split(scen, blocks)
     # The base's CG coordinates q[alpha, beta] are the marginal columns
     # (alpha, C) whose multiset C is beta and N - 1 constants, in order.
-    base = np.linalg.lstsq(cg_map(b.scenario).toarray(), b.table.ravel(), rcond=None)[0]
+    base = _cg_readout(b.scenario) @ b.table.ravel()
     # Positivity free @ z + pinned >= 0, with the pins folded in.
     pinned = marginal @ base
     outcome = lp.phase_one(_extension_program(scen, blocks).with_rhs(ub_rhs=pinned), tol)
@@ -300,11 +301,14 @@ def random_shareable_behavior(rng: np.random.Generator) -> tuple[Behavior, Behav
     Samples a point of the clone-symmetric no-signalling three-party
     polytope (a random mixture of three vertices found by maximizing random
     objectives over the tables fixed by the clone swap) and marginalizes it
-    down to the (a, b_1) pair.  Returns (pair, witness), the witness being
-    the three-party behavior that certifies shareability.
+    down to the (a, b_1) pair.  Each objective is averaged with its clone
+    swap, so that its optimum over those tables is the whole polytope's,
+    which ``_ns_maxima`` certifies.  Returns (pair, witness), the witness
+    being the three-party behavior that certifies shareability.
     """
     scen = _extended_scenario(Scenario(2, (2, 2), (2, 2)), 2)
     objectives = rng.standard_normal((3, scen.table_size))
+    objectives = (objectives + [permute_parties(scen, o, (0, 2, 1)) for o in objectives]) / 2.0
     _, vertices, _ = _ns_maxima(scen, objectives, ((0,), (1, 2)), lp.FEASIBILITY_TOL)
     weights = rng.dirichlet(np.ones(len(vertices)))
     witness = Behavior(scen, sum(w * v.table for w, v in zip(weights, vertices)))

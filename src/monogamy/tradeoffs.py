@@ -29,7 +29,6 @@ from .model import (  # noqa: F401 - perfbench/spans.py wraps the row builders h
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_dual_rows,
-    permute_parties,
     relabeling_index,
     symmetric_cg_index,
     symmetric_cg_readout,
@@ -402,9 +401,8 @@ def _ns_maxima(
     maximum of ``objective @ z`` over z[0] = 1, the other entries free, and
     the rows ``constant * z[0] + free_t.T @ z[1:] >= 0``.  ``relabelings``,
     a group of relabelings (one ``model.Relabeling`` per party, empty for
-    the trivial group), must map every objective onto itself, else
-    ValueError; the LP then runs over the z they all fix, z = U w with
-    w[0] = 1, keeping one row per orbit of rows (see
+    the trivial group), restricts the LP to the z they all fix, z = U w
+    with w[0] = 1, keeping one row per orbit of rows (see
     ``_relabeled_dual_rows``).  HiGHS gets its dual: minimize
     ``objective[0] + constant @ lam`` over lam >= 0 with ``free_t @ lam =
     -objective[1:]``, one equality row per free coordinate and one column
@@ -412,27 +410,24 @@ def _ns_maxima(
     model, which ``lp.solve_stacked`` re-solves once per row, in the given
     order, each run starting from the previous optimal basis.  Each w[1:]
     is read from its run's equality duals, and refused with a RuntimeError
-    unless the run is optimal, the table of z = U w meets every unreduced
-    row within 10 * tol, its value the dual value within 10 * tol (relative
-    above 1), and the dual, each multiplier spread evenly over the rows of
-    its orbit, is >= -10 * tol, solves the unreduced equality rows within
-    10 * tol and bounds the value within 10 * tol.  ``_ns_tables``
-    re-checks the tables in one pass.  Returns the values, the tables and
-    the dual runs' outcomes: ``x`` is lam, ``duals`` is w[1:] and ``value``
-    is objective[0] minus the optimum."""
-    constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
-    constant_w, free_t_w, expand_w, orbit, moves = (
-        _relabeled_dual_rows(scenario, blocks, relabelings) if relabelings
-        else (constant, free_t, expand, np.arange(constant.size), ())
-    )
-    in_cg = objectives @ expand
-    for relabeling, move in zip(relabelings, moves):
-        moved = np.abs(in_cg @ move - in_cg).max(axis=1)
-        if moved.max() > 1e-12:
-            raise ValueError(f"objective {int(np.argmax(moved))} is not invariant under the "
-                             f"relabeling {relabeling}")
-    in_w = objectives @ expand_w
-    program = lp.LinearProgram(-constant_w, eq_lhs=free_t_w, eq_rhs=-in_w[0, 1:])
+    unless the run is optimal, the table of z = U w has no entry below
+    -10 * tol, its value is the dual value within 10 * tol (relative above
+    1), and the dual, each multiplier spread evenly over the table entries
+    of its orbit, is >= -10 * tol, solves the equality rows of ``cg_map``
+    within 10 * tol and bounds the value within 10 * tol.  That certifies
+    the optimum on the whole polytope, and refuses every objective that
+    the symmetries do not fix (Gatermann & Parrilo, J. Pure Appl. Algebra
+    192, 95 (2004)).  ``_ns_tables`` re-checks the tables in one pass.
+    Returns the values, the tables and the dual runs' outcomes: ``x`` is
+    lam, ``duals`` is w[1:] and ``value`` is objective[0] minus the
+    optimum."""
+    if relabelings:
+        constant, free_t, expand, orbit = _relabeled_dual_rows(scenario, blocks, relabelings)
+    else:
+        constant, free_t, expand = ns_orbit_dual_rows(scenario, blocks)
+        orbit = np.arange(constant.size)
+    in_w = objectives @ expand
+    program = lp.LinearProgram(-constant, eq_lhs=free_t, eq_rhs=-in_w[0, 1:])
     outcomes = lp.solve_stacked(program, -in_w[:, 1:], tol)
     for outcome in outcomes:
         if outcome.status != lp.LpStatus.OPTIMAL:
@@ -442,16 +437,19 @@ def _ns_maxima(
     # is the primal optimum's derivative by objective[j], which is w[j].
     w = np.hstack([np.ones((len(outcomes), 1)), np.stack([outcome.duals for outcome in outcomes])])
     # Contiguous rows: BLAS may add a strided vector's products in another order.
-    points = np.ascontiguousarray((expand_w @ w.T).T)
+    points = np.ascontiguousarray((expand @ w.T).T)
     values = [float(objective @ x) for objective, x in zip(objectives, points)]
-    # Every unreduced positivity row is an entry of the table.
+    # Every positivity row of the whole polytope is an entry of the table.
     residuals = np.max(-points, axis=1, initial=0.0)
     gaps = np.array(values) - (in_w[:, 0] - np.array([outcome.value for outcome in outcomes]))
-    lam = np.stack([outcome.x for outcome in outcomes])[:, orbit] / np.bincount(orbit)[orbit]
-    dual_residuals = np.abs(free_t @ lam.T + in_cg[:, 1:].T).max(axis=0, initial=0.0)
-    bounds = in_cg[:, 0] + lam @ constant
+    kept = orbit[symmetric_cg_index(scenario, blocks)]
+    lam = np.stack([outcome.x for outcome in outcomes])[:, kept] / np.bincount(kept)[kept]
+    # The whole polytope's rows, one per table entry: model.cg_map.
+    _, _, cg = ns_orbit_dual_rows(scenario, tuple((p,) for p in range(scenario.parties)))
+    lifted = (lam + objectives) @ cg
+    dual_residuals = np.abs(lifted[:, 1:]).max(axis=1, initial=0.0)
     for value, residual, gap, low, dual_residual, bound in zip(
-        values, residuals, gaps, lam.min(axis=1), dual_residuals, bounds
+        values, residuals, gaps, lam.min(axis=1), dual_residuals, lifted[:, 0].tolist()
     ):
         scale = 10 * tol * max(1.0, abs(value))
         if residual > 10 * tol:
@@ -460,7 +458,7 @@ def _ns_maxima(
             raise RuntimeError(f"no-signalling LP optimum {value!r} has duality gap {gap:.3e}")
         if low < -10 * tol or dual_residual > 10 * tol or abs(bound - value) > scale:
             raise RuntimeError(
-                f"no-signalling LP dual on the unreduced rows: smallest multiplier {low:.3e}, "
+                f"no-signalling LP dual on the table entries: smallest multiplier {low:.3e}, "
                 f"equality residual {dual_residual:.3e}, bound {bound!r} for optimum {value!r}"
             )
     return values, _ns_tables(scenario, points, tol), outcomes
@@ -470,11 +468,11 @@ def _ns_maxima(
 def _relabeled_dual_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...],
                          relabelings: tuple) -> tuple:
     """The dual rows of ``_ns_maxima`` over the CG coordinates z fixed by
-    the group ``relabelings``: ``(constant, free_t, expand @ U, orbit,
-    moves)``.  Each relabeling's flat-table permutation p maps onto the
-    coordinates as the integer matrix M (``moves``), read off the permuted
-    rows by ``model.symmetric_cg_readout`` and refused with ValueError
-    unless ``expand @ M == expand[p]`` exactly.  To leading order in the
+    the group ``relabelings``: ``(constant, free_t, expand @ U, orbit)``.
+    Each relabeling's flat-table permutation p maps onto the coordinates
+    as an integer matrix M, read off the permuted rows by
+    ``model.symmetric_cg_readout`` and refused with ValueError unless
+    ``expand @ M == expand[p]`` exactly.  To leading order in the
     coordinates' degree each M permutes the coordinates up to sign, so the
     columns of the Reynolds average of the M's that come first in their
     leading orbit and have a nonzero diagonal entry are a rational basis U
@@ -515,7 +513,7 @@ def _relabeled_dual_rows(scenario: Scenario, blocks: tuple[tuple[int, ...], ...]
     for part in (constant, orbit, free_t.data, free_t.indices, free_t.indptr,
                  expand_w.data, expand_w.indices, expand_w.indptr):
         part.setflags(write=False)
-    return constant, free_t, expand_w, orbit, tuple(moves)
+    return constant, free_t, expand_w, orbit
 
 
 def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
@@ -550,8 +548,8 @@ def _ns_tables(scenario: Scenario, points: np.ndarray, tol: float) -> list[Behav
 
 def _grid(values, name: str) -> list[float]:
     """A grid of directions or mu values as floats; ValueError, naming the
-    argument, when it has more than one dimension."""
-    if np.ndim(values) > 1:
+    argument, unless it has exactly one dimension."""
+    if np.ndim(values) != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {np.shape(values)}")
     return [float(value) for value in values]
 
@@ -726,7 +724,7 @@ def quantum_boundary_search(
     starts.  The Toner-Verstraete bound makes the support 2*sqrt(2) in
     every direction; a value above it by more than 1e-9 raises, as does an
     eigenvector whose moment tensor gives another value.  A non-finite
-    direction, a grid of more than one dimension or a negative
+    direction, a grid that is not one-dimensional or a negative
     ``restarts`` raises ValueError.
 
     ``params`` holds ``x`` (the optimal state's real and imaginary parts,
@@ -783,8 +781,8 @@ def separable_orthogonal_support(
 ) -> list[SupportPoint]:
     """Support trace of the product-state region under orthogonal settings:
     per direction, maximize over planar Bloch angles of three product
-    qubits.  ``restarts`` below 1, a non-finite direction or a grid of
-    more than one dimension raises ValueError.
+    qubits.  ``restarts`` below 1, a non-finite direction or a grid that
+    is not one-dimensional raises ValueError.
 
     ``params`` holds ``starts``, ``evaluations`` (the summed
     value-and-gradient evaluations) and ``ceiling_gap``: the closed form
@@ -895,8 +893,8 @@ def cg_double_violation_search(
     The b and c measurement angles are tied together, which makes the two
     values equal by the b-c exchange symmetry of the family; the search then
     maximizes the common value over the remaining six angles per mu, by
-    L-BFGS-B on its exact gradient.  An empty ``mu_values``, one of more
-    than one dimension, one with a value that is not finite or lies outside
+    L-BFGS-B on its exact gradient.  An empty ``mu_values``, one that is
+    not one-dimensional, one with a value that is not finite or lies outside
     [0, 1], or a negative ``restarts`` raises ValueError before any search.
     """
     mu_values = _grid(mu_values, "mu_values")
@@ -946,7 +944,8 @@ class PbProbeReport:
     ``relabelings`` (the order of the functional's relabeling group, 4),
     HiGHS ``iterations``, ``warm`` (False: each LP is a model of its own),
     and the ``rows``, ``cols`` and ``nnz`` HiGHS received: 25 x 104 over
-    blocks b, c, d and 47 x 221 over two blocks.
+    blocks b, c, d and 47 x 221 over two blocks.  Each value's dual is
+    certified on all 1 296 table entries, not only on the rows kept.
     """
 
     sign_values: tuple[tuple[tuple[int, int, int], float], ...]
@@ -963,23 +962,6 @@ class PbProbeReport:
 
 def pb_scenario() -> Scenario:
     return Scenario(4, (3, 3, 3, 3), (2, 2, 2, 2))
-
-
-def _require_invariant(
-    scenario: Scenario, objective: np.ndarray, blocks: tuple[tuple[int, ...], ...]
-) -> None:
-    """ValueError unless every swap of neighbouring parties within a block
-    maps ``objective`` onto itself: then so do the permutations within
-    ``blocks``.  Stacked objectives are maximized one by one, so each must pass."""
-    for block in blocks:
-        for p, q in zip(block, block[1:]):
-            perm = list(range(scenario.parties))
-            perm[p], perm[q] = q, p
-            moved = permute_parties(scenario, objective, perm)
-            if not np.allclose(moved, objective, rtol=0.0, atol=1e-12):
-                raise ValueError(
-                    f"objective is not invariant under the party permutation {tuple(perm)}"
-                )
 
 
 def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
@@ -1001,6 +983,7 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     c, d for (+--) and the mean, and further over the tables fixed by the
     functional's relabeling symmetries (``bell.relabeling_symmetries``),
     g_A on a and the same g_B on b, c and d, which fix every objective.
+    ``_ns_maxima`` certifies each optimum's dual on all 1 296 table entries.
     """
     scenario = pb_scenario()
     functional = collins_gisin()
@@ -1015,9 +998,6 @@ def pb_probe(tol: float = lp.FEASIBILITY_TOL) -> PbProbeReport:
     lps = []
 
     def maximum(objective, blocks):
-        # The optimum over the symmetric tables is the optimum over the
-        # whole polytope only for an invariant objective.
-        _require_invariant(scenario, objective, blocks)
         (value,), (table,), (outcome,) = _ns_maxima(scenario, objective[None], blocks, tol, group)
         lps.append(_lp_record(outcome, blocks=blocks, relabelings=len(group)))
         return value, table

@@ -45,7 +45,7 @@ import monogamy.lp as lp
 import monogamy.tradeoffs as tradeoffs
 from monogamy import born_behavior, planar_observable, random_pure_state
 from monogamy.bell import BellFunctional, functional_row
-from monogamy.model import marginal_behavior, ns_orbit_dual_rows, symmetric_cg_rows
+from monogamy.model import marginal_behavior, ns_orbit_dual_rows, permute_parties, symmetric_cg_rows
 from conftest import (
     block_swaps,
     child_env,
@@ -547,7 +547,8 @@ class TestNsMaximum:
         no-signalling by construction, by coordinates of every normalized
         table: the constant column is the uniform table, and each other
         column moves weight from a context's last outcome tuple to another
-        of its outcome tuples.  Positivity rows are the table entries."""
+        of its outcome tuples.  Positivity rows are the table entries, in
+        table order, so each entry is its own row."""
         import scipy.sparse as sp
 
         def dual_rows(s, blocks):
@@ -561,6 +562,7 @@ class TestNsMaximum:
             return rows[:, [0]].toarray().ravel(), rows[:, 1:].T.tocsr(), rows
 
         monkeypatch.setattr(tradeoffs, "ns_orbit_dual_rows", dual_rows)
+        monkeypatch.setattr(tradeoffs, "symmetric_cg_index", lambda s, blocks: np.arange(s.table_size))
 
     def test_signalling_optimum_raises(self, monkeypatch):
         """With every normalized table admitted, the LP accepts a
@@ -734,7 +736,7 @@ class TestPbProbe:
             assert x.shape == (scenario.table_size,)
             assert x.min() >= -10 * tol
             for perm in block_swaps(scenario.parties, record["blocks"]):
-                moved = tradeoffs.permute_parties(scenario, x, perm)
+                moved = permute_parties(scenario, x, perm)
                 assert np.allclose(moved, x, rtol=0.0, atol=1e-12)
 
     def test_t_behavior_is_swap_symmetric(self, probe):
@@ -743,7 +745,7 @@ class TestPbProbe:
         report, _ = probe
         scenario, ab, ac, ad = self.probe_rows()
         x = report.t_behavior.table.reshape(-1)
-        moved = tradeoffs.permute_parties(scenario, x, (0, 1, 3, 2))
+        moved = permute_parties(scenario, x, (0, 1, 3, 2))
         assert np.allclose(moved, x, rtol=0.0, atol=1e-12)
         for f in (ac, ad):
             assert (ab + f) @ x == pytest.approx(report.t_star, abs=1e-9)
@@ -832,8 +834,8 @@ class TestPbProbe:
 
     def test_perturbed_lifted_multiplier_raises(self, monkeypatch):
         """A reduced multiplier moved by 1e-3 leaves the primal point and
-        the dual value as they were, but its lift no longer solves the
-        unreduced equality rows: refused before any table is built."""
+        the dual value as they were, but its lift to the table entries no
+        longer solves the equality rows: refused before any table is built."""
         from dataclasses import replace
 
         solve = tradeoffs.lp.solve_stacked
@@ -849,45 +851,54 @@ class TestPbProbe:
         scenario, ab, ac, ad = self.probe_rows()
         group = tuple((g_a,) + (g_b,) * 3 for g_a, g_b in
                       tradeoffs.relabeling_symmetries(collins_gisin()))
-        with pytest.raises(RuntimeError, match="dual on the unreduced rows"):
+        with pytest.raises(RuntimeError, match="dual on the table entries"):
             tradeoffs._ns_maxima(scenario, (ab + ac + ad)[None], self.S3, 1e-7, group)
 
+    LIFTED = "no-signalling LP dual on the table entries"
+
     def test_objective_must_be_fixed_by_the_relabelings(self):
+        """p(0000|0000) is fixed by permuting b, c and d, but the
+        relabelings move the settings of b, c and d: the reduced optimum is
+        not the whole polytope's, and its dual fails on the table entries."""
         scenario, ab, ac, ad = self.probe_rows()
         group = tuple((g_a,) + (g_b,) * 3 for g_a, g_b in
                       tradeoffs.relabeling_symmetries(collins_gisin()))
-        # p(0000|0000) is fixed by permuting b, c and d, but the
-        # relabelings move the settings of b, c and d.
         objective = ab + ac + ad
         objective[0] += 1.0
-        with pytest.raises(ValueError, match="not invariant under the relabeling"):
+        with pytest.raises(RuntimeError, match=self.LIFTED):
             tradeoffs._ns_maxima(scenario, objective[None], self.S3, 1e-7, group)
 
     def test_invariance_guard(self, monkeypatch):
-        scenario = tradeoffs.pb_scenario()
-        row = functional_row(scenario, collins_gisin(), (0, 1))
-        with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._require_invariant(scenario, row, self.S3)
+        """The dual certificate refuses an objective that the permutations
+        within its blocks do not fix, as it refuses one that the
+        relabelings do not fix, before any table is built."""
+        scenario, ab, ac, ad = self.probe_rows()
+        ns_tables = tradeoffs._ns_tables
+        monkeypatch.setattr(tradeoffs, "_ns_tables", None)
+        with pytest.raises(RuntimeError, match=self.LIFTED):
+            tradeoffs._ns_maxima(scenario, ab[None], self.S3, 1e-7)
         # The max-min rows C_ab + C_ac and C_ab + C_ad are swapped by
         # c <-> d, but neither is fixed by it: a stack maximizes each row on
         # its own, so each is refused.  Their mean is fixed by c <-> d, not
         # by b <-> c.
-        ac, ad = (functional_row(scenario, collins_gisin(), pair) for pair in ((0, 2), (0, 3)))
-        for objective in (row + ac, row + ad):
-            with pytest.raises(ValueError, match=r"permutation \(0, 1, 3, 2\)"):
-                tradeoffs._require_invariant(scenario, objective, self.SWAP_CD)
-        tradeoffs._require_invariant(scenario, row + (ac + ad) / 2.0, self.SWAP_CD)
-        with pytest.raises(ValueError, match="not invariant"):
-            tradeoffs._require_invariant(scenario, row + (ac + ad) / 2.0, self.S3)
-        # The probe checks each sign LP's objective against its blocks:
-        # with C_ad doubled, (+++) is not fixed by swapping c and d.
+        for objective in (ab + ac, ab + ad):
+            with pytest.raises(RuntimeError, match=self.LIFTED):
+                tradeoffs._ns_maxima(scenario, objective[None], self.SWAP_CD, 1e-7)
+        mean = ab + (ac + ad) / 2.0
+        with pytest.raises(RuntimeError, match=self.LIFTED):
+            tradeoffs._ns_maxima(scenario, mean[None], self.S3, 1e-7)
+        monkeypatch.setattr(tradeoffs, "_ns_tables", ns_tables)
+        (value,), _, _ = tradeoffs._ns_maxima(scenario, mean[None], self.SWAP_CD, 1e-7)
+        assert value == pytest.approx(10.0, abs=1e-7)
+        # The probe certifies each sign LP against its blocks: with C_ad
+        # doubled, (+++) is not fixed by swapping c and d.
         row_of = tradeoffs.functional_row
 
         def doubled_ad(scenario, functional, pair):
             return (2.0 if pair == (0, 3) else 1.0) * row_of(scenario, functional, pair)
 
         monkeypatch.setattr(tradeoffs, "functional_row", doubled_ad)
-        with pytest.raises(ValueError, match=r"not invariant under the party permutation \(0, 1, 3, 2\)"):
+        with pytest.raises(RuntimeError, match=self.LIFTED):
             tradeoffs.pb_probe()
 
 
@@ -917,18 +928,37 @@ def test_optimum_lps_have_only_equality_rows(monkeypatch, rng):
     assert all(program.bounds is None for program in programs)
 
 
+def test_second_round_of_optima_hits_every_memo(rng):
+    """The dual certificate adds the singleton-block rows of each scenario
+    to the memoised rows: a second round of the probe, a support sweep and
+    a shareable draw builds nothing again, so no memo evicts what another
+    entry point needs."""
+    from monogamy import model, random_shareable_behavior
+
+    memos = (model.ns_orbit_dual_rows, model.symmetric_cg_index, tradeoffs._relabeled_dual_rows)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 17)
+    misses = []
+    for _ in range(2):
+        tradeoffs.pb_probe()
+        ns_support(thetas)
+        random_shareable_behavior(rng)
+        misses.append([memo.cache_info().misses for memo in memos])
+    assert misses[1] == misses[0]
+
+
 
 def test_extension_lp_has_no_equality_rows(monkeypatch):
     """The NS extension LP runs on clone-symmetric Collins-Gisin positivity
     rows: the ``lp.phase_one`` call reached from ``ns_extension`` gets no
     equality rows and one inequality block over the free coordinates only:
     the 9 pair-marginal coordinates of a 2x2 base are folded into the
-    right-hand side, and no ``cg_map`` of the extended scenario is built."""
+    right-hand side, read off the base table by ``model._cg_readout``, and
+    neither that readout nor a ``cg_map`` of the extended scenario is built."""
     import monogamy.sharing as sharing
-    from monogamy import ns_extension, pr_box, uniform_box
+    from monogamy import model, ns_extension, pr_box, uniform_box
 
-    calls, mapped = [], []
-    phase_one, cg_map = sharing.lp.phase_one, sharing.cg_map
+    calls, mapped, read = [], [], []
+    phase_one, cg_map, readout = sharing.lp.phase_one, model.cg_map, sharing._cg_readout
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
@@ -938,8 +968,13 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
         mapped.append(scenario.parties)
         return cg_map(scenario)
 
+    def recording_readout(scenario):
+        read.append(scenario.parties)
+        return readout(scenario)
+
     monkeypatch.setattr(sharing.lp, "phase_one", recording)
-    monkeypatch.setattr(sharing, "cg_map", recording_map)
+    monkeypatch.setattr(model, "cg_map", recording_map)
+    monkeypatch.setattr(sharing, "_cg_readout", recording_readout)
     sharing.symmetric_cg_marginal_split.cache_clear()
     for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
         ns_extension(box, n_clones)
@@ -951,7 +986,8 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
         # 3 C(N+2, 2) CG columns, 9 of them pinned and folded.
         assert lhs.shape[1] == 3 * math.comb(n_clones + 2, 2) - 9
         assert program.bounds == [(None, None)] * lhs.shape[1]
-    assert mapped and max(mapped) <= 2
+    assert read == [2, 2]
+    assert not mapped or max(mapped) <= 2
 
 class TestQuantumSearch:
     def test_axis_directions_reach_tsirelson(self, rng):
@@ -1065,6 +1101,22 @@ class TestQuantumSearch:
     def test_non_finite_direction_refused(self, search, bad):
         with pytest.raises(ValueError, match="support directions must be finite"):
             search(np.array([0.0, bad]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("search, name", [
+        (lambda rng: ns_support(0.3), "thetas"),
+        (lambda rng: tradeoffs.local_support(0.3), "thetas"),
+        (lambda rng: quantum_boundary_search(0.3, 0, rng), "thetas"),
+        (lambda rng: tradeoffs.cg_double_violation_search(0.9, 0, rng), "mu_values"),
+    ], ids=["ns_support", "local_support", "quantum_boundary_search",
+            "cg_double_violation_search"])
+    def test_scalar_grid_refused_naming_the_argument(self, search, name, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused grid reached a search or an LP")
+
+        monkeypatch.setattr(tradeoffs, "minimize", unreachable)
+        monkeypatch.setattr(tradeoffs.lp, "solve_stacked", unreachable)
+        with pytest.raises(ValueError, match=rf"{name} must be one-dimensional, got shape \(\)"):
+            search(np.random.default_rng(0))
 
     @pytest.mark.parametrize("search, message", [
         (lambda rng: quantum_boundary_search(np.array([0.3]), -3, rng),
