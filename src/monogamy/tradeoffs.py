@@ -414,10 +414,11 @@ def _ns_maxima(
     -10 * tol, its value is the dual value within 10 * tol (relative above
     1), and the dual, each multiplier spread evenly over the table entries
     of its orbit, is >= -10 * tol, solves the equality rows of ``cg_map``
-    within 10 * tol and bounds the value within 10 * tol.  That certifies
-    the optimum on the whole polytope, and refuses every objective that
-    the symmetries do not fix (Gatermann & Parrilo, J. Pure Appl. Algebra
-    192, 95 (2004)).  ``_ns_tables`` re-checks the tables in one pass.
+    within 10 * tol and bounds the value within 10 * tol: the optimum on
+    the whole polytope.  An objective that the symmetries do not fix leaves
+    a residual of its asymmetry (Gatermann & Parrilo, J. Pure Appl. Algebra
+    192, 95 (2004)): refused above 10 * tol, and below it the fixed tables'
+    optimum passes.  ``_ns_tables`` re-checks the tables in one pass.
     Returns the values, the tables and the dual runs' outcomes: ``x`` is
     lam, ``duals`` is w[1:] and ``value`` is objective[0] minus the
     optimum."""

@@ -953,29 +953,26 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
     equality rows and one inequality block over the free coordinates only:
     the 9 pair-marginal coordinates of a 2x2 base are folded into the
     right-hand side, read off the base table by ``model._cg_readout``, and
-    neither that readout nor a ``cg_map`` of the extended scenario is built."""
+    neither that readout of the extended scenario nor any
+    ``ns_orbit_dual_rows`` entry (so no ``cg_map``) is built."""
     import monogamy.sharing as sharing
     from monogamy import model, ns_extension, pr_box, uniform_box
 
-    calls, mapped, read = [], [], []
-    phase_one, cg_map, readout = sharing.lp.phase_one, model.cg_map, sharing._cg_readout
+    calls, read = [], []
+    phase_one, readout = sharing.lp.phase_one, sharing._cg_readout
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
         return phase_one(*args, **kwargs)
-
-    def recording_map(scenario):
-        mapped.append(scenario.parties)
-        return cg_map(scenario)
 
     def recording_readout(scenario):
         read.append(scenario.parties)
         return readout(scenario)
 
     monkeypatch.setattr(sharing.lp, "phase_one", recording)
-    monkeypatch.setattr(model, "cg_map", recording_map)
     monkeypatch.setattr(sharing, "_cg_readout", recording_readout)
     sharing.symmetric_cg_marginal_split.cache_clear()
+    model.ns_orbit_dual_rows.cache_clear()
     for box, n_clones in ((pr_box(), 2), (uniform_box(pr_box().scenario), 4)):
         ns_extension(box, n_clones)
     assert len(calls) == 2
@@ -987,7 +984,7 @@ def test_extension_lp_has_no_equality_rows(monkeypatch):
         assert lhs.shape[1] == 3 * math.comb(n_clones + 2, 2) - 9
         assert program.bounds == [(None, None)] * lhs.shape[1]
     assert read == [2, 2]
-    assert not mapped or max(mapped) <= 2
+    assert model.ns_orbit_dual_rows.cache_info().currsize == 0
 
 class TestQuantumSearch:
     def test_axis_directions_reach_tsirelson(self, rng):
