@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Behavior, Relabeling, Scenario
+from .model import Behavior, Relabeling, Scenario, _capped_product
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +67,8 @@ def collins_gisin() -> BellFunctional:
     )
 
 
-# Refuse enumerations whose one broadcast would exceed this many entries.
+# Refuse a party's candidates, or the broadcast over both parties', beyond
+# this many entries.
 SYMMETRY_CAP = 1 << 22
 
 
@@ -87,8 +88,12 @@ def relabeling_symmetries(f: BellFunctional) -> tuple[tuple[Relabeling, Relabeli
 
 
 def _party_candidates(marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (setting permutation, signs) of one party that keeps its marginal terms."""
+    """Every (setting permutation, signs) of one party that keeps its marginal
+    terms; ValueError, before any is built, if its s! 2^s candidates of s
+    entries each pass ``SYMMETRY_CAP``."""
     s = marginals.size
+    _capped_product(itertools.chain(range(2, s + 1), itertools.repeat(2, s), (s,)),
+                    SYMMETRY_CAP, "relabeling candidates")
     perms = np.array(list(itertools.permutations(range(s)))).reshape(-1, s)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=s))).reshape(-1, s)
     perms, signs = np.repeat(perms, len(signs), axis=0), np.tile(signs, (len(perms), 1))

@@ -178,9 +178,9 @@ def validate_behavior(b: Behavior, tol: float = DEFAULT_TOL) -> ValidationReport
 
 
 def is_no_signalling(b: Behavior, tol: float = DEFAULT_TOL) -> SignallingReport:
-    """Compare, for every party and pair of its settings, the marginal of the
-    remaining parties; report the largest entry-wise difference.  The stack
-    of one of :func:`definition_reports`."""
+    """Compare, for every party, the marginal of the remaining parties over
+    its settings; report the largest entry-wise difference.  The stack of
+    one of :func:`definition_reports`."""
     return definition_reports(b.scenario, b.table[None], tol)[0][1]
 
 
@@ -203,13 +203,19 @@ def definition_reports(
 ) -> list[tuple[ValidationReport, SignallingReport]]:
     """The reports of :func:`validate_behavior` and :func:`is_no_signalling`
     for each member of a ``(k, *scenario.table_shape)`` stack of tables,
-    each check one pass over the whole stack.
+    from passes over the whole stack, O(table) per member and party;
+    ValueError unless ``tol`` is finite and >= 0.
 
     Positivity: every entry >= -tol.  Normalization: every context sums to
-    1 within tol.  No-signalling: for every party and pair of its settings,
-    the marginals of the remaining parties agree within tol; the witness is
-    the first largest difference, in party, settings-pair and entry order.
+    1 within tol.  No-signalling: for every party, its marginal (the table
+    summed over its outcomes) spreads by at most tol over its settings, at
+    each entry of the other parties' settings and outcomes; the largest
+    spread is the violation.  The witness of a member above tol is the
+    first largest difference, in party, settings-pair (s1 < s2) and
+    entry order, ties included.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     tables = np.asarray(tables, dtype=float)
     k, n = len(tables), scenario.parties
     flat = tables.reshape(k, -1)
@@ -229,21 +235,19 @@ def definition_reports(
     for idx in np.argwhere(deviations > tol).tolist() if max(max_norm) > tol else ():
         normalization[idx[0]].append((tuple(idx[1:]), float(deviations[tuple(idx)])))
 
-    entries, first, second, segments = _signalling_index(scenario)
-    # The padding column is the 0 that short outcome rows add.  Outcomes
-    # are added in order, as a sum over a table axis adds them.
-    padded = np.hstack([flat, np.zeros((k, 1))])
-    marginals = padded[:, entries[:, 0]]
-    for column in entries.T[1:]:
-        marginals += padded[:, column]
-    diffs = np.abs(marginals[:, first] - marginals[:, second])
-    max_violation = diffs.max(axis=1, initial=0.0).tolist()
+    # spreads[i, p]: the largest spread of party p's marginal in member i.
+    spreads = np.empty((k, n))
+    for p in range(n):
+        marginals = tables.sum(axis=1 + n + p)
+        spread = marginals.max(axis=1 + p) - marginals.min(axis=1 + p)
+        spreads[:, p] = spread.reshape(k, -1).max(axis=1)
+    max_violation = spreads.max(axis=1).tolist()
 
     reports = []
     for i in members:
         witness = None
         if max_violation[i] > tol:
-            witness = _signalling_witness(segments, int(np.argmax(diffs[i])))
+            witness = _signalling_witness(tables[i], int(np.argmax(spreads[i])))
         reports.append((
             ValidationReport(
                 passed=not positivity[i] and not normalization[i],
@@ -261,53 +265,24 @@ def definition_reports(
     return reports
 
 
-@functools.lru_cache(maxsize=8)
-def _signalling_index(scenario: Scenario):
-    """Flat-table indices of the no-signalling comparison, memoised:
-    ``(entries, first, second, segments)``.  Row r of ``entries`` lists
-    the entries whose sum is one marginal entry: for a party p, a setting
-    of p and an entry of the other parties' settings and outcomes, p's
-    outcomes, padded with ``table_size`` (a column of zeros).  A comparison
-    j is the difference of marginal rows ``first[j]`` and ``second[j]``,
-    ordered by party, then pair of its settings s1 < s2, then the other
-    parties' entry in C order.  ``segments`` holds per party (p, its first
-    comparison, its setting pairs, the shape of the other parties'
-    entries).  The arrays are read-only."""
-    n = scenario.parties
-    index = np.arange(scenario.table_size).reshape(scenario.table_shape)
-    width = max(scenario.outcomes)
-    entries, first, second, segments = [], [], [], []
-    rows = comparisons = 0
-    for p in range(n):
-        others = [a for a in range(2 * n) if a not in (p, n + p)]
-        # Axes: p's setting, the other parties' settings and outcomes, p's outcome.
-        block = index.transpose([p] + others + [n + p])
-        rest = block.shape[1:-1]
-        size = math.prod(rest)
-        block = block.reshape(-1, block.shape[-1])
-        entries.append(np.pad(block, ((0, 0), (0, width - block.shape[1])),
-                              constant_values=scenario.table_size))
-        pairs = list(itertools.combinations(range(scenario.settings[p]), 2))
-        segments.append((p, comparisons, pairs, rest))
-        for s1, s2 in pairs:
-            first.append(rows + s1 * size + np.arange(size))
-            second.append(rows + s2 * size + np.arange(size))
-        rows += len(block)
-        comparisons += len(pairs) * size
-    arrays = [np.concatenate(part or [np.zeros(0, int)]) for part in (entries, first, second)]
-    for array in arrays:
-        array.setflags(write=False)
-    return (*arrays, tuple(segments))
-
-
-def _signalling_witness(segments, j: int) -> SignallingWitness:
-    """The witness of comparison ``j`` of :func:`_signalling_index`."""
-    p, start, pairs, rest = next(segment for segment in reversed(segments) if segment[1] <= j)
-    pair, entry = divmod(j - start, math.prod(rest))
+def _signalling_witness(table: np.ndarray, p: int) -> SignallingWitness:
+    """The first largest difference of party ``p``'s marginal in ``table``,
+    in settings-pair (s1 < s2) and entry order, from the running maxima and
+    minima over the settings after each s1: O(table)."""
+    n = table.ndim // 2
+    marginal = np.moveaxis(table.sum(axis=n + p), p, 0)
+    rest = marginal.shape[1:]
+    m = marginal.reshape(len(marginal), -1)
+    later_max = np.maximum.accumulate(m[:0:-1])[::-1]
+    later_min = np.minimum.accumulate(m[:0:-1])[::-1]
+    # reach[s1]: the largest difference of s1 with a later setting, over all entries.
+    reach = np.maximum(later_max - m[:-1], m[:-1] - later_min).max(axis=1)
+    s1 = int(np.argmax(reach))
+    j = int(np.argmax(np.abs(m[s1 + 1:] - m[s1]) == reach[s1]))
+    s2, entry = divmod(j, m.shape[1])
     peer = tuple(int(i) for i in np.unravel_index(entry, rest))
-    n_peer = len(rest) // 2
-    return SignallingWitness(party=p, settings=pairs[pair], peer_context=peer[:n_peer],
-                             peer_outcomes=peer[n_peer:])
+    return SignallingWitness(party=p, settings=(s1, s1 + 1 + s2), peer_context=peer[:n - 1],
+                             peer_outcomes=peer[n - 1:])
 
 
 def _checked_context(s: Scenario, context: tuple[int, ...]) -> tuple[int, ...]:

@@ -532,7 +532,7 @@ def _lp_record(outcome: lp.LpOutcome, **context) -> dict:
 
 def _ns_tables(scenario: Scenario, points: np.ndarray, tol: float) -> list[Behavior]:
     """LP solutions, one per row of ``points``, clipped to behaviors and
-    re-checked against the model's own definitions, every pair of settings
+    re-checked against the model's own definitions, every party's marginal
     and every context's normalization, in one pass over the stack at the
     LP's 10 * tol acceptance: the LP itself verified only the positivity of
     its coordinates' tables."""

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from monogamy import (
     Behavior,
@@ -41,6 +42,11 @@ from monogamy.sharing import _extended_scenario, clone_symmetry_constraints
 from monogamy.tradeoffs import pb_scenario, triple_scenario
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+
+# Every property runs the same examples on every run, with no example
+# database and no per-example deadline; each sets only its max_examples.
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -122,6 +122,27 @@ class TestNsAndLocal:
             assert captured.err == err
             assert len(definition_passes) == 1
 
+    def test_many_settings_finish(self, tmp_path, capsys):
+        # 2 000 settings: one marginal spread per party, so the check is
+        # linear in the table, not in the pairs of settings.  A lone party's
+        # normalized table never signals; in the second file Alice's setting
+        # 1 234 fixes Bob's outcome.
+        uniform = uniform_box(Scenario(1, (2000,), (2,)))
+        s = Scenario(2, (2000, 1), (2, 2))
+        table = np.full(s.table_shape, 0.25)
+        table[1234, 0] = [[0.5, 0.0], [0.5, 0.0]]
+        signalling = Behavior(s, table)
+        report = is_no_signalling(signalling)
+        for name, b, code in (("uniform", uniform, 0), ("signalling", signalling, 1)):
+            path = write_behavior(tmp_path / f"{name}.json", b)
+            start = time.perf_counter()
+            assert main(["nstest", "--in", path]) == code
+            assert time.perf_counter() - start < 1.0
+            payload = json.loads(capsys.readouterr().out)
+        assert payload == {"is_no_signalling": False, "max_violation": 0.5,
+                           "witness": json.loads(json.dumps(asdict(report.witness)))}
+        assert report.witness.party == 0 and report.witness.settings == (0, 1234)
+
     def test_pr_not_local(self, pr_path, capsys):
         assert main(["localtest", "--in", pr_path]) == 1
         payload = json.loads(capsys.readouterr().out)

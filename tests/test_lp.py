@@ -962,7 +962,7 @@ def _programs(draw):
     return program, blocks["eq"][2], blocks["ub"][2]
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_programs())
 def test_elastic_system_is_the_dense_block_form(case):
     program, a_eq, a_ub = case

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monogamy import (
     Behavior,
@@ -32,6 +36,7 @@ from monogamy.model import (
     no_signalling_constraints,
     normalization_constraints,
     ns_orbit_dual_rows,
+    require_valid,
     symmetric_cg_index,
     symmetric_cg_rows,
 )
@@ -143,6 +148,36 @@ class TestNoSignalling:
         report = is_no_signalling(product_box([f1, f2]))
         assert report.is_no_signalling
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # Every comparison with NaN is False: a NaN tolerance would call the
+        # setting echo no-signalling and an all -1 table valid.
+        s = chsh_scenario()
+        echo = np.zeros(s.table_shape)
+        for x, y in s.contexts():
+            echo[x, y, 0, x] = 1.0
+        for check, table in ((is_no_signalling, echo), (validate_behavior, np.full(s.table_shape, -1.0)),
+                             (require_valid, np.full(s.table_shape, -1.0))):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                check(Behavior(s, table), tol)
+
+    def test_table_at_the_cap_checks_in_table_memory(self):
+        """A (500, 500)-setting table at the 10^6-entry cap: one marginal
+        per party, no pair of settings, so the check is fast and its
+        traced peak is a few tables' bytes."""
+        s = Scenario(2, (500, 500), (2, 2))
+        b = random_behavior(np.random.default_rng(5), s)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            report = is_no_signalling(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 5 * b.table.nbytes
+        assert not report.is_no_signalling and report.witness is not None
+
 
 def loop_signalling(b):
     """Reference no-signalling scan, one party and settings pair at a
@@ -192,6 +227,43 @@ class TestDefinitionReports:
                 witness.party, witness.settings, witness.peer_context, witness.peer_outcomes
             )
             assert (witness is None) == (best <= 1e-9)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_stack_matches_loop_on_tie_heavy_tables(self, data):
+        """1-3 parties, 1-4 settings, 2-9 outcomes, at most 2 000 entries,
+        tables rounded to quarters, normalized or shifted negative: every
+        member has the validation of ``validate_behavior`` and the largest
+        difference and witness of :func:`loop_signalling`, bit for bit.  Nine
+        outcomes reach the pairwise sum that numpy uses along the table's
+        last axis from 8 entries on."""
+        n = data.draw(st.integers(1, 3))
+        settings_ = tuple(data.draw(st.integers(1, 4)) for _ in range(n))
+        budget, outcomes = 2000 // math.prod(settings_), []
+        for p in range(n):
+            outcomes.append(data.draw(st.integers(2, min(9, budget // 2 ** (n - 1 - p)))))
+            budget //= outcomes[-1]
+        s = Scenario(n, settings_, tuple(outcomes))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        k = data.draw(st.integers(1, 4))
+        tables = rng.random((k,) + s.table_shape)
+        for table in tables:
+            if rng.random() < 0.5:
+                table /= table.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+            if rng.random() < 0.7:
+                table[...] = np.round(4.0 * table) / 4.0
+            if rng.random() < 0.25:
+                table -= 0.25
+        for table, (validity, signalling) in zip(tables, definition_reports(s, tables, 1e-9)):
+            b = Behavior(s, table)
+            assert validity == validate_behavior(b, 1e-9)
+            best, where = loop_signalling(b)
+            assert signalling.max_violation == best
+            witness = signalling.witness
+            assert (witness is None) == (best <= 1e-9)
+            assert witness is None or where == (
+                witness.party, witness.settings, witness.peer_context, witness.peer_outcomes
+            )
 
 
 def loop_normalization_rows(s, all_contexts=False):

@@ -499,7 +499,7 @@ class TestMasanesProperty:
         result = ns_extension(pair, 2, tol=1e-6)
         assert isinstance(result, ExtensionCertificate)
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.tuples(st.integers(0, 23), st.integers(1, 6)), min_size=1, max_size=4))
     def test_two_settings_shareable_exactly_when_local(self, parts):
         """With two settings a box is 2-shareable exactly when it is local

@@ -164,6 +164,27 @@ class TestRelabelingSymmetries:
         assert len(relabeling_symmetries(collins_gisin())) == 4
         assert len(relabeling_symmetries(chsh())) == 8
 
+    def test_candidates_refused_before_they_are_built(self):
+        """An 8-setting party has 8! 2^8 candidates of 8 entries, far past
+        the cap: refused in well under a second with almost no memory,
+        where building them first took gigabytes."""
+        import time
+        import tracemalloc
+
+        from monogamy.bell import SYMMETRY_CAP, relabeling_symmetries
+
+        f = BellFunctional(np.eye(8), np.zeros(8), np.zeros(8))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"cap {SYMMETRY_CAP}"):
+                relabeling_symmetries(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 64 * 1024
+
     def test_relabeling_index_refuses_bad_relabelings(self):
         from monogamy.model import Relabeling, relabeling_index
 
@@ -176,7 +197,7 @@ class TestRelabelingSymmetries:
         with pytest.raises(ValueError, match="flips need 2"):
             relabeling_index(scenario, (keep, Relabeling((1, 0), (True, False))))
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         shape=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
         coefficients=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=15, max_size=15),
@@ -1197,7 +1218,7 @@ class TestQuantumSearch:
         with pytest.raises(ImportError, match=message):
             quantum_boundary_search(np.array([0.3]), 0, np.random.default_rng(1))
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         kind=st.sampled_from(["direction", "cg", "separable"]),
         parameter=st.floats(0.0, 1.0),
@@ -1417,7 +1438,7 @@ def marginal_route(b):
 class TestTableTermsProperties:
     # Derandomized and without an example database, so every run draws the
     # same examples.
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         entries=st.lists(st.floats(-0.125, 0.125), min_size=64, max_size=64),
         kind=st.sampled_from(["raw", "normalized", "local"]),
@@ -1452,7 +1473,7 @@ class TestTableTermsProperties:
 class TestPairTermsProperties:
     # Derandomized and without an example database, so every run draws the
     # same examples; the budget is a few seconds.
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
         angles=st.lists(st.floats(-math.pi, math.pi), min_size=9, max_size=9),
